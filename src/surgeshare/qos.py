@@ -11,6 +11,7 @@ and the normal-approximation reserve formula.
 from __future__ import annotations
 
 import math
+import numbers
 import statistics
 from dataclasses import dataclass
 
@@ -52,7 +53,10 @@ class ScenarioParams:
     qos_target_b: float = 0.98
 
     def __post_init__(self):
-        if self.n_consumers < 1:
+        n = self.n_consumers
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+            raise TypeError(f"n_consumers must be an integer; got {n!r}")
+        if n < 1:
             raise ValueError("n_consumers must be at least 1")
         _check_probability(self.p_nonsurge, "p_nonsurge")
         _check_probability(self.p_surge, "p_surge")
@@ -153,22 +157,28 @@ def qos_all(params: ScenarioParams, m: int, t: int, q: int) -> QosReport:
 def min_items_for_qos(n: int, p: float, target: float) -> int:
     """Smallest a >= 0 with binom_cdf(a, n, p) >= target.
 
-    Binary search on the monotone cdf followed by a short linear
-    verification pass, so floating-point plateaus cannot push the
-    answer off by one.
+    Binary search on the upper tail, P[X > a] <= 1 - target: near a
+    target of 1 the rounded cdf reaches the target a few items early,
+    while the tail keeps its relative precision.  A short linear pass
+    then walks down through any floating-point plateau the bisection
+    landed on.
     """
     _check_probability(p)
     if not (0.0 < target < 1.0):
         raise ValueError("target must lie in (0, 1)")
+    shortfall = 1.0 - target
+
+    def meets(a: int) -> bool:
+        return float(special.bdtrc(a, n, p)) <= shortfall
+
     lo, hi = 0, n
     while lo < hi:
         mid = (lo + hi) // 2
-        if binom_cdf(mid, n, p) >= target:
+        if meets(mid):
             hi = mid
         else:
             lo = mid + 1
-    # Walk down through any plateau the bisection may have landed on.
-    while lo > 0 and binom_cdf(lo - 1, n, p) >= target:
+    while lo > 0 and meets(lo - 1):
         lo -= 1
     return lo
 

@@ -11,6 +11,7 @@ selects the QoS target; names without a suffix default to 98%).
 from __future__ import annotations
 
 import configparser
+import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -42,7 +43,10 @@ _PARAM_KEYS = (
     "qos_target_ns", "qos_target_s", "qos_target_b",
 )
 _COST_KEYS = ("builtin", "per_item_main", "per_item_prosumer", "horizon_years", "discount")
-_SOLVER_KEYS = ("optimality_gap", "multistarts", "local_search_radius", "max_local_rounds")
+_SOLVER_KEYS = ("optimality_gap",)
+# Knobs of an earlier approximate solver: still accepted so old files
+# load, but ignored with a warning.
+_IGNORED_SOLVER_KEYS = ("multistarts", "local_search_radius", "max_local_rounds")
 _AIMD_KEYS = (
     "seed", "alpha", "beta", "gamma", "gamma_target", "lam_min",
     "z_init", "q_init", "max_iterations", "convergence_window", "convergence_tol",
@@ -51,7 +55,7 @@ _SECTIONS = {
     "scenario": ("name",),
     "params": _PARAM_KEYS,
     "cost_model": _COST_KEYS,
-    "solver": _SOLVER_KEYS,
+    "solver": _SOLVER_KEYS + _IGNORED_SOLVER_KEYS,
     "aimd": _AIMD_KEYS,
 }
 
@@ -66,18 +70,6 @@ class ScenarioFile:
     cost_model_name: str = ""
     solver: SolverOpts = field(default_factory=SolverOpts)
     aimd: Dict[str, float] = field(default_factory=dict)
-
-    def __eq__(self, other):
-        if not isinstance(other, ScenarioFile):
-            return NotImplemented
-        return (
-            self.name == other.name
-            and self.params == other.params
-            and self.cost_model == other.cost_model
-            and self.cost_model_name == other.cost_model_name
-            and self.solver == other.solver
-            and self.aimd == other.aimd
-        )
 
 
 def _builtin_table() -> Dict[str, ScenarioFile]:
@@ -141,8 +133,8 @@ def _format_discount(schedule: DiscountSchedule) -> str:
 
 
 def _coerce(section: str, key: str, raw: str):
-    int_keys = {"n_consumers", "multistarts", "local_search_radius", "max_local_rounds",
-                "horizon_years", "seed", "max_iterations", "convergence_window"}
+    int_keys = {"n_consumers", "horizon_years", "seed", "max_iterations",
+                "convergence_window"}
     if key in int_keys:
         try:
             return int(raw)
@@ -226,7 +218,13 @@ def load_scenario(path_or_name: str) -> ScenarioFile:
 
     solver = SolverOpts()
     if "solver" in parser:
-        kwargs = {k: _coerce("solver", k, v) for k, v in parser["solver"].items()}
+        ignored = [k for k in parser["solver"] if k in _IGNORED_SOLVER_KEYS]
+        if ignored:
+            warnings.warn(
+                f"{path_or_name}: [solver] keys {ignored} are ignored; "
+                f"the minimum-cost solver is exact", stacklevel=2)
+        kwargs = {k: _coerce("solver", k, v) for k, v in parser["solver"].items()
+                  if k not in ignored}
         solver = SolverOpts(**kwargs)
 
     aimd: Dict[str, float] = {}
@@ -263,12 +261,7 @@ def save_scenario(scenario: ScenarioFile, path: str) -> None:
             "horizon_years": str(m.horizon_years),
             "discount": _format_discount(m.discount),
         }
-    parser["solver"] = {
-        "optimality_gap": repr(scenario.solver.optimality_gap),
-        "multistarts": str(scenario.solver.multistarts),
-        "local_search_radius": str(scenario.solver.local_search_radius),
-        "max_local_rounds": str(scenario.solver.max_local_rounds),
-    }
+    parser["solver"] = {"optimality_gap": repr(scenario.solver.optimality_gap)}
     if scenario.aimd:
         parser["aimd"] = {k: repr(v) for k, v in scenario.aimd.items()}
     with open(path, "w") as fh:

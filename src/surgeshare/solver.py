@@ -1,27 +1,28 @@
 """Problem 1: minimum-cost dimensioning of the (M, T, Q) design.
 
-``solve_min_cost`` uses a two-stage pipeline -- a continuous
-relaxation (smooth cdf, concave approximated cost) solved with SLSQP
-from several deterministic starts, followed by integer rounding and a
-local search validated against the exact integer constraints.
-``brute_force_design`` is an independent exact oracle used to verify
-the solver output.
+The cost depends on Q only through M and rises linearly in T, so for a
+fixed prosumer pool T the cheapest design takes the smallest reserve Q
+that meets the bad-behaviour target and the smallest pool M that meets
+the other two, or the start of a higher discount band.  Both
+``solve_min_cost`` and ``brute_force_design`` scan T on this structure
+and are exact.  ``solve_min_cost`` also stops once the cheapest pool
+plus the prosumer cost of T exceeds the best design found, which cuts
+the scan at the optimal T instead of N.  ``brute_force_design`` scans
+every T and, with the full 3-D scan ``_brute_force_full``, serves as
+the reference the solver is tested against.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
-import math
-import statistics
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-from scipy import optimize, special
+from scipy import special
 
-from .cost import CostModel, cost_eval, discount_real
-from .qos import QosReport, ScenarioParams, min_items_for_qos, normal_approx_reserve, qos_all
+from .cost import CostModel, cost_eval
+from .qos import QosReport, ScenarioParams, min_items_for_qos, qos_all
 
 __all__ = [
     "Design",
@@ -69,18 +70,18 @@ class DesignReport:
     cost_real: float
     cost_per_consumer: float
     qos: QosReport
-    solver_iterations: int = 0
     oracle_verified: bool = False
 
 
 @dataclass(frozen=True)
 class SolverOpts:
-    """Tunables for solve_min_cost."""
+    """The ``[solver]`` section of a scenario file.
+
+    ``optimality_gap`` is kept so existing scenario files and callers
+    keep working; the exact solver does not read it.
+    """
 
     optimality_gap: float = 0.01
-    multistarts: int = 5
-    local_search_radius: int = 2
-    max_local_rounds: int = 60
 
 
 @dataclass(frozen=True)
@@ -114,14 +115,13 @@ def _min_items(n: int, p: float, target: float) -> int:
 
 
 def _report(params: ScenarioParams, model: CostModel, d: Design,
-            iterations: int = 0, verified: bool = False) -> DesignReport:
+            verified: bool = False) -> DesignReport:
     cost = cost_eval(d.m, d.t, d.q, model, "real")
     return DesignReport(
         design=d,
         cost_real=cost,
         cost_per_consumer=model.cost_per_consumer(cost, params.n_consumers),
         qos=qos_all(params, d.m, d.t, d.q),
-        solver_iterations=iterations,
         oracle_verified=verified,
     )
 
@@ -225,148 +225,49 @@ def _brute_force_full(params: ScenarioParams, model: CostModel) -> DesignReport:
 
 
 # ---------------------------------------------------------------------------
-# SLSQP relaxation + integer polish
+# Exact solver
 # ---------------------------------------------------------------------------
-
-def _cdf_cont_real_n(x: float, n: float, p: float) -> float:
-    # Continuous in both the threshold and the population size, used only
-    # inside the relaxation where T is a real decision variable.
-    if x >= n:
-        return 1.0
-    if x <= -1.0 or n <= 0.0:
-        return 0.0
-    return float(special.betainc(n - x, x + 1.0, 1.0 - p))
-
-
-def _starting_points(params: ScenarioParams) -> List[np.ndarray]:
-    n = params.n_consumers
-    z_ns = statistics.NormalDist().inv_cdf(min(params.qos_target_ns, 1 - 1e-12))
-    z_s = statistics.NormalDist().inv_cdf(min(params.qos_target_s, 1 - 1e-12))
-    m0 = n * params.p_nonsurge + z_ns * math.sqrt(
-        n * params.p_nonsurge * (1 - params.p_nonsurge))
-    a_s0 = n * params.p_surge + z_s * math.sqrt(
-        n * params.p_surge * (1 - params.p_surge))
-    gap = max(a_s0 - m0, 1.0)
-    starts = []
-    for mult in (0.25, 0.5, 1.0, 1.5, 2.0):
-        t0 = max(mult * gap, 1.0)
-        q0 = max(normal_approx_reserve(max(int(t0), 1), params.p_bad,
-                                       min(params.qos_target_b, 1 - 1e-12)), 0.0)
-        m_start = max(m0, a_s0 - t0 + q0, q0 + 1.0)
-        starts.append(np.array([m_start, t0, q0]))
-    return starts
-
-
-def _relaxed_solve(params: ScenarioParams, model: CostModel,
-                   x0: np.ndarray) -> Tuple[np.ndarray, int]:
-    n = params.n_consumers
-
-    def objective(x):
-        m, t, _ = x
-        pool = model.per_item_main * (1.0 - model.smooth.value(m)) * m
-        return (pool + model.per_item_prosumer * t) / model.per_item_main
-
-    constraints = [
-        {"type": "ineq", "fun": lambda x: _cdf_cont_real_n(x[0], n, params.p_nonsurge)
-            - params.qos_target_ns},
-        {"type": "ineq", "fun": lambda x: _cdf_cont_real_n(x[0] - x[2] + x[1], n,
-            params.p_surge) - params.qos_target_s},
-        {"type": "ineq", "fun": lambda x: _cdf_cont_real_n(x[2], max(x[1], 1e-6),
-            params.p_bad) - params.qos_target_b},
-        {"type": "ineq", "fun": lambda x: n - x[0]},
-        {"type": "ineq", "fun": lambda x: x[0] - x[2]},
-        {"type": "ineq", "fun": lambda x: x[1] - x[2]},
-        {"type": "ineq", "fun": lambda x: n - (x[0] - x[2] + x[1])},
-    ]
-    bounds = [(0.0, float(n)), (0.0, float(n)), (0.0, float(n))]
-    res = optimize.minimize(
-        objective, x0, method="SLSQP", bounds=bounds, constraints=constraints,
-        options={"maxiter": 300, "ftol": 1e-10},
-    )
-    return res.x, int(res.nit)
-
-
-def _polish(params: ScenarioParams, model: CostModel, x: np.ndarray,
-            opts: SolverOpts) -> Optional[Tuple[float, int, int, int]]:
-    n = params.n_consumers
-    best: Optional[Tuple[float, int, int, int]] = None
-
-    def consider(m: int, t: int, q: int):
-        nonlocal best
-        if not (0 <= q <= min(m, t) and m <= n):
-            return
-        d = Design(m, t, q)
-        if not feasible(params, d):
-            return
-        key = (cost_eval(m, t, q, model, "real"), m, t, q)
-        if best is None or key < best:
-            best = key
-
-    # 3^3 rounding neighborhood of the relaxed solution.
-    for dm in (math.floor(x[0]), round(x[0]), math.ceil(x[0])):
-        for dt in (math.floor(x[1]), round(x[1]), math.ceil(x[1])):
-            for dq in (math.floor(x[2]), round(x[2]), math.ceil(x[2])):
-                consider(int(dm), int(dt), int(dq))
-    if best is None:
-        # Rounded point infeasible: repair by pushing up to the exact
-        # integer requirements before searching locally.
-        t0 = max(int(round(x[1])), 0)
-        q0 = _min_items(t0, params.p_bad, params.qos_target_b) if t0 > 0 else 0
-        m0 = max(
-            _min_items(n, params.p_nonsurge, params.qos_target_ns),
-            _min_items(n, params.p_surge, params.qos_target_s) - t0 + q0,
-            q0,
-        )
-        consider(m0, t0, q0)
-    if best is None:
-        return None
-
-    # Iterated +/- radius local search on the exact integer problem.
-    r = opts.local_search_radius
-    for _ in range(opts.max_local_rounds):
-        _, m, t, q = best
-        before = best
-        for dm in range(-r, r + 1):
-            for dt in range(-r, r + 1):
-                for dq in range(-r, r + 1):
-                    consider(m + dm, t + dt, q + dq)
-        if best == before:
-            break
-    return best
-
 
 def solve_min_cost(params: ScenarioParams, model: CostModel,
                    opts: Optional[SolverOpts] = None) -> DesignReport:
-    """Minimum-cost design via SLSQP relaxation plus integer polish.
+    """Exact minimum-cost design by a pruned structured scan over T.
 
-    The continuous stage works with the concave approximated cost and
-    the smooth cdf; final feasibility and the reported cost always use
-    the exact integer cdf and the real (stepped-discount) cost.
+    The scan is the one ``brute_force_design`` runs: a moving pointer
+    gives the minimum reserve Q(T), and the candidates per T are the
+    smallest feasible M plus every discount-band start above it.  Since
+    the cost is the pool term plus ``per_item_prosumer * T``, no design
+    with T prosumers costs less than ``pool_floor + per_item_prosumer *
+    T``, where ``pool_floor`` is the cheapest pool that meets the
+    non-surge target.  The scan stops once that bound is strictly above
+    the best cost found, so ties break on (cost, M, T, Q) exactly as in
+    the oracle.  ``opts`` is accepted for compatibility and ignored.
     """
-    opts = opts or SolverOpts()
     n = params.n_consumers
     m_ns = _min_items(n, params.p_nonsurge, params.qos_target_ns)
-    if m_ns > n:
-        raise InfeasibleDesignError(
-            f"non-surge target needs M = {m_ns} > N = {n}", constraint="qos_ns"
-        )
-
-    starts = _starting_points(params)[: max(opts.multistarts, 1)]
-    total_iters = 0
+    a_s = _min_items(n, params.p_surge, params.qos_target_s)
+    pool_floor = min(cost_eval(m, 0, 0, model, "real")
+                     for m in _m_candidates(model, m_ns, n))
     best: Optional[Tuple[float, int, int, int]] = None
-    for x0 in starts:
-        x_rel, nit = _relaxed_solve(params, model, x0)
-        total_iters += nit
-        for x_cand in (x_rel, x0):
-            cand = _polish(params, model, x_cand, opts)
-            if cand is not None and (best is None or cand < best):
-                best = cand
+    q = 0
+    for t in range(0, n + 1):
+        if best is not None and pool_floor + model.per_item_prosumer * t > best[0]:
+            break
+        while q < t and float(special.bdtr(q, t, params.p_bad)) < params.qos_target_b:
+            q += 1
+        m_min = max(m_ns, a_s - t + q, q)
+        if m_min > n or m_min - q + t > n:
+            continue
+        for m in _m_candidates(model, m_min, min(n, n + q - t)):
+            key = (cost_eval(m, t, q, model, "real"), m, t, q)
+            if best is None or key < best:
+                best = key
     if best is None:
         raise InfeasibleDesignError(
-            "solver found no feasible integer design", constraint="qos"
+            "no (M, T, Q) satisfies all constraints for these parameters",
+            constraint="qos",
         )
     _, m, t, q = best
-    return _report(params, model, Design(m, t, q), iterations=total_iters)
+    return _report(params, model, Design(m, t, q), verified=True)
 
 
 # ---------------------------------------------------------------------------
@@ -383,43 +284,35 @@ def compare_approaches(params: ScenarioParams, model: CostModel) -> Dict[str, De
     return {"hybrid": hybrid, "b2c": b2c, "ownership": ownership}
 
 
-def sweep_cost_vs_qos(params: ScenarioParams, model: CostModel,
-                      qos_grid: Sequence[float]) -> List[CurvePoint]:
-    """Optimal cost as a function of a common QoS target."""
-    if not qos_grid:
-        raise ValueError("qos_grid must be non-empty")
+def _sweep(params: ScenarioParams, model: CostModel, grid: Sequence,
+           vary: Callable[[ScenarioParams, object], ScenarioParams]) -> List[CurvePoint]:
+    if not grid:
+        raise ValueError("grid must be non-empty")
     points = []
-    for target in qos_grid:
-        p = dataclasses.replace(
-            params, qos_target_ns=target, qos_target_s=target, qos_target_b=target)
+    for x in grid:
         try:
-            rep = solve_min_cost(p, model)
+            rep = solve_min_cost(vary(params, x), model)
         except InfeasibleDesignError:
-            points.append(CurvePoint(x=target, cost_total=None, cost_per_consumer=None))
+            points.append(CurvePoint(x=float(x), cost_total=None, cost_per_consumer=None))
             continue
-        points.append(CurvePoint(x=target, cost_total=rep.cost_real,
+        points.append(CurvePoint(x=float(x), cost_total=rep.cost_real,
                                  cost_per_consumer=rep.cost_per_consumer,
                                  design=rep.design))
     return points
+
+
+def sweep_cost_vs_qos(params: ScenarioParams, model: CostModel,
+                      qos_grid: Sequence[float]) -> List[CurvePoint]:
+    """Optimal cost as a function of a common QoS target."""
+    return _sweep(params, model, qos_grid, lambda p, target: dataclasses.replace(
+        p, qos_target_ns=target, qos_target_s=target, qos_target_b=target))
 
 
 def sweep_cost_vs_n(params: ScenarioParams, model: CostModel,
                     n_grid: Sequence[int]) -> List[CurvePoint]:
-    """Optimal cost as a function of the consumer population size."""
-    if not n_grid:
-        raise ValueError("n_grid must be non-empty")
-    points = []
-    for n in n_grid:
-        p = dataclasses.replace(params, n_consumers=int(n))
-        try:
-            rep = solve_min_cost(p, model)
-        except InfeasibleDesignError:
-            points.append(CurvePoint(x=float(n), cost_total=None, cost_per_consumer=None))
-            continue
-        points.append(CurvePoint(x=float(n), cost_total=rep.cost_real,
-                                 cost_per_consumer=rep.cost_per_consumer,
-                                 design=rep.design))
-    return points
+    """Optimal cost as a function of the (integer) consumer population size."""
+    return _sweep(params, model, n_grid,
+                  lambda p, n: dataclasses.replace(p, n_consumers=n))
 
 
 def write_design_csv(path, rows: Sequence[Tuple[ScenarioParams, DesignReport]]) -> None:

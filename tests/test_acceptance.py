@@ -122,9 +122,10 @@ def test_criterion_3_oracle_equivalence():
             oracle = brute_force_design(params, model)
             elapsed = time.perf_counter() - start
             solved = solve_min_cost(params, model)
-            gap = (solved.cost_real - oracle.cost_real) / oracle.cost_real
-            if gap > 0.01 or gap < -1e-12:
-                failures.append(f"N={n}/{target}: gap {gap * 100:.2f}%")
+            if (solved.design, solved.cost_real) != (oracle.design, oracle.cost_real):
+                failures.append(f"N={n}/{target}: solver {solved.design} at "
+                                f"{solved.cost_real:.2f}, oracle {oracle.design} at "
+                                f"{oracle.cost_real:.2f}")
             if elapsed > 60.0:
                 failures.append(f"N={n}/{target}: oracle {elapsed:.1f}s > 60s")
     _finish(3, failures)

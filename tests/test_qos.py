@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from surgeshare import (
@@ -185,6 +186,13 @@ def test_min_items_is_minimal():
     assert binom_cdf(a - 1, 1000, 0.3) < 0.98
 
 
+@pytest.mark.parametrize("target, expected", [(1 - 1e-15, 419), (1 - 2**-53, 423)])
+def test_min_items_exact_near_target_one(target, expected):
+    # At these targets the cdf rounds to 1 a few items early; the
+    # expected counts come from the upper tail summed to 60 digits.
+    assert min_items_for_qos(1000, 0.3, target) == expected
+
+
 def test_min_items_near_normal_approximation():
     z99 = 2.3263478740408408
     for n in (100, 400, 1500, 5000):
@@ -204,3 +212,13 @@ def test_normal_approx_reserve_median_target():
 
 def test_normal_approx_reserve_consistent_with_table():
     assert abs(math.ceil(normal_approx_reserve(215, 0.01, 0.98)) - 6) <= 1
+
+
+@pytest.mark.parametrize("bad_n", [True, 100.5, 100.0, "100"])
+def test_params_reject_non_integer_population(bad_n):
+    with pytest.raises(TypeError, match="n_consumers"):
+        ScenarioParams(bad_n, 0.1, 0.3, 0.01)
+
+
+def test_params_accept_numpy_integer_population():
+    assert ScenarioParams(np.int64(100), 0.1, 0.3, 0.01).n_consumers == 100

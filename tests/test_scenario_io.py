@@ -14,6 +14,7 @@ from surgeshare import (
     load_scenario,
     save_scenario,
 )
+from surgeshare import solver
 from surgeshare.cli import cli_dispatch
 from surgeshare.solver import SolverOpts
 
@@ -106,10 +107,13 @@ def test_round_trip_inline_model(tmp_path):
     )
     src = tmp_path / "bikes.ini"
     src.write_text(inline)
-    sc = load_scenario(str(src))
+    # multistarts belonged to an earlier approximate solver: it still
+    # loads, with a warning, and is dropped.
+    with pytest.warns(UserWarning, match="multistarts"):
+        sc = load_scenario(str(src))
     assert sc.name == "bikes"
     assert sc.cost_model_name == ""
-    assert sc.solver.multistarts == 3
+    assert sc.solver == SolverOpts()
     assert sc.aimd == {"seed": 9, "alpha": 0.5}
     out = tmp_path / "bikes_rt.ini"
     save_scenario(sc, str(out))
@@ -122,7 +126,7 @@ def test_round_trip_with_custom_options(tmp_path):
         params=ScenarioParams(250, 0.1, 0.3, 0.01, 0.95, 0.95, 0.95),
         cost_model=car_cost_model(),
         cost_model_name="car-mg4-2025",
-        solver=SolverOpts(optimality_gap=0.02, multistarts=2),
+        solver=SolverOpts(optimality_gap=0.02),
         aimd={"seed": 4, "beta": 0.9},
     )
     path = tmp_path / "custom.ini"
@@ -154,6 +158,15 @@ def test_cli_sweep_bad_grid(tmp_path):
     assert code == 2
 
 
+def test_cli_sweep_n_rejects_fractional_population(tmp_path, capsys):
+    code = cli_dispatch(["sweep", "--scenario", "charger-n1000-98",
+                         "--axis", "n", "--grid", "500.9,1000.5",
+                         "--outdir", str(tmp_path)])
+    assert code == 2
+    assert "integers" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_cli_design_charger(tmp_path, capsys):
     code = cli_dispatch(["design", "--scenario", "charger-n1000-98",
                          "--output", "row.csv", "--outdir", str(tmp_path)])
@@ -163,6 +176,17 @@ def test_cli_design_charger(tmp_path, capsys):
     with open(tmp_path / "row.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert rows[0]["M"] == "10" and rows[0]["oracle_verified"] == "true"
+
+
+def test_cli_design_solves_without_the_oracle(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("design must not run the oracle")
+
+    monkeypatch.setattr(solver, "brute_force_design", refuse)
+    code = cli_dispatch(["design", "--scenario", "charger-n1000-98"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "oracle_verified = True (gap 0.000%)" in out
 
 
 def test_cli_design_respects_outdir_env(tmp_path, monkeypatch, capsys):

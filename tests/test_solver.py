@@ -3,10 +3,15 @@
 import dataclasses
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from surgeshare import (
+    CostModel,
     Design,
+    DiscountSchedule,
     ScenarioParams,
+    SmoothDiscount,
     brute_force_design,
     car_cost_model,
     charger_cost_model,
@@ -63,8 +68,73 @@ def test_oracle_vs_solver_car_5000():
     params = dataclasses.replace(CAR_1000, n_consumers=5000)
     oracle = brute_force_design(params, car_cost_model())
     solved = solve_min_cost(params, car_cost_model())
-    assert solved.cost_real >= oracle.cost_real - 1e-6
-    assert (solved.cost_real - oracle.cost_real) / oracle.cost_real <= 0.01
+    assert solved.design == oracle.design
+    assert solved.cost_real == oracle.cost_real
+    assert solved.oracle_verified
+
+
+# Scenarios where an earlier SLSQP-based solver failed: a false
+# "infeasible" at a target of exactly 1, and designs 2.08% and 11.49%
+# dearer than the optimum.
+@pytest.mark.parametrize("params, design, cost", [
+    (ScenarioParams(200, 0.1, 0.3, 0.01, 1.0, 0.98, 0.98), (200, 0, 0), 1_105_000.0),
+    (ScenarioParams(1250, 0.28832505484520066, 0.549251617513364, 0.1488147591118829,
+                    0.9960510242139172, 1.0, 0.987156019713012),
+     (403, 1025, 178), 4_686_575.0),
+    (ScenarioParams(1606, 0.24826154995628547, 0.46613570359099116, 0.18080688287109103,
+                    0.9134461292575824, 1.0, 0.9954618928929152),
+     (422, 1493, 309), 5_914_750.0),
+])
+def test_solver_regressions(params, design, cost):
+    rep = solve_min_cost(params, car_cost_model())
+    assert (rep.design.m, rep.design.t, rep.design.q) == design
+    assert rep.cost_real == pytest.approx(cost)
+
+
+_targets = st.one_of(st.just(1.0), st.floats(0.5, 1.0, exclude_min=True))
+
+
+def _cost_model(main, prosumer, schedule=((1, 0.0),)):
+    return CostModel(float(main), float(prosumer), DiscountSchedule(schedule),
+                     SmoothDiscount(0.0, 1.0))
+
+
+@st.composite
+def _cost_models(draw):
+    # Small integer prices make exact cost ties between designs common,
+    # which exercises the (cost, M, T, Q) tie-break.
+    quantities = sorted(draw(st.lists(st.integers(2, 300), max_size=4, unique=True)))
+    fractions = sorted(draw(st.lists(st.integers(0, 40), min_size=len(quantities),
+                                     max_size=len(quantities))))
+    schedule = ((1, 0.0),) + tuple(zip(quantities, (f / 100 for f in fractions)))
+    return _cost_model(draw(st.integers(1, 20)), draw(st.integers(1, 20)), schedule)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 300),
+    p_ns=st.floats(0.01, 0.9),
+    p_s=st.floats(0.01, 0.95),
+    p_b=st.floats(0.01, 0.5),
+    targets=st.tuples(_targets, _targets, _targets),
+    model=st.one_of(st.sampled_from([car_cost_model(), charger_cost_model()]),
+                    _cost_models()),
+)
+# A tie at cost 120: (6, 12, 2) and (5, 14, 3); the smaller M wins.
+@example(n=107, p_ns=0.023, p_s=0.117, p_b=0.081, targets=(0.9, 0.86, 0.92),
+         model=_cost_model(10, 5))
+# The cheapest pool is a band start above the non-surge minimum: (30, 8, 2).
+@example(n=100, p_ns=0.2, p_s=0.3, p_b=0.1, targets=(0.9, 0.9, 0.9),
+         model=_cost_model(10, 1, ((1, 0.0), (30, 0.3))))
+# A band start beats the smallest feasible pool at the same T: (40, 0, 0).
+@example(n=100, p_ns=0.2, p_s=0.3, p_b=0.1, targets=(0.9, 0.9, 0.9),
+         model=_cost_model(10, 5, ((1, 0.0), (40, 0.3))))
+def test_solver_equals_full_scan(n, p_ns, p_s, p_b, targets, model):
+    params = ScenarioParams(n, p_ns, p_s, p_b, *targets)
+    solved = solve_min_cost(params, model)
+    full = _brute_force_full(params, model)
+    assert solved.design == full.design
+    assert solved.cost_real == full.cost_real
 
 
 def test_full_scan_agrees_with_structured_scan():
