@@ -41,10 +41,7 @@ from .solver import (
 )
 from .aimd import (
     AimdConfig,
-    AimdState,
     AimdTrace,
-    aimd_step_equalize,
-    aimd_step_maximize,
     auto_config,
     run_partition,
     scan_oracle,

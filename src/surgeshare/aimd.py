@@ -8,6 +8,11 @@ tied to the objective: the QoS-sum gradient for the maximization
 problem, or the QoS level itself for the equalization problem.  The
 only shared information is the single-bit capacity signal.
 
+``run_partition`` runs both problems in one loop; the problem only
+picks the backoff-rate function, once per run.  Each iteration is
+either an additive step or a capacity event, and each appends its own
+row to the optional trace.
+
 A centralized ``scan_oracle`` provides ground truth for both problems.
 """
 
@@ -17,7 +22,7 @@ import csv
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -32,11 +37,8 @@ from .qos import (
 
 __all__ = [
     "AimdConfig",
-    "AimdState",
     "AimdTrace",
     "auto_config",
-    "aimd_step_maximize",
-    "aimd_step_equalize",
     "run_partition",
     "scan_oracle",
     "write_trace_csv",
@@ -83,22 +85,6 @@ class AimdConfig:
             raise ValueError("invalid convergence settings")
 
 
-class AimdState:
-    """Mutable per-run state: agent claims, event count, running averages."""
-
-    __slots__ = ("z", "q", "t", "k", "z_avg", "q_avg", "gamma", "capacity_event")
-
-    def __init__(self, z: float, q: float, t: int, gamma: Optional[float] = None):
-        self.z = z
-        self.q = q
-        self.t = t
-        self.k = 0
-        self.z_avg = 0.0
-        self.q_avg = 0.0
-        self.gamma = gamma
-        self.capacity_event = False
-
-
 @dataclass
 class AimdTrace:
     """Recorded run history; per-iteration arrays are empty when the run
@@ -114,10 +100,6 @@ class AimdTrace:
     q_avg: float
     converged_at: Optional[int]
     total_iterations: int
-
-    def iterations(self) -> Iterator[Tuple[int, float, float, bool]]:
-        for l in range(len(self.z)):
-            yield (l, self.z[l], self.q[l], bool(self.capacity_event[l]))
 
 
 def auto_config(problem: str, m: int, t: int, params: ScenarioParams,
@@ -154,24 +136,24 @@ def auto_config(problem: str, m: int, t: int, params: ScenarioParams,
     )
 
 
-def _rates_maximize(state: AimdState, params: ScenarioParams) -> Tuple[float, float]:
+def _rates_maximize(z_avg: float, q_avg: float, t: int,
+                    params: ScenarioParams) -> Tuple[float, float]:
     # Gradient of the QoS sum: the pmf of each agent's population at its
     # average claim (surge cdf argument shifted by T per the QoS_s form).
-    dc = state.z_avg * binom_pmf_cont(state.z_avg + state.t,
-                                      params.n_consumers, params.p_surge)
-    dp = state.q_avg * binom_pmf_cont(state.q_avg, state.t, params.p_bad)
+    dc = z_avg * binom_pmf_cont(z_avg + t, params.n_consumers, params.p_surge)
+    dp = q_avg * binom_pmf_cont(q_avg, t, params.p_bad)
     rc = 1.0 / dc if dc > 1e-300 else math.inf
     rp = 1.0 / dp if dp > 1e-300 else math.inf
     return rc, rp
 
 
-def _rates_equalize(state: AimdState, params: ScenarioParams) -> Tuple[float, float]:
+def _rates_equalize(z_avg: float, q_avg: float, t: int,
+                    params: ScenarioParams) -> Tuple[float, float]:
     # QoS level over average claim: the better-served agent backs off
     # more often, pushing the two QoS values together.
-    rc = (binom_cdf_cont(state.z_avg + state.t, params.n_consumers, params.p_surge)
-          / max(state.z_avg, 1e-12))
-    rp = (binom_cdf_cont(state.q_avg, max(state.t, 1), params.p_bad)
-          / max(state.q_avg, 1e-12))
+    rc = (binom_cdf_cont(z_avg + t, params.n_consumers, params.p_surge)
+          / max(z_avg, 1e-12))
+    rp = binom_cdf_cont(q_avg, t, params.p_bad) / max(q_avg, 1e-12)
     return rc, rp
 
 
@@ -179,48 +161,6 @@ def _clamp(lam: float, lam_min: float) -> float:
     if not math.isfinite(lam):
         return 1.0
     return min(max(lam, lam_min), 1.0)
-
-
-def _step(state: AimdState, config: AimdConfig, m: int, params: ScenarioParams,
-          rng, rates) -> AimdState:
-    if state.z + state.q < m:
-        # Additive-increase phase: both agents grow by alpha.
-        state.z += config.alpha
-        state.q += config.alpha
-        state.capacity_event = False
-        return state
-    # Capacity event: update the incremental running averages,
-    # then apply the probabilistic multiplicative backoff.  The agent
-    # that does not back off holds its claim, which keeps the pool
-    # occupancy below M + 2*alpha at all times.
-    state.capacity_event = True
-    state.k += 1
-    state.z_avg += (state.z - state.z_avg) / state.k
-    state.q_avg += (state.q - state.q_avg) / state.k
-    rc, rp = rates(state, params)
-    if state.gamma is None:
-        target = config.gamma_target
-        worst = max(rc, rp)
-        state.gamma = target / worst if math.isfinite(worst) and worst > 0 else target
-    lam_c = _clamp(state.gamma * rc, config.lam_min)
-    lam_p = _clamp(state.gamma * rp, config.lam_min)
-    if rng.random() < lam_c:
-        state.z *= config.beta
-    if rng.random() < lam_p:
-        state.q *= config.beta
-    return state
-
-
-def aimd_step_maximize(state: AimdState, config: AimdConfig, m: int,
-                       params: ScenarioParams, rng) -> AimdState:
-    """One iteration of the QoS-sum maximization algorithm."""
-    return _step(state, config, m, params, rng, _rates_maximize)
-
-
-def aimd_step_equalize(state: AimdState, config: AimdConfig, m: int,
-                       params: ScenarioParams, rng) -> AimdState:
-    """One iteration of the QoS equalization algorithm."""
-    return _step(state, config, m, params, rng, _rates_equalize)
 
 
 def _objective(problem: str, params: ScenarioParams, m: int, t: int, q: int) -> float:
@@ -248,14 +188,20 @@ def run_partition(problem: str, params: ScenarioParams, m: int, t: int,
         raise ValueError("t must be at least 1")
     if m > params.n_consumers:
         raise ValueError("m cannot exceed the consumer population")
+    if t > params.n_consumers:
+        raise ValueError("t cannot exceed the consumer population")
     if config is None:
         config = auto_config(problem, m, t, params)
     if config.z_init + config.q_init >= m:
         raise ValueError("initial states must satisfy z_init + q_init < M")
 
-    step = aimd_step_maximize if problem == "maximize" else aimd_step_equalize
+    rates = _rates_maximize if problem == "maximize" else _rates_equalize
     rng = np.random.Generator(np.random.Philox(config.seed))
-    state = AimdState(config.z_init, config.q_init, t, gamma=config.gamma)
+    alpha, beta, lam_min = config.alpha, config.beta, config.lam_min
+    gamma = config.gamma
+    z, q = config.z_init, config.q_init
+    z_avg = q_avg = 0.0
+    k = 0
 
     z_hist = array("d")
     q_hist = array("d")
@@ -270,47 +216,65 @@ def run_partition(problem: str, params: ScenarioParams, m: int, t: int,
     min_events = 5 * window
     tol = config.convergence_tol
     converged_at = None
-    total = 0
 
     for l in range(config.max_iterations):
-        z_before = state.z
-        q_before = state.q
-        step(state, config, m, params, rng)
-        total = l + 1
+        if z + q < m:
+            # Additive-increase phase: both agents grow by alpha.
+            z += alpha
+            q += alpha
+            if record:
+                z_hist.append(z)
+                q_hist.append(q)
+                ev_hist.append(0)
+                za_hist.append(z_avg)
+                qa_hist.append(q_avg)
+            continue
+        # Capacity event: fold the saturated claims into the running
+        # averages.  The trace records these claims; the backoff outcome
+        # shows from the next iteration on.
+        k += 1
+        z_avg += (z - z_avg) / k
+        q_avg += (q - q_avg) / k
         if record:
-            # Event iterations record the saturated claims that triggered
-            # the event (the values entering the running averages); the
-            # backoff outcome is visible from the next iteration on.
-            if state.capacity_event:
-                z_hist.append(z_before)
-                q_hist.append(q_before)
-            else:
-                z_hist.append(state.z)
-                q_hist.append(state.q)
-            ev_hist.append(1 if state.capacity_event else 0)
-            za_hist.append(state.z_avg)
-            qa_hist.append(state.q_avg)
-        if state.capacity_event:
-            za_events.append(state.z_avg)
-            qa_events.append(state.q_avg)
-            k = state.k
-            if k >= min_events:
-                dz = abs(za_events[k - 1] - za_events[k - 1 - window])
-                dq = abs(qa_events[k - 1] - qa_events[k - 1 - window])
-                if (dz <= tol * max(abs(state.z_avg), 1.0)
-                        and dq <= tol * max(abs(state.q_avg), 1.0)):
-                    converged_at = l
-                    break
+            z_hist.append(z)
+            q_hist.append(q)
+            ev_hist.append(1)
+            za_hist.append(z_avg)
+            qa_hist.append(q_avg)
+        # Probabilistic multiplicative backoff.  The agent that does not
+        # back off holds its claim, which keeps the pool occupancy below
+        # M + 2*alpha at all times.
+        rc, rp = rates(z_avg, q_avg, t, params)
+        if gamma is None:
+            worst = max(rc, rp)
+            target = config.gamma_target
+            gamma = target / worst if math.isfinite(worst) and worst > 0 else target
+        lam_c = _clamp(gamma * rc, lam_min)
+        lam_p = _clamp(gamma * rp, lam_min)
+        if rng.random() < lam_c:
+            z *= beta
+        if rng.random() < lam_p:
+            q *= beta
+        za_events.append(z_avg)
+        qa_events.append(q_avg)
+        if k >= min_events:
+            dz = abs(z_avg - za_events[k - 1 - window])
+            dq = abs(q_avg - qa_events[k - 1 - window])
+            if (dz <= tol * max(abs(z_avg), 1.0)
+                    and dq <= tol * max(abs(q_avg), 1.0)):
+                converged_at = l
+                break
 
+    total = max(config.max_iterations, 0) if converged_at is None else converged_at + 1
     trace = AimdTrace(
         z=z_hist, q=q_hist, capacity_event=ev_hist,
         z_avg_series=za_hist, q_avg_series=qa_hist,
-        capacity_count=state.k, z_avg=state.z_avg, q_avg=state.q_avg,
+        capacity_count=k, z_avg=z_avg, q_avg=q_avg,
         converged_at=converged_at, total_iterations=total,
     )
     q_limit = min(m, t)
-    lo = min(max(math.floor(state.q_avg), 0), q_limit)
-    hi = min(max(math.ceil(state.q_avg), 0), q_limit)
+    lo = min(max(math.floor(q_avg), 0), q_limit)
+    hi = min(max(math.ceil(q_avg), 0), q_limit)
     q_star = lo
     if hi != lo and _objective(problem, params, m, t, hi) > _objective(
             problem, params, m, t, lo):

@@ -161,7 +161,9 @@ def min_items_for_qos(n: int, p: float, target: float) -> int:
     target of 1 the rounded cdf reaches the target a few items early,
     while the tail keeps its relative precision.  A short linear pass
     then walks down through any floating-point plateau the bisection
-    landed on.
+    landed on.  A last step up covers the opposite rounding: where the
+    tail meets the target but the cdf (what ``qos_all`` reports) rounds
+    just below it.
     """
     _check_probability(p)
     if not (0.0 < target < 1.0):
@@ -180,6 +182,8 @@ def min_items_for_qos(n: int, p: float, target: float) -> int:
             lo = mid + 1
     while lo > 0 and meets(lo - 1):
         lo -= 1
+    while binom_cdf(lo, n, p) < target:
+        lo += 1
     return lo
 
 

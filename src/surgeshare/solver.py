@@ -5,11 +5,13 @@ fixed prosumer pool T the cheapest design takes the smallest reserve Q
 that meets the bad-behaviour target and the smallest pool M that meets
 the other two, or the start of a higher discount band.  Both
 ``solve_min_cost`` and ``brute_force_design`` scan T on this structure
-and are exact.  ``solve_min_cost`` also stops once the cheapest pool
+and are exact for every cost model: ``CostModel`` requires positive
+unit costs and ``DiscountSchedule`` discounts in [0, 1), which is all
+the scan relies on.  ``solve_min_cost`` also stops once the cheapest pool
 plus the prosumer cost of T exceeds the best design found, which cuts
 the scan at the optimal T instead of N.  ``brute_force_design`` scans
-every T and, with the full 3-D scan ``_brute_force_full``, serves as
-the reference the solver is tested against.
+every T; it and the full 3-D scan ``_brute_force_full`` (N <= 300)
+are the references the solver is tested against.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from scipy import special
 
 from .cost import CostModel, cost_eval
-from .qos import QosReport, ScenarioParams, min_items_for_qos, qos_all
+from .qos import QosReport, ScenarioParams, binom_cdf, min_items_for_qos, qos_all
 
 __all__ = [
     "Design",
@@ -130,19 +132,6 @@ def _report(params: ScenarioParams, model: CostModel, d: Design,
 # Exact oracle
 # ---------------------------------------------------------------------------
 
-def _scan_applicable(model: CostModel) -> bool:
-    # The structured scan needs the cost to be independent of Q given M,
-    # strictly increasing in T, and piecewise-linear increasing in M
-    # within each discount band.  These hold for every CostModel the
-    # type invariants admit (positive unit costs, discounts below 100%);
-    # the guard stays so exotic future model kinds fall back safely.
-    return (
-        model.per_item_main > 0
-        and model.per_item_prosumer > 0
-        and all(0.0 <= d < 1.0 for _, d in model.discount.breakpoints)
-    )
-
-
 def _m_candidates(model: CostModel, m_min: int, m_max: int):
     # The discounted pool term can drop where a discount band begins, so
     # the cheapest pool of size >= m_min is either m_min itself or the
@@ -160,13 +149,9 @@ def brute_force_design(params: ScenarioParams, model: CostModel) -> DesignReport
     constraint, and the minimum M from the non-surge and surge
     constraints; since cost rises with M inside a discount band but can
     drop where a band starts, the candidates per T are that corner plus
-    every band start above it.  A guard verifies the cost-shape
-    assumptions and falls back to a full 3-D scan otherwise.
+    every band start above it.
     """
     n = params.n_consumers
-    if not _scan_applicable(model):
-        return _brute_force_full(params, model)
-
     m_ns = _min_items(n, params.p_nonsurge, params.qos_target_ns)
     a_s = _min_items(n, params.p_surge, params.qos_target_s)
     best: Optional[Tuple[float, int, int, int]] = None
@@ -205,7 +190,10 @@ def _brute_force_full(params: ScenarioParams, model: CostModel) -> DesignReport:
     a_s = _min_items(n, params.p_surge, params.qos_target_s)
     best: Optional[Tuple[float, int, int, int]] = None
     for t in range(0, n + 1):
-        q_min = _min_items(t, params.p_bad, params.qos_target_b) if t > 0 else 0
+        # The smallest reserve by the cdf feasible() checks, found by a
+        # linear scan rather than min_items_for_qos.
+        q_min = next(q for q in range(t + 1)
+                     if binom_cdf(q, t, params.p_bad) >= params.qos_target_b)
         for q in range(q_min, t + 1):
             m_lo = max(m_ns, a_s - t + q, q)
             if m_lo > n or m_lo - q + t > n:
@@ -275,10 +263,15 @@ def solve_min_cost(params: ScenarioParams, model: CostModel,
 # ---------------------------------------------------------------------------
 
 def compare_approaches(params: ScenarioParams, model: CostModel) -> Dict[str, DesignReport]:
-    """Hybrid optimum vs pure B2C (surge-sized, no prosumers) vs ownership."""
+    """Hybrid optimum vs pure B2C (no prosumers) vs ownership.
+
+    The B2C pool is the smallest that meets both the surge and the
+    non-surge target on its own.
+    """
     n = params.n_consumers
     hybrid = solve_min_cost(params, model)
-    m_b2c = _min_items(n, params.p_surge, params.qos_target_s)
+    m_b2c = max(_min_items(n, params.p_nonsurge, params.qos_target_ns),
+                _min_items(n, params.p_surge, params.qos_target_s))
     b2c = _report(params, model, Design(m_b2c, 0, 0))
     ownership = _report(params, model, Design(n, 0, 0))
     return {"hybrid": hybrid, "b2c": b2c, "ownership": ownership}

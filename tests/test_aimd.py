@@ -2,15 +2,11 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from surgeshare import (
     AimdConfig,
-    AimdState,
     ScenarioParams,
-    aimd_step_equalize,
-    aimd_step_maximize,
     auto_config,
     binom_cdf,
     run_partition,
@@ -28,67 +24,51 @@ def make_config(**overrides):
 
 
 def test_additive_phase_grows_both_agents():
-    config = make_config()
-    state = AimdState(z=50.0, q=5.0, t=215, gamma=config.gamma)
-    rng = np.random.Generator(np.random.Philox(0))
-    aimd_step_maximize(state, config, 120, CAR_1000, rng)
-    assert state.z == 51.0 and state.q == 6.0
-    assert not state.capacity_event
-    assert state.k == 0
+    config = make_config(max_iterations=1)
+    trace, _, _ = run_partition("maximize", CAR_1000, 120, 215, config)
+    assert list(trace.z) == [51.0] and list(trace.q) == [6.0]
+    assert list(trace.capacity_event) == [0]
+    assert trace.capacity_count == 0 and trace.total_iterations == 1
 
 
 def test_forced_backoff_scales_both_agents():
     # A huge gain clamps both backoff probabilities at 1, so a capacity
-    # event deterministically multiplies both claims by beta.
-    config = make_config(gamma=1e12)
-    state = AimdState(z=110.0, q=10.0, t=215, gamma=config.gamma)
-    rng = np.random.Generator(np.random.Philox(0))
-    aimd_step_maximize(state, config, 120, CAR_1000, rng)
-    assert state.capacity_event
-    assert state.z == pytest.approx(0.85 * 110.0)
-    assert state.q == pytest.approx(0.85 * 10.0)
-    assert state.k == 1
+    # event deterministically multiplies both claims by beta.  Iteration
+    # 0 fills the pool to 105 + 15, iteration 1 is the event (recording
+    # the saturated claims) and iteration 2 adds alpha to the backed-off
+    # claims.
+    config = make_config(alpha=5.0, z_init=100.0, q_init=10.0, gamma=1e12,
+                         max_iterations=3)
+    trace, _, _ = run_partition("maximize", CAR_1000, 120, 215, config)
+    assert list(trace.capacity_event) == [0, 1, 0]
+    assert trace.z[1] == 105.0 and trace.q[1] == 15.0
+    assert trace.z[2] == pytest.approx(0.85 * 105.0 + 5.0)
+    assert trace.q[2] == pytest.approx(0.85 * 15.0 + 5.0)
+    assert trace.capacity_count == 1
 
 
 def test_vanishing_gain_rarely_backs_off():
     # With gamma ~ 0 the backoff probability sits at its floor, so the
     # claims oscillate right at the capacity boundary.
-    config = make_config(gamma=1e-300)
-    state = AimdState(z=110.0, q=10.0, t=215, gamma=config.gamma)
-    rng = np.random.Generator(np.random.Philox(0))
-    for _ in range(500):
-        aimd_step_equalize(state, config, 120, CAR_1000, rng)
+    config = make_config(z_init=109.0, q_init=10.0, gamma=1e-300,
+                         max_iterations=501)
+    trace, _, _ = run_partition("equalize", CAR_1000, 120, 215, config)
     # Backoffs happen with probability lam_min = 1e-4 per event, so the
     # claims shrink by at most a couple of beta factors in 500 events.
-    assert state.k >= 450
-    assert state.z >= 110.0 * config.beta ** 3
+    assert trace.capacity_count >= 450
+    assert min(trace.z) >= 110.0 * config.beta ** 3
 
 
-class _CommonDraw:
-    """Returns each uniform draw twice so both agents see the same value."""
-
-    def __init__(self, seed):
-        self._rng = np.random.Generator(np.random.Philox(seed))
-        self._pending = None
-
-    def random(self):
-        if self._pending is None:
-            self._pending = self._rng.random()
-            return self._pending
-        value, self._pending = self._pending, None
-        return value
-
-
-def test_symmetric_agents_stay_equal_under_common_draw():
-    # Equal initial claims, a shared random draw and equal (clamped)
-    # backoff probabilities keep the two agents identical forever.
-    config = make_config(gamma=1e12, z_init=55.0, q_init=55.0)
-    state = AimdState(z=55.0, q=55.0, t=215, gamma=config.gamma)
-    rng = _CommonDraw(3)
-    for _ in range(2000):
-        aimd_step_equalize(state, config, 120, CAR_1000, rng)
-        assert state.z == pytest.approx(state.q, abs=1e-12)
-        assert state.z_avg == pytest.approx(state.q_avg, abs=1e-12)
+def test_symmetric_agents_stay_equal():
+    # Equal initial claims and backoff probabilities both clamped at 1
+    # make both agents back off at every event, whatever the draws, so
+    # the two agents stay identical.
+    config = make_config(gamma=1e12, z_init=55.0, q_init=55.0,
+                         max_iterations=2000)
+    trace, _, _ = run_partition("equalize", CAR_1000, 120, 215, config)
+    assert trace.capacity_count > 0
+    assert trace.z == trace.q
+    assert trace.z_avg_series == trace.q_avg_series
 
 
 def test_trace_capacity_bound_and_positivity():
@@ -152,6 +132,8 @@ def test_run_partition_validates_inputs():
         run_partition("maximize", CAR_1000, 120, 0)
     with pytest.raises(ValueError):
         run_partition("maximize", CAR_1000, 2000, 215)
+    with pytest.raises(ValueError, match="t cannot exceed"):
+        run_partition("maximize", ScenarioParams(100, 0.1, 0.3, 0.01), 50, 200)
     with pytest.raises(ValueError):
         run_partition("maximize", CAR_1000, 120, 215,
                       make_config(z_init=100.0, q_init=30.0))
@@ -183,3 +165,21 @@ def test_run_partition_matches_oracle_car_1000():
                                    record=False)
     assert abs(q_star - q_oracle) <= 1
     assert 0.0 <= rep.qos_s <= 1.0 and 0.0 <= rep.qos_b <= 1.0
+
+
+@pytest.mark.parametrize("n, m, t, q_star, iterations, events, z_avg, q_avg", [
+    (1000, 120, 215, 7, 14939, 11395, "0x1.c6f7421d5fa02p+6", "0x1.cf2fddb43c8a5p+2"),
+    (5000, 545, 1040, 20, 26943, 11168, "0x1.069c2e2449d47p+9", "0x1.4bdc30493723bp+4"),
+])
+def test_seeded_maximize_outcomes_are_pinned(n, m, t, q_star, iterations, events,
+                                             z_avg, q_avg):
+    # Pins the random stream and float order of the kernel: moving a draw
+    # or reordering an update changes these bits.
+    params = ScenarioParams(n, 0.1, 0.3, 0.01)
+    config = auto_config("maximize", m, t, params, seed=0)
+    trace, got_q_star, _ = run_partition("maximize", params, m, t, config, record=False)
+    assert got_q_star == q_star
+    assert trace.total_iterations == iterations
+    assert trace.capacity_count == events
+    assert trace.converged_at == iterations - 1
+    assert trace.z_avg.hex() == z_avg and trace.q_avg.hex() == q_avg

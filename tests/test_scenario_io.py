@@ -212,6 +212,12 @@ def test_cli_partition_equalize_seed7(tmp_path, capsys):
     assert header == "iter,z,q,capacity_event,z_avg,q_avg"
 
 
+def test_cli_partition_rejects_t_above_n(capsys):
+    code = cli_dispatch(["partition", "--n", "100", "--m", "50", "--t", "200"])
+    assert code == 2
+    assert "t cannot exceed" in capsys.readouterr().err
+
+
 def test_cli_compare(capsys):
     code = cli_dispatch(["compare", "--scenario", "charger-n1000-98"])
     out = capsys.readouterr().out

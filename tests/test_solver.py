@@ -129,6 +129,10 @@ def _cost_models(draw):
 # A band start beats the smallest feasible pool at the same T: (40, 0, 0).
 @example(n=100, p_ns=0.2, p_s=0.3, p_b=0.1, targets=(0.9, 0.9, 0.9),
          model=_cost_model(10, 5, ((1, 0.0), (40, 0.3))))
+# A bad-behaviour target one ulp above the exact cdf 0.5 of (Q=3, T=7):
+# the reserve must be 4, as the cdf the solver checks says.
+@example(n=10, p_ns=0.5, p_s=0.5, p_b=0.5, targets=(0.75, 1.0, 0.5000000000000001),
+         model=car_cost_model())
 def test_solver_equals_full_scan(n, p_ns, p_s, p_b, targets, model):
     params = ScenarioParams(n, p_ns, p_s, p_b, *targets)
     solved = solve_min_cost(params, model)
@@ -174,6 +178,26 @@ def test_compare_approaches_charger():
     assert table["b2c"].design.m == 23
     assert (table["hybrid"].cost_real < table["b2c"].cost_real
             < table["ownership"].cost_real)
+
+
+def test_design_feasible_at_one_ulp_above_exact_cdf():
+    # P[Bin(7, 0.5) <= 3] is exactly 0.5; the upper tail rounds to meet a
+    # target one ulp above it while the cdf rounds below, so M = 3 failed.
+    params = ScenarioParams(7, 0.5, 0.5, 0.01, 0.5000000000000001, 0.5, 0.5)
+    rep = solve_min_cost(params, car_cost_model())
+    assert rep.design == Design(4, 0, 0)
+    assert feasible(params, rep.design)
+
+
+def test_compare_b2c_meets_nonsurge_target():
+    # With p_nonsurge = p_surge and a stricter non-surge target, the
+    # surge-sized pool (319) misses the non-surge target; B2C must grow
+    # to the non-surge size, which here is the hybrid optimum itself.
+    params = ScenarioParams(1000, 0.3, 0.3, 0.01, 0.999, 0.9, 0.98)
+    table = compare_approaches(params, car_cost_model())
+    assert feasible(params, table["b2c"].design)
+    assert table["b2c"].design == Design(345, 0, 0)
+    assert table["b2c"].cost_real >= table["hybrid"].cost_real
 
 
 def test_sweep_qos_monotone():
