@@ -73,15 +73,23 @@ class AimdConfig:
     convergence_tol: float = 5e-4
 
     def __post_init__(self):
-        if self.alpha <= 0:
+        # Each check is written so that NaN fails it: scenario files can
+        # carry any float.
+        if not self.alpha > 0:
             raise ValueError("alpha must be positive")
         if not (0.0 < self.beta < 1.0):
             raise ValueError("beta must lie in (0, 1)")
-        if self.z_init < 0 or self.q_init < 0:
+        if not (self.z_init >= 0 and self.q_init >= 0):
             raise ValueError("initial states must be non-negative")
-        if self.gamma is not None and self.gamma <= 0:
+        if self.gamma is not None and not self.gamma > 0:
             raise ValueError("gamma must be positive when given")
-        if self.convergence_window < 1 or self.convergence_tol <= 0:
+        if not (0.0 < self.gamma_target <= 1.0):
+            raise ValueError("gamma_target must lie in (0, 1]")
+        if not (0.0 <= self.lam_min <= 1.0):
+            raise ValueError("lam_min must lie in [0, 1]")
+        if not self.max_iterations >= 1:
+            raise ValueError("max_iterations must be at least 1")
+        if not (self.convergence_window >= 1 and self.convergence_tol > 0):
             raise ValueError("invalid convergence settings")
 
 
@@ -265,7 +273,7 @@ def run_partition(problem: str, params: ScenarioParams, m: int, t: int,
                 converged_at = l
                 break
 
-    total = max(config.max_iterations, 0) if converged_at is None else converged_at + 1
+    total = config.max_iterations if converged_at is None else converged_at + 1
     trace = AimdTrace(
         z=z_hist, q=q_hist, capacity_event=ev_hist,
         z_avg_series=za_hist, q_avg_series=qa_hist,

@@ -77,11 +77,7 @@ def _cmd_qos(args) -> int:
 
 def _cmd_design(args) -> int:
     params, model, _ = _scenario_params(args)
-    try:
-        rep = solver_mod.solve_min_cost(params, model)
-    except InfeasibleDesignError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return 1
+    rep = solver_mod.solve_min_cost(params, model)
     d = rep.design
     print(f"M = {d.m}  T = {d.t}  Q = {d.q}")
     print(f"cost_total = {rep.cost_real:.2f}")
@@ -160,11 +156,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_compare(args) -> int:
     params, model, _ = _scenario_params(args)
-    try:
-        table = solver_mod.compare_approaches(params, model)
-    except InfeasibleDesignError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return 1
+    table = solver_mod.compare_approaches(params, model)
     for label in ("hybrid", "b2c", "ownership"):
         rep = table[label]
         d = rep.design
@@ -285,3 +277,7 @@ def cli_dispatch(argv: Optional[List[str]] = None) -> int:
 
 def main() -> None:
     sys.exit(cli_dispatch())
+
+
+if __name__ == "__main__":
+    main()

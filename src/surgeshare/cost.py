@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import optimize
 
 __all__ = [
     "DiscountSchedule",
@@ -126,13 +125,6 @@ def discount_real(m: int, schedule: DiscountSchedule) -> float:
     return schedule.breakpoints[idx][1] if idx >= 0 else 0.0
 
 
-def _fit_grid(schedule: DiscountSchedule, m_max: int, n_points: int = 400) -> np.ndarray:
-    # Log-spaced integer sample: every decade of the quantity axis gets
-    # comparable weight, mirroring how the step schedule is laid out.
-    grid = np.unique(np.round(np.geomspace(1, m_max, n_points)).astype(int))
-    return grid
-
-
 def fit_smooth_discount(
     schedule: DiscountSchedule,
     m_max: Optional[int] = None,
@@ -140,36 +132,28 @@ def fit_smooth_discount(
     """Least-squares fit of A*(1 - exp(-B*m)) to the step schedule.
 
     The residuals are taken on a log-spaced integer grid covering
-    [1, m_max] (default: 1.5x the last breakpoint quantity), and the
-    two-parameter problem is solved by Nelder-Mead from several rate
-    seeds, keeping the best.
+    [1, m_max] (default: 1.5x the last breakpoint quantity), so every
+    decade of the quantity axis gets comparable weight.  The problem is
+    linear in A, so for each rate B the best amplitude in [0, 0.999] is
+    the clipped closed-form least-squares value (variable projection);
+    B itself is found by a log-grid search over [1e-3/m_max, 10] that
+    zooms in four times on the best rate.
     """
     if schedule.max_discount == 0.0:
         return SmoothDiscount(amplitude=0.0, rate=1.0)
     if m_max is None:
         m_max = max(int(1.5 * schedule.breakpoints[-1][0]), 10)
-    grid = _fit_grid(schedule, m_max)
+    grid = np.unique(np.round(np.geomspace(1, m_max, 400)).astype(int))
     target = np.array([discount_real(int(m), schedule) for m in grid])
-
-    def sse(theta):
-        a, b = theta
-        if b <= 0.0:
-            return np.inf
-        resid = a * (1.0 - np.exp(-b * grid)) - target
-        return float(resid @ resid)
-
-    a0 = schedule.max_discount
-    best = None
-    for b0 in (0.001, 0.003, 0.01, 0.03):
-        res = optimize.minimize(
-            sse, x0=[a0, b0], method="Nelder-Mead",
-            options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 4000},
-        )
-        if best is None or res.fun < best.fun:
-            best = res
-    a_fit, b_fit = best.x
-    a_fit = min(max(a_fit, 0.0), 0.999)
-    return SmoothDiscount(amplitude=float(a_fit), rate=float(b_fit))
+    rates = np.geomspace(1e-3 / m_max, 10.0, 257)
+    for _ in range(5):
+        g = -np.expm1(-np.outer(rates, grid))
+        amps = np.clip(g @ target / (g * g).sum(axis=1), 0.0, 0.999)
+        sse = np.square(amps[:, None] * g - target).sum(axis=1)
+        i = int(np.argmin(sse))
+        amplitude, rate = amps[i], rates[i]
+        rates = np.geomspace(rates[max(i - 1, 0)], rates[min(i + 1, rates.size - 1)], 257)
+    return SmoothDiscount(amplitude=float(amplitude), rate=float(rate))
 
 
 def cost_eval(m: int, t: int, q: int, model: CostModel, variant: str = "real") -> float:

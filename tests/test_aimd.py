@@ -137,6 +137,21 @@ def test_run_partition_validates_inputs():
     with pytest.raises(ValueError):
         run_partition("maximize", CAR_1000, 120, 215,
                       make_config(z_init=100.0, q_init=30.0))
+    # Settings that may come from a scenario file's [aimd] section.
+    with pytest.raises(ValueError, match="gamma_target"):
+        run_partition("maximize", CAR_1000, 120, 215, make_config(gamma_target=-1.0))
+    with pytest.raises(ValueError, match="lam_min"):
+        run_partition("maximize", CAR_1000, 120, 215, make_config(lam_min=5.0))
+    with pytest.raises(ValueError, match="max_iterations"):
+        run_partition("maximize", CAR_1000, 120, 215, make_config(max_iterations=-3))
+    for field in ("alpha", "z_init", "gamma", "convergence_tol"):
+        with pytest.raises(ValueError):
+            make_config(**{field: math.nan})
+
+
+def test_aimd_config_accepts_range_edges():
+    make_config(gamma_target=1.0, lam_min=0.0, max_iterations=1)
+    make_config(lam_min=1.0)
 
 
 def test_scan_oracle_maximize_car_1000():

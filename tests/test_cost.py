@@ -1,6 +1,9 @@
 """Unit tests for cost models, discount schedules and the smooth fit."""
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from surgeshare import (
     DiscountSchedule,
@@ -55,6 +58,53 @@ def test_fit_degenerate_schedule():
     sd = fit_smooth_discount(flat)
     assert sd.amplitude == 0.0 and sd.rate == 1.0
     assert sd.value(123) == 0.0
+
+
+def _fit_residual(schedule, m_max, amplitude, rate):
+    # Squared error on the fit's grid: 400 log-spaced integers on [1, m_max].
+    grid = np.unique(np.round(np.geomspace(1, m_max, 400)).astype(int))
+    target = np.array([discount_real(int(m), schedule) for m in grid])
+    resid = np.multiply.outer(amplitude, 1.0 - np.exp(-rate * grid)) - target
+    return np.square(resid).sum(axis=-1)
+
+
+@st.composite
+def schedules(draw):
+    # Non-decreasing step schedules, concave (early big steps) as well as
+    # accelerating (late, growing steps).
+    quantities = draw(st.lists(st.integers(2, 3000), min_size=1, max_size=6, unique=True))
+    steps = draw(st.lists(st.floats(0.0, 0.2), min_size=len(quantities),
+                          max_size=len(quantities)))
+    fractions = np.minimum(np.cumsum(steps), 0.95)
+    return DiscountSchedule(((1, 0.0),) + tuple(zip(sorted(quantities), fractions)))
+
+
+@settings(max_examples=60, deadline=None)
+@example(DiscountSchedule(((1, 0.0), (235, 0.022), (335, 0.07))))  # accelerating
+@example(CAR_DISCOUNTS)
+@given(schedules())
+def test_fit_beats_brute_force_grid(schedule):
+    m_max = max(int(1.5 * schedule.breakpoints[-1][0]), 10)
+    sd = fit_smooth_discount(schedule, m_max)
+    assert 0.0 <= sd.amplitude <= 0.999 and sd.rate > 0.0
+    fit_sse = _fit_residual(schedule, m_max, sd.amplitude, sd.rate)
+    amplitudes = np.linspace(0.0, 0.999, 151)
+    grid_sse = min(_fit_residual(schedule, m_max, amplitudes, b).min()
+                   for b in np.geomspace(1e-3 / m_max, 10.0, 151))
+    assert fit_sse <= grid_sse * (1.0 + 1e-12) + 1e-15
+
+
+def test_fit_does_not_load_scipy_optimize(fresh_python):
+    code = (
+        "import sys\n"
+        "import surgeshare\n"
+        "surgeshare.load_scenario('car-n1000')\n"
+        "surgeshare.fit_smooth_discount(surgeshare.DiscountSchedule(((1, 0.0), (20, 0.1))))\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    proc = fresh_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_fit_car_amplitude():

@@ -218,6 +218,27 @@ def test_cli_partition_rejects_t_above_n(capsys):
     assert "t cannot exceed" in capsys.readouterr().err
 
 
+def test_cli_partition_rejects_bad_aimd_section(tmp_path, capsys):
+    path = tmp_path / "bad_aimd.ini"
+    path.write_text(
+        "[params]\nn_consumers = 1000\np_nonsurge = 0.1\n"
+        "p_surge = 0.3\np_bad = 0.01\n"
+        "[cost_model]\nbuiltin = car-mg4-2025\n"
+        "[aimd]\nlam_min = 5\n")
+    code = cli_dispatch(["partition", "--scenario", str(path),
+                         "--m", "120", "--t", "215"])
+    assert code == 2
+    assert "lam_min" in capsys.readouterr().err
+
+
+def test_cli_runs_as_module(fresh_python):
+    proc = fresh_python("-m", "surgeshare.cli", "qos", "--n", "10", "--p-ns", "0.5",
+                        "--p-s", "0.5", "--p-b", "0.5", "--m", "5", "--t", "0", "--q", "0")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split("=")[0].strip() for line in lines] == ["qos_ns", "qos_s", "qos_b"]
+
+
 def test_cli_compare(capsys):
     code = cli_dispatch(["compare", "--scenario", "charger-n1000-98"])
     out = capsys.readouterr().out
