@@ -18,7 +18,6 @@ A centralized ``scan_oracle`` provides ground truth for both problems.
 
 from __future__ import annotations
 
-import csv
 import math
 from array import array
 from dataclasses import dataclass
@@ -123,6 +122,10 @@ def auto_config(problem: str, m: int, t: int, params: ScenarioParams,
     """
     if problem not in PROBLEMS:
         raise ValueError(f"problem must be one of {PROBLEMS}")
+    if t < 1:
+        raise ValueError("t must be at least 1")
+    if m < 2:
+        raise ValueError("m must be at least 2")
     p_b = params.p_bad
     q_hat = t * p_b + 2.33 * math.sqrt(t * p_b * (1.0 - p_b))
     q_hat = min(q_hat, 0.4 * m)
@@ -311,15 +314,9 @@ def scan_oracle(problem: str, params: ScenarioParams, m: int,
 
 def write_trace_csv(path, trace: AimdTrace) -> None:
     """Export the per-iteration history for downstream plotting."""
+    rows = zip(trace.z, trace.q, trace.capacity_event,
+               trace.z_avg_series, trace.q_avg_series)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRACE_CSV_COLUMNS)
-        for l in range(len(trace.z)):
-            writer.writerow([
-                l,
-                f"{trace.z[l]:.6f}",
-                f"{trace.q[l]:.6f}",
-                int(trace.capacity_event[l]),
-                f"{trace.z_avg_series[l]:.6f}",
-                f"{trace.q_avg_series[l]:.6f}",
-            ])
+        fh.write(",".join(TRACE_CSV_COLUMNS) + "\n")
+        fh.writelines(f"{l},{z:.6f},{q:.6f},{ev},{za:.6f},{qa:.6f}\n"
+                      for l, (z, q, ev, za, qa) in enumerate(rows))

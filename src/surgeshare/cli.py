@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import importlib.resources
 import os
 import sys
@@ -93,21 +94,14 @@ def _cmd_design(args) -> int:
 
 
 def _cmd_partition(args) -> int:
-    params, _, aimd_over = _scenario_params(args)
+    params, _, overrides = _scenario_params(args)
     if args.seed is not None:
-        aimd_over["seed"] = args.seed
-    config = None
-    if aimd_over:
-        base = aimd_mod.auto_config(args.problem, args.m, args.t, params,
-                                    seed=int(aimd_over.get("seed", 0)))
-        fields = {k: v for k, v in aimd_over.items() if k != "seed"}
-        if fields:
-            import dataclasses
-            config = dataclasses.replace(base, **fields)
-        else:
-            config = base
+        overrides["seed"] = args.seed
+    config = dataclasses.replace(
+        aimd_mod.auto_config(args.problem, args.m, args.t, params), **overrides)
     trace, q_star, rep = aimd_mod.run_partition(
-        args.problem, params, args.m, args.t, config=config)
+        args.problem, params, args.m, args.t, config=config,
+        record=args.output is not None)
     print(f"q_star = {q_star}")
     print(f"q_avg = {trace.q_avg:.4f}  z_avg = {trace.z_avg:.4f}")
     print(f"capacity_events = {trace.capacity_count}  iterations = {trace.total_iterations}")

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import bisect
 import functools
+import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -32,7 +33,6 @@ __all__ = [
     "car_cost_model",
     "charger_cost_model",
     "get_cost_model",
-    "builtin_cost_model_names",
     "COST_VARIANTS",
 ]
 
@@ -75,10 +75,11 @@ class SmoothDiscount:
     rate: float
 
     def __post_init__(self):
+        # Each check is written so that NaN fails it.
         if not (0.0 <= self.amplitude < 1.0):
             raise ValueError("amplitude must lie in [0, 1)")
-        if self.rate <= 0.0:
-            raise ValueError("rate must be positive")
+        if not (0.0 < self.rate < math.inf):
+            raise ValueError("rate must be positive and finite")
 
     def value(self, m: float) -> float:
         return self.amplitude * (1.0 - np.exp(-self.rate * m))
@@ -104,10 +105,13 @@ class CostModel:
     name: str = ""
 
     def __post_init__(self):
-        if self.per_item_main <= 0 or self.per_item_prosumer <= 0:
-            raise ValueError("unit costs must be positive")
-        if self.horizon_years < 1:
-            raise ValueError("horizon_years must be at least 1")
+        # Each check is written so that NaN fails it: inline cost models
+        # in scenario files can carry any float.
+        for name in ("per_item_main", "per_item_prosumer"):
+            if not (0.0 < getattr(self, name) < math.inf):
+                raise ValueError(f"{name} must be positive and finite")
+        if not (1 <= self.horizon_years < math.inf):
+            raise ValueError("horizon_years must be at least 1 and finite")
 
     def cost_per_consumer(self, cost_real: float, n_consumers: int) -> float:
         """Annualized per-consumer cost over the model horizon."""
@@ -218,10 +222,6 @@ _BUILTINS = {
     "car-mg4-2025": car_cost_model,
     "charger-dc60-2025": charger_cost_model,
 }
-
-
-def builtin_cost_model_names() -> Sequence[str]:
-    return tuple(_BUILTINS)
 
 
 def get_cost_model(name: str) -> CostModel:

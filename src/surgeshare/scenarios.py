@@ -11,17 +11,14 @@ selects the QoS target; names without a suffix default to 98%).
 from __future__ import annotations
 
 import configparser
+import operator
+import typing
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
-from .cost import (
-    CostModel,
-    DiscountSchedule,
-    builtin_cost_model_names,
-    fit_smooth_discount,
-    get_cost_model,
-)
+from .aimd import AimdConfig
+from .cost import CostModel, DiscountSchedule, fit_smooth_discount, get_cost_model
 from .qos import ScenarioParams
 from .solver import SolverOpts
 
@@ -38,25 +35,31 @@ class ScenarioError(ValueError):
     """Scenario file failed to parse or validate."""
 
 
-_PARAM_KEYS = (
-    "n_consumers", "p_nonsurge", "p_surge", "p_bad",
-    "qos_target_ns", "qos_target_s", "qos_target_b",
-)
-_COST_KEYS = ("builtin", "per_item_main", "per_item_prosumer", "horizon_years", "discount")
-_SOLVER_KEYS = ("optimality_gap",)
+def _number_kinds(cls) -> Dict[str, type]:
+    """Map each field of a dataclass to ``int`` or ``float`` by its annotation."""
+    return {k: int if hint is int else float
+            for k, hint in typing.get_type_hints(cls).items()}
+
+
+# Value kind of every number key, per section.  The sections that fill a
+# dataclass take their keys from it; [cost_model] has no dataclass of its
+# shape, so its numbers are listed here.
+_KINDS = {
+    "params": _number_kinds(ScenarioParams),
+    "cost_model": {"per_item_main": float, "per_item_prosumer": float,
+                   "horizon_years": int},
+    "solver": _number_kinds(SolverOpts),
+    "aimd": _number_kinds(AimdConfig),
+}
 # Knobs of an earlier approximate solver: still accepted so old files
 # load, but ignored with a warning.
 _IGNORED_SOLVER_KEYS = ("multistarts", "local_search_radius", "max_local_rounds")
-_AIMD_KEYS = (
-    "seed", "alpha", "beta", "gamma", "gamma_target", "lam_min",
-    "z_init", "q_init", "max_iterations", "convergence_window", "convergence_tol",
-)
 _SECTIONS = {
-    "scenario": ("name",),
-    "params": _PARAM_KEYS,
-    "cost_model": _COST_KEYS,
-    "solver": _SOLVER_KEYS + _IGNORED_SOLVER_KEYS,
-    "aimd": _AIMD_KEYS,
+    "scenario": {"name"},
+    "params": set(_KINDS["params"]),
+    "cost_model": {"builtin", "discount", *_KINDS["cost_model"]},
+    "solver": {*_KINDS["solver"], *_IGNORED_SOLVER_KEYS},
+    "aimd": set(_KINDS["aimd"]),
 }
 
 
@@ -133,9 +136,7 @@ def _format_discount(schedule: DiscountSchedule) -> str:
 
 
 def _coerce(section: str, key: str, raw: str):
-    int_keys = {"n_consumers", "horizon_years", "seed", "max_iterations",
-                "convergence_window"}
-    if key in int_keys:
+    if _KINDS[section][key] is int:
         try:
             return int(raw)
         except ValueError:
@@ -191,25 +192,21 @@ def load_scenario(path_or_name: str) -> ScenarioFile:
                 raise ScenarioError(
                     f"[cost_model] mixes 'builtin' with inline keys {sorted(extra)}")
             cost_model_name = section["builtin"]
-            if cost_model_name not in builtin_cost_model_names():
-                raise ScenarioError(
-                    f"unknown built-in cost model {cost_model_name!r}; "
-                    f"available: {sorted(builtin_cost_model_names())}")
-            model = get_cost_model(cost_model_name)
+            try:
+                model = get_cost_model(cost_model_name)
+            except KeyError as exc:
+                raise ScenarioError(exc.args[0]) from None
         else:
             missing = {"per_item_main", "per_item_prosumer", "discount"} - set(section)
             if missing:
                 raise ScenarioError(
                     f"inline [cost_model] is missing keys {sorted(missing)}")
             schedule = _parse_discount(section["discount"])
+            units = {k: _coerce("cost_model", k, v) for k, v in section.items()
+                     if k != "discount"}
             try:
-                model = CostModel(
-                    per_item_main=float(section["per_item_main"]),
-                    per_item_prosumer=float(section["per_item_prosumer"]),
-                    discount=schedule,
-                    smooth=fit_smooth_discount(schedule),
-                    horizon_years=int(section.get("horizon_years", "1")),
-                )
+                model = CostModel(discount=schedule,
+                                  smooth=fit_smooth_discount(schedule), **units)
             except ValueError as exc:
                 raise ScenarioError(f"invalid [cost_model]: {exc}") from exc
     else:
@@ -237,32 +234,30 @@ def load_scenario(path_or_name: str) -> ScenarioFile:
     )
 
 
+def _format_numbers(section: str, values: Dict[str, object]) -> Dict[str, str]:
+    # str of a Python int or float reads back to an equal value; the
+    # conversion first turns numpy scalars into Python ones.  An int key
+    # takes operator.index, so a fractional value fails here instead of
+    # being truncated.
+    kinds = _KINDS[section]
+    return {k: str(operator.index(v) if kinds[k] is int else float(v))
+            for k, v in values.items()}
+
+
 def save_scenario(scenario: ScenarioFile, path: str) -> None:
     """Write a scenario as canonical INI; load_scenario round-trips it."""
     parser = configparser.ConfigParser(interpolation=None)
     parser["scenario"] = {"name": scenario.name}
-    p = scenario.params
-    parser["params"] = {
-        "n_consumers": str(p.n_consumers),
-        "p_nonsurge": repr(p.p_nonsurge),
-        "p_surge": repr(p.p_surge),
-        "p_bad": repr(p.p_bad),
-        "qos_target_ns": repr(p.qos_target_ns),
-        "qos_target_s": repr(p.qos_target_s),
-        "qos_target_b": repr(p.qos_target_b),
-    }
+    parser["params"] = _format_numbers("params", vars(scenario.params))
     if scenario.cost_model_name:
         parser["cost_model"] = {"builtin": scenario.cost_model_name}
     else:
         m = scenario.cost_model
-        parser["cost_model"] = {
-            "per_item_main": repr(m.per_item_main),
-            "per_item_prosumer": repr(m.per_item_prosumer),
-            "horizon_years": str(m.horizon_years),
-            "discount": _format_discount(m.discount),
-        }
-    parser["solver"] = {"optimality_gap": repr(scenario.solver.optimality_gap)}
+        units = {k: getattr(m, k) for k in _KINDS["cost_model"]}
+        parser["cost_model"] = {**_format_numbers("cost_model", units),
+                                "discount": _format_discount(m.discount)}
+    parser["solver"] = _format_numbers("solver", vars(scenario.solver))
     if scenario.aimd:
-        parser["aimd"] = {k: repr(v) for k, v in scenario.aimd.items()}
+        parser["aimd"] = _format_numbers("aimd", scenario.aimd)
     with open(path, "w") as fh:
         parser.write(fh)

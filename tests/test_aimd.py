@@ -134,6 +134,12 @@ def test_run_partition_validates_inputs():
         run_partition("maximize", CAR_1000, 2000, 215)
     with pytest.raises(ValueError, match="t cannot exceed"):
         run_partition("maximize", ScenarioParams(100, 0.1, 0.3, 0.01), 50, 200)
+    # auto_config checks its own inputs: the CLI calls it before
+    # run_partition, and a bad T or M must be reported as such.
+    with pytest.raises(ValueError, match="t must be at least 1"):
+        auto_config("maximize", 120, -5, CAR_1000)
+    with pytest.raises(ValueError, match="m must be at least 2"):
+        run_partition("maximize", ScenarioParams(10, 0.1, 0.3, 0.01), 1, 1)
     with pytest.raises(ValueError):
         run_partition("maximize", CAR_1000, 120, 215,
                       make_config(z_init=100.0, q_init=30.0))

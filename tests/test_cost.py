@@ -1,5 +1,8 @@
 """Unit tests for cost models, discount schedules and the smooth fit."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -51,6 +54,18 @@ def test_smooth_discount_validation():
         SmoothDiscount(amplitude=1.0, rate=1.0)
     with pytest.raises(ValueError):
         SmoothDiscount(amplitude=0.2, rate=0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="rate"):
+            SmoothDiscount(amplitude=0.2, rate=bad)
+        with pytest.raises(ValueError, match="amplitude"):
+            SmoothDiscount(amplitude=bad, rate=1.0)
+
+
+@pytest.mark.parametrize("field", ["per_item_main", "per_item_prosumer", "horizon_years"])
+@pytest.mark.parametrize("value", [0, -1, math.nan, math.inf, -math.inf])
+def test_cost_model_rejects_non_positive_or_non_finite(field, value):
+    with pytest.raises(ValueError, match=field):
+        dataclasses.replace(car_cost_model(), **{field: value})
 
 
 def test_fit_degenerate_schedule():

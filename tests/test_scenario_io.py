@@ -1,20 +1,33 @@
 """Tests for scenario files, built-ins and the CLI."""
 
+import configparser
 import csv
+import dataclasses
 import os
+import tempfile
+import typing
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from surgeshare import (
+    AimdConfig,
+    CostModel,
+    DiscountSchedule,
     ScenarioError,
     ScenarioFile,
     ScenarioParams,
+    SmoothDiscount,
+    auto_config,
     builtin_scenario_names,
     car_cost_model,
+    get_cost_model,
     load_scenario,
     save_scenario,
 )
-from surgeshare import solver
+from surgeshare import aimd, solver
 from surgeshare.cli import cli_dispatch
 from surgeshare.solver import SolverOpts
 
@@ -134,6 +147,99 @@ def test_round_trip_with_custom_options(tmp_path):
     assert load_scenario(str(path)) == sc
 
 
+@st.composite
+def scenario_files(draw):
+    # Every number is drawn as a Python scalar or, for the whole file, as a
+    # numpy scalar; the dataclasses accept both.
+    numpy = draw(st.booleans())
+    as_int = np.int64 if numpy else int
+    as_float = np.float64 if numpy else float
+    probability = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    target = st.floats(0.0, 1.0, exclude_min=True)
+    params = ScenarioParams(
+        as_int(draw(st.integers(1, 10**6))),
+        *(as_float(draw(probability)) for _ in range(3)),
+        *(as_float(draw(target)) for _ in range(3)),
+    )
+    if draw(st.booleans()):
+        cost_model_name = draw(st.sampled_from(["car-mg4-2025", "charger-dc60-2025"]))
+        model = get_cost_model(cost_model_name)
+    else:
+        cost_model_name = ""
+        quantities = draw(st.lists(st.integers(2, 5000), max_size=5, unique=True))
+        fractions = sorted(draw(st.lists(st.floats(0.0, 0.99), min_size=len(quantities),
+                                         max_size=len(quantities))))
+        unit = st.floats(0.0, exclude_min=True, allow_infinity=False)
+        model = CostModel(
+            per_item_main=as_float(draw(unit)),
+            per_item_prosumer=as_float(draw(unit)),
+            discount=DiscountSchedule(((1, 0.0),) + tuple(zip(sorted(quantities), fractions))),
+            # load_scenario refits this; the comparison below ignores it.
+            smooth=SmoothDiscount(0.0, 1.0),
+            horizon_years=as_int(draw(st.integers(1, 100))),
+        )
+    hints = typing.get_type_hints(AimdConfig)
+    keys = draw(st.lists(st.sampled_from(sorted(hints)), unique=True))
+    aimd_values = {
+        k: (as_int(draw(st.integers(-2**63, 2**63 - 1))) if hints[k] is int
+            else as_float(draw(st.floats(allow_nan=False))))
+        for k in keys
+    }
+    return ScenarioFile(
+        name=draw(st.text("abcXYZ019_-.", max_size=12)),
+        params=params,
+        cost_model=model,
+        cost_model_name=cost_model_name,
+        solver=SolverOpts(as_float(draw(st.floats(allow_nan=False)))),
+        aimd=aimd_values,
+    )
+
+
+def _unfitted(sc):
+    # Cost models compared by the fields a scenario file stores.
+    m = sc.cost_model
+    return dataclasses.replace(sc, cost_model=(
+        m.per_item_main, m.per_item_prosumer, m.discount, m.horizon_years, m.name))
+
+
+@settings(max_examples=60, deadline=None)
+@example(ScenarioFile(  # a numpy float's repr, "np.float64(0.07)", does not load
+    name="bikes",
+    params=ScenarioParams(np.int64(400), np.float64(0.07), 0.22, 0.02),
+    cost_model=car_cost_model(),
+    cost_model_name="car-mg4-2025",
+))
+@given(scenario_files())
+def test_round_trip_fuzz(sc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "sc.ini")
+        save_scenario(sc, path)
+        assert _unfitted(load_scenario(path)) == _unfitted(sc)
+
+
+def test_save_rejects_fractional_integer_key(tmp_path):
+    sc = ScenarioFile(name="x", params=ScenarioParams(250, 0.1, 0.3, 0.01),
+                      cost_model=car_cost_model(), cost_model_name="car-mg4-2025",
+                      aimd={"seed": 4.5})
+    with pytest.raises(TypeError):
+        save_scenario(sc, str(tmp_path / "x.ini"))
+
+
+def test_sections_take_their_keys_from_the_dataclasses(tmp_path):
+    config = dataclasses.replace(auto_config("equalize", 120, 215, load_scenario(
+        "car-n1000").params, seed=3), gamma=0.5)
+    sc = ScenarioFile(name="full", params=ScenarioParams(250, 0.1, 0.3, 0.01),
+                      cost_model=car_cost_model(), cost_model_name="car-mg4-2025",
+                      aimd=dataclasses.asdict(config))
+    path = tmp_path / "full.ini"
+    save_scenario(sc, str(path))
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read(path)
+    assert set(parser["params"]) == {f.name for f in dataclasses.fields(ScenarioParams)}
+    assert set(parser["aimd"]) == {f.name for f in dataclasses.fields(AimdConfig)}
+    assert AimdConfig(**load_scenario(str(path)).aimd) == config
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -216,6 +322,46 @@ def test_cli_partition_rejects_t_above_n(capsys):
     code = cli_dispatch(["partition", "--n", "100", "--m", "50", "--t", "200"])
     assert code == 2
     assert "t cannot exceed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--m", "120", "--t", "-5", "--seed", "1"], "t must be at least 1"),
+    (["--n", "10", "--m", "1", "--t", "1"], "m must be at least 2"),
+])
+def test_cli_partition_rejects_bad_pool(argv, message, capsys):
+    assert cli_dispatch(["partition", *argv]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_cli_partition_records_trace_only_for_output(monkeypatch, capsys):
+    calls = []
+
+    def spy(*args, record=True, **kwargs):
+        calls.append(record)
+        return run(*args, record=record, **kwargs)
+
+    run = aimd.run_partition
+    monkeypatch.setattr(aimd, "run_partition", spy)
+    assert cli_dispatch(["partition", "--scenario", "car-n1000",
+                         "--m", "120", "--t", "215"]) == 0
+    capsys.readouterr()
+    assert calls == [False]
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("design", "per_item_main", "nan"),
+    ("compare", "per_item_prosumer", "inf"),
+])
+def test_cli_rejects_non_finite_unit_cost(tmp_path, capsys, command, key, value):
+    units = {"per_item_main": "800", "per_item_prosumer": "120", key: value}
+    path = tmp_path / "bad_cost.ini"
+    path.write_text(
+        "[params]\nn_consumers = 400\np_nonsurge = 0.07\n"
+        "p_surge = 0.22\np_bad = 0.02\n[cost_model]\n"
+        + "".join(f"{k} = {v}\n" for k, v in units.items())
+        + "discount = 1:0.0, 20:0.05\n")
+    assert cli_dispatch([command, "--scenario", str(path)]) == 2
+    assert key in capsys.readouterr().err
 
 
 def test_cli_partition_rejects_bad_aimd_section(tmp_path, capsys):
