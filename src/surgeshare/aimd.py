@@ -10,8 +10,8 @@ only shared information is the single-bit capacity signal.
 
 ``run_partition`` runs both problems in one loop; the problem only
 picks the backoff-rate function, once per run.  Each iteration is
-either an additive step or a capacity event, and each appends its own
-row to the optional trace.
+either an additive step or a capacity event, and appends one row to
+the optional trace.
 
 A centralized ``scan_oracle`` provides ground truth for both problems.
 """
@@ -19,6 +19,7 @@ A centralized ``scan_oracle`` provides ground truth for both problems.
 from __future__ import annotations
 
 import math
+import numbers
 from array import array
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -28,7 +29,6 @@ import numpy as np
 from .qos import (
     QosReport,
     ScenarioParams,
-    binom_cdf,
     binom_cdf_cont,
     binom_pmf_cont,
     qos_all,
@@ -90,6 +90,10 @@ class AimdConfig:
             raise ValueError("max_iterations must be at least 1")
         if not (self.convergence_window >= 1 and self.convergence_tol > 0):
             raise ValueError("invalid convergence settings")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
+            raise TypeError(f"seed must be an integer; got {self.seed!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative; got {self.seed!r}")
 
 
 @dataclass
@@ -175,11 +179,16 @@ def _clamp(lam: float, lam_min: float) -> float:
 
 
 def _objective(problem: str, params: ScenarioParams, m: int, t: int, q: int) -> float:
-    qos_s = binom_cdf(m - q + t, params.n_consumers, params.p_surge)
-    qos_b = binom_cdf(q, t, params.p_bad)
+    rep = qos_all(params, m, t, q)
     if problem == "maximize":
-        return qos_s + qos_b
-    return -abs(qos_s - qos_b)
+        return rep.qos_s + rep.qos_b
+    return -abs(rep.qos_s - rep.qos_b)
+
+
+def _best_reserve(problem: str, params: ScenarioParams, m: int, t: int,
+                  reserves: range) -> int:
+    # max() keeps the first of equal values: ties go to the smaller reserve.
+    return max(reserves, key=lambda q: _objective(problem, params, m, t, q))
 
 
 def run_partition(problem: str, params: ScenarioParams, m: int, t: int,
@@ -229,29 +238,26 @@ def run_partition(problem: str, params: ScenarioParams, m: int, t: int,
     converged_at = None
 
     for l in range(config.max_iterations):
-        if z + q < m:
+        event = z + q >= m
+        if event:
+            # Capacity event: fold the saturated claims into the running
+            # averages.  The trace records these claims; the backoff
+            # outcome shows from the next iteration on.
+            k += 1
+            z_avg += (z - z_avg) / k
+            q_avg += (q - q_avg) / k
+        else:
             # Additive-increase phase: both agents grow by alpha.
             z += alpha
             q += alpha
-            if record:
-                z_hist.append(z)
-                q_hist.append(q)
-                ev_hist.append(0)
-                za_hist.append(z_avg)
-                qa_hist.append(q_avg)
-            continue
-        # Capacity event: fold the saturated claims into the running
-        # averages.  The trace records these claims; the backoff outcome
-        # shows from the next iteration on.
-        k += 1
-        z_avg += (z - z_avg) / k
-        q_avg += (q - q_avg) / k
         if record:
             z_hist.append(z)
             q_hist.append(q)
-            ev_hist.append(1)
+            ev_hist.append(event)
             za_hist.append(z_avg)
             qa_hist.append(q_avg)
+        if not event:
+            continue
         # Probabilistic multiplicative backoff.  The agent that does not
         # back off holds its claim, which keeps the pool occupancy below
         # M + 2*alpha at all times.
@@ -286,10 +292,7 @@ def run_partition(problem: str, params: ScenarioParams, m: int, t: int,
     q_limit = min(m, t)
     lo = min(max(math.floor(q_avg), 0), q_limit)
     hi = min(max(math.ceil(q_avg), 0), q_limit)
-    q_star = lo
-    if hi != lo and _objective(problem, params, m, t, hi) > _objective(
-            problem, params, m, t, lo):
-        q_star = hi
+    q_star = _best_reserve(problem, params, m, t, range(lo, hi + 1))
     return trace, q_star, qos_all(params, m, t, q_star)
 
 
@@ -302,14 +305,8 @@ def scan_oracle(problem: str, params: ScenarioParams, m: int,
     """
     if problem not in PROBLEMS:
         raise ValueError(f"problem must be one of {PROBLEMS}")
-    best_q, best_val = 0, -math.inf
-    for q in range(0, min(m, t) + 1):
-        val = _objective(problem, params, m, t, q)
-        if val > best_val:
-            best_q, best_val = q, val
-    if problem == "equalize":
-        return best_q, -best_val
-    return best_q, best_val
+    q = _best_reserve(problem, params, m, t, range(0, min(m, t) + 1))
+    return q, abs(_objective(problem, params, m, t, q))
 
 
 def write_trace_csv(path, trace: AimdTrace) -> None:

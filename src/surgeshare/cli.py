@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: qos, design, partition, sweep, compare, reproduce.
-Exit codes: 0 success, 1 infeasible/unconverged/mismatch, 2 usage error.
+Exit codes: 0 success, 1 unconverged/golden mismatch, 2 usage error.
 The default output directory can be set with the SURGESHARE_OUTDIR
 environment variable.
 """
@@ -21,7 +21,6 @@ from . import solver as solver_mod
 from .cost import get_cost_model
 from .qos import ScenarioParams, qos_all
 from .scenarios import ScenarioError, load_scenario
-from .solver import InfeasibleDesignError
 
 __all__ = ["main", "cli_dispatch"]
 
@@ -48,7 +47,10 @@ def _scenario_params(args) -> Tuple[ScenarioParams, object, dict]:
         qos_target_s=args.target,
         qos_target_b=args.target,
     )
-    model = get_cost_model(getattr(args, "cost_model", "car-mg4-2025"))
+    try:
+        model = get_cost_model(getattr(args, "cost_model", "car-mg4-2025"))
+    except KeyError as exc:
+        raise ScenarioError(exc.args[0]) from None
     return params, model, {}
 
 
@@ -137,13 +139,10 @@ def _cmd_sweep(args) -> int:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["x", "cost_total", "cost_per_consumer", "M", "T", "Q"])
         for pt in points:
-            if pt.cost_total is None:
-                writer.writerow([pt.x, "", "", "", "", ""])
-            else:
-                writer.writerow([
-                    pt.x, f"{pt.cost_total:.2f}", f"{pt.cost_per_consumer:.2f}",
-                    pt.design.m, pt.design.t, pt.design.q,
-                ])
+            writer.writerow([
+                pt.x, f"{pt.cost_total:.2f}", f"{pt.cost_per_consumer:.2f}",
+                pt.design.m, pt.design.t, pt.design.q,
+            ])
     print(f"wrote {path}")
     return 0
 
@@ -261,9 +260,6 @@ def cli_dispatch(argv: Optional[List[str]] = None) -> int:
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
-    except InfeasibleDesignError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -142,6 +142,8 @@ def qos_all(params: ScenarioParams, m: int, t: int, q: int) -> QosReport:
     minus reserve plus prosumer supply), A_b = Q (the reserve), with the
     bad-behaviour requester population being the T prosumers.
     """
+    if m < 0:
+        raise ValueError("m must be non-negative")
     if q < 0 or t < 0:
         raise ValueError("t and q must be non-negative")
     if q > m:

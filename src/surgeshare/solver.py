@@ -3,15 +3,16 @@
 The cost depends on Q only through M and rises linearly in T, so for a
 fixed prosumer pool T the cheapest design takes the smallest reserve Q
 that meets the bad-behaviour target and the smallest pool M that meets
-the other two, or the start of a higher discount band.  Both
-``solve_min_cost`` and ``brute_force_design`` scan T on this structure
-and are exact for every cost model: ``CostModel`` requires positive
-unit costs and ``DiscountSchedule`` discounts in [0, 1), which is all
-the scan relies on.  ``solve_min_cost`` also stops once the cheapest pool
+the other two, or the start of a higher discount band.  One scan,
+``_scan``, walks T on this structure and is exact for every cost model:
+``CostModel`` requires positive unit costs and ``DiscountSchedule``
+discounts in [0, 1), which is all the scan relies on.
+``solve_min_cost`` runs it with an early exit once the cheapest pool
 plus the prosumer cost of T exceeds the best design found, which cuts
-the scan at the optimal T instead of N.  ``brute_force_design`` scans
-every T; it and the full 3-D scan ``_brute_force_full`` (N <= 300)
-are the references the solver is tested against.
+the scan at the optimal T instead of N; ``brute_force_design`` runs it
+over every T.  The full 3-D scan ``_brute_force_full`` (N <= 300)
+enumerates every reserve and pool instead and is the independent
+reference both are tested against.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ import csv
 import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-from scipy import special
 
 from .cost import CostModel, cost_eval
 from .qos import QosReport, ScenarioParams, binom_cdf, min_items_for_qos, qos_all
@@ -88,12 +87,12 @@ class SolverOpts:
 
 @dataclass(frozen=True)
 class CurvePoint:
-    """One sweep sample; costs are None when the point is infeasible."""
+    """One sweep sample: the optimal design at ``x`` and its cost."""
 
     x: float
-    cost_total: Optional[float]
-    cost_per_consumer: Optional[float]
-    design: Optional[Design] = None
+    cost_total: float
+    cost_per_consumer: float
+    design: Design
 
 
 def feasible(params: ScenarioParams, d: Design) -> bool:
@@ -129,8 +128,16 @@ def _report(params: ScenarioParams, model: CostModel, d: Design,
 
 
 # ---------------------------------------------------------------------------
-# Exact oracle
+# Exact scan
 # ---------------------------------------------------------------------------
+
+def _pool_minima(params: ScenarioParams) -> Tuple[int, int]:
+    # The smallest pool that meets the non-surge target, and the smallest
+    # surge supply M - Q + T that meets the surge target.
+    n = params.n_consumers
+    return (_min_items(n, params.p_nonsurge, params.qos_target_ns),
+            _min_items(n, params.p_surge, params.qos_target_s))
+
 
 def _m_candidates(model: CostModel, m_min: int, m_max: int):
     # The discounted pool term can drop where a discount band begins, so
@@ -142,42 +149,46 @@ def _m_candidates(model: CostModel, m_min: int, m_max: int):
             yield min_qty
 
 
+def _scan(params: ScenarioParams, model: CostModel, prune: bool) -> DesignReport:
+    n = params.n_consumers
+    m_ns, a_s = _pool_minima(params)
+    if prune:
+        pool_floor = min(cost_eval(m, 0, 0, model, "real")
+                         for m in _m_candidates(model, m_ns, n))
+    # T = 0 always yields a candidate: Q = 0 and M = max(m_ns, a_s) <= N
+    # meet all three targets, so ``best`` is set after the first pass.
+    best: Optional[Tuple[float, int, int, int]] = None
+    q = 0
+    for t in range(0, n + 1):
+        if prune and best is not None and pool_floor + model.per_item_prosumer * t > best[0]:
+            break
+        # Minimum reserve for this prosumer pool; monotone in t, so a
+        # moving pointer suffices.
+        while binom_cdf(q, t, params.p_bad) < params.qos_target_b:
+            q += 1
+        m_min = max(m_ns, a_s - t + q, q)
+        if m_min > n or m_min - q + t > n:
+            continue
+        # Larger M only tightens the N >= M - Q + T constraint; cap there.
+        for m in _m_candidates(model, m_min, min(n, n + q - t)):
+            key = (cost_eval(m, t, q, model, "real"), m, t, q)
+            if best is None or key < best:
+                best = key
+    _, m, t, q = best
+    return _report(params, model, Design(m, t, q), verified=True)
+
+
 def brute_force_design(params: ScenarioParams, model: CostModel) -> DesignReport:
-    """Exact integer optimum of Problem 1 by structured scan over T.
+    """Exact integer optimum of Problem 1 by structured scan over every T.
 
     For each T, the minimum reserve Q follows from the bad-behaviour
     constraint, and the minimum M from the non-surge and surge
     constraints; since cost rises with M inside a discount band but can
     drop where a band starts, the candidates per T are that corner plus
-    every band start above it.
+    every band start above it.  This is ``solve_min_cost``'s scan
+    without the early exit.
     """
-    n = params.n_consumers
-    m_ns = _min_items(n, params.p_nonsurge, params.qos_target_ns)
-    a_s = _min_items(n, params.p_surge, params.qos_target_s)
-    best: Optional[Tuple[float, int, int, int]] = None
-    q = 0
-    for t in range(0, n + 1):
-        # Minimum reserve for this prosumer pool; monotone in t, so a
-        # moving pointer suffices.
-        while q < t and float(special.bdtr(q, t, params.p_bad)) < params.qos_target_b:
-            q += 1
-        m_min = max(m_ns, a_s - t + q, q)
-        if m_min > n or q > t or m_min - q + t > n:
-            continue
-        # Larger M only tightens the N >= M - Q + T constraint; cap there.
-        m_cap = min(n, n + q - t)
-        for m in _m_candidates(model, m_min, m_cap):
-            cost = cost_eval(m, t, q, model, "real")
-            key = (cost, m, t, q)
-            if best is None or key < best:
-                best = key
-    if best is None:
-        raise InfeasibleDesignError(
-            "no (M, T, Q) satisfies all constraints for these parameters",
-            constraint="qos",
-        )
-    _, m, t, q = best
-    return _report(params, model, Design(m, t, q), verified=True)
+    return _scan(params, model, prune=False)
 
 
 def _brute_force_full(params: ScenarioParams, model: CostModel) -> DesignReport:
@@ -186,8 +197,7 @@ def _brute_force_full(params: ScenarioParams, model: CostModel) -> DesignReport:
         raise InfeasibleDesignError(
             "full 3-D scan fallback is limited to N <= 300", constraint="scale"
         )
-    m_ns = _min_items(n, params.p_nonsurge, params.qos_target_ns)
-    a_s = _min_items(n, params.p_surge, params.qos_target_s)
+    m_ns, a_s = _pool_minima(params)
     best: Optional[Tuple[float, int, int, int]] = None
     for t in range(0, n + 1):
         # The smallest reserve by the cdf feasible() checks, found by a
@@ -230,32 +240,7 @@ def solve_min_cost(params: ScenarioParams, model: CostModel,
     the best cost found, so ties break on (cost, M, T, Q) exactly as in
     the oracle.  ``opts`` is accepted for compatibility and ignored.
     """
-    n = params.n_consumers
-    m_ns = _min_items(n, params.p_nonsurge, params.qos_target_ns)
-    a_s = _min_items(n, params.p_surge, params.qos_target_s)
-    pool_floor = min(cost_eval(m, 0, 0, model, "real")
-                     for m in _m_candidates(model, m_ns, n))
-    best: Optional[Tuple[float, int, int, int]] = None
-    q = 0
-    for t in range(0, n + 1):
-        if best is not None and pool_floor + model.per_item_prosumer * t > best[0]:
-            break
-        while q < t and float(special.bdtr(q, t, params.p_bad)) < params.qos_target_b:
-            q += 1
-        m_min = max(m_ns, a_s - t + q, q)
-        if m_min > n or m_min - q + t > n:
-            continue
-        for m in _m_candidates(model, m_min, min(n, n + q - t)):
-            key = (cost_eval(m, t, q, model, "real"), m, t, q)
-            if best is None or key < best:
-                best = key
-    if best is None:
-        raise InfeasibleDesignError(
-            "no (M, T, Q) satisfies all constraints for these parameters",
-            constraint="qos",
-        )
-    _, m, t, q = best
-    return _report(params, model, Design(m, t, q), verified=True)
+    return _scan(params, model, prune=True)
 
 
 # ---------------------------------------------------------------------------
@@ -268,12 +253,9 @@ def compare_approaches(params: ScenarioParams, model: CostModel) -> Dict[str, De
     The B2C pool is the smallest that meets both the surge and the
     non-surge target on its own.
     """
-    n = params.n_consumers
     hybrid = solve_min_cost(params, model)
-    m_b2c = max(_min_items(n, params.p_nonsurge, params.qos_target_ns),
-                _min_items(n, params.p_surge, params.qos_target_s))
-    b2c = _report(params, model, Design(m_b2c, 0, 0))
-    ownership = _report(params, model, Design(n, 0, 0))
+    b2c = _report(params, model, Design(max(_pool_minima(params)), 0, 0))
+    ownership = _report(params, model, Design(params.n_consumers, 0, 0))
     return {"hybrid": hybrid, "b2c": b2c, "ownership": ownership}
 
 
@@ -283,11 +265,7 @@ def _sweep(params: ScenarioParams, model: CostModel, grid: Sequence,
         raise ValueError("grid must be non-empty")
     points = []
     for x in grid:
-        try:
-            rep = solve_min_cost(vary(params, x), model)
-        except InfeasibleDesignError:
-            points.append(CurvePoint(x=float(x), cost_total=None, cost_per_consumer=None))
-            continue
+        rep = solve_min_cost(vary(params, x), model)
         points.append(CurvePoint(x=float(x), cost_total=rep.cost_real,
                                  cost_per_consumer=rep.cost_per_consumer,
                                  design=rep.design))

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from surgeshare import (
@@ -153,11 +154,18 @@ def test_run_partition_validates_inputs():
     for field in ("alpha", "z_init", "gamma", "convergence_tol"):
         with pytest.raises(ValueError):
             make_config(**{field: math.nan})
+    # A seed must be a non-negative integer before numpy sees it.
+    for seed in (1.5, True, "3"):
+        with pytest.raises(TypeError, match="seed"):
+            make_config(seed=seed)
+    with pytest.raises(ValueError, match="seed"):
+        make_config(seed=-1)
 
 
 def test_aimd_config_accepts_range_edges():
     make_config(gamma_target=1.0, lam_min=0.0, max_iterations=1)
     make_config(lam_min=1.0)
+    make_config(seed=np.uint32(7))
 
 
 def test_scan_oracle_maximize_car_1000():

@@ -157,6 +157,9 @@ def test_qos_all_saturating_design():
 def test_qos_all_rejects_reserve_above_pool():
     with pytest.raises(ValueError):
         qos_all(CAR, 10, 20, 11)
+    # A negative pool is named as such, not as a reserve above it.
+    with pytest.raises(ValueError, match="m must be non-negative"):
+        qos_all(CAR, -3, 1, 0)
 
 
 def test_qos_s_depends_only_on_m_minus_q_plus_t():

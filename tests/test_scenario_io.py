@@ -27,7 +27,7 @@ from surgeshare import (
     load_scenario,
     save_scenario,
 )
-from surgeshare import aimd, solver
+from surgeshare import aimd, cli, solver
 from surgeshare.cli import cli_dispatch
 from surgeshare.solver import SolverOpts
 
@@ -252,18 +252,6 @@ def test_cli_qos_trivial(capsys):
     assert "qos_ns = 1.000000" in out
 
 
-def test_cli_usage_error():
-    assert cli_dispatch(["qos", "--n", "10"]) == 2        # missing m/t/q
-    assert cli_dispatch(["no-such-command"]) == 2
-
-
-def test_cli_sweep_bad_grid(tmp_path):
-    code = cli_dispatch(["sweep", "--scenario", "charger-n1000-98",
-                         "--axis", "qos", "--grid", "a,b",
-                         "--outdir", str(tmp_path)])
-    assert code == 2
-
-
 def test_cli_sweep_n_rejects_fractional_population(tmp_path, capsys):
     code = cli_dispatch(["sweep", "--scenario", "charger-n1000-98",
                          "--axis", "n", "--grid", "500.9,1000.5",
@@ -404,10 +392,71 @@ def test_cli_sweep_csv(tmp_path, capsys):
     assert float(rows[1]["cost_total"]) >= float(rows[0]["cost_total"])
 
 
-def test_cli_scenario_error_exit_code(capsys):
-    code = cli_dispatch(["design", "--scenario", "/missing.ini"])
-    capsys.readouterr()
-    assert code == 2
+def _car_1000_aimd(section):
+    def write(tmp_path, monkeypatch):
+        (tmp_path / "scenario.ini").write_text(
+            "[params]\nn_consumers = 1000\np_nonsurge = 0.1\n"
+            "p_surge = 0.3\np_bad = 0.01\n"
+            "[cost_model]\nbuiltin = car-mg4-2025\n[aimd]\n" + section)
+    return write
+
+
+def _mismatched_golden(tmp_path, monkeypatch):
+    def load(resource, load=cli._load_golden):
+        rows = load(resource)
+        rows[0] = {**rows[0], "M": str(int(rows[0]["M"]) + 100)}
+        return rows
+    monkeypatch.setattr(cli, "_load_golden", load)
+
+
+# The documented contract: 0 success, 1 unconverged or golden mismatch,
+# 2 bad input.  "{tmp}" in an argument stands for a scratch directory.
+@pytest.mark.parametrize("argv, setup, code, err", [
+    pytest.param(["qos", "--n", "10", "--m", "5", "--t", "1", "--q", "0"],
+                 None, 0, "", id="qos-ok"),
+    pytest.param(["qos", "--n", "10"], None, 2, "required", id="qos-missing-args"),
+    pytest.param(["qos", "--n", "10", "--m", "-3", "--t", "1", "--q", "0"],
+                 None, 2, "m must be non-negative", id="qos-negative-pool"),
+    pytest.param(["no-such-command"], None, 2, "invalid choice", id="unknown-command"),
+    pytest.param(["design", "--scenario", "charger-n1000-98"], None, 0, "",
+                 id="design-ok"),
+    pytest.param(["design", "--scenario", "/missing.ini"], None, 2, "scenario error",
+                 id="design-missing-scenario"),
+    pytest.param(["design", "--cost-model", "nope"], None, 2,
+                 "unknown cost model 'nope'; built-ins are [", id="design-unknown-cost-model"),
+    pytest.param(["compare", "--scenario", "charger-n1000-98"], None, 0, "",
+                 id="compare-ok"),
+    pytest.param(["compare", "--cost-model", "nope"], None, 2,
+                 "unknown cost model 'nope'; built-ins are [", id="compare-unknown-cost-model"),
+    pytest.param(["sweep", "--scenario", "charger-n1000-98", "--axis", "qos",
+                  "--grid", "0.95", "--outdir", "{tmp}"], None, 0, "", id="sweep-ok"),
+    pytest.param(["sweep", "--scenario", "charger-n1000-98", "--axis", "qos",
+                  "--grid", "a,b", "--outdir", "{tmp}"], None, 2, "comma-separated",
+                 id="sweep-bad-grid"),
+    pytest.param(["sweep", "--cost-model", "nope", "--axis", "qos", "--grid", "0.95",
+                  "--outdir", "{tmp}"], None, 2,
+                 "unknown cost model 'nope'; built-ins are [", id="sweep-unknown-cost-model"),
+    pytest.param(["partition", "--scenario", "car-n1000", "--m", "120", "--t", "215"],
+                 None, 0, "", id="partition-ok"),
+    pytest.param(["partition", "--scenario", "{tmp}/scenario.ini", "--m", "120", "--t", "215"],
+                 _car_1000_aimd("max_iterations = 10\n"), 1, "not converged",
+                 id="partition-unconverged"),
+    pytest.param(["partition", "--n", "10", "--m", "5", "--t", "3", "--seed", "-1"],
+                 None, 2, "seed", id="partition-negative-seed-flag"),
+    pytest.param(["partition", "--scenario", "{tmp}/scenario.ini", "--m", "120", "--t", "215"],
+                 _car_1000_aimd("seed = -1\n"), 2, "seed",
+                 id="partition-negative-seed-file"),
+    pytest.param(["reproduce", "--outdir", "{tmp}"], None, 0, "", id="reproduce-ok"),
+    pytest.param(["reproduce", "--outdir", "{tmp}"], _mismatched_golden, 1, "",
+                 id="reproduce-golden-mismatch"),
+    pytest.param(["reproduce", "--m", "3"], None, 2, "unrecognized arguments",
+                 id="reproduce-unknown-flag"),
+])
+def test_cli_exit_code_contract(argv, setup, code, err, tmp_path, monkeypatch, capsys):
+    if setup is not None:
+        setup(tmp_path, monkeypatch)
+    assert cli_dispatch([arg.replace("{tmp}", str(tmp_path)) for arg in argv]) == code
+    assert err in capsys.readouterr().err
 
 
 def test_cli_reproduce_deterministic(tmp_path, capsys):

@@ -133,12 +133,41 @@ def _cost_models(draw):
 # the reserve must be 4, as the cdf the solver checks says.
 @example(n=10, p_ns=0.5, p_s=0.5, p_b=0.5, targets=(0.75, 1.0, 0.5000000000000001),
          model=car_cost_model())
+# The smallest scenario, with every target at 1: one consumer, one item.
+@example(n=1, p_ns=0.9, p_s=0.9, p_b=0.5, targets=(1.0, 1.0, 1.0),
+         model=car_cost_model())
 def test_solver_equals_full_scan(n, p_ns, p_s, p_b, targets, model):
+    # Both entry points run the same T-scan, with and without the early
+    # exit; the 3-D scan is the independent check for each.
     params = ScenarioParams(n, p_ns, p_s, p_b, *targets)
-    solved = solve_min_cost(params, model)
     full = _brute_force_full(params, model)
-    assert solved.design == full.design
-    assert solved.cost_real == full.cost_real
+    for rep in (solve_min_cost(params, model), brute_force_design(params, model)):
+        assert rep.design == full.design
+        assert rep.cost_real == full.cost_real
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 400),
+    p_ns=st.floats(0.01, 0.9),
+    p_s=st.floats(0.01, 0.95),
+    p_b=st.floats(0.01, 0.5),
+    targets=st.tuples(_targets, _targets, _targets),
+    raised=_targets,
+    which=st.integers(0, 2),
+    model=st.one_of(st.sampled_from([car_cost_model(), charger_cost_model()]),
+                    _cost_models()),
+)
+def test_cost_never_falls_as_a_target_rises(n, p_ns, p_s, p_b, targets, raised,
+                                            which, model):
+    # A stricter target only removes designs, so the optimum cannot get
+    # cheaper.
+    low = list(targets)
+    high = list(targets)
+    low[which], high[which] = sorted((targets[which], raised))
+    base = solve_min_cost(ScenarioParams(n, p_ns, p_s, p_b, *low), model)
+    stricter = solve_min_cost(ScenarioParams(n, p_ns, p_s, p_b, *high), model)
+    assert stricter.cost_real >= base.cost_real
 
 
 def test_full_scan_agrees_with_structured_scan():
