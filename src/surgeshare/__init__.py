@@ -27,7 +27,6 @@ from .cost import (
     get_cost_model,
 )
 from .solver import (
-    CurvePoint,
     Design,
     DesignReport,
     InfeasibleDesignError,

@@ -172,12 +172,6 @@ def _rates_equalize(z_avg: float, q_avg: float, t: int,
     return rc, rp
 
 
-def _clamp(lam: float, lam_min: float) -> float:
-    if not math.isfinite(lam):
-        return 1.0
-    return min(max(lam, lam_min), 1.0)
-
-
 def _objective(problem: str, params: ScenarioParams, m: int, t: int, q: int) -> float:
     rep = qos_all(params, m, t, q)
     if problem == "maximize":
@@ -266,8 +260,9 @@ def run_partition(problem: str, params: ScenarioParams, m: int, t: int,
             worst = max(rc, rp)
             target = config.gamma_target
             gamma = target / worst if math.isfinite(worst) and worst > 0 else target
-        lam_c = _clamp(gamma * rc, lam_min)
-        lam_p = _clamp(gamma * rp, lam_min)
+        # An infinite rate clamps to 1; gamma > 0 rules out NaN.
+        lam_c = min(max(gamma * rc, lam_min), 1.0)
+        lam_p = min(max(gamma * rp, lam_min), 1.0)
         if rng.random() < lam_c:
             z *= beta
         if rng.random() < lam_p:

@@ -2,6 +2,8 @@
 
 Subcommands: qos, design, partition, sweep, compare, reproduce.
 Exit codes: 0 success, 1 unconverged/golden mismatch, 2 usage error.
+Every command starts from the ``--scenario`` it is given, or from the
+built-in ``car-n1000-98``; each scenario flag then overrides its field.
 The default output directory can be set with the SURGESHARE_OUTDIR
 environment variable.
 """
@@ -25,6 +27,15 @@ from .scenarios import ScenarioError, load_scenario
 __all__ = ["main", "cli_dispatch"]
 
 OUTDIR_ENV = "SURGESHARE_OUTDIR"
+BASE_SCENARIO = "car-n1000-98"
+# The ScenarioParams fields that each scenario flag sets.
+_PARAM_FLAGS = {
+    "n": ("n_consumers",),
+    "p_ns": ("p_nonsurge",),
+    "p_s": ("p_surge",),
+    "p_b": ("p_bad",),
+    "target": ("qos_target_ns", "qos_target_s", "qos_target_b"),
+}
 
 
 def _outdir(args) -> str:
@@ -34,39 +45,36 @@ def _outdir(args) -> str:
 
 
 def _scenario_params(args) -> Tuple[ScenarioParams, object, dict]:
-    """Resolve params/model/AIMD overrides from --scenario or explicit flags."""
-    if args.scenario:
-        sc = load_scenario(args.scenario)
-        return sc.params, sc.cost_model, dict(sc.aimd)
-    params = ScenarioParams(
-        n_consumers=args.n,
-        p_nonsurge=args.p_ns,
-        p_surge=args.p_s,
-        p_bad=args.p_b,
-        qos_target_ns=args.target,
-        qos_target_s=args.target,
-        qos_target_b=args.target,
-    )
-    try:
-        model = get_cost_model(getattr(args, "cost_model", "car-mg4-2025"))
-    except KeyError as exc:
-        raise ScenarioError(exc.args[0]) from None
-    return params, model, {}
+    """Params, cost model and AIMD overrides: the scenario, then the flags."""
+    sc = load_scenario(args.scenario or BASE_SCENARIO)
+    changes = {}
+    for flag, names in _PARAM_FLAGS.items():
+        value = getattr(args, flag)
+        if value is not None:
+            changes.update(dict.fromkeys(names, value))
+    params = dataclasses.replace(sc.params, **changes)
+    model = sc.cost_model
+    if getattr(args, "cost_model", None) is not None:
+        try:
+            model = get_cost_model(args.cost_model)
+        except KeyError as exc:
+            raise ScenarioError(exc.args[0]) from None
+    return params, model, dict(sc.aimd)
 
 
 def _add_scenario_args(sub, need_cost: bool = True):
-    sub.add_argument("--scenario", help="built-in scenario name or scenario file path")
-    sub.add_argument("--n", type=int, default=1000, help="consumer population")
-    sub.add_argument("--p-ns", type=float, default=0.1, dest="p_ns",
+    sub.add_argument("--scenario", help="built-in scenario name or scenario file "
+                     f"path (default {BASE_SCENARIO}); the flags below override it")
+    sub.add_argument("--n", type=int, help="consumer population")
+    sub.add_argument("--p-ns", type=float, dest="p_ns",
                      help="non-surge request probability")
-    sub.add_argument("--p-s", type=float, default=0.3, dest="p_s",
+    sub.add_argument("--p-s", type=float, dest="p_s",
                      help="surge request probability")
-    sub.add_argument("--p-b", type=float, default=0.01, dest="p_b",
+    sub.add_argument("--p-b", type=float, dest="p_b",
                      help="bad-behaviour request probability")
-    sub.add_argument("--target", type=float, default=0.98, help="QoS target")
+    sub.add_argument("--target", type=float, help="QoS target of all three scenarios")
     if need_cost:
-        sub.add_argument("--cost-model", default="car-mg4-2025",
-                         help="built-in cost model name")
+        sub.add_argument("--cost-model", help="built-in cost model name")
 
 
 def _cmd_qos(args) -> int:
@@ -90,7 +98,7 @@ def _cmd_design(args) -> int:
     print(f"oracle_verified = {rep.oracle_verified} (gap 0.000%)")
     if args.output:
         path = os.path.join(_outdir(args), args.output)
-        solver_mod.write_design_csv(path, [(params, rep)])
+        solver_mod.write_design_csv(path, [rep])
         print(f"wrote {path}")
     return 0
 
@@ -128,21 +136,14 @@ def _cmd_sweep(args) -> int:
         print("--grid must be non-empty", file=sys.stderr)
         return 2
     if args.axis == "qos":
-        points = solver_mod.sweep_cost_vs_qos(params, model, grid)
+        reports = solver_mod.sweep_cost_vs_qos(params, model, grid)
     else:
         if not all(x.is_integer() for x in grid):
             print("--grid values for --axis n must be integers", file=sys.stderr)
             return 2
-        points = solver_mod.sweep_cost_vs_n(params, model, [int(x) for x in grid])
+        reports = solver_mod.sweep_cost_vs_n(params, model, [int(x) for x in grid])
     path = os.path.join(_outdir(args), args.output or f"sweep_{args.axis}.csv")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["x", "cost_total", "cost_per_consumer", "M", "T", "Q"])
-        for pt in points:
-            writer.writerow([
-                pt.x, f"{pt.cost_total:.2f}", f"{pt.cost_per_consumer:.2f}",
-                pt.design.m, pt.design.t, pt.design.q,
-            ])
+    solver_mod.write_design_csv(path, reports)
     print(f"wrote {path}")
     return 0
 
@@ -170,12 +171,12 @@ def _cmd_reproduce(args) -> int:
     for use, golden_name in (("car", "car_min_cost_golden.csv"),
                              ("charger", "charger_min_cost_golden.csv")):
         golden = _load_golden(golden_name)
-        rows = []
+        reports = []
         print(f"-- {use} minimum-cost table --")
         for grow in golden:
             scenario = load_scenario(f"{use}-n{grow['N']}-{int(float(grow['qos_target']) * 100)}")
             rep = solver_mod.solve_min_cost(scenario.params, scenario.cost_model)
-            rows.append((scenario.params, rep))
+            reports.append(rep)
             d = rep.design
             checks = [
                 abs(d.m - int(grow["M"])) <= int(grow["tol_m"]),
@@ -191,7 +192,7 @@ def _cmd_reproduce(args) -> int:
                   f"expected (M={grow['M']}, T={grow['T']}, Q={grow['Q']}, "
                   f"cost={grow['cost_total']})  {status}")
         path = os.path.join(outdir, f"{use}_min_cost.csv")
-        solver_mod.write_design_csv(path, rows)
+        solver_mod.write_design_csv(path, reports)
         print(f"  wrote {path}")
     print("reproduce: PASS" if ok else "reproduce: FAIL")
     return 0 if ok else 1

@@ -148,6 +148,8 @@ def qos_all(params: ScenarioParams, m: int, t: int, q: int) -> QosReport:
         raise ValueError("t and q must be non-negative")
     if q > m:
         raise ValueError(f"reserve q={q} cannot exceed pool size m={m}")
+    if q > t:
+        raise ValueError(f"reserve q={q} cannot exceed prosumer pool t={t}")
     n = params.n_consumers
     return QosReport(
         qos_ns=binom_cdf(m, n, params.p_nonsurge),

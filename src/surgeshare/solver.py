@@ -29,7 +29,6 @@ __all__ = [
     "Design",
     "DesignReport",
     "SolverOpts",
-    "CurvePoint",
     "InfeasibleDesignError",
     "feasible",
     "solve_min_cost",
@@ -51,10 +50,6 @@ DESIGN_CSV_COLUMNS = (
 class InfeasibleDesignError(ValueError):
     """Raised when no design can satisfy the QoS/structural constraints."""
 
-    def __init__(self, message: str, constraint: str = ""):
-        super().__init__(message)
-        self.constraint = constraint
-
 
 @dataclass(frozen=True)
 class Design:
@@ -67,6 +62,9 @@ class Design:
 
 @dataclass(frozen=True)
 class DesignReport:
+    """The design of a scenario (``params``), its cost and its QoS."""
+
+    params: ScenarioParams
     design: Design
     cost_real: float
     cost_per_consumer: float
@@ -83,16 +81,6 @@ class SolverOpts:
     """
 
     optimality_gap: float = 0.01
-
-
-@dataclass(frozen=True)
-class CurvePoint:
-    """One sweep sample: the optimal design at ``x`` and its cost."""
-
-    x: float
-    cost_total: float
-    cost_per_consumer: float
-    design: Design
 
 
 def feasible(params: ScenarioParams, d: Design) -> bool:
@@ -119,6 +107,7 @@ def _report(params: ScenarioParams, model: CostModel, d: Design,
             verified: bool = False) -> DesignReport:
     cost = cost_eval(d.m, d.t, d.q, model, "real")
     return DesignReport(
+        params=params,
         design=d,
         cost_real=cost,
         cost_per_consumer=model.cost_per_consumer(cost, params.n_consumers),
@@ -194,9 +183,7 @@ def brute_force_design(params: ScenarioParams, model: CostModel) -> DesignReport
 def _brute_force_full(params: ScenarioParams, model: CostModel) -> DesignReport:
     n = params.n_consumers
     if n > 300:
-        raise InfeasibleDesignError(
-            "full 3-D scan fallback is limited to N <= 300", constraint="scale"
-        )
+        raise InfeasibleDesignError("full 3-D scan fallback is limited to N <= 300")
     m_ns, a_s = _pool_minima(params)
     best: Optional[Tuple[float, int, int, int]] = None
     for t in range(0, n + 1):
@@ -215,9 +202,7 @@ def _brute_force_full(params: ScenarioParams, model: CostModel) -> DesignReport:
                     best = key
     if best is None:
         raise InfeasibleDesignError(
-            "no (M, T, Q) satisfies all constraints for these parameters",
-            constraint="qos",
-        )
+            "no (M, T, Q) satisfies all constraints for these parameters")
     _, m, t, q = best
     return _report(params, model, Design(m, t, q), verified=True)
 
@@ -260,42 +245,36 @@ def compare_approaches(params: ScenarioParams, model: CostModel) -> Dict[str, De
 
 
 def _sweep(params: ScenarioParams, model: CostModel, grid: Sequence,
-           vary: Callable[[ScenarioParams, object], ScenarioParams]) -> List[CurvePoint]:
+           vary: Callable[[ScenarioParams, object], ScenarioParams]) -> List[DesignReport]:
     if not grid:
         raise ValueError("grid must be non-empty")
-    points = []
-    for x in grid:
-        rep = solve_min_cost(vary(params, x), model)
-        points.append(CurvePoint(x=float(x), cost_total=rep.cost_real,
-                                 cost_per_consumer=rep.cost_per_consumer,
-                                 design=rep.design))
-    return points
+    return [solve_min_cost(vary(params, x), model) for x in grid]
 
 
 def sweep_cost_vs_qos(params: ScenarioParams, model: CostModel,
-                      qos_grid: Sequence[float]) -> List[CurvePoint]:
-    """Optimal cost as a function of a common QoS target."""
+                      qos_grid: Sequence[float]) -> List[DesignReport]:
+    """Optimal design at each common QoS target of the grid."""
     return _sweep(params, model, qos_grid, lambda p, target: dataclasses.replace(
         p, qos_target_ns=target, qos_target_s=target, qos_target_b=target))
 
 
 def sweep_cost_vs_n(params: ScenarioParams, model: CostModel,
-                    n_grid: Sequence[int]) -> List[CurvePoint]:
-    """Optimal cost as a function of the (integer) consumer population size."""
+                    n_grid: Sequence[int]) -> List[DesignReport]:
+    """Optimal design at each (integer) consumer population size of the grid."""
     return _sweep(params, model, n_grid,
                   lambda p, n: dataclasses.replace(p, n_consumers=n))
 
 
-def write_design_csv(path, rows: Sequence[Tuple[ScenarioParams, DesignReport]]) -> None:
-    """Write (params, report) pairs using the documented column set."""
+def write_design_csv(path, reports: Sequence[DesignReport]) -> None:
+    """Write one row per report using the documented column set."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(DESIGN_CSV_COLUMNS)
-        for params, rep in rows:
+        for rep in reports:
             d = rep.design
             writer.writerow([
-                params.n_consumers,
-                params.qos_target_s,
+                rep.params.n_consumers,
+                rep.params.qos_target_s,
                 d.m, d.t, d.q,
                 f"{rep.cost_real:.2f}",
                 f"{rep.cost_per_consumer:.2f}",

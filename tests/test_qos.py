@@ -160,6 +160,9 @@ def test_qos_all_rejects_reserve_above_pool():
     # A negative pool is named as such, not as a reserve above it.
     with pytest.raises(ValueError, match="m must be non-negative"):
         qos_all(CAR, -3, 1, 0)
+    # The reserve is drawn from the prosumer pool too.
+    with pytest.raises(ValueError, match="q=4 cannot exceed prosumer pool t=3"):
+        qos_all(CAR, 5, 3, 4)
 
 
 def test_qos_s_depends_only_on_m_minus_q_plus_t():

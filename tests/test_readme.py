@@ -1,0 +1,28 @@
+"""The README's Python quick start runs and prints what its comments say."""
+
+import contextlib
+import io
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _quick_start() -> str:
+    text = README.read_text()
+    section = text[text.index("## Library quick start"):]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_readme_quick_start_runs():
+    code = _quick_start()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, str(README), "exec"), {})
+    printed = out.getvalue().splitlines()
+    prints = [line for line in code.splitlines() if line.startswith("print(")]
+    assert len(printed) == len(prints)
+    # A print with a comment shows the value the comment gives first.
+    for line, shown in zip(prints, printed):
+        if "#" in line:
+            assert line.split("#", 1)[1].strip().startswith(shown), (line, shown)

@@ -380,16 +380,61 @@ def test_cli_compare(capsys):
     assert out.index("hybrid") < out.index("b2c") < out.index("ownership")
 
 
-def test_cli_sweep_csv(tmp_path, capsys):
+def _sweep_rows(tmp_path, axis, grid):
     code = cli_dispatch(["sweep", "--scenario", "charger-n1000-98",
-                         "--axis", "qos", "--grid", "0.95,0.98",
+                         "--axis", axis, "--grid", grid,
                          "--output", "curve.csv", "--outdir", str(tmp_path)])
-    capsys.readouterr()
     assert code == 0
     with open(tmp_path / "curve.csv") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 2
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    # A sweep writes the design CSV, one row per grid value.
+    assert tuple(reader.fieldnames) == solver.DESIGN_CSV_COLUMNS
+    return rows
+
+
+def test_cli_sweep_csv(tmp_path):
+    rows = _sweep_rows(tmp_path, "qos", "0.95,0.98")
+    assert [(r["N"], r["qos_target"]) for r in rows] == [("1000", "0.95"), ("1000", "0.98")]
     assert float(rows[1]["cost_total"]) >= float(rows[0]["cost_total"])
+
+
+def test_cli_sweep_n_csv(tmp_path):
+    rows = _sweep_rows(tmp_path, "n", "500,2000")
+    assert [(r["N"], r["qos_target"]) for r in rows] == [("500", "0.98"), ("2000", "0.98")]
+    assert [r["M"] for r in rows] == ["6", "17"]
+
+
+# Each pair gives the same scenario twice: as --scenario refined by flags,
+# and directly.  Outputs go to the working directory, so paths match too.
+@pytest.mark.parametrize("refined, plain", [
+    pytest.param(["design", "--scenario", "charger-n1000-98", "--n", "5000", "--target", "0.99"],
+                 ["design", "--scenario", "charger-n5000-99"], id="design"),
+    pytest.param(["qos", "--scenario", "car-n1000", "--n", "5", "--m", "3", "--t", "2", "--q", "1"],
+                 ["qos", "--n", "5", "--m", "3", "--t", "2", "--q", "1"], id="qos"),
+    pytest.param(["sweep", "--scenario", "charger-n1000-98", "--n", "5000",
+                  "--axis", "qos", "--grid", "0.98,0.99"],
+                 ["sweep", "--scenario", "charger-n5000-99", "--axis", "qos",
+                  "--grid", "0.98,0.99"], id="sweep"),
+    pytest.param(["compare", "--scenario", "charger-n1000-98", "--cost-model", "car-mg4-2025",
+                  "--p-ns", "0.1", "--p-s", "0.3"],
+                 ["compare", "--scenario", "car-n1000-98"], id="compare"),
+    pytest.param(["partition", "--scenario", "charger-n1000-98", "--p-ns", "0.1",
+                  "--p-s", "0.3", "--m", "120", "--t", "215"],
+                 ["partition", "--scenario", "car-n1000", "--m", "120", "--t", "215"],
+                 id="partition"),
+])
+def test_cli_flags_refine_the_scenario(refined, plain, tmp_path, monkeypatch, capsys):
+    runs = []
+    for name, argv in (("refined", refined), ("plain", plain)):
+        workdir = tmp_path / name
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        code = cli_dispatch(argv)
+        files = {p.name: p.read_bytes() for p in workdir.iterdir()}
+        runs.append((code, capsys.readouterr().out, files))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0
 
 
 def _car_1000_aimd(section):
@@ -417,6 +462,9 @@ def _mismatched_golden(tmp_path, monkeypatch):
     pytest.param(["qos", "--n", "10"], None, 2, "required", id="qos-missing-args"),
     pytest.param(["qos", "--n", "10", "--m", "-3", "--t", "1", "--q", "0"],
                  None, 2, "m must be non-negative", id="qos-negative-pool"),
+    pytest.param(["qos", "--n", "10", "--m", "5", "--t", "3", "--q", "4"],
+                 None, 2, "q=4 cannot exceed prosumer pool t=3",
+                 id="qos-reserve-above-prosumers"),
     pytest.param(["no-such-command"], None, 2, "invalid choice", id="unknown-command"),
     pytest.param(["design", "--scenario", "charger-n1000-98"], None, 0, "",
                  id="design-ok"),
@@ -424,6 +472,10 @@ def _mismatched_golden(tmp_path, monkeypatch):
                  id="design-missing-scenario"),
     pytest.param(["design", "--cost-model", "nope"], None, 2,
                  "unknown cost model 'nope'; built-ins are [", id="design-unknown-cost-model"),
+    pytest.param(["design", "--scenario", "charger-n1000-98", "--p-s", "1.5"], None, 2,
+                 "p_surge must lie in", id="design-scenario-bad-flag"),
+    pytest.param(["design", "--scenario", "charger-n1000-98", "--cost-model", "nope"], None, 2,
+                 "unknown cost model 'nope'", id="design-scenario-unknown-cost-model"),
     pytest.param(["compare", "--scenario", "charger-n1000-98"], None, 0, "",
                  id="compare-ok"),
     pytest.param(["compare", "--cost-model", "nope"], None, 2,

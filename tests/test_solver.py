@@ -231,16 +231,17 @@ def test_compare_b2c_meets_nonsurge_target():
 
 def test_sweep_qos_monotone():
     grid = [0.9, 0.95, 0.98, 0.99]
-    points = sweep_cost_vs_qos(CHARGER_1000, charger_cost_model(), grid)
-    costs = [pt.cost_total for pt in points]
-    assert all(c is not None for c in costs)
+    reports = sweep_cost_vs_qos(CHARGER_1000, charger_cost_model(), grid)
+    assert [rep.params.qos_target_b for rep in reports] == grid
+    costs = [rep.cost_real for rep in reports]
     assert all(b >= a for a, b in zip(costs, costs[1:]))
 
 
 def test_sweep_n_total_cost_monotone():
     grid = [500, 1000, 2000]
-    points = sweep_cost_vs_n(CHARGER_1000, charger_cost_model(), grid)
-    costs = [pt.cost_total for pt in points]
+    reports = sweep_cost_vs_n(CHARGER_1000, charger_cost_model(), grid)
+    assert [rep.params.n_consumers for rep in reports] == grid
+    costs = [rep.cost_real for rep in reports]
     assert all(b >= a for a, b in zip(costs, costs[1:]))
 
 
@@ -253,5 +254,6 @@ def test_sweep_rejects_empty_grid():
 
 def test_report_per_consumer_accounting():
     rep = solve_min_cost(CHARGER_1000, charger_cost_model())
+    assert rep.params == CHARGER_1000
     expected = rep.cost_real / (1000 * 10)
     assert rep.cost_per_consumer == pytest.approx(expected)
