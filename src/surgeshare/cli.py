@@ -94,8 +94,6 @@ def _cmd_design(args) -> int:
     print(f"cost_total = {rep.cost_real:.2f}")
     print(f"cost_per_consumer = {rep.cost_per_consumer:.2f}")
     print(f"qos = ({rep.qos.qos_ns:.4f}, {rep.qos.qos_s:.4f}, {rep.qos.qos_b:.4f})")
-    # The solver is exact, so its design is the oracle's: the gap is zero.
-    print(f"oracle_verified = {rep.oracle_verified} (gap 0.000%)")
     if args.output:
         path = os.path.join(_outdir(args), args.output)
         solver_mod.write_design_csv(path, [rep])

@@ -2,12 +2,10 @@
 
 The scheme operator pays a per-item cost for the shared pool of M items
 (reduced by a quantity discount) and a per-item compensation for the T
-prosumer items.  Three cost variants are exposed:
-
-* ``linear`` -- no discount, unit_main*M + unit_pro*T;
-* ``real``   -- the piecewise discount schedule applied to the pool term;
-* ``approx`` -- a concave differentiable approximation where the step
-  schedule is replaced by the exponential-decay fit A*(1 - exp(-B*M)).
+prosumer items.  ``cost_eval`` prices a design with the piecewise
+discount schedule applied to the pool term.  Each model also carries
+``SmoothDiscount``, a concave differentiable approximation of the step
+schedule by the exponential-decay fit A*(1 - exp(-B*M)).
 
 The two concrete use-case models ship as the named built-ins
 ``car-mg4-2025`` and ``charger-dc60-2025``.
@@ -18,6 +16,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -33,10 +32,7 @@ __all__ = [
     "car_cost_model",
     "charger_cost_model",
     "get_cost_model",
-    "COST_VARIANTS",
 ]
-
-COST_VARIANTS = ("linear", "real", "approx")
 
 
 @dataclass(frozen=True)
@@ -46,6 +42,9 @@ class DiscountSchedule:
     breakpoints: Tuple[Tuple[int, float], ...]
 
     def __post_init__(self):
+        for m, _ in self.breakpoints:
+            if isinstance(m, bool) or not isinstance(m, numbers.Integral):
+                raise TypeError(f"breakpoint quantities must be integers; got {m!r}")
         bps = tuple((int(m), float(d)) for m, d in self.breakpoints)
         object.__setattr__(self, "breakpoints", bps)
         if not bps:
@@ -124,9 +123,9 @@ def discount_real(m: int, schedule: DiscountSchedule) -> float:
         raise ValueError("m must be non-negative")
     if m == 0:
         return 0.0
-    quantities = [bp[0] for bp in schedule.breakpoints]
-    idx = bisect.bisect_right(quantities, m) - 1
-    return schedule.breakpoints[idx][1] if idx >= 0 else 0.0
+    # The schedule starts at quantity 1, so some breakpoint applies.
+    idx = bisect.bisect_right(schedule.breakpoints, (m, math.inf)) - 1
+    return schedule.breakpoints[idx][1]
 
 
 def fit_smooth_discount(
@@ -160,24 +159,15 @@ def fit_smooth_discount(
     return SmoothDiscount(amplitude=float(amplitude), rate=float(rate))
 
 
-def cost_eval(m: int, t: int, q: int, model: CostModel, variant: str = "real") -> float:
-    """Total cost of a design (M, T, Q) under the chosen variant.
+def cost_eval(m: int, t: int, model: CostModel) -> float:
+    """Real cost of a design with a pool of M items and T prosumers.
 
-    The reserve Q shares the pool unit cost, so the cost depends on Q
-    only through M; Q is accepted for interface symmetry and validated.
+    The reserve Q shares the pool unit cost, so the cost of (M, T, Q)
+    does not depend on Q: the discounted pool term plus the prosumer term.
     """
-    if not (m >= q >= 0):
-        raise ValueError("m >= q >= 0 is required")
     if t < 0:
         raise ValueError("t must be non-negative")
-    if variant == "linear":
-        pool = model.per_item_main * m
-    elif variant == "real":
-        pool = model.per_item_main * (1.0 - discount_real(m, model.discount)) * m
-    elif variant == "approx":
-        pool = model.per_item_main * (1.0 - model.smooth.value(m)) * m
-    else:
-        raise ValueError(f"unknown cost variant {variant!r}; expected one of {COST_VARIANTS}")
+    pool = model.per_item_main * (1.0 - discount_real(m, model.discount)) * m
     return float(pool + model.per_item_prosumer * t)
 
 

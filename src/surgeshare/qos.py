@@ -5,7 +5,9 @@ with probability ``p``, is served with quality of service equal to the
 binomial cdf evaluated at the number of available items.  This module
 exposes the exact cdf, a smooth continuous extension of the cdf and pmf
 (needed by the gradient-flavoured AIMD update rules), inverse searches,
-and the normal-approximation reserve formula.
+and the normal-approximation reserve formula.  Whether a items meet a
+QoS target is decided in one place, ``_meets_target``, which the inverse
+search and the design solver share.
 """
 
 from __future__ import annotations
@@ -158,36 +160,45 @@ def qos_all(params: ScenarioParams, m: int, t: int, q: int) -> QosReport:
     )
 
 
-def min_items_for_qos(n: int, p: float, target: float) -> int:
-    """Smallest a >= 0 with binom_cdf(a, n, p) >= target.
+def _meets_target(a: int, n: int, p: float, target: float) -> bool:
+    """Whether a items serve Binomial(n, p) requests with QoS >= target.
 
-    Binary search on the upper tail, P[X > a] <= 1 - target: near a
-    target of 1 the rounded cdf reaches the target a few items early,
-    while the tail keeps its relative precision.  A short linear pass
-    then walks down through any floating-point plateau the bisection
-    landed on.  A last step up covers the opposite rounding: where the
-    tail meets the target but the cdf (what ``qos_all`` reports) rounds
-    just below it.
+    a >= n always meets.  Otherwise two roundings must both agree: the
+    upper tail P[X > a] <= 1 - target, which keeps its relative
+    precision near a target of 1 where the cdf rounds up to the target
+    early, and the cdf P[X <= a] >= target, which ``qos_all`` reports and
+    which can round below a target one ulp above it that the tail meets.
+    A target of 1 needs every requester served, even where the tail
+    underflows to 0.
+    """
+    if a >= n:
+        return True
+    return (target < 1.0
+            and special.bdtrc(a, n, p) <= 1.0 - target
+            and special.bdtr(a, n, p) >= target)
+
+
+def min_items_for_qos(n: int, p: float, target: float) -> int:
+    """Smallest a >= 0 that meets the target for n requesters at rate p.
+
+    Binary search on ``_meets_target``, then a short linear pass down
+    through any floating-point plateau the bisection landed on.  A
+    target of exactly 1 gives n.
     """
     _check_probability(p)
-    if not (0.0 < target < 1.0):
-        raise ValueError("target must lie in (0, 1)")
-    shortfall = 1.0 - target
-
-    def meets(a: int) -> bool:
-        return float(special.bdtrc(a, n, p)) <= shortfall
-
+    if not (0.0 < target <= 1.0):
+        raise ValueError("target must lie in (0, 1]")
+    if n < 0:
+        raise ValueError("n must be non-negative")
     lo, hi = 0, n
     while lo < hi:
         mid = (lo + hi) // 2
-        if meets(mid):
+        if _meets_target(mid, n, p, target):
             hi = mid
         else:
             lo = mid + 1
-    while lo > 0 and meets(lo - 1):
+    while lo > 0 and _meets_target(lo - 1, n, p, target):
         lo -= 1
-    while binom_cdf(lo, n, p) < target:
-        lo += 1
     return lo
 
 

@@ -1,9 +1,12 @@
 """Problem 1: minimum-cost dimensioning of the (M, T, Q) design.
 
-The cost depends on Q only through M and rises linearly in T, so for a
-fixed prosumer pool T the cheapest design takes the smallest reserve Q
-that meets the bad-behaviour target and the smallest pool M that meets
-the other two, or the start of a higher discount band.  One scan,
+The cost depends on M and T alone (the reserve shares the pool unit
+cost) and rises linearly in T, so for a fixed prosumer pool T the
+cheapest design takes the smallest reserve Q that meets the
+bad-behaviour target and the smallest pool M that meets the other two,
+or the start of a higher discount band.  Every target is judged by one
+rule, ``qos._meets_target``, which ``min_items_for_qos`` bisects on and
+``feasible`` checks, so a design the scan returns is feasible.  One scan,
 ``_scan``, walks T on this structure and is exact for every cost model:
 ``CostModel`` requires positive unit costs and ``DiscountSchedule``
 discounts in [0, 1), which is all the scan relies on.
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .cost import CostModel, cost_eval
-from .qos import QosReport, ScenarioParams, binom_cdf, min_items_for_qos, qos_all
+from .qos import QosReport, ScenarioParams, _meets_target, min_items_for_qos, qos_all
 
 __all__ = [
     "Design",
@@ -43,7 +46,7 @@ __all__ = [
 DESIGN_CSV_COLUMNS = (
     "N", "qos_target", "M", "T", "Q",
     "cost_total", "cost_per_consumer",
-    "qos_ns", "qos_s", "qos_b", "oracle_verified",
+    "qos_ns", "qos_s", "qos_b",
 )
 
 
@@ -69,7 +72,6 @@ class DesignReport:
     cost_real: float
     cost_per_consumer: float
     qos: QosReport
-    oracle_verified: bool = False
 
 
 @dataclass(frozen=True)
@@ -88,31 +90,21 @@ def feasible(params: ScenarioParams, d: Design) -> bool:
     n = params.n_consumers
     if not (n >= d.m >= d.q >= 0 and d.t >= d.q and n >= d.m - d.q + d.t):
         return False
-    rep = qos_all(params, d.m, d.t, d.q)
-    return (
-        rep.qos_ns >= params.qos_target_ns
-        and rep.qos_s >= params.qos_target_s
-        and rep.qos_b >= params.qos_target_b
+    return bool(
+        _meets_target(d.m, n, params.p_nonsurge, params.qos_target_ns)
+        and _meets_target(d.m - d.q + d.t, n, params.p_surge, params.qos_target_s)
+        and _meets_target(d.q, d.t, params.p_bad, params.qos_target_b)
     )
 
 
-def _min_items(n: int, p: float, target: float) -> int:
-    # min_items_for_qos requires target < 1; the cdf reaches 1 exactly at n.
-    if target >= 1.0:
-        return n
-    return min_items_for_qos(n, p, target)
-
-
-def _report(params: ScenarioParams, model: CostModel, d: Design,
-            verified: bool = False) -> DesignReport:
-    cost = cost_eval(d.m, d.t, d.q, model, "real")
+def _report(params: ScenarioParams, model: CostModel, d: Design) -> DesignReport:
+    cost = cost_eval(d.m, d.t, model)
     return DesignReport(
         params=params,
         design=d,
         cost_real=cost,
         cost_per_consumer=model.cost_per_consumer(cost, params.n_consumers),
         qos=qos_all(params, d.m, d.t, d.q),
-        oracle_verified=verified,
     )
 
 
@@ -124,8 +116,8 @@ def _pool_minima(params: ScenarioParams) -> Tuple[int, int]:
     # The smallest pool that meets the non-surge target, and the smallest
     # surge supply M - Q + T that meets the surge target.
     n = params.n_consumers
-    return (_min_items(n, params.p_nonsurge, params.qos_target_ns),
-            _min_items(n, params.p_surge, params.qos_target_s))
+    return (min_items_for_qos(n, params.p_nonsurge, params.qos_target_ns),
+            min_items_for_qos(n, params.p_surge, params.qos_target_s))
 
 
 def _m_candidates(model: CostModel, m_min: int, m_max: int):
@@ -142,8 +134,7 @@ def _scan(params: ScenarioParams, model: CostModel, prune: bool) -> DesignReport
     n = params.n_consumers
     m_ns, a_s = _pool_minima(params)
     if prune:
-        pool_floor = min(cost_eval(m, 0, 0, model, "real")
-                         for m in _m_candidates(model, m_ns, n))
+        pool_floor = min(cost_eval(m, 0, model) for m in _m_candidates(model, m_ns, n))
     # T = 0 always yields a candidate: Q = 0 and M = max(m_ns, a_s) <= N
     # meet all three targets, so ``best`` is set after the first pass.
     best: Optional[Tuple[float, int, int, int]] = None
@@ -153,18 +144,18 @@ def _scan(params: ScenarioParams, model: CostModel, prune: bool) -> DesignReport
             break
         # Minimum reserve for this prosumer pool; monotone in t, so a
         # moving pointer suffices.
-        while binom_cdf(q, t, params.p_bad) < params.qos_target_b:
+        while not _meets_target(q, t, params.p_bad, params.qos_target_b):
             q += 1
         m_min = max(m_ns, a_s - t + q, q)
         if m_min > n or m_min - q + t > n:
             continue
         # Larger M only tightens the N >= M - Q + T constraint; cap there.
         for m in _m_candidates(model, m_min, min(n, n + q - t)):
-            key = (cost_eval(m, t, q, model, "real"), m, t, q)
+            key = (cost_eval(m, t, model), m, t, q)
             if best is None or key < best:
                 best = key
     _, m, t, q = best
-    return _report(params, model, Design(m, t, q), verified=True)
+    return _report(params, model, Design(m, t, q))
 
 
 def brute_force_design(params: ScenarioParams, model: CostModel) -> DesignReport:
@@ -187,24 +178,23 @@ def _brute_force_full(params: ScenarioParams, model: CostModel) -> DesignReport:
     m_ns, a_s = _pool_minima(params)
     best: Optional[Tuple[float, int, int, int]] = None
     for t in range(0, n + 1):
-        # The smallest reserve by the cdf feasible() checks, found by a
+        # The smallest reserve by the rule feasible() checks, found by a
         # linear scan rather than min_items_for_qos.
         q_min = next(q for q in range(t + 1)
-                     if binom_cdf(q, t, params.p_bad) >= params.qos_target_b)
+                     if _meets_target(q, t, params.p_bad, params.qos_target_b))
         for q in range(q_min, t + 1):
             m_lo = max(m_ns, a_s - t + q, q)
             if m_lo > n or m_lo - q + t > n:
                 continue
             for m in range(m_lo, min(n, n + q - t) + 1):
-                cost = cost_eval(m, t, q, model, "real")
-                key = (cost, m, t, q)
+                key = (cost_eval(m, t, model), m, t, q)
                 if best is None or key < best:
                     best = key
     if best is None:
         raise InfeasibleDesignError(
             "no (M, T, Q) satisfies all constraints for these parameters")
     _, m, t, q = best
-    return _report(params, model, Design(m, t, q), verified=True)
+    return _report(params, model, Design(m, t, q))
 
 
 # ---------------------------------------------------------------------------
@@ -281,5 +271,4 @@ def write_design_csv(path, reports: Sequence[DesignReport]) -> None:
                 f"{rep.qos.qos_ns:.6f}",
                 f"{rep.qos.qos_s:.6f}",
                 f"{rep.qos.qos_b:.6f}",
-                str(rep.oracle_verified).lower(),
             ])

@@ -47,6 +47,14 @@ def test_schedule_validation():
         DiscountSchedule(breakpoints=((1, 0.0), (10, 0.2), (20, 0.1)))  # decreasing
     with pytest.raises(ValueError):
         DiscountSchedule(breakpoints=((1, 0.0), (10, 1.0)))  # 100% discount
+    for bad in (10.7, 10.0, "20", True, None):
+        with pytest.raises(TypeError, match=repr(bad)):
+            DiscountSchedule(breakpoints=((1, 0.0), (bad, 0.1)))
+    with pytest.raises(TypeError, match="True"):
+        DiscountSchedule(breakpoints=((True, 0.0), (20, 0.1)))
+    numpy_qty = DiscountSchedule(breakpoints=((np.int64(1), 0.0), (np.int32(10), 0.1)))
+    assert numpy_qty.breakpoints == ((1, 0.0), (10, 0.1))
+    assert type(numpy_qty.breakpoints[1][0]) is int
 
 
 def test_smooth_discount_validation():
@@ -135,44 +143,43 @@ def test_fit_zero_at_origin():
 
 def test_cost_eval_car_table_row():
     model = car_cost_model()
-    assert cost_eval(120, 216, 6, model, "real") == pytest.approx(1_220_400.0)
+    assert cost_eval(120, 216, model) == pytest.approx(1_220_400.0)
 
 
 def test_cost_eval_charger_table_row():
     model = charger_cost_model()
-    assert cost_eval(10, 14, 1, model, "real") == pytest.approx(285_160.0)
+    assert cost_eval(10, 14, model) == pytest.approx(285_160.0)
 
 
 def test_cost_eval_empty_design():
     for model in (car_cost_model(), charger_cost_model()):
-        for variant in ("linear", "real", "approx"):
-            assert cost_eval(0, 0, 0, model, variant) == 0.0
-
-
-def test_cost_eval_unknown_variant():
-    with pytest.raises(ValueError):
-        cost_eval(10, 10, 1, car_cost_model(), "magic")
+        assert cost_eval(0, 0, model) == 0.0
 
 
 def test_cost_eval_invalid_design():
     with pytest.raises(ValueError):
-        cost_eval(5, 3, 6, car_cost_model())
+        cost_eval(-1, 3, car_cost_model())
+    with pytest.raises(ValueError):
+        cost_eval(5, -1, car_cost_model())
+
+
+def _smooth_pool_cost(m, model):
+    return model.per_item_main * (1.0 - model.smooth.value(m)) * m
 
 
 @pytest.mark.parametrize("model", [car_cost_model(), charger_cost_model()])
 def test_real_never_exceeds_linear(model):
     for m in range(0, 2000, 37):
         for t in (0, 10, 500):
-            q = min(m, 3)
-            assert cost_eval(m, t, q, model, "real") <= cost_eval(m, t, q, model, "linear") + 1e-9
+            linear = model.per_item_main * m + model.per_item_prosumer * t
+            assert cost_eval(m, t, model) <= linear + 1e-9
 
 
 @pytest.mark.parametrize("model", [car_cost_model(), charger_cost_model()])
 def test_approx_tracks_real_within_5pct(model):
     for m in range(1, 6001):
-        real = cost_eval(m, 0, 0, model, "real")
-        approx = cost_eval(m, 0, 0, model, "approx")
-        assert abs(approx - real) / real <= 0.05
+        real = cost_eval(m, 0, model)
+        assert abs(_smooth_pool_cost(m, model) - real) / real <= 0.05
 
 
 @pytest.mark.parametrize("model", [car_cost_model(), charger_cost_model()])
@@ -181,7 +188,7 @@ def test_approx_pool_term_is_concave(model):
     # negative below it and vanishingly small beyond, so concavity is
     # asserted over the discount-relevant range up to the inflection.
     upper = int(2.0 / model.smooth.rate)
-    vals = [cost_eval(m, 0, 0, model, "approx") for m in range(1, upper + 1)]
+    vals = [_smooth_pool_cost(m, model) for m in range(1, upper + 1)]
     for a, b, c in zip(vals, vals[1:], vals[2:]):
         assert (c - b) - (b - a) <= 1e-4
 
@@ -189,13 +196,12 @@ def test_approx_pool_term_is_concave(model):
 @pytest.mark.parametrize("model", [car_cost_model(), charger_cost_model()])
 def test_cost_increasing_in_t(model):
     for t in range(0, 500, 11):
-        assert cost_eval(100, t + 1, 2, model, "real") > cost_eval(100, t, 2, model, "real")
+        assert cost_eval(100, t + 1, model) > cost_eval(100, t, model)
 
 
 @pytest.mark.parametrize("model", [car_cost_model(), charger_cost_model()])
-@pytest.mark.parametrize("variant", ["linear", "approx"])
-def test_smooth_variants_increasing_in_m(model, variant):
-    vals = [cost_eval(m, 0, 0, model, variant) for m in range(0, 3000)]
+def test_smooth_cost_increasing_in_m(model):
+    vals = [_smooth_pool_cost(m, model) for m in range(0, 3000)]
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
@@ -205,7 +211,7 @@ def test_real_cost_increasing_within_discount_bands(model):
     # starts, so monotonicity in M holds within each band only.
     edges = [bp[0] for bp in model.discount.breakpoints] + [4000]
     for lo, hi in zip(edges, edges[1:]):
-        vals = [cost_eval(m, 0, 0, model, "real") for m in range(lo, hi)]
+        vals = [cost_eval(m, 0, model) for m in range(lo, hi)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
@@ -218,6 +224,6 @@ def test_builtin_registry():
 
 def test_cost_per_consumer_annualized():
     model = charger_cost_model()
-    cost = cost_eval(10, 14, 1, model, "real")
+    cost = cost_eval(10, 14, model)
     # Decade total divided by ten years and 1000 consumers.
     assert model.cost_per_consumer(cost, 1000) == pytest.approx(28.516, abs=1e-3)

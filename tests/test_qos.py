@@ -202,6 +202,24 @@ def test_min_items_exact_near_target_one(target, expected):
     assert min_items_for_qos(1000, 0.3, target) == expected
 
 
+def test_min_items_target_one_needs_every_requester():
+    # Far above the mean the tail underflows to 0, yet only a = n serves
+    # every requester.
+    for n, p in ((1, 0.5), (47, 0.01), (300, 0.01), (1000, 0.3)):
+        assert min_items_for_qos(n, p, 1.0) == n
+    assert min_items_for_qos(0, 0.3, 1.0) == 0
+
+
+def test_min_items_rejects_bad_inputs():
+    with pytest.raises(ValueError, match="n must be"):
+        min_items_for_qos(-5, 0.3, 0.9)
+    for target in (0.0, 1.5, math.nan):
+        with pytest.raises(ValueError, match="target"):
+            min_items_for_qos(10, 0.3, target)
+    with pytest.raises(ValueError):
+        min_items_for_qos(10, 1.0, 0.9)
+
+
 def test_min_items_near_normal_approximation():
     z99 = 2.3263478740408408
     for n in (100, 400, 1500, 5000):

@@ -1,9 +1,11 @@
-"""The README's Python quick start runs and prints what its comments say."""
+"""The README's quick start runs as documented and its CSV columns match."""
 
 import contextlib
 import io
 import re
 from pathlib import Path
+
+from surgeshare.solver import DESIGN_CSV_COLUMNS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -26,3 +28,9 @@ def test_readme_quick_start_runs():
     for line, shown in zip(prints, printed):
         if "#" in line:
             assert line.split("#", 1)[1].strip().startswith(shown), (line, shown)
+
+
+def test_readme_design_csv_columns_match_the_writer():
+    text = " ".join(README.read_text().split())
+    listed = re.search(r"write the same design CSV: `([^`]*)`", text).group(1)
+    assert tuple(c.strip() for c in listed.split(",")) == DESIGN_CSV_COLUMNS
