@@ -113,6 +113,21 @@ class AimdTrace:
     total_iterations: int
 
 
+def _check_pool(problem: str, params: ScenarioParams, m: int, t: int) -> None:
+    # The inputs every entry point shares: a known problem, a pool of
+    # 0 <= M <= N items and 1 <= T <= N prosumers.
+    if problem not in PROBLEMS:
+        raise ValueError(f"problem must be one of {PROBLEMS}")
+    if t < 1:
+        raise ValueError("t must be at least 1")
+    if m < 0:
+        raise ValueError("m must be non-negative")
+    if m > params.n_consumers:
+        raise ValueError("m cannot exceed the consumer population")
+    if t > params.n_consumers:
+        raise ValueError("t cannot exceed the consumer population")
+
+
 def auto_config(problem: str, m: int, t: int, params: ScenarioParams,
                 seed: int = 0) -> AimdConfig:
     """Problem-specific defaults that behave well from N=1e3 to N=5e4.
@@ -124,10 +139,7 @@ def auto_config(problem: str, m: int, t: int, params: ScenarioParams,
     steps) because its backoff law saturates when the reserve average
     overshoots, leaving only a weak restoring force.
     """
-    if problem not in PROBLEMS:
-        raise ValueError(f"problem must be one of {PROBLEMS}")
-    if t < 1:
-        raise ValueError("t must be at least 1")
+    _check_pool(problem, params, m, t)
     if m < 2:
         raise ValueError("m must be at least 2")
     p_b = params.p_bad
@@ -196,14 +208,7 @@ def run_partition(problem: str, params: ScenarioParams, m: int, t: int,
     Non-convergence is reported through ``trace.converged_at is None``,
     not as an exception.
     """
-    if problem not in PROBLEMS:
-        raise ValueError(f"problem must be one of {PROBLEMS}")
-    if t < 1:
-        raise ValueError("t must be at least 1")
-    if m > params.n_consumers:
-        raise ValueError("m cannot exceed the consumer population")
-    if t > params.n_consumers:
-        raise ValueError("t cannot exceed the consumer population")
+    _check_pool(problem, params, m, t)
     if config is None:
         config = auto_config(problem, m, t, params)
     if config.z_init + config.q_init >= m:
@@ -298,8 +303,7 @@ def scan_oracle(problem: str, params: ScenarioParams, m: int,
     Maximization returns the argmax of QoS_s + QoS_b; equalization the
     argmin of |QoS_s - QoS_b|.  Ties break toward the smaller reserve.
     """
-    if problem not in PROBLEMS:
-        raise ValueError(f"problem must be one of {PROBLEMS}")
+    _check_pool(problem, params, m, t)
     q = _best_reserve(problem, params, m, t, range(0, min(m, t) + 1))
     return q, abs(_objective(problem, params, m, t, q))
 

@@ -77,9 +77,6 @@ class QosReport:
     qos_s: float
     qos_b: float
 
-    def as_dict(self) -> dict:
-        return {"qos_ns": self.qos_ns, "qos_s": self.qos_s, "qos_b": self.qos_b}
-
 
 def binom_cdf(a: int, n: int, p: float) -> float:
     """P[X <= a] for X ~ Binomial(n, p), with the saturating branches.
@@ -144,6 +141,9 @@ def qos_all(params: ScenarioParams, m: int, t: int, q: int) -> QosReport:
     minus reserve plus prosumer supply), A_b = Q (the reserve), with the
     bad-behaviour requester population being the T prosumers.
     """
+    for name, value in (("m", m), ("t", t), ("q", q)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise TypeError(f"{name} must be an integer; got {value!r}")
     if m < 0:
         raise ValueError("m must be non-negative")
     if q < 0 or t < 0:

@@ -1,11 +1,12 @@
 """Scenario file ingestion and the built-in scenario registry.
 
 A scenario file is a small INI document with sections ``[scenario]``,
-``[params]``, ``[cost_model]``, ``[solver]`` and ``[aimd]``.  Unknown
-sections or keys are rejected so typos surface immediately.  The eight
-table rows of each use case ship as built-ins named
-``car-n1000-98`` ... ``charger-n50000-99`` (the ``-98``/``-99`` suffix
-selects the QoS target; names without a suffix default to 98%).
+``[params]``, ``[cost_model]`` and ``[aimd]``; an old ``[solver]``
+section loads but is ignored with a warning.  Unknown sections or keys
+are rejected so typos surface immediately.  The eight table rows of each
+use case ship as built-ins named ``car-n1000-98`` ... ``charger-n50000-99``
+(the ``-98``/``-99`` suffix selects the QoS target; names without a
+suffix default to 98%).
 """
 
 from __future__ import annotations
@@ -48,31 +49,33 @@ _KINDS = {
     "params": _number_kinds(ScenarioParams),
     "cost_model": {"per_item_main": float, "per_item_prosumer": float,
                    "horizon_years": int},
-    "solver": _number_kinds(SolverOpts),
     "aimd": _number_kinds(AimdConfig),
 }
-# Knobs of an earlier approximate solver: still accepted so old files
-# load, but ignored with a warning.
-_IGNORED_SOLVER_KEYS = ("multistarts", "local_search_radius", "max_local_rounds")
 _SECTIONS = {
     "scenario": {"name"},
     "params": set(_KINDS["params"]),
     "cost_model": {"builtin", "discount", *_KINDS["cost_model"]},
-    "solver": {*_KINDS["solver"], *_IGNORED_SOLVER_KEYS},
+    # Options of earlier solvers: old files still load, with a warning,
+    # but the exact solver has no options.
+    "solver": {"optimality_gap", "multistarts", "local_search_radius",
+               "max_local_rounds"},
     "aimd": set(_KINDS["aimd"]),
 }
 
 
 @dataclass(frozen=True)
 class ScenarioFile:
-    """A fully validated scenario: parameters, cost model, options."""
+    """A fully validated scenario: parameters, cost model, AIMD options."""
 
     name: str
     params: ScenarioParams
     cost_model: CostModel
-    cost_model_name: str = ""
-    solver: SolverOpts = field(default_factory=SolverOpts)
     aimd: Dict[str, float] = field(default_factory=dict)
+
+    @property
+    def solver(self) -> SolverOpts:
+        # Callers that still pass solver options get the defaults.
+        return SolverOpts()
 
 
 def _builtin_table() -> Dict[str, ScenarioFile]:
@@ -100,7 +103,6 @@ def _builtin_table() -> Dict[str, ScenarioFile]:
                         qos_target_b=target,
                     ),
                     cost_model=get_cost_model(info["cost_model"]),
-                    cost_model_name=info["cost_model"],
                 )
                 table[name] = scenario
                 if pct == 98:
@@ -183,7 +185,6 @@ def load_scenario(path_or_name: str) -> ScenarioFile:
 
     name = parser.get("scenario", "name", fallback="")
 
-    cost_model_name = ""
     if "cost_model" in parser:
         section = parser["cost_model"]
         if "builtin" in section:
@@ -191,9 +192,8 @@ def load_scenario(path_or_name: str) -> ScenarioFile:
             if extra:
                 raise ScenarioError(
                     f"[cost_model] mixes 'builtin' with inline keys {sorted(extra)}")
-            cost_model_name = section["builtin"]
             try:
-                model = get_cost_model(cost_model_name)
+                model = get_cost_model(section["builtin"])
             except KeyError as exc:
                 raise ScenarioError(exc.args[0]) from None
         else:
@@ -210,28 +210,18 @@ def load_scenario(path_or_name: str) -> ScenarioFile:
             except ValueError as exc:
                 raise ScenarioError(f"invalid [cost_model]: {exc}") from exc
     else:
-        cost_model_name = "car-mg4-2025"
-        model = get_cost_model(cost_model_name)
+        model = get_cost_model("car-mg4-2025")
 
-    solver = SolverOpts()
     if "solver" in parser:
-        ignored = [k for k in parser["solver"] if k in _IGNORED_SOLVER_KEYS]
-        if ignored:
-            warnings.warn(
-                f"{path_or_name}: [solver] keys {ignored} are ignored; "
-                f"the minimum-cost solver is exact", stacklevel=2)
-        kwargs = {k: _coerce("solver", k, v) for k, v in parser["solver"].items()
-                  if k not in ignored}
-        solver = SolverOpts(**kwargs)
+        warnings.warn(
+            f"{path_or_name}: [solver] keys {list(parser['solver'])} are ignored; "
+            f"the minimum-cost solver is exact and has no options", stacklevel=2)
 
     aimd: Dict[str, float] = {}
     if "aimd" in parser:
         aimd = {k: _coerce("aimd", k, v) for k, v in parser["aimd"].items()}
 
-    return ScenarioFile(
-        name=name, params=params, cost_model=model,
-        cost_model_name=cost_model_name, solver=solver, aimd=aimd,
-    )
+    return ScenarioFile(name=name, params=params, cost_model=model, aimd=aimd)
 
 
 def _format_numbers(section: str, values: Dict[str, object]) -> Dict[str, str]:
@@ -245,18 +235,25 @@ def _format_numbers(section: str, values: Dict[str, object]) -> Dict[str, str]:
 
 
 def save_scenario(scenario: ScenarioFile, path: str) -> None:
-    """Write a scenario as canonical INI; load_scenario round-trips it."""
+    """Write a scenario as canonical INI; load_scenario round-trips it.
+
+    A cost model is written by name only when it equals that built-in;
+    any other is written inline and reloads unnamed, its smooth fit redone.
+    """
     parser = configparser.ConfigParser(interpolation=None)
     parser["scenario"] = {"name": scenario.name}
     parser["params"] = _format_numbers("params", vars(scenario.params))
-    if scenario.cost_model_name:
-        parser["cost_model"] = {"builtin": scenario.cost_model_name}
+    m = scenario.cost_model
+    try:
+        builtin = m == get_cost_model(m.name)
+    except KeyError:  # not a built-in name
+        builtin = False
+    if builtin:
+        parser["cost_model"] = {"builtin": m.name}
     else:
-        m = scenario.cost_model
         units = {k: getattr(m, k) for k in _KINDS["cost_model"]}
         parser["cost_model"] = {**_format_numbers("cost_model", units),
                                 "discount": _format_discount(m.discount)}
-    parser["solver"] = _format_numbers("solver", vars(scenario.solver))
     if scenario.aimd:
         parser["aimd"] = _format_numbers("aimd", scenario.aimd)
     with open(path, "w") as fh:

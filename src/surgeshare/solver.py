@@ -76,10 +76,10 @@ class DesignReport:
 
 @dataclass(frozen=True)
 class SolverOpts:
-    """The ``[solver]`` section of a scenario file.
+    """Options of ``solve_min_cost``, which the exact solver ignores.
 
-    ``optimality_gap`` is kept so existing scenario files and callers
-    keep working; the exact solver does not read it.
+    Kept only so callers that pass them keep working; scenario files no
+    longer carry a ``[solver]`` section.
     """
 
     optimality_gap: float = 0.01
@@ -120,12 +120,12 @@ def _pool_minima(params: ScenarioParams) -> Tuple[int, int]:
             min_items_for_qos(n, params.p_surge, params.qos_target_s))
 
 
-def _m_candidates(model: CostModel, m_min: int, m_max: int):
+def _m_candidates(starts: List[int], m_min: int, m_max: int):
     # The discounted pool term can drop where a discount band begins, so
     # the cheapest pool of size >= m_min is either m_min itself or the
-    # first item count of a higher band.
+    # first item count of a higher band; ``starts`` lists those counts.
     yield m_min
-    for min_qty, _ in model.discount.breakpoints:
+    for min_qty in starts:
         if m_min < min_qty <= m_max:
             yield min_qty
 
@@ -133,8 +133,11 @@ def _m_candidates(model: CostModel, m_min: int, m_max: int):
 def _scan(params: ScenarioParams, model: CostModel, prune: bool) -> DesignReport:
     n = params.n_consumers
     m_ns, a_s = _pool_minima(params)
+    # Every pool is at least m_ns, so only the bands starting above it
+    # can hold a candidate; at large N there are none.
+    starts = [min_qty for min_qty, _ in model.discount.breakpoints if min_qty > m_ns]
     if prune:
-        pool_floor = min(cost_eval(m, 0, model) for m in _m_candidates(model, m_ns, n))
+        pool_floor = min(cost_eval(m, 0, model) for m in _m_candidates(starts, m_ns, n))
     # T = 0 always yields a candidate: Q = 0 and M = max(m_ns, a_s) <= N
     # meet all three targets, so ``best`` is set after the first pass.
     best: Optional[Tuple[float, int, int, int]] = None
@@ -150,7 +153,7 @@ def _scan(params: ScenarioParams, model: CostModel, prune: bool) -> DesignReport
         if m_min > n or m_min - q + t > n:
             continue
         # Larger M only tightens the N >= M - Q + T constraint; cap there.
-        for m in _m_candidates(model, m_min, min(n, n + q - t)):
+        for m in _m_candidates(starts, m_min, min(n, n + q - t)):
             key = (cost_eval(m, t, model), m, t, q)
             if best is None or key < best:
                 best = key

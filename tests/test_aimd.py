@@ -162,6 +162,23 @@ def test_run_partition_validates_inputs():
         make_config(seed=-1)
 
 
+# The three entry points share one check of the pool against N.
+@pytest.mark.parametrize("entry", [run_partition, scan_oracle,
+                                   lambda problem, params, m, t: auto_config(problem, m, t, params)],
+                         ids=["run_partition", "scan_oracle", "auto_config"])
+@pytest.mark.parametrize("m, t, message", [
+    (-5, 10, "m must be non-negative"),
+    (2000, 215, "m cannot exceed the consumer population"),
+    (120, 5000, "t cannot exceed the consumer population"),
+    (120, 0, "t must be at least 1"),
+])
+def test_entry_points_validate_the_pool(entry, m, t, message):
+    with pytest.raises(ValueError, match=message):
+        entry("maximize", CAR_1000, m, t)
+    with pytest.raises(ValueError, match="problem must be one of"):
+        entry("optimize", CAR_1000, 120, 215)
+
+
 def test_aimd_config_accepts_range_edges():
     make_config(gamma_target=1.0, lam_min=0.0, max_iterations=1)
     make_config(lam_min=1.0)

@@ -165,6 +165,16 @@ def test_qos_all_rejects_reserve_above_pool():
         qos_all(CAR, 5, 3, 4)
 
 
+def test_qos_all_rejects_non_integer_items():
+    # A fractional reserve would be truncated by the cdf, and True would
+    # count as one item.
+    for args, name in (((120, 215, 6.5), "q"), ((True, 215, 0), "m"),
+                       ((120, "215", 6), "t")):
+        with pytest.raises(TypeError, match=f"{name} must be an integer"):
+            qos_all(CAR, *args)
+    assert qos_all(CAR, np.int64(120), np.uint16(216), np.int32(6)) == qos_all(CAR, 120, 216, 6)
+
+
 def test_qos_s_depends_only_on_m_minus_q_plus_t():
     base = qos_all(CAR, 120, 216, 6).qos_s
     for delta in (-30, -5, 1, 12, 50):

@@ -1,10 +1,13 @@
-"""The README's quick start runs as documented and its CSV columns match."""
+"""The README's quick start runs as documented, its scenario file loads
+and its CSV columns match."""
 
 import contextlib
 import io
 import re
+import warnings
 from pathlib import Path
 
+from surgeshare.scenarios import load_scenario, save_scenario
 from surgeshare.solver import DESIGN_CSV_COLUMNS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -34,3 +37,16 @@ def test_readme_design_csv_columns_match_the_writer():
     text = " ".join(README.read_text().split())
     listed = re.search(r"write the same design CSV: `([^`]*)`", text).group(1)
     assert tuple(c.strip() for c in listed.split(",")) == DESIGN_CSV_COLUMNS
+
+
+def test_readme_scenario_file_loads_and_round_trips(tmp_path):
+    text = README.read_text()
+    section = text[text.index("## Scenario files"):]
+    example = tmp_path / "example.ini"
+    example.write_text(re.search(r"```ini\n(.*?)```", section, re.S).group(1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sc = load_scenario(str(example))
+    saved = tmp_path / "saved.ini"
+    save_scenario(sc, str(saved))
+    assert load_scenario(str(saved)) == sc

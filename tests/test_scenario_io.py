@@ -6,6 +6,7 @@ import dataclasses
 import os
 import tempfile
 import typing
+import warnings
 
 import numpy as np
 import pytest
@@ -23,13 +24,13 @@ from surgeshare import (
     auto_config,
     builtin_scenario_names,
     car_cost_model,
+    charger_cost_model,
     get_cost_model,
     load_scenario,
     save_scenario,
 )
 from surgeshare import aimd, cli, solver
 from surgeshare.cli import cli_dispatch
-from surgeshare.solver import SolverOpts
 
 
 def test_builtin_car_scenario():
@@ -38,7 +39,14 @@ def test_builtin_car_scenario():
     assert p.n_consumers == 1000
     assert p.p_nonsurge == 0.1 and p.p_surge == 0.3 and p.p_bad == 0.01
     assert p.qos_target_ns == p.qos_target_s == p.qos_target_b == 0.98
-    assert sc.cost_model_name == "car-mg4-2025"
+    assert sc.cost_model == get_cost_model("car-mg4-2025")
+
+
+def test_scenario_file_fields():
+    # The cost model is the one record of which model a scenario uses,
+    # and the exact solver takes no options.
+    assert [f.name for f in dataclasses.fields(ScenarioFile)] == [
+        "name", "params", "cost_model", "aimd"]
 
 
 def test_builtin_charger_scenario():
@@ -105,6 +113,56 @@ def test_round_trip_builtin_model(tmp_path):
     path = tmp_path / "car.ini"
     save_scenario(sc, str(path))
     assert load_scenario(str(path)) == sc
+    text = path.read_text()
+    assert "builtin = car-mg4-2025" in text and "[solver]" not in text
+
+
+def test_round_trip_builtin_model_object(tmp_path):
+    # A built-in model needs no name beside it to be saved by name.
+    sc = ScenarioFile("x", ScenarioParams(250, 0.1, 0.3, 0.01), car_cost_model())
+    path = tmp_path / "x.ini"
+    save_scenario(sc, str(path))
+    assert "builtin = car-mg4-2025" in path.read_text()
+    assert load_scenario(str(path)) == sc
+
+
+def test_round_trip_edited_builtin_model(tmp_path):
+    # An edited built-in keeps the built-in's name but not its values, so
+    # it is saved inline and reloads unnamed.
+    sc = load_scenario("car-n1000-98")
+    edited = dataclasses.replace(sc, cost_model=dataclasses.replace(
+        sc.cost_model, per_item_main=1.0))
+    path = tmp_path / "edited.ini"
+    save_scenario(edited, str(path))
+    loaded = load_scenario(str(path))
+    assert loaded.cost_model.per_item_main == 1.0
+    assert loaded.cost_model.name == ""
+    assert _unfitted(loaded) == _unfitted(edited)
+
+
+def _with_solver_section(tmp_path, section):
+    path = tmp_path / "old.ini"
+    path.write_text("[params]\nn_consumers = 100\np_nonsurge = 0.1\n"
+                    "p_surge = 0.3\np_bad = 0.01\n[solver]\n" + section)
+    return str(path)
+
+
+def test_solver_section_is_ignored_with_one_warning(tmp_path):
+    path = _with_solver_section(tmp_path, "optimality_gap = 0.02\nmultistarts = 3\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sc = load_scenario(path)
+    assert len(caught) == 1 and caught[0].category is UserWarning
+    message = str(caught[0].message)
+    assert path in message and "optimality_gap" in message and "multistarts" in message
+    # None of the values is read, so even a non-number loads.
+    with pytest.warns(UserWarning):
+        assert load_scenario(_with_solver_section(tmp_path, "optimality_gap = x\n")) == sc
+
+
+def test_solver_section_rejects_unknown_key(tmp_path):
+    with pytest.raises(ScenarioError, match="bogus"):
+        load_scenario(_with_solver_section(tmp_path, "bogus = 1\n"))
 
 
 def test_round_trip_inline_model(tmp_path):
@@ -125,8 +183,7 @@ def test_round_trip_inline_model(tmp_path):
     with pytest.warns(UserWarning, match="multistarts"):
         sc = load_scenario(str(src))
     assert sc.name == "bikes"
-    assert sc.cost_model_name == ""
-    assert sc.solver == SolverOpts()
+    assert sc.cost_model.name == ""
     assert sc.aimd == {"seed": 9, "alpha": 0.5}
     out = tmp_path / "bikes_rt.ini"
     save_scenario(sc, str(out))
@@ -138,8 +195,6 @@ def test_round_trip_with_custom_options(tmp_path):
         name="custom",
         params=ScenarioParams(250, 0.1, 0.3, 0.01, 0.95, 0.95, 0.95),
         cost_model=car_cost_model(),
-        cost_model_name="car-mg4-2025",
-        solver=SolverOpts(optimality_gap=0.02),
         aimd={"seed": 4, "beta": 0.9},
     )
     path = tmp_path / "custom.ini"
@@ -161,23 +216,25 @@ def scenario_files(draw):
         *(as_float(draw(probability)) for _ in range(3)),
         *(as_float(draw(target)) for _ in range(3)),
     )
-    if draw(st.booleans()):
-        cost_model_name = draw(st.sampled_from(["car-mg4-2025", "charger-dc60-2025"]))
-        model = get_cost_model(cost_model_name)
+    quantities = draw(st.lists(st.integers(2, 5000), max_size=5, unique=True))
+    fractions = sorted(draw(st.lists(st.floats(0.0, 0.99), min_size=len(quantities),
+                                     max_size=len(quantities))))
+    unit = st.floats(0.0, exclude_min=True, allow_infinity=False)
+    fields = dict(
+        per_item_main=as_float(draw(unit)),
+        per_item_prosumer=as_float(draw(unit)),
+        discount=DiscountSchedule(((1, 0.0),) + tuple(zip(sorted(quantities), fractions))),
+        horizon_years=as_int(draw(st.integers(1, 100))),
+    )
+    kind = draw(st.sampled_from(["builtin", "edited", "inline"]))
+    if kind == "inline":
+        # load_scenario refits smooth; the comparison below ignores it.
+        model = CostModel(**fields, smooth=SmoothDiscount(0.0, 1.0))
     else:
-        cost_model_name = ""
-        quantities = draw(st.lists(st.integers(2, 5000), max_size=5, unique=True))
-        fractions = sorted(draw(st.lists(st.floats(0.0, 0.99), min_size=len(quantities),
-                                         max_size=len(quantities))))
-        unit = st.floats(0.0, exclude_min=True, allow_infinity=False)
-        model = CostModel(
-            per_item_main=as_float(draw(unit)),
-            per_item_prosumer=as_float(draw(unit)),
-            discount=DiscountSchedule(((1, 0.0),) + tuple(zip(sorted(quantities), fractions))),
-            # load_scenario refits this; the comparison below ignores it.
-            smooth=SmoothDiscount(0.0, 1.0),
-            horizon_years=as_int(draw(st.integers(1, 100))),
-        )
+        model = get_cost_model(draw(st.sampled_from(["car-mg4-2025", "charger-dc60-2025"])))
+        if kind == "edited":
+            key = draw(st.sampled_from(sorted(fields)))
+            model = dataclasses.replace(model, **{key: fields[key]})
     hints = typing.get_type_hints(AimdConfig)
     keys = draw(st.lists(st.sampled_from(sorted(hints)), unique=True))
     aimd_values = {
@@ -189,17 +246,16 @@ def scenario_files(draw):
         name=draw(st.text("abcXYZ019_-.", max_size=12)),
         params=params,
         cost_model=model,
-        cost_model_name=cost_model_name,
-        solver=SolverOpts(as_float(draw(st.floats(allow_nan=False)))),
         aimd=aimd_values,
     )
 
 
 def _unfitted(sc):
-    # Cost models compared by the fields a scenario file stores.
+    # Cost models compared by the numbers a scenario file stores: a model
+    # saved inline reloads unnamed, with its smooth fit redone.
     m = sc.cost_model
     return dataclasses.replace(sc, cost_model=(
-        m.per_item_main, m.per_item_prosumer, m.discount, m.horizon_years, m.name))
+        m.per_item_main, m.per_item_prosumer, m.discount, m.horizon_years))
 
 
 @settings(max_examples=60, deadline=None)
@@ -207,20 +263,22 @@ def _unfitted(sc):
     name="bikes",
     params=ScenarioParams(np.int64(400), np.float64(0.07), 0.22, 0.02),
     cost_model=car_cost_model(),
-    cost_model_name="car-mg4-2025",
 ))
 @given(scenario_files())
 def test_round_trip_fuzz(sc):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "sc.ini")
         save_scenario(sc, path)
-        assert _unfitted(load_scenario(path)) == _unfitted(sc)
+        loaded = load_scenario(path)
+    assert _unfitted(loaded) == _unfitted(sc)
+    # A built-in that was not edited reloads as itself, name and fit too.
+    if sc.cost_model in (car_cost_model(), charger_cost_model()):
+        assert loaded == sc
 
 
 def test_save_rejects_fractional_integer_key(tmp_path):
     sc = ScenarioFile(name="x", params=ScenarioParams(250, 0.1, 0.3, 0.01),
-                      cost_model=car_cost_model(), cost_model_name="car-mg4-2025",
-                      aimd={"seed": 4.5})
+                      cost_model=car_cost_model(), aimd={"seed": 4.5})
     with pytest.raises(TypeError):
         save_scenario(sc, str(tmp_path / "x.ini"))
 
@@ -229,8 +287,7 @@ def test_sections_take_their_keys_from_the_dataclasses(tmp_path):
     config = dataclasses.replace(auto_config("equalize", 120, 215, load_scenario(
         "car-n1000").params, seed=3), gamma=0.5)
     sc = ScenarioFile(name="full", params=ScenarioParams(250, 0.1, 0.3, 0.01),
-                      cost_model=car_cost_model(), cost_model_name="car-mg4-2025",
-                      aimd=dataclasses.asdict(config))
+                      cost_model=car_cost_model(), aimd=dataclasses.asdict(config))
     path = tmp_path / "full.ini"
     save_scenario(sc, str(path))
     parser = configparser.ConfigParser(interpolation=None)
