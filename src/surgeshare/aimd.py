@@ -9,9 +9,14 @@ problem, or the QoS level itself for the equalization problem.  The
 only shared information is the single-bit capacity signal.
 
 ``run_partition`` runs both problems in one loop; the problem only
-picks the backoff-rate function, once per run.  Each iteration is
-either an additive step or a capacity event, and appends one row to
-the optional trace.
+picks the backoff-rate function, built once per run with its constants
+hoisted.  The loop is event-driven: each pass of it is one capacity
+event, preceded by a tight additive phase that grows both claims until
+the pool saturates, so the rate kernels, the random draws (taken in
+blocks) and the convergence test run once per event, not once per
+iteration.  The result is bit-identical to a per-iteration loop that
+adds alpha one step at a time and draws one uniform at a time, for
+every seed; the optional trace still has one row per iteration.
 
 A centralized ``scan_oracle`` provides ground truth for both problems.
 """
@@ -26,13 +31,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .qos import (
-    QosReport,
-    ScenarioParams,
-    binom_cdf_cont,
-    binom_pmf_cont,
-    qos_all,
-)
+from .qos import QosReport, ScenarioParams, _cdf_cont_pair, _pmf_cont, qos_all
 
 __all__ = [
     "AimdConfig",
@@ -47,6 +46,7 @@ __all__ = [
 
 PROBLEMS = ("maximize", "equalize")
 TRACE_CSV_COLUMNS = ("iter", "z", "q", "capacity_event", "z_avg", "q_avg")
+_DRAW_BLOCK = 4096  # uniform draws per Generator call; even, two per event
 
 
 @dataclass(frozen=True)
@@ -163,25 +163,35 @@ def auto_config(problem: str, m: int, t: int, params: ScenarioParams,
     )
 
 
-def _rates_maximize(z_avg: float, q_avg: float, t: int,
-                    params: ScenarioParams) -> Tuple[float, float]:
-    # Gradient of the QoS sum: the pmf of each agent's population at its
-    # average claim (surge cdf argument shifted by T per the QoS_s form).
-    dc = z_avg * binom_pmf_cont(z_avg + t, params.n_consumers, params.p_surge)
-    dp = q_avg * binom_pmf_cont(q_avg, t, params.p_bad)
-    rc = 1.0 / dc if dc > 1e-300 else math.inf
-    rp = 1.0 / dp if dp > 1e-300 else math.inf
-    return rc, rp
+def _rate_function(problem: str, params: ScenarioParams, t: int):
+    """The raw backoff rates (rc, rp) of one run as a function of the
+    averages, with every constant of the rate law computed once.
 
+    Maximization uses the gradient of the QoS sum: the pmf of each
+    agent's population at its average claim (the surge argument shifted
+    by T, as in QoS_s), inverted.  Equalization uses the QoS level over
+    the average claim, so the better-served agent backs off more often
+    and the two QoS values are pushed together.
+    """
+    n = params.n_consumers
+    if problem == "maximize":
+        pmf_c = _pmf_cont(n, params.p_surge)
+        pmf_p = _pmf_cont(t, params.p_bad)
 
-def _rates_equalize(z_avg: float, q_avg: float, t: int,
-                    params: ScenarioParams) -> Tuple[float, float]:
-    # QoS level over average claim: the better-served agent backs off
-    # more often, pushing the two QoS values together.
-    rc = (binom_cdf_cont(z_avg + t, params.n_consumers, params.p_surge)
-          / max(z_avg, 1e-12))
-    rp = binom_cdf_cont(q_avg, t, params.p_bad) / max(q_avg, 1e-12)
-    return rc, rp
+        def rates(z_avg: float, q_avg: float) -> Tuple[float, float]:
+            dc = z_avg * pmf_c(z_avg + t)
+            dp = q_avg * pmf_p(q_avg)
+            return (1.0 / dc if dc > 1e-300 else math.inf,
+                    1.0 / dp if dp > 1e-300 else math.inf)
+        return rates
+
+    cdf_pair = _cdf_cont_pair(n, params.p_surge, t, params.p_bad)
+
+    def rates(z_avg: float, q_avg: float) -> Tuple[float, float]:
+        cc, cp = cdf_pair(z_avg + t, q_avg)
+        return (cc / (1e-12 if z_avg < 1e-12 else z_avg),
+                cp / (1e-12 if q_avg < 1e-12 else q_avg))
+    return rates
 
 
 def _objective(problem: str, params: ScenarioParams, m: int, t: int, q: int) -> float:
@@ -214,13 +224,16 @@ def run_partition(problem: str, params: ScenarioParams, m: int, t: int,
     if config.z_init + config.q_init >= m:
         raise ValueError("initial states must satisfy z_init + q_init < M")
 
-    rates = _rates_maximize if problem == "maximize" else _rates_equalize
+    rates = _rate_function(problem, params, t)
     rng = np.random.Generator(np.random.Philox(config.seed))
     alpha, beta, lam_min = config.alpha, config.beta, config.lam_min
     gamma = config.gamma
+    limit = config.max_iterations
     z, q = config.z_init, config.q_init
     z_avg = q_avg = 0.0
-    k = 0
+    k = 0  # capacity events so far
+    l = 0  # iterations so far
+    draws, d = [], 0  # a block of uniform draws and the next one to use
 
     z_hist = array("d")
     q_hist = array("d")
@@ -228,61 +241,82 @@ def run_partition(problem: str, params: ScenarioParams, m: int, t: int,
     za_hist = array("d")
     qa_hist = array("d")
 
-    # Per-event average history for the windowed convergence test.
-    za_events = array("d")
-    qa_events = array("d")
+    # The windowed convergence test compares the averages with their
+    # values ``window`` events back; a ring of window + 1 slots holds
+    # them, indexed by event number.
     window = config.convergence_window
+    ring = window + 1
+    za_ring = [0.0] * ring
+    qa_ring = [0.0] * ring
     min_events = 5 * window
     tol = config.convergence_tol
     converged_at = None
 
-    for l in range(config.max_iterations):
-        event = z + q >= m
-        if event:
-            # Capacity event: fold the saturated claims into the running
-            # averages.  The trace records these claims; the backoff
-            # outcome shows from the next iteration on.
-            k += 1
-            z_avg += (z - z_avg) / k
-            q_avg += (q - q_avg) / k
-        else:
-            # Additive-increase phase: both agents grow by alpha.
+    # Each pass is one capacity event, at iteration l.
+    while True:
+        # Additive-increase phase: both agents grow by alpha until the
+        # pool saturates.  Repeated addition, not z + j*alpha, keeps the
+        # rounding of a per-iteration loop.
+        while z + q < m and l < limit:
             z += alpha
             q += alpha
+            l += 1
+            if record:
+                z_hist.append(z)
+                q_hist.append(q)
+                ev_hist.append(0)
+                za_hist.append(z_avg)
+                qa_hist.append(q_avg)
+        if l == limit:
+            break
+        # Capacity event: fold the saturated claims into the running
+        # averages.  The trace records these claims; the backoff outcome
+        # shows from the next iteration on.
+        k += 1
+        z_avg += (z - z_avg) / k
+        q_avg += (q - q_avg) / k
         if record:
             z_hist.append(z)
             q_hist.append(q)
-            ev_hist.append(event)
+            ev_hist.append(1)
             za_hist.append(z_avg)
             qa_hist.append(q_avg)
-        if not event:
-            continue
         # Probabilistic multiplicative backoff.  The agent that does not
         # back off holds its claim, which keeps the pool occupancy below
         # M + 2*alpha at all times.
-        rc, rp = rates(z_avg, q_avg, t, params)
+        rc, rp = rates(z_avg, q_avg)
         if gamma is None:
             worst = max(rc, rp)
             target = config.gamma_target
             gamma = target / worst if math.isfinite(worst) and worst > 0 else target
-        # An infinite rate clamps to 1; gamma > 0 rules out NaN.
-        lam_c = min(max(gamma * rc, lam_min), 1.0)
-        lam_p = min(max(gamma * rp, lam_min), 1.0)
-        if rng.random() < lam_c:
+        # Clamp to [lam_min, 1]; an infinite rate clamps to 1, and a NaN
+        # (an infinite gamma times a zero rate) passes through and never
+        # backs off.
+        lam_c = gamma * rc
+        lam_c = lam_min if lam_c < lam_min else 1.0 if lam_c > 1.0 else lam_c
+        lam_p = gamma * rp
+        lam_p = lam_min if lam_p < lam_min else 1.0 if lam_p > 1.0 else lam_p
+        # Two draws per event, consumers first; a block gives the same
+        # stream as scalar draws.
+        if d == len(draws):
+            draws, d = rng.random(_DRAW_BLOCK).tolist(), 0
+        if draws[d] < lam_c:
             z *= beta
-        if rng.random() < lam_p:
+        if draws[d + 1] < lam_p:
             q *= beta
-        za_events.append(z_avg)
-        qa_events.append(q_avg)
+        d += 2
+        za_ring[k % ring] = z_avg
+        qa_ring[k % ring] = q_avg
         if k >= min_events:
-            dz = abs(z_avg - za_events[k - 1 - window])
-            dq = abs(q_avg - qa_events[k - 1 - window])
+            dz = abs(z_avg - za_ring[(k - window) % ring])
+            dq = abs(q_avg - qa_ring[(k - window) % ring])
             if (dz <= tol * max(abs(z_avg), 1.0)
                     and dq <= tol * max(abs(q_avg), 1.0)):
                 converged_at = l
                 break
+        l += 1
 
-    total = config.max_iterations if converged_at is None else converged_at + 1
+    total = limit if converged_at is None else converged_at + 1
     trace = AimdTrace(
         z=z_hist, q=q_hist, capacity_event=ev_hist,
         z_avg_series=za_hist, q_avg_series=qa_hist,

@@ -17,6 +17,7 @@ import numbers
 import statistics
 from dataclasses import dataclass
 
+import numpy as np
 from scipy import special
 
 __all__ = [
@@ -105,33 +106,75 @@ def binom_cdf_cont(x: float, n: int, p: float) -> float:
     _check_probability(p)
     if n < 1:
         raise ValueError("n must be at least 1")
+    saturated, a, b = _cdf_cont_terms(x, n)
+    if saturated is not None:
+        return saturated
+    return float(special.betainc(a, b, 1.0 - p))
+
+
+def _cdf_cont_terms(x: float, n: int):
+    """``binom_cdf_cont(x, n, p)`` as ``(saturated, a, b)``, unchecked.
+
+    ``saturated`` is 1.0 at x >= n and 0.0 at x <= -1; otherwise it is
+    None and the cdf is I_{1-p}(a, b).  The shapes of a saturated
+    threshold are a harmless (1, 1), so a batched call may evaluate them.
+    """
     if x >= n:
-        return 1.0
+        return 1.0, 1.0, 1.0
     if x <= -1.0:
-        return 0.0
-    return float(special.betainc(n - x, x + 1.0, 1.0 - p))
+        return 0.0, 1.0, 1.0
+    return None, n - x, x + 1.0
+
+
+def _cdf_cont_pair(n0: int, p0: float, n1: int, p1: float):
+    """Unchecked ``binom_cdf_cont`` for two fixed (n, p) as f(x0, x1).
+
+    Each use makes one ``special.betainc`` call over two-slot buffers
+    allocated here once, which costs less than two scalar calls and
+    gives the same values.
+    """
+    a, b, out = np.empty(2), np.empty(2), np.empty(2)
+    q = np.array([1.0 - p0, 1.0 - p1])
+    betainc = special.betainc
+
+    def cdf_pair(x0: float, x1: float):
+        s0, a[0], b[0] = _cdf_cont_terms(x0, n0)
+        s1, a[1], b[1] = _cdf_cont_terms(x1, n1)
+        c0, c1 = betainc(a, b, q, out=out).tolist()
+        return (c0 if s0 is None else s0), (c1 if s1 is None else s1)
+
+    return cdf_pair
 
 
 def binom_pmf_cont(x: float, n: int, p: float) -> float:
     """Gamma-function extension of the binomial pmf; 0 outside [0, n].
 
     Evaluated fully in log space so it stays finite for n up to 1e5.
-    Uses math.lgamma rather than a vectorized special function because
-    the AIMD inner loop calls this with scalars millions of times.
+    Uses scalar math.lgamma: the AIMD kernel evaluates the pmf once per
+    capacity event through ``_pmf_cont``, where a numpy ufunc call would
+    cost more than it saves and ``gammaln`` may differ in the last bits.
     """
     _check_probability(p)
     if n < 1:
         raise ValueError("n must be at least 1")
-    if x < 0.0 or x > n:
-        return 0.0
-    log_pmf = (
-        math.lgamma(n + 1.0)
-        - math.lgamma(x + 1.0)
-        - math.lgamma(n - x + 1.0)
-        + x * math.log(p)
-        + (n - x) * math.log1p(-p)
-    )
-    return math.exp(log_pmf)
+    return _pmf_cont(n, p)(x)
+
+
+def _pmf_cont(n: int, p: float):
+    """Unchecked ``binom_pmf_cont`` for a fixed n and p, as a function of x.
+
+    lgamma(n + 1), log p and log1p(-p) are computed once, here.
+    """
+    log_norm, log_p, log_q = math.lgamma(n + 1.0), math.log(p), math.log1p(-p)
+    lgamma, exp = math.lgamma, math.exp
+
+    def pmf(x: float) -> float:
+        if x < 0.0 or x > n:
+            return 0.0
+        return exp(log_norm - lgamma(x + 1.0) - lgamma(n - x + 1.0)
+                   + x * log_p + (n - x) * log_q)
+
+    return pmf
 
 
 def qos_all(params: ScenarioParams, m: int, t: int, q: int) -> QosReport:

@@ -4,15 +4,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from surgeshare import (
     AimdConfig,
     ScenarioParams,
     auto_config,
     binom_cdf,
+    binom_cdf_cont,
+    binom_pmf_cont,
+    qos_all,
     run_partition,
     scan_oracle,
 )
+from surgeshare.aimd import PROBLEMS
 
 CAR_1000 = ScenarioParams(1000, 0.1, 0.3, 0.01)
 
@@ -229,3 +235,150 @@ def test_seeded_maximize_outcomes_are_pinned(n, m, t, q_star, iterations, events
     assert trace.capacity_count == events
     assert trace.converged_at == iterations - 1
     assert trace.z_avg.hex() == z_avg and trace.q_avg.hex() == q_avg
+
+
+@pytest.mark.parametrize("n, m, t, q_star, iterations, events, z_avg, q_avg", [
+    (1000, 120, 215, 5, 458857, 100705, "0x1.c9f131657a31bp+6", "0x1.6103a2d5ee1e4p+2"),
+    (5000, 545, 1040, 17, 476146, 104422, "0x1.079a4195515e2p+9", "0x1.1cca1bb837fd8p+4"),
+])
+def test_seeded_equalize_outcomes_are_pinned(n, m, t, q_star, iterations, events,
+                                             z_avg, q_avg):
+    # The equalize twin of the maximize pins: its rates come from the
+    # incomplete beta function rather than the log-gamma pmf.
+    params = ScenarioParams(n, 0.1, 0.3, 0.01)
+    config = auto_config("equalize", m, t, params, seed=0)
+    trace, got_q_star, _ = run_partition("equalize", params, m, t, config, record=False)
+    assert got_q_star == q_star
+    assert trace.total_iterations == iterations
+    assert trace.capacity_count == events
+    assert trace.converged_at == iterations - 1
+    assert trace.z_avg.hex() == z_avg and trace.q_avg.hex() == q_avg
+
+
+def test_unconverged_record_run_has_one_row_per_iteration():
+    # 1234 iterations stop inside an additive phase; the trace still
+    # holds exactly one row per iteration.
+    config = make_config(alpha=0.5, gamma=None, max_iterations=1234)
+    trace, _, _ = run_partition("equalize", CAR_1000, 120, 215, config)
+    assert trace.converged_at is None and trace.total_iterations == 1234
+    for series in (trace.z, trace.q, trace.capacity_event,
+                   trace.z_avg_series, trace.q_avg_series):
+        assert len(series) == 1234
+    assert 0 < trace.capacity_count == sum(trace.capacity_event) < 1234
+
+
+def _reference_run(problem, params, m, t, config, record):
+    """Independent reference: a per-iteration AIMD loop written straight
+    through, one scalar draw and one public rate kernel call at a time.
+    Returns what ``run_partition`` returns as comparable plain values."""
+    n = params.n_consumers
+    rng = np.random.Generator(np.random.Philox(config.seed))
+    gamma = config.gamma
+    z, q = config.z_init, config.q_init
+    z_avg = q_avg = 0.0
+    k = 0
+    hist = ([], [], [], [], [])
+    za_events, qa_events = [], []
+    window = config.convergence_window
+    converged_at = None
+    for l in range(config.max_iterations):
+        event = z + q >= m
+        if event:
+            k += 1
+            z_avg += (z - z_avg) / k
+            q_avg += (q - q_avg) / k
+        else:
+            z += config.alpha
+            q += config.alpha
+        if record:
+            for series, value in zip(hist, (z, q, int(event), z_avg, q_avg)):
+                series.append(value)
+        if not event:
+            continue
+        if problem == "maximize":
+            dc = z_avg * binom_pmf_cont(z_avg + t, n, params.p_surge)
+            dp = q_avg * binom_pmf_cont(q_avg, t, params.p_bad)
+            rc = 1.0 / dc if dc > 1e-300 else math.inf
+            rp = 1.0 / dp if dp > 1e-300 else math.inf
+        else:
+            rc = binom_cdf_cont(z_avg + t, n, params.p_surge) / max(z_avg, 1e-12)
+            rp = binom_cdf_cont(q_avg, t, params.p_bad) / max(q_avg, 1e-12)
+        if gamma is None:
+            worst = max(rc, rp)
+            target = config.gamma_target
+            gamma = target / worst if math.isfinite(worst) and worst > 0 else target
+        lam_c = min(max(gamma * rc, config.lam_min), 1.0)
+        lam_p = min(max(gamma * rp, config.lam_min), 1.0)
+        if rng.random() < lam_c:
+            z *= config.beta
+        if rng.random() < lam_p:
+            q *= config.beta
+        za_events.append(z_avg)
+        qa_events.append(q_avg)
+        if k >= 5 * window:
+            dz = abs(z_avg - za_events[k - 1 - window])
+            dq = abs(q_avg - qa_events[k - 1 - window])
+            tol = config.convergence_tol
+            if dz <= tol * max(abs(z_avg), 1.0) and dq <= tol * max(abs(q_avg), 1.0):
+                converged_at = l
+                break
+    total = config.max_iterations if converged_at is None else converged_at + 1
+
+    def objective(reserve):
+        rep = qos_all(params, m, t, reserve)
+        if problem == "maximize":
+            return rep.qos_s + rep.qos_b
+        return -abs(rep.qos_s - rep.qos_b)
+
+    q_limit = min(m, t)
+    lo = min(max(math.floor(q_avg), 0), q_limit)
+    hi = min(max(math.ceil(q_avg), 0), q_limit)
+    q_star = max(range(lo, hi + 1), key=objective)
+    return ([list(series) for series in hist], k, z_avg.hex(), q_avg.hex(),
+            converged_at, total, q_star)
+
+
+@st.composite
+def partition_cases(draw):
+    n = draw(st.integers(10, 3000))
+    params = ScenarioParams(n, 0.1, draw(st.floats(0.01, 0.9)),
+                            draw(st.floats(0.001, 0.5)))
+    m = draw(st.integers(2, min(n, 400)))
+    t = draw(st.integers(1, n))
+    alpha = draw(st.one_of(st.floats(1e-3, 0.1), st.floats(0.5, float(m))))
+    fill = (1.0 - draw(st.floats(1e-4, 0.7))) * m
+    share = draw(st.floats(0.0, 1.0))
+    config = AimdConfig(
+        alpha=alpha,
+        beta=draw(st.floats(0.05, 0.999)),
+        z_init=fill * share,
+        q_init=fill * (1.0 - share),
+        gamma=draw(st.one_of(st.none(), st.sampled_from([1e12, 1e-300]),
+                             st.floats(1e-3, 10.0))),
+        gamma_target=draw(st.floats(0.01, 1.0)),
+        lam_min=draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0))),
+        max_iterations=draw(st.integers(1, 3000)),
+        seed=draw(st.integers(0, 2**32)),
+        convergence_window=draw(st.integers(1, 40)),
+        convergence_tol=draw(st.floats(1e-4, 0.2)),
+    )
+    return draw(st.sampled_from(PROBLEMS)), params, m, t, config, draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(partition_cases())
+# Stops on an event: iteration 1 is the first capacity event.
+@example(("maximize", CAR_1000, 120, 215,
+          make_config(alpha=5.0, z_init=100.0, q_init=10.0, gamma=1e12,
+                      max_iterations=2), True))
+# Stops inside an additive phase, with no backoff floor.
+@example(("equalize", CAR_1000, 120, 215,
+          make_config(alpha=0.01, gamma=None, lam_min=0.0, max_iterations=2500), False))
+def test_run_partition_equals_per_iteration_reference(case):
+    problem, params, m, t, config, record = case
+    trace, q_star, _ = run_partition(problem, params, m, t, config, record=record)
+    got = ([list(series) for series in (trace.z, trace.q, trace.capacity_event,
+                                        trace.z_avg_series, trace.q_avg_series)],
+           trace.capacity_count, trace.z_avg.hex(), trace.q_avg.hex(),
+           trace.converged_at, trace.total_iterations, q_star)
+    assert got == _reference_run(problem, params, m, t, config, record)
