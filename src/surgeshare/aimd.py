@@ -73,23 +73,25 @@ class AimdConfig:
 
     def __post_init__(self):
         # Each check is written so that NaN fails it: scenario files can
-        # carry any float.
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
+        # carry any float, inf included.
+        if not 0 < self.alpha < math.inf:
+            raise ValueError("alpha must be positive and finite")
         if not (0.0 < self.beta < 1.0):
             raise ValueError("beta must lie in (0, 1)")
         if not (self.z_init >= 0 and self.q_init >= 0):
             raise ValueError("initial states must be non-negative")
-        if self.gamma is not None and not self.gamma > 0:
-            raise ValueError("gamma must be positive when given")
+        if self.gamma is not None and not 0 < self.gamma < math.inf:
+            raise ValueError("gamma must be positive and finite when given")
         if not (0.0 < self.gamma_target <= 1.0):
             raise ValueError("gamma_target must lie in (0, 1]")
         if not (0.0 <= self.lam_min <= 1.0):
             raise ValueError("lam_min must lie in [0, 1]")
         if not self.max_iterations >= 1:
             raise ValueError("max_iterations must be at least 1")
-        if not (self.convergence_window >= 1 and self.convergence_tol > 0):
-            raise ValueError("invalid convergence settings")
+        if not self.convergence_window >= 1:
+            raise ValueError("convergence_window must be at least 1")
+        if not 0 < self.convergence_tol < math.inf:
+            raise ValueError("convergence_tol must be positive and finite")
         if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
             raise TypeError(f"seed must be an integer; got {self.seed!r}")
         if self.seed < 0:

@@ -7,7 +7,8 @@ exposes the exact cdf, a smooth continuous extension of the cdf and pmf
 (needed by the gradient-flavoured AIMD update rules), inverse searches,
 and the normal-approximation reserve formula.  Whether a items meet a
 QoS target is decided in one place, ``_meets_target``, which the inverse
-search and the design solver share.
+search and the design solver share; both find where it flips with one
+search from an estimate, ``_flip``.
 """
 
 from __future__ import annotations
@@ -221,28 +222,66 @@ def _meets_target(a: int, n: int, p: float, target: float) -> bool:
             and special.bdtr(a, n, p) >= target)
 
 
+def _flip(passes, lo: int, hi: int, start: int) -> int:
+    """Smallest x in [lo, hi] at which ``passes(x)`` holds, from a guess.
+
+    ``passes`` must fail and then hold along [lo, hi]; it is taken to
+    hold at ``hi`` without a call.  From ``start``, clamped into the
+    range, the search gallops away in steps of 1, 2, 4, ... until it
+    brackets the flip, then bisects the bracket, so a guess d off costs
+    about 2 log2(d) + 2 calls (Bentley & Yao 1976).  The answer is
+    ``hi`` or a point where ``passes`` was called and held.
+    """
+    x = min(max(start, lo), hi)
+    step = 1
+    if x < hi and not passes(x):
+        lo = x + 1
+        while x + step < hi:
+            x += step
+            if passes(x):
+                hi = x
+                break
+            lo = x + 1
+            step *= 2
+    else:
+        hi = x
+        while x - step >= lo:
+            x -= step
+            if not passes(x):
+                lo = x + 1
+                break
+            hi = x
+            step *= 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if passes(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def min_items_for_qos(n: int, p: float, target: float) -> int:
     """Smallest a >= 0 that meets the target for n requesters at rate p.
 
-    Binary search on ``_meets_target``, then a short linear pass down
-    through any floating-point plateau the bisection landed on.  A
-    target of exactly 1 gives n.
+    ``_flip`` searches from the normal-approximation reserve, rounded
+    up, relying on the rule being monotone in a (the cdf rises and the
+    upper tail falls as a grows).  A short linear pass then walks down
+    through any floating-point plateau the search landed on.  A target
+    of exactly 1 gives n.
     """
     _check_probability(p)
     if not (0.0 < target <= 1.0):
         raise ValueError("target must lie in (0, 1]")
     if n < 0:
         raise ValueError("n must be non-negative")
-    lo, hi = 0, n
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _meets_target(mid, n, p, target):
-            hi = mid
-        else:
-            lo = mid + 1
-    while lo > 0 and _meets_target(lo - 1, n, p, target):
-        lo -= 1
-    return lo
+    if n == 0 or target == 1.0:
+        return n
+    a = _flip(lambda x: _meets_target(x, n, p, target), 0, n,
+              math.ceil(normal_approx_reserve(n, p, target)))
+    while a > 0 and _meets_target(a - 1, n, p, target):
+        a -= 1
+    return a
 
 
 def normal_approx_reserve(t: int, p_b: float, target_qos_b: float) -> float:

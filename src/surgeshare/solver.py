@@ -5,11 +5,16 @@ cost) and rises linearly in T, so for a fixed prosumer pool T the
 cheapest design takes the smallest reserve Q that meets the
 bad-behaviour target and the smallest pool M that meets the other two,
 or the start of a higher discount band.  Every target is judged by one
-rule, ``qos._meets_target``, which ``min_items_for_qos`` bisects on and
-``feasible`` checks, so a design the scan returns is feasible.  One scan,
-``_scan``, walks T on this structure and is exact for every cost model:
-``CostModel`` requires positive unit costs and ``DiscountSchedule``
-discounts in [0, 1), which is all the scan relies on.
+rule, ``qos._meets_target``, which ``feasible`` checks, so a design the
+scan returns is feasible.  Both searches on the rule start from an
+estimate and gallop to where it flips (``qos._flip``): the pool minima
+from the normal-approximation reserve, relying on the rule being
+monotone in the item count, and the reserve pointer from the length of
+the previous stretch of T with the same Q, relying on it being monotone
+in T at a fixed Q.  One scan, ``_scan``, walks T on this structure and
+is exact for every cost model: ``CostModel`` requires positive unit
+costs and ``DiscountSchedule`` discounts in [0, 1), which is all the
+scan relies on.
 ``solve_min_cost`` runs it with an early exit once the cheapest pool
 plus the prosumer cost of T exceeds the best design found, which cuts
 the scan at the optimal T instead of N; ``brute_force_design`` runs it
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .cost import CostModel, cost_eval
-from .qos import QosReport, ScenarioParams, _meets_target, min_items_for_qos, qos_all
+from .qos import QosReport, ScenarioParams, _flip, _meets_target, min_items_for_qos, qos_all
 
 __all__ = [
     "Design",
@@ -130,6 +135,27 @@ def _m_candidates(starts: List[int], m_min: int, m_max: int):
             yield min_qty
 
 
+def _min_reserves(t_max: int, p_b: float, target: float):
+    # The minimum reserve Q(T) for T = 0, 1, ..., t_max.  Q(T) never falls
+    # as T grows, and at a fixed Q the rule fails for every T from its
+    # first failure on, so between those flips Q is reused with no rule
+    # call.  The next flip is searched from the previous stretch's length.
+    def flip_after(q: int, t: int, start: int) -> int:
+        # The first T after t at which q items fail, or t_max + 1.
+        return _flip(lambda x: not _meets_target(q, x, p_b, target), t + 1, t_max + 1, start)
+
+    q, last = 0, 0
+    flip = flip_after(0, 0, 1)
+    for t in range(t_max + 1):
+        if t == flip:
+            # q is known to fail here.
+            q += 1
+            while not _meets_target(q, t, p_b, target):
+                q += 1
+            flip, last = flip_after(q, t, t + (t - last)), t
+        yield q
+
+
 def _scan(params: ScenarioParams, model: CostModel, prune: bool) -> DesignReport:
     n = params.n_consumers
     m_ns, a_s = _pool_minima(params)
@@ -141,14 +167,13 @@ def _scan(params: ScenarioParams, model: CostModel, prune: bool) -> DesignReport
     # T = 0 always yields a candidate: Q = 0 and M = max(m_ns, a_s) <= N
     # meet all three targets, so ``best`` is set after the first pass.
     best: Optional[Tuple[float, int, int, int]] = None
-    q = 0
-    for t in range(0, n + 1):
+    # Minimum reserve for each prosumer pool.  The rule is called only
+    # where Q must grow; each search for that T starts one previous
+    # stretch past the last one and relies on the rule being monotone in
+    # T at a fixed Q.
+    for t, q in enumerate(_min_reserves(n, params.p_bad, params.qos_target_b)):
         if prune and best is not None and pool_floor + model.per_item_prosumer * t > best[0]:
             break
-        # Minimum reserve for this prosumer pool; monotone in t, so a
-        # moving pointer suffices.
-        while not _meets_target(q, t, params.p_bad, params.qos_target_b):
-            q += 1
         m_min = max(m_ns, a_s - t + q, q)
         if m_min > n or m_min - q + t > n:
             continue
@@ -208,7 +233,7 @@ def solve_min_cost(params: ScenarioParams, model: CostModel,
                    opts: Optional[SolverOpts] = None) -> DesignReport:
     """Exact minimum-cost design by a pruned structured scan over T.
 
-    The scan is the one ``brute_force_design`` runs: a moving pointer
+    The scan is the one ``brute_force_design`` runs: a galloping pointer
     gives the minimum reserve Q(T), and the candidates per T are the
     smallest feasible M plus every discount-band start above it.  Since
     the cost is the pool term plus ``per_item_prosumer * T``, no design

@@ -160,6 +160,12 @@ def test_run_partition_validates_inputs():
     for field in ("alpha", "z_init", "gamma", "convergence_tol"):
         with pytest.raises(ValueError):
             make_config(**{field: math.nan})
+    # An infinite step, gain or tolerance used to be accepted: alpha = inf
+    # failed later on a NaN average, gamma = inf gave a NaN backoff
+    # probability, and convergence_tol = inf reported any run converged.
+    for field in ("alpha", "gamma", "convergence_tol"):
+        with pytest.raises(ValueError, match=field):
+            make_config(**{field: math.inf})
     # A seed must be a non-negative integer before numpy sees it.
     for seed in (1.5, True, "3"):
         with pytest.raises(TypeError, match="seed"):

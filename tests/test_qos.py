@@ -16,6 +16,7 @@ from surgeshare import (
     normal_approx_reserve,
     qos_all,
 )
+from surgeshare.qos import _meets_target
 
 CAR = ScenarioParams(1000, 0.1, 0.3, 0.01)
 CHARGER = ScenarioParams(1000, 0.005, 0.015, 0.01)
@@ -196,6 +197,14 @@ def test_min_items_matches_linear_scan():
     for n, p, target in [(10, 0.5, 0.999), (25, 0.1, 0.98), (60, 0.3, 0.9),
                          (7, 0.5, 0.5000000000000001)]:
         expected = next(a for a in range(n + 1) if binom_cdf(a, n, p) >= target)
+        assert min_items_for_qos(n, p, target) == expected
+    # Large n and targets near 1, where the search starts far from 0 and
+    # the normal approximation is off by -1 to +10 items: the same rule
+    # scanned from a = 0 up.
+    for n, p, target in [(5000, 0.3, 1 - 1e-15), (5000, 0.01, 1 - 2**-53),
+                         (4999, 0.5, 0.999999), (5000, 0.001, 0.98),
+                         (3000, 0.05, 1 - 1e-12), (5000, 0.5, 0.5000000000000001)]:
+        expected = next(a for a in range(n + 1) if _meets_target(a, n, p, target))
         assert min_items_for_qos(n, p, target) == expected
 
 

@@ -555,6 +555,10 @@ def _mismatched_golden(tmp_path, monkeypatch):
     pytest.param(["partition", "--scenario", "{tmp}/scenario.ini", "--m", "120", "--t", "215"],
                  _car_1000_aimd("seed = -1\n"), 2, "seed",
                  id="partition-negative-seed-file"),
+    pytest.param(["partition", "--scenario", "{tmp}/scenario.ini", "--m", "120", "--t", "215"],
+                 _car_1000_aimd("alpha = inf\n"), 2, "alpha", id="partition-infinite-alpha"),
+    pytest.param(["partition", "--scenario", "{tmp}/scenario.ini", "--m", "120", "--t", "215"],
+                 _car_1000_aimd("gamma = inf\n"), 2, "gamma", id="partition-infinite-gamma"),
     pytest.param(["reproduce", "--outdir", "{tmp}"], None, 0, "", id="reproduce-ok"),
     pytest.param(["reproduce", "--outdir", "{tmp}"], _mismatched_golden, 1, "",
                  id="reproduce-golden-mismatch"),

@@ -22,7 +22,11 @@ from surgeshare import (
     sweep_cost_vs_n,
     sweep_cost_vs_qos,
 )
-from surgeshare.solver import _brute_force_full
+from surgeshare import qos as qos_module
+from surgeshare import solver as solver_module
+from surgeshare.qos import _meets_target
+from surgeshare.scenarios import load_scenario
+from surgeshare.solver import _brute_force_full, _min_reserves
 
 CAR_1000 = ScenarioParams(1000, 0.1, 0.3, 0.01)
 CHARGER_1000 = ScenarioParams(1000, 0.005, 0.015, 0.01)
@@ -151,6 +155,48 @@ def test_solver_equals_full_scan(n, p_ns, p_s, p_b, targets, model):
     # the rounded cdf.
     d = full.design
     assert d.q == d.t or special.bdtrc(d.q, d.t, p_b) <= 1.0 - targets[2]
+
+
+def _linear_reserves(t_max, p_b, target):
+    # The reserve pointer as a plain linear scan: one rule call per T
+    # plus one per step of Q.
+    q, out = 0, []
+    for t in range(t_max + 1):
+        while not _meets_target(q, t, p_b, target):
+            q += 1
+        out.append(q)
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(t_max=st.integers(0, 5000), p_b=st.floats(1e-3, 0.5), target=_targets)
+# Targets at which the rounded cdf and the exact tail disagree.
+@example(t_max=5000, p_b=0.01, target=1 - 1e-15)
+@example(t_max=5000, p_b=0.3, target=1 - 2**-53)
+@example(t_max=5000, p_b=0.5, target=0.5000000000000001)
+def test_reserve_pointer_equals_linear_pointer(t_max, p_b, target):
+    # The galloping pointer skips the rule between the T where Q must
+    # grow; it must still give Q(T) at every T.
+    assert list(_min_reserves(t_max, p_b, target)) == _linear_reserves(t_max, p_b, target)
+
+
+@pytest.mark.parametrize("name, entry, most", [
+    ("car-n50000-98", solve_min_cost, 2000),    # 10,352 with a linear pointer
+    ("car-n5000-98", brute_force_design, 1000),  # 5,092 with a linear pointer
+])
+def test_searches_make_few_rule_calls(name, entry, most, monkeypatch):
+    # Counted rather than timed, so the check is deterministic.
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _meets_target(*args)
+
+    monkeypatch.setattr(qos_module, "_meets_target", counting)
+    monkeypatch.setattr(solver_module, "_meets_target", counting)
+    scenario = load_scenario(name)
+    entry(scenario.params, scenario.cost_model)
+    assert len(calls) <= most
 
 
 @settings(max_examples=60, deadline=None)
