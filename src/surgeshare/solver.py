@@ -11,14 +11,22 @@ estimate and gallop to where it flips (``qos._flip``): the pool minima
 from the normal-approximation reserve, relying on the rule being
 monotone in the item count, and the reserve pointer from the length of
 the previous stretch of T with the same Q, relying on it being monotone
-in T at a fixed Q.  One scan, ``_scan``, walks T on this structure and
-is exact for every cost model: ``CostModel`` requires positive unit
-costs and ``DiscountSchedule`` discounts in [0, 1), which is all the
-scan relies on.
+in T at a fixed Q.  One scan, ``_scan``, walks T one stretch of
+constant Q at a time.  Within a stretch the smallest pool is
+max(M_ns, A_s + Q - T, Q), where M_ns is the smallest pool that meets
+the non-surge target and A_s the smallest surge supply M - Q + T that
+meets the surge target.  Between discount-band boundaries its cost
+moves by a step of one sign per T, and a pool that stays put, such as
+a band start, never gets cheaper as T grows.  So the scan prices
+candidates only at the ends of those pieces of each stretch.  Where
+some band's pool rate is so close to the prosumer rate that rounding
+could reverse the step, it prices every T.  The scan is exact for every
+cost model: ``CostModel`` requires positive unit costs and
+``DiscountSchedule`` discounts in [0, 1), which is all it relies on.
 ``solve_min_cost`` runs it with an early exit once the cheapest pool
 plus the prosumer cost of T exceeds the best design found, which cuts
 the scan at the optimal T instead of N; ``brute_force_design`` runs it
-over every T.  The full 3-D scan ``_brute_force_full`` (N <= 300)
+up to T = N.  The full 3-D scan ``_brute_force_full`` (N <= 300)
 enumerates every reserve and pool instead and is the independent
 reference both are tested against.
 """
@@ -27,6 +35,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -56,7 +65,12 @@ DESIGN_CSV_COLUMNS = (
 
 
 class InfeasibleDesignError(ValueError):
-    """Raised when no design can satisfy the QoS/structural constraints."""
+    """Raised by the test reference ``_brute_force_full`` above N = 300.
+
+    Every scenario has a design (T = 0, Q = 0 and the larger pool
+    minimum), so the exact scan never raises it; the name stays for
+    callers that catch it.
+    """
 
 
 @dataclass(frozen=True)
@@ -135,25 +149,71 @@ def _m_candidates(starts: List[int], m_min: int, m_max: int):
             yield min_qty
 
 
-def _min_reserves(t_max: int, p_b: float, target: float):
-    # The minimum reserve Q(T) for T = 0, 1, ..., t_max.  Q(T) never falls
-    # as T grows, and at a fixed Q the rule fails for every T from its
-    # first failure on, so between those flips Q is reused with no rule
-    # call.  The next flip is searched from the previous stretch's length.
+def _reserve_stretches(t_max: int, p_b: float, target: float):
+    # The minimum reserve Q(T) for T = 0, 1, ..., t_max as stretches
+    # (t0, t1, q): Q(T) = q for t0 <= T <= t1.  The stretches are
+    # contiguous, cover [0, t_max] and q rises from one to the next.
+    # Q(T) never falls as T grows, and at a fixed Q the rule fails for
+    # every T from its first failure on, so a stretch ends just before
+    # that flip and needs no rule call inside.  The next flip is searched
+    # from the previous stretch's length.
     def flip_after(q: int, t: int, start: int) -> int:
         # The first T after t at which q items fail, or t_max + 1.
         return _flip(lambda x: not _meets_target(q, x, p_b, target), t + 1, t_max + 1, start)
 
-    q, last = 0, 0
+    q, t0 = 0, 0
     flip = flip_after(0, 0, 1)
-    for t in range(t_max + 1):
-        if t == flip:
-            # q is known to fail here.
+    while True:
+        yield t0, flip - 1, q
+        if flip > t_max:
+            return
+        # q is known to fail at the flip.
+        q += 1
+        while not _meets_target(q, flip, p_b, target):
             q += 1
-            while not _meets_target(q, t, p_b, target):
-                q += 1
-            flip, last = flip_after(q, t, t + (t - last)), t
-        yield q
+        flip, t0 = flip_after(q, flip, 2 * flip - t0), flip
+
+
+def _near_prosumer_rate(model: CostModel, n: int) -> bool:
+    # Whether rounding could reverse the cost step per T of a corner pool
+    # a_s + q - T inside one band.  That step is exactly per_item_prosumer
+    # - rate, rate = per_item_main * (1 - d) for the band's discount d,
+    # plus the errors of two costs, each three roundings of values below
+    # bound = 2 * (per_item_main + per_item_prosumer) * n, so at most
+    # 3 ulps of bound in all.  Equal rates count as near.
+    pm, pp = model.per_item_main, model.per_item_prosumer
+    tol = 4 * math.ulp(2 * (pm + pp) * n)
+    return any(abs(pm * (1.0 - d) - pp) <= tol for _, d in model.discount.breakpoints)
+
+
+def _priced_points(n: int, m_ns: int, a_s: int, model: CostModel, stretches):
+    # The (T, Q) at which ``_scan`` prices its candidates, in rising T.
+    # In a stretch of constant q the corner pool is max(c, a_s + q - T),
+    # c = max(m_ns, q), and each family of candidates is cheapest at an
+    # end of a piece of the stretch cut where the corner reaches c, c + 1
+    # or n, or crosses a band boundary b - 1 | b:
+    # - while the corner is a_s + q - T in one band, its cost moves by a
+    #   step per T of one sign (``_near_prosumer_rate`` rules out a step
+    #   that rounding could reverse), so it is cheapest at a piece end;
+    # - a pool of c, or a band start s, costs pool + per_item_prosumer * T,
+    #   which never falls as T grows, so it is cheapest at its earliest
+    #   valid T: the stretch start, a_s + q - c or a_s + q - s + 1;
+    # - the N >= M - Q + T cap only drops candidates as T grows.
+    # A stretch no longer than its set of piece ends is walked T by T, and
+    # so is every stretch if ``_near_prosumer_rate``.
+    marks = {m for b, _ in model.discount.breakpoints for m in (b - 1, b) if m_ns <= m <= n}
+    marks.add(n)
+    every_t = _near_prosumer_rate(model, n)
+    for t0, t1, q in stretches:
+        if every_t or t1 - t0 <= len(marks) + 3:
+            ts = range(t0, t1 + 1)
+        else:
+            k, c = a_s + q, max(m_ns, q)
+            ends = {k - m for m in marks if m > c}
+            ends.update((k - c, k - c - 1))
+            ts = sorted({t for t in ends if t0 < t < t1} | {t0, t1})
+        for t in ts:
+            yield t, q
 
 
 def _scan(params: ScenarioParams, model: CostModel, prune: bool) -> DesignReport:
@@ -167,11 +227,13 @@ def _scan(params: ScenarioParams, model: CostModel, prune: bool) -> DesignReport
     # T = 0 always yields a candidate: Q = 0 and M = max(m_ns, a_s) <= N
     # meet all three targets, so ``best`` is set after the first pass.
     best: Optional[Tuple[float, int, int, int]] = None
-    # Minimum reserve for each prosumer pool.  The rule is called only
-    # where Q must grow; each search for that T starts one previous
-    # stretch past the last one and relies on the rule being monotone in
-    # T at a fixed Q.
-    for t, q in enumerate(_min_reserves(n, params.p_bad, params.qos_target_b)):
+    # The minimum reserve is found per stretch of T where it stays put,
+    # with rule calls only where it must grow; each search for that T
+    # starts one previous stretch past the last one and relies on the
+    # rule being monotone in T at a fixed Q.  Within a stretch only the
+    # piece ends are priced (``_priced_points``).
+    stretches = _reserve_stretches(n, params.p_bad, params.qos_target_b)
+    for t, q in _priced_points(n, m_ns, a_s, model, stretches):
         if prune and best is not None and pool_floor + model.per_item_prosumer * t > best[0]:
             break
         m_min = max(m_ns, a_s - t + q, q)
@@ -193,8 +255,10 @@ def brute_force_design(params: ScenarioParams, model: CostModel) -> DesignReport
     constraint, and the minimum M from the non-surge and surge
     constraints; since cost rises with M inside a discount band but can
     drop where a band starts, the candidates per T are that corner plus
-    every band start above it.  This is ``solve_min_cost``'s scan
-    without the early exit.
+    every band start above it.  Within each stretch of T with the same
+    Q, only the ends of the pieces on which those candidates' costs are
+    monotone in T are priced.  This is ``solve_min_cost``'s scan without
+    the early exit.
     """
     return _scan(params, model, prune=False)
 
@@ -234,14 +298,17 @@ def solve_min_cost(params: ScenarioParams, model: CostModel,
     """Exact minimum-cost design by a pruned structured scan over T.
 
     The scan is the one ``brute_force_design`` runs: a galloping pointer
-    gives the minimum reserve Q(T), and the candidates per T are the
-    smallest feasible M plus every discount-band start above it.  Since
-    the cost is the pool term plus ``per_item_prosumer * T``, no design
-    with T prosumers costs less than ``pool_floor + per_item_prosumer *
-    T``, where ``pool_floor`` is the cheapest pool that meets the
-    non-surge target.  The scan stops once that bound is strictly above
-    the best cost found, so ties break on (cost, M, T, Q) exactly as in
-    the oracle.  ``opts`` is accepted for compatibility and ignored.
+    gives the stretches of T with the same minimum reserve Q, the
+    candidates per T are the smallest feasible M plus every
+    discount-band start above it, and each stretch is priced only at the
+    ends of the pieces on which those candidates' costs are monotone in
+    T.  Since the cost is the pool term plus ``per_item_prosumer * T``,
+    no design with T prosumers costs less than ``pool_floor +
+    per_item_prosumer * T``, where ``pool_floor`` is the cheapest pool
+    that meets the non-surge target.  The scan stops once that bound is
+    strictly above the best cost found, so ties break on (cost, M, T, Q)
+    exactly as in the oracle.  ``opts`` is accepted for compatibility
+    and ignored.
     """
     return _scan(params, model, prune=True)
 

@@ -24,9 +24,10 @@ from surgeshare import (
 )
 from surgeshare import qos as qos_module
 from surgeshare import solver as solver_module
+from surgeshare.cost import cost_eval
 from surgeshare.qos import _meets_target
 from surgeshare.scenarios import load_scenario
-from surgeshare.solver import _brute_force_full, _min_reserves
+from surgeshare.solver import _brute_force_full, _reserve_stretches
 
 CAR_1000 = ScenarioParams(1000, 0.1, 0.3, 0.01)
 CHARGER_1000 = ScenarioParams(1000, 0.005, 0.015, 0.01)
@@ -143,6 +144,24 @@ def _cost_models(draw):
 # The smallest scenario, with every target at 1: one consumer, one item.
 @example(n=1, p_ns=0.9, p_s=0.9, p_b=0.5, targets=(1.0, 1.0, 1.0),
          model=car_cost_model())
+# A band rate equal to the prosumer rate (10 * 0.5 = 5): nine designs
+# cost 190, and the one with the smallest M, (30, 8, 0), wins.
+@example(n=83, p_ns=0.18, p_s=0.39, p_b=0.01, targets=(0.9, 0.9, 0.9),
+         model=_cost_model(10, 5, ((1, 0.0), (30, 0.5))))
+# A band rate three ulps above the prosumer rate (2.300000000000001 vs
+# 2.3): rounding makes the cost non-monotone in T, so every T is priced;
+# the optimum (99, 7, 0) lies inside the stretch T = 0..8 of Q = 0.
+@example(n=149, p_ns=0.249, p_s=0.647, p_b=0.0265, targets=(0.8, 0.95, 0.8),
+         model=_cost_model(4.600000000000002, 2.3, ((1, 0.0), (17, 0.24), (31, 0.5))))
+# The stretch T = 0..50 of Q = 0 takes the pool 66 - T across the band
+# boundaries at 55 (T = 11) and 45 (T = 21); the optimum is (45, 21, 0).
+@example(n=91, p_ns=0.26, p_s=0.647, p_b=0.0021, targets=(0.99, 0.95, 0.9),
+         model=_cost_model(10, 2, ((1, 0.0), (45, 0.3), (55, 0.35))))
+# The band start 20 becomes a candidate at T = 8, inside the stretch
+# T = 1..9 of Q = 1; the optimum (20, 7, 1) is the piece end one T
+# earlier, where the pool 27 - T first reaches it.
+@example(n=29, p_ns=0.307, p_s=0.787, p_b=0.0173, targets=(0.999, 0.95, 0.99),
+         model=_cost_model(12, 2, ((1, 0.0), (20, 0.46))))
 def test_solver_equals_full_scan(n, p_ns, p_s, p_b, targets, model):
     # Both entry points run the same T-scan, with and without the early
     # exit; the 3-D scan is the independent check for each.
@@ -160,12 +179,11 @@ def test_solver_equals_full_scan(n, p_ns, p_s, p_b, targets, model):
 def _linear_reserves(t_max, p_b, target):
     # The reserve pointer as a plain linear scan: one rule call per T
     # plus one per step of Q.
-    q, out = 0, []
+    q = 0
     for t in range(t_max + 1):
         while not _meets_target(q, t, p_b, target):
             q += 1
-        out.append(q)
-    return out
+        yield q
 
 
 @settings(max_examples=100, deadline=None)
@@ -176,8 +194,99 @@ def _linear_reserves(t_max, p_b, target):
 @example(t_max=5000, p_b=0.5, target=0.5000000000000001)
 def test_reserve_pointer_equals_linear_pointer(t_max, p_b, target):
     # The galloping pointer skips the rule between the T where Q must
-    # grow; it must still give Q(T) at every T.
-    assert list(_min_reserves(t_max, p_b, target)) == _linear_reserves(t_max, p_b, target)
+    # grow; its stretches must still give Q(T) at every T.
+    stretches = list(_reserve_stretches(t_max, p_b, target))
+    assert stretches[0][0] == 0 and stretches[-1][1] == t_max
+    for (_, t1, q), (t0, _, q_next) in zip(stretches, stretches[1:]):
+        assert t0 == t1 + 1 and q_next > q
+    per_t = [q for t0, t1, q in stretches for _ in range(t0, t1 + 1)]
+    assert per_t == list(_linear_reserves(t_max, p_b, target))
+
+
+def _per_t_scan(params, model, prune):
+    # The reference for pricing only the piece ends of each stretch:
+    # ``_scan``'s per-T body run at every T, with Q(T) from the linear
+    # pointer.
+    n = params.n_consumers
+    m_ns, a_s = solver_module._pool_minima(params)
+    starts = [min_qty for min_qty, _ in model.discount.breakpoints if min_qty > m_ns]
+    pool_floor = min(cost_eval(m, 0, model)
+                     for m in solver_module._m_candidates(starts, m_ns, n))
+    best = None
+    for t, q in enumerate(_linear_reserves(n, params.p_bad, params.qos_target_b)):
+        if prune and best is not None and pool_floor + model.per_item_prosumer * t > best[0]:
+            break
+        m_min = max(m_ns, a_s - t + q, q)
+        if m_min > n or m_min - q + t > n:
+            continue
+        for m in solver_module._m_candidates(starts, m_min, min(n, n + q - t)):
+            key = (cost_eval(m, t, model), m, t, q)
+            if best is None or key < best:
+                best = key
+    cost, m, t, q = best
+    return Design(m, t, q), cost
+
+
+@st.composite
+def _priced_models(draw):
+    # Non-integer prices, the prosumer dearer or cheaper than a pool item:
+    # rates rarely tie, so most scans price only the piece ends.
+    quantities = sorted(draw(st.lists(st.integers(2, 1500), max_size=5, unique=True)))
+    fractions = sorted(draw(st.lists(st.floats(0.0, 0.9), min_size=len(quantities),
+                                     max_size=len(quantities))))
+    main = draw(st.floats(1.0, 1e5))
+    return _cost_model(main, main * draw(st.floats(0.01, 1.5)),
+                       ((1, 0.0),) + tuple(zip(quantities, fractions)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    n=st.integers(1, 3000),
+    p_s=st.floats(0.01, 0.95),
+    ratio=st.floats(0.05, 1.0),
+    p_b=st.floats(0.001, 0.1),
+    targets=st.tuples(_targets, _targets, _targets),
+    model=st.one_of(st.sampled_from([car_cost_model(), charger_cost_model()]),
+                    _cost_models(), _priced_models()),
+)
+# The optima (200, 79, 2) and (100, 512, 17) are band starts that the
+# falling pool reaches inside a stretch of constant Q.
+@example(n=1915, p_s=0.138, ratio=0.67, p_b=0.0072, targets=(0.75, 0.8, 0.95),
+         model=car_cost_model())
+@example(n=735, p_s=0.8, ratio=0.15, p_b=0.02, targets=(0.75, 0.75, 0.98),
+         model=charger_cost_model())
+# The band rate 0.2 * 0.5 equals the prosumer rate 0.1, but the costs
+# are not integers, so rounding alone decides the optimum (2313, 27, 0).
+@example(n=2644, p_s=0.877, ratio=0.18, p_b=0.0078, targets=(0.95, 0.9, 0.8),
+         model=_cost_model(0.2, 0.1, ((1, 0.0), (734, 0.5))))
+def test_scan_equals_per_t_scan(n, p_s, ratio, p_b, targets, model):
+    # Beyond the reach of the 3-D scan, pricing the piece ends must give
+    # the design and the cost bits of pricing every T.  As in the paper's
+    # use cases, surges raise the request rate and few prosumers defect.
+    params = ScenarioParams(n, p_s * ratio, p_s, p_b, *targets)
+    for entry, prune in ((solve_min_cost, True), (brute_force_design, False)):
+        rep = entry(params, model)
+        design, cost = _per_t_scan(params, model, prune)
+        assert rep.design == design
+        assert rep.cost_real.hex() == cost.hex()
+
+
+@pytest.mark.parametrize("name, entry, most", [
+    ("car-n50000-98", solve_min_cost, 1000),     # 10,199 when every T is priced
+    ("car-n5000-98", brute_force_design, 1000),  # 7,993 when every T is priced
+])
+def test_scan_prices_few_candidates(name, entry, most, monkeypatch):
+    # Counted rather than timed, so the check is deterministic.
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return cost_eval(*args)
+
+    monkeypatch.setattr(solver_module, "cost_eval", counting)
+    scenario = load_scenario(name)
+    entry(scenario.params, scenario.cost_model)
+    assert len(calls) <= most
 
 
 @pytest.mark.parametrize("name, entry, most", [
