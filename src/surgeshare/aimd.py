@@ -72,6 +72,14 @@ class AimdConfig:
     convergence_tol: float = 5e-4
 
     def __post_init__(self):
+        # Counts and the seed must be integers before they are compared,
+        # multiplied or handed to numpy.
+        for name, least in (("max_iterations", 1), ("convergence_window", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TypeError(f"{name} must be an integer; got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}; got {value!r}")
         # Each check is written so that NaN fails it: scenario files can
         # carry any float, inf included.
         if not 0 < self.alpha < math.inf:
@@ -86,16 +94,8 @@ class AimdConfig:
             raise ValueError("gamma_target must lie in (0, 1]")
         if not (0.0 <= self.lam_min <= 1.0):
             raise ValueError("lam_min must lie in [0, 1]")
-        if not self.max_iterations >= 1:
-            raise ValueError("max_iterations must be at least 1")
-        if not self.convergence_window >= 1:
-            raise ValueError("convergence_window must be at least 1")
         if not 0 < self.convergence_tol < math.inf:
             raise ValueError("convergence_tol must be positive and finite")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
-            raise TypeError(f"seed must be an integer; got {self.seed!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative; got {self.seed!r}")
 
 
 @dataclass

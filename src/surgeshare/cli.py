@@ -130,9 +130,6 @@ def _cmd_sweep(args) -> int:
     except ValueError:
         print("--grid must be a comma-separated list of numbers", file=sys.stderr)
         return 2
-    if not grid:
-        print("--grid must be non-empty", file=sys.stderr)
-        return 2
     if args.axis == "qos":
         reports = solver_mod.sweep_cost_vs_qos(params, model, grid)
     else:

@@ -1,23 +1,20 @@
-"""Cost models with volume discounts and their smooth approximations.
+"""Cost models with volume discounts.
 
 The scheme operator pays a per-item cost for the shared pool of M items
 (reduced by a quantity discount) and a per-item compensation for the T
 prosumer items.  ``cost_eval`` prices a design with the piecewise
-discount schedule applied to the pool term.  Each model also carries
-``SmoothDiscount``, a concave differentiable approximation of the step
-schedule by the exponential-decay fit A*(1 - exp(-B*M)).
-
-The two concrete use-case models ship as the named built-ins
-``car-mg4-2025`` and ``charger-dc60-2025``.
+discount schedule applied to the pool term.  The two use-case models
+ship as the built-ins ``car-mg4-2025`` and ``charger-dc60-2025``.
+``fit_smooth_discount`` stands apart: it approximates a schedule by the
+exponential decay A*(1 - exp(-B*M)), and no design is priced with it.
 """
 
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -86,7 +83,7 @@ class SmoothDiscount:
 
 @dataclass(frozen=True)
 class CostModel:
-    """Unit costs plus the real and smooth discount descriptions.
+    """Unit costs and the discount schedule of a scheme operator.
 
     ``per_item_main`` prices both the free portion of the pool and the
     reserve (the general f/g split collapses to a single M term in both
@@ -94,16 +91,20 @@ class CostModel:
     ``horizon_years`` is the reporting period covered by the unit costs
     (1 for the car case, 10 for the charger case) and is used when
     annualizing per-consumer figures.
+
+    ``smooth`` is accepted and dropped, as ``solve_min_cost`` ignores
+    ``opts``: only the benchmark set-up still passes one, and ROADMAP
+    item 1 removes it.
     """
 
     per_item_main: float
     per_item_prosumer: float
     discount: DiscountSchedule
-    smooth: SmoothDiscount
+    smooth: InitVar[Optional[SmoothDiscount]] = None
     horizon_years: int = 1
     name: str = ""
 
-    def __post_init__(self):
+    def __post_init__(self, smooth):
         # Each check is written so that NaN fails it: inline cost models
         # in scenario files can carry any float.
         for name in ("per_item_main", "per_item_prosumer"):
@@ -111,6 +112,9 @@ class CostModel:
                 raise ValueError(f"{name} must be positive and finite")
         if not (1 <= self.horizon_years < math.inf):
             raise ValueError("horizon_years must be at least 1 and finite")
+        if isinstance(self.horizon_years, bool) or not isinstance(
+                self.horizon_years, numbers.Integral):
+            raise TypeError(f"horizon_years must be an integer; got {self.horizon_years!r}")
 
     def cost_per_consumer(self, cost_real: float, n_consumers: int) -> float:
         """Annualized per-consumer cost over the model horizon."""
@@ -182,27 +186,23 @@ CHARGER_DISCOUNTS = DiscountSchedule(
 )
 
 
-@functools.lru_cache(maxsize=None)
 def car_cost_model() -> CostModel:
     """MG4-based car-sharing cost model: 6,500/EV/yr pool, 2,400/prosumer/yr."""
     return CostModel(
         per_item_main=6500.0,
         per_item_prosumer=12 * 200.0,
         discount=CAR_DISCOUNTS,
-        smooth=fit_smooth_discount(CAR_DISCOUNTS, m_max=1500),
         horizon_years=1,
         name="car-mg4-2025",
     )
 
 
-@functools.lru_cache(maxsize=None)
 def charger_cost_model() -> CostModel:
     """DC charge-point cost model, decade horizon: 26,480/charger, 2,400/prosumer."""
     return CostModel(
         per_item_main=26480.0,
         per_item_prosumer=10 * 12 * 20.0,
         discount=CHARGER_DISCOUNTS,
-        smooth=fit_smooth_discount(CHARGER_DISCOUNTS, m_max=400),
         horizon_years=10,
         name="charger-dc60-2025",
     )

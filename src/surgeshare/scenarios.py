@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict
 
 from .aimd import AimdConfig
-from .cost import CostModel, DiscountSchedule, fit_smooth_discount, get_cost_model
+from .cost import CostModel, DiscountSchedule, get_cost_model
 from .qos import ScenarioParams
 from .solver import SolverOpts
 
@@ -205,8 +205,7 @@ def load_scenario(path_or_name: str) -> ScenarioFile:
             units = {k: _coerce("cost_model", k, v) for k, v in section.items()
                      if k != "discount"}
             try:
-                model = CostModel(discount=schedule,
-                                  smooth=fit_smooth_discount(schedule), **units)
+                model = CostModel(discount=schedule, **units)
             except ValueError as exc:
                 raise ScenarioError(f"invalid [cost_model]: {exc}") from exc
     else:
@@ -238,7 +237,7 @@ def save_scenario(scenario: ScenarioFile, path: str) -> None:
     """Write a scenario as canonical INI; load_scenario round-trips it.
 
     A cost model is written by name only when it equals that built-in;
-    any other is written inline and reloads unnamed, its smooth fit redone.
+    any other is written inline and reloads unnamed.
     """
     parser = configparser.ConfigParser(interpolation=None)
     parser["scenario"] = {"name": scenario.name}

@@ -166,10 +166,12 @@ def test_run_partition_validates_inputs():
     for field in ("alpha", "gamma", "convergence_tol"):
         with pytest.raises(ValueError, match=field):
             make_config(**{field: math.inf})
-    # A seed must be a non-negative integer before numpy sees it.
-    for seed in (1.5, True, "3"):
-        with pytest.raises(TypeError, match="seed"):
-            make_config(seed=seed)
+    # The seed and the counts must be integers before numpy or the run
+    # loop sees them.
+    for field in ("seed", "max_iterations", "convergence_window"):
+        for value in (1.5, True, "3"):
+            with pytest.raises(TypeError, match=field):
+                make_config(**{field: value})
     with pytest.raises(ValueError, match="seed"):
         make_config(seed=-1)
 

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from surgeshare import (
+    CostModel,
     DiscountSchedule,
     SmoothDiscount,
     car_cost_model,
@@ -76,6 +77,18 @@ def test_cost_model_rejects_non_positive_or_non_finite(field, value):
         dataclasses.replace(car_cost_model(), **{field: value})
 
 
+@pytest.mark.parametrize("value", [1.5, True])
+def test_cost_model_rejects_non_integer_horizon(value):
+    # save_scenario writes the horizon as an integer.
+    with pytest.raises(TypeError, match="horizon_years"):
+        dataclasses.replace(car_cost_model(), horizon_years=value)
+
+
+def test_cost_model_stores_no_smooth_fit():
+    assert "smooth" not in {f.name for f in dataclasses.fields(CostModel)}
+    assert "smooth" not in vars(car_cost_model())
+
+
 def test_fit_degenerate_schedule():
     flat = DiscountSchedule(breakpoints=((1, 0.0),))
     sd = fit_smooth_discount(flat)
@@ -130,15 +143,23 @@ def test_fit_does_not_load_scipy_optimize(fresh_python):
     assert proc.stdout.strip() == "False"
 
 
+# The quantity range each built-in schedule's smooth fit covers.
+_FIT_M_MAX = {"car-mg4-2025": 1500, "charger-dc60-2025": 400}
+
+
+def _builtin_fit(model):
+    return fit_smooth_discount(model.discount, m_max=_FIT_M_MAX[model.name])
+
+
 def test_fit_car_amplitude():
-    sd = car_cost_model().smooth
+    sd = fit_smooth_discount(CAR_DISCOUNTS, m_max=1500)
     assert sd.amplitude == pytest.approx(0.25, abs=0.05)
     assert sd.amplitude <= CAR_DISCOUNTS.max_discount + 0.05
 
 
 def test_fit_zero_at_origin():
-    assert car_cost_model().smooth.value(0) == 0.0
-    assert charger_cost_model().smooth.value(0) == 0.0
+    assert fit_smooth_discount(CAR_DISCOUNTS, m_max=1500).value(0) == 0.0
+    assert fit_smooth_discount(CHARGER_DISCOUNTS, m_max=400).value(0) == 0.0
 
 
 def test_cost_eval_car_table_row():
@@ -163,8 +184,8 @@ def test_cost_eval_invalid_design():
         cost_eval(5, -1, car_cost_model())
 
 
-def _smooth_pool_cost(m, model):
-    return model.per_item_main * (1.0 - model.smooth.value(m)) * m
+def _smooth_pool_cost(m, model, sd):
+    return model.per_item_main * (1.0 - sd.value(m)) * m
 
 
 @pytest.mark.parametrize("model", [car_cost_model(), charger_cost_model()])
@@ -177,9 +198,10 @@ def test_real_never_exceeds_linear(model):
 
 @pytest.mark.parametrize("model", [car_cost_model(), charger_cost_model()])
 def test_approx_tracks_real_within_5pct(model):
+    sd = _builtin_fit(model)
     for m in range(1, 6001):
         real = cost_eval(m, 0, model)
-        assert abs(_smooth_pool_cost(m, model) - real) / real <= 0.05
+        assert abs(_smooth_pool_cost(m, model, sd) - real) / real <= 0.05
 
 
 @pytest.mark.parametrize("model", [car_cost_model(), charger_cost_model()])
@@ -187,8 +209,9 @@ def test_approx_pool_term_is_concave(model):
     # (1 - A(1 - e^{-Bm}))*m has its inflection at m = 2/B; curvature is
     # negative below it and vanishingly small beyond, so concavity is
     # asserted over the discount-relevant range up to the inflection.
-    upper = int(2.0 / model.smooth.rate)
-    vals = [_smooth_pool_cost(m, model) for m in range(1, upper + 1)]
+    sd = _builtin_fit(model)
+    upper = int(2.0 / sd.rate)
+    vals = [_smooth_pool_cost(m, model, sd) for m in range(1, upper + 1)]
     for a, b, c in zip(vals, vals[1:], vals[2:]):
         assert (c - b) - (b - a) <= 1e-4
 
@@ -201,7 +224,8 @@ def test_cost_increasing_in_t(model):
 
 @pytest.mark.parametrize("model", [car_cost_model(), charger_cost_model()])
 def test_smooth_cost_increasing_in_m(model):
-    vals = [_smooth_pool_cost(m, model) for m in range(0, 3000)]
+    sd = _builtin_fit(model)
+    vals = [_smooth_pool_cost(m, model, sd) for m in range(0, 3000)]
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
@@ -216,7 +240,7 @@ def test_real_cost_increasing_within_discount_bands(model):
 
 
 def test_builtin_registry():
-    assert get_cost_model("car-mg4-2025") is car_cost_model()
+    assert get_cost_model("car-mg4-2025") == car_cost_model()
     assert get_cost_model("charger-dc60-2025").horizon_years == 10
     with pytest.raises(KeyError):
         get_cost_model("no-such-model")

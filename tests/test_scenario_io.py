@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import surgeshare
 from surgeshare import (
     AimdConfig,
     CostModel,
@@ -29,7 +30,8 @@ from surgeshare import (
     load_scenario,
     save_scenario,
 )
-from surgeshare import aimd, cli, solver
+from surgeshare import aimd, cli, cost, scenarios, solver
+from surgeshare.cost import CAR_DISCOUNTS
 from surgeshare.cli import cli_dispatch
 
 
@@ -137,7 +139,18 @@ def test_round_trip_edited_builtin_model(tmp_path):
     loaded = load_scenario(str(path))
     assert loaded.cost_model.per_item_main == 1.0
     assert loaded.cost_model.name == ""
-    assert _unfitted(loaded) == _unfitted(edited)
+    assert _unnamed(loaded) == _unnamed(edited)
+
+
+def test_builtin_prices_with_a_smooth_argument_save_by_name(tmp_path):
+    # The smooth argument is dropped, so it cannot make a model with the
+    # built-in's prices, schedule, horizon and name differ from it.
+    model = CostModel(6500.0, 2400.0, CAR_DISCOUNTS, SmoothDiscount(0.0, 1.0), 1,
+                      "car-mg4-2025")
+    assert model == car_cost_model()
+    path = tmp_path / "car.ini"
+    save_scenario(ScenarioFile("x", ScenarioParams(250, 0.1, 0.3, 0.01), model), str(path))
+    assert "builtin = car-mg4-2025" in path.read_text()
 
 
 def _with_solver_section(tmp_path, section):
@@ -190,6 +203,26 @@ def test_round_trip_inline_model(tmp_path):
     assert load_scenario(str(out)) == sc
 
 
+def test_inline_load_fits_no_smooth_discount(tmp_path, monkeypatch):
+    calls = []
+
+    def counting_fit(*args, fit=cost.fit_smooth_discount, **kwargs):
+        calls.append(args)
+        return fit(*args, **kwargs)
+
+    # Every package module holding the name, so an import by name counts too.
+    for module in (surgeshare, cost, scenarios):
+        if hasattr(module, "fit_smooth_discount"):
+            monkeypatch.setattr(module, "fit_smooth_discount", counting_fit)
+    path = tmp_path / "inline.ini"
+    path.write_text("[params]\nn_consumers = 100\np_nonsurge = 0.1\n"
+                    "p_surge = 0.3\np_bad = 0.01\n"
+                    "[cost_model]\nper_item_main = 800\nper_item_prosumer = 120\n"
+                    "discount = 1:0.0, 20:0.05\n")
+    assert load_scenario(str(path)).cost_model.discount.max_discount == 0.05
+    assert calls == []
+
+
 def test_round_trip_with_custom_options(tmp_path):
     sc = ScenarioFile(
         name="custom",
@@ -228,8 +261,7 @@ def scenario_files(draw):
     )
     kind = draw(st.sampled_from(["builtin", "edited", "inline"]))
     if kind == "inline":
-        # load_scenario refits smooth; the comparison below ignores it.
-        model = CostModel(**fields, smooth=SmoothDiscount(0.0, 1.0))
+        model = CostModel(**fields)
     else:
         model = get_cost_model(draw(st.sampled_from(["car-mg4-2025", "charger-dc60-2025"])))
         if kind == "edited":
@@ -250,12 +282,9 @@ def scenario_files(draw):
     )
 
 
-def _unfitted(sc):
-    # Cost models compared by the numbers a scenario file stores: a model
-    # saved inline reloads unnamed, with its smooth fit redone.
-    m = sc.cost_model
-    return dataclasses.replace(sc, cost_model=(
-        m.per_item_main, m.per_item_prosumer, m.discount, m.horizon_years))
+def _unnamed(sc):
+    # A cost model saved inline reloads unnamed.
+    return dataclasses.replace(sc, cost_model=dataclasses.replace(sc.cost_model, name=""))
 
 
 @settings(max_examples=60, deadline=None)
@@ -270,8 +299,8 @@ def test_round_trip_fuzz(sc):
         path = os.path.join(tmp, "sc.ini")
         save_scenario(sc, path)
         loaded = load_scenario(path)
-    assert _unfitted(loaded) == _unfitted(sc)
-    # A built-in that was not edited reloads as itself, name and fit too.
+    assert _unnamed(loaded) == _unnamed(sc)
+    # A built-in that was not edited reloads as itself, name too.
     if sc.cost_model in (car_cost_model(), charger_cost_model()):
         assert loaded == sc
 
@@ -542,6 +571,9 @@ def _mismatched_golden(tmp_path, monkeypatch):
     pytest.param(["sweep", "--scenario", "charger-n1000-98", "--axis", "qos",
                   "--grid", "a,b", "--outdir", "{tmp}"], None, 2, "comma-separated",
                  id="sweep-bad-grid"),
+    pytest.param(["sweep", "--scenario", "charger-n1000-98", "--axis", "qos",
+                  "--grid", ",", "--outdir", "{tmp}"], None, 2, "grid must be non-empty",
+                 id="sweep-empty-grid"),
     pytest.param(["sweep", "--cost-model", "nope", "--axis", "qos", "--grid", "0.95",
                   "--outdir", "{tmp}"], None, 2,
                  "unknown cost model 'nope'; built-ins are [", id="sweep-unknown-cost-model"),

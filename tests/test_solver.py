@@ -12,7 +12,6 @@ from surgeshare import (
     Design,
     DiscountSchedule,
     ScenarioParams,
-    SmoothDiscount,
     brute_force_design,
     car_cost_model,
     charger_cost_model,
@@ -99,8 +98,7 @@ _targets = st.one_of(st.just(1.0), st.floats(0.5, 1.0, exclude_min=True))
 
 
 def _cost_model(main, prosumer, schedule=((1, 0.0),)):
-    return CostModel(float(main), float(prosumer), DiscountSchedule(schedule),
-                     SmoothDiscount(0.0, 1.0))
+    return CostModel(float(main), float(prosumer), DiscountSchedule(schedule))
 
 
 @st.composite
