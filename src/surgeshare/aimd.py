@@ -24,14 +24,14 @@ A centralized ``scan_oracle`` provides ground truth for both problems.
 from __future__ import annotations
 
 import math
-import numbers
 from array import array
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .qos import QosReport, ScenarioParams, _cdf_cont_pair, _pmf_cont, qos_all
+from .qos import (QosReport, ScenarioParams, _cdf_cont_pair, _integer, _pmf_cont,
+                  _real, qos_all)
 
 __all__ = [
     "AimdConfig",
@@ -73,29 +73,20 @@ class AimdConfig:
 
     def __post_init__(self):
         # Counts and the seed must be integers before they are compared,
-        # multiplied or handed to numpy.
-        for name, least in (("max_iterations", 1), ("convergence_window", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise TypeError(f"{name} must be an integer; got {value!r}")
-            if value < least:
-                raise ValueError(f"{name} must be at least {least}; got {value!r}")
-        # Each check is written so that NaN fails it: scenario files can
-        # carry any float, inf included.
-        if not 0 < self.alpha < math.inf:
-            raise ValueError("alpha must be positive and finite")
-        if not (0.0 < self.beta < 1.0):
-            raise ValueError("beta must lie in (0, 1)")
-        if not (self.z_init >= 0 and self.q_init >= 0):
-            raise ValueError("initial states must be non-negative")
-        if self.gamma is not None and not 0 < self.gamma < math.inf:
-            raise ValueError("gamma must be positive and finite when given")
-        if not (0.0 < self.gamma_target <= 1.0):
-            raise ValueError("gamma_target must lie in (0, 1]")
-        if not (0.0 <= self.lam_min <= 1.0):
-            raise ValueError("lam_min must lie in [0, 1]")
-        if not 0 < self.convergence_tol < math.inf:
-            raise ValueError("convergence_tol must be positive and finite")
+        # multiplied or handed to numpy; scenario files can carry any
+        # float, NaN and inf included.
+        _integer("max_iterations", self.max_iterations, 1)
+        _integer("convergence_window", self.convergence_window, 1)
+        _integer("seed", self.seed)
+        _real("alpha", self.alpha, 0.0, math.inf, "()")
+        _real("beta", self.beta, 0.0, 1.0, "()")
+        _real("z_init", self.z_init, 0.0, math.inf, "[)")
+        _real("q_init", self.q_init, 0.0, math.inf, "[)")
+        if self.gamma is not None:
+            _real("gamma", self.gamma, 0.0, math.inf, "()")
+        _real("gamma_target", self.gamma_target, 0.0, 1.0, "(]")
+        _real("lam_min", self.lam_min, 0.0, 1.0, "[]")
+        _real("convergence_tol", self.convergence_tol, 0.0, math.inf, "()")
 
 
 @dataclass
@@ -120,10 +111,8 @@ def _check_pool(problem: str, params: ScenarioParams, m: int, t: int) -> None:
     # 0 <= M <= N items and 1 <= T <= N prosumers.
     if problem not in PROBLEMS:
         raise ValueError(f"problem must be one of {PROBLEMS}")
-    if t < 1:
-        raise ValueError("t must be at least 1")
-    if m < 0:
-        raise ValueError("m must be non-negative")
+    _integer("t", t, 1)
+    _integer("m", m)
     if m > params.n_consumers:
         raise ValueError("m cannot exceed the consumer population")
     if t > params.n_consumers:
@@ -142,8 +131,7 @@ def auto_config(problem: str, m: int, t: int, params: ScenarioParams,
     overshoots, leaving only a weak restoring force.
     """
     _check_pool(problem, params, m, t)
-    if m < 2:
-        raise ValueError("m must be at least 2")
+    _integer("m", m, 2)
     p_b = params.p_bad
     q_hat = t * p_b + 2.33 * math.sqrt(t * p_b * (1.0 - p_b))
     q_hat = min(q_hat, 0.4 * m)

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: qos, design, partition, sweep, compare, reproduce.
-Exit codes: 0 success, 1 unconverged/golden mismatch, 2 usage error.
+Exit codes: 0 success, 1 unconverged/golden mismatch, 2 bad input
+(usage, scenario, value or output-path error).
 Every command starts from the ``--scenario`` it is given, or from the
 built-in ``car-n1000-98``; each scenario flag then overrides its field.
 The default output directory can be set with the SURGESHARE_OUTDIR
@@ -256,7 +257,7 @@ def cli_dispatch(argv: Optional[List[str]] = None) -> int:
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import bisect
 import math
-import numbers
 from dataclasses import InitVar, dataclass
 from typing import Optional, Tuple
 
 import numpy as np
+
+from .qos import _integer, _real
 
 __all__ = [
     "DiscountSchedule",
@@ -39,24 +40,20 @@ class DiscountSchedule:
     breakpoints: Tuple[Tuple[int, float], ...]
 
     def __post_init__(self):
-        for m, _ in self.breakpoints:
-            if isinstance(m, bool) or not isinstance(m, numbers.Integral):
-                raise TypeError(f"breakpoint quantities must be integers; got {m!r}")
+        for m, d in self.breakpoints:
+            _integer("breakpoint quantity", m, 1)
+            _real("discount fraction", d, 0.0, 1.0, "[)")
         bps = tuple((int(m), float(d)) for m, d in self.breakpoints)
         object.__setattr__(self, "breakpoints", bps)
         if not bps:
             raise ValueError("schedule needs at least one breakpoint")
         if bps[0][0] != 1:
             raise ValueError("first breakpoint must start at quantity 1")
-        prev_m, prev_d = 0, -1.0
-        for m, d in bps:
-            if m <= prev_m:
+        for (m0, d0), (m1, d1) in zip(bps, bps[1:]):
+            if m1 <= m0:
                 raise ValueError("breakpoint quantities must be strictly increasing")
-            if not (0.0 <= d < 1.0):
-                raise ValueError("discount fractions must lie in [0, 1)")
-            if d < prev_d:
+            if d1 < d0:
                 raise ValueError("discount fractions must be non-decreasing")
-            prev_m, prev_d = m, d
 
     @property
     def max_discount(self) -> float:
@@ -71,11 +68,8 @@ class SmoothDiscount:
     rate: float
 
     def __post_init__(self):
-        # Each check is written so that NaN fails it.
-        if not (0.0 <= self.amplitude < 1.0):
-            raise ValueError("amplitude must lie in [0, 1)")
-        if not (0.0 < self.rate < math.inf):
-            raise ValueError("rate must be positive and finite")
+        _real("amplitude", self.amplitude, 0.0, 1.0, "[)")
+        _real("rate", self.rate, 0.0, math.inf, "()")
 
     def value(self, m: float) -> float:
         return self.amplitude * (1.0 - np.exp(-self.rate * m))
@@ -105,16 +99,12 @@ class CostModel:
     name: str = ""
 
     def __post_init__(self, smooth):
-        # Each check is written so that NaN fails it: inline cost models
-        # in scenario files can carry any float.
         for name in ("per_item_main", "per_item_prosumer"):
-            if not (0.0 < getattr(self, name) < math.inf):
-                raise ValueError(f"{name} must be positive and finite")
-        if not (1 <= self.horizon_years < math.inf):
-            raise ValueError("horizon_years must be at least 1 and finite")
-        if isinstance(self.horizon_years, bool) or not isinstance(
-                self.horizon_years, numbers.Integral):
-            raise TypeError(f"horizon_years must be an integer; got {self.horizon_years!r}")
+            _real(name, getattr(self, name), 0.0, math.inf, "()")
+        # The range first, so that a NaN or infinite horizon is a
+        # ValueError like any other out-of-range value.
+        _real("horizon_years", self.horizon_years, 1, math.inf, "[)")
+        _integer("horizon_years", self.horizon_years, 1)
 
     def cost_per_consumer(self, cost_real: float, n_consumers: int) -> float:
         """Annualized per-consumer cost over the model horizon."""

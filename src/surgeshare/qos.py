@@ -33,9 +33,33 @@ __all__ = [
 ]
 
 
-def _check_probability(p: float, name: str = "p") -> None:
-    if not (0.0 < p < 1.0):
-        raise ValueError(f"{name} must lie in the open interval (0, 1); got {p!r}")
+def _integer(name: str, value, least=0) -> None:
+    """The one rule for a count: an integer, not a bool, of at least ``least``.
+
+    The exact-type test only spares a plain int the slower ABC check.
+    """
+    if type(value) is not int and (isinstance(value, bool)
+                                   or not isinstance(value, numbers.Integral)):
+        raise TypeError(f"{name} must be an integer; got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be non-negative; got {value!r}" if least == 0
+                         else f"{name} must be at least {least}; got {value!r}")
+
+
+def _real(name: str, value, low: float, high: float, closed: str) -> None:
+    """The one rule for a real number: not a bool, and inside an interval.
+
+    ``closed`` is the interval's pair of brackets, such as "(]" for
+    (low, high]; NaN lies in no interval.  As in ``_integer``, a plain
+    float skips the ABC check.
+    """
+    if type(value) is not float and (isinstance(value, bool)
+                                     or not isinstance(value, numbers.Real)):
+        raise TypeError(f"{name} must be a real number; got {value!r}")
+    if not ((low <= value if closed[0] == "[" else low < value)
+            and (value <= high if closed[1] == "]" else value < high)):
+        raise ValueError(f"{name} must lie in {closed[0]}{low:g}, {high:g}{closed[1]}; "
+                         f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -57,18 +81,11 @@ class ScenarioParams:
     qos_target_b: float = 0.98
 
     def __post_init__(self):
-        n = self.n_consumers
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-            raise TypeError(f"n_consumers must be an integer; got {n!r}")
-        if n < 1:
-            raise ValueError("n_consumers must be at least 1")
-        _check_probability(self.p_nonsurge, "p_nonsurge")
-        _check_probability(self.p_surge, "p_surge")
-        _check_probability(self.p_bad, "p_bad")
+        _integer("n_consumers", self.n_consumers, 1)
+        for name in ("p_nonsurge", "p_surge", "p_bad"):
+            _real(name, getattr(self, name), 0.0, 1.0, "()")
         for name in ("qos_target_ns", "qos_target_s", "qos_target_b"):
-            value = getattr(self, name)
-            if not (0.0 < value <= 1.0):
-                raise ValueError(f"{name} must lie in (0, 1]; got {value!r}")
+            _real(name, getattr(self, name), 0.0, 1.0, "(]")
 
 
 @dataclass(frozen=True)
@@ -86,9 +103,9 @@ def binom_cdf(a: int, n: int, p: float) -> float:
     Returns 1 whenever a >= n (more items than possible requesters) and
     0 for a < 0.
     """
-    _check_probability(p)
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    _real("a", a, -math.inf, math.inf, "[]")
+    _integer("n", n)
+    _real("p", p, 0.0, 1.0, "()")
     if a < 0:
         return 0.0
     if a >= n:
@@ -104,9 +121,9 @@ def binom_cdf_cont(x: float, n: int, p: float) -> float:
     at every integer x in [0, n] and interpolates monotonically in
     between.  Clamps to 0 below x = -1 and to 1 at x >= n.
     """
-    _check_probability(p)
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _real("x", x, -math.inf, math.inf, "[]")
+    _integer("n", n, 1)
+    _real("p", p, 0.0, 1.0, "()")
     saturated, a, b = _cdf_cont_terms(x, n)
     if saturated is not None:
         return saturated
@@ -155,9 +172,9 @@ def binom_pmf_cont(x: float, n: int, p: float) -> float:
     capacity event through ``_pmf_cont``, where a numpy ufunc call would
     cost more than it saves and ``gammaln`` may differ in the last bits.
     """
-    _check_probability(p)
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _real("x", x, -math.inf, math.inf, "[]")
+    _integer("n", n, 1)
+    _real("p", p, 0.0, 1.0, "()")
     return _pmf_cont(n, p)(x)
 
 
@@ -185,13 +202,9 @@ def qos_all(params: ScenarioParams, m: int, t: int, q: int) -> QosReport:
     minus reserve plus prosumer supply), A_b = Q (the reserve), with the
     bad-behaviour requester population being the T prosumers.
     """
-    for name, value in (("m", m), ("t", t), ("q", q)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise TypeError(f"{name} must be an integer; got {value!r}")
-    if m < 0:
-        raise ValueError("m must be non-negative")
-    if q < 0 or t < 0:
-        raise ValueError("t and q must be non-negative")
+    _integer("m", m)
+    _integer("t", t)
+    _integer("q", q)
     if q > m:
         raise ValueError(f"reserve q={q} cannot exceed pool size m={m}")
     if q > t:
@@ -270,11 +283,9 @@ def min_items_for_qos(n: int, p: float, target: float) -> int:
     through any floating-point plateau the search landed on.  A target
     of exactly 1 gives n.
     """
-    _check_probability(p)
-    if not (0.0 < target <= 1.0):
-        raise ValueError("target must lie in (0, 1]")
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    _integer("n", n)
+    _real("p", p, 0.0, 1.0, "()")
+    _real("target", target, 0.0, 1.0, "(]")
     if n == 0 or target == 1.0:
         return n
     a = _flip(lambda x: _meets_target(x, n, p, target), 0, n,
@@ -290,9 +301,8 @@ def normal_approx_reserve(t: int, p_b: float, target_qos_b: float) -> float:
     ``y`` is the standard normal quantile at the target QoS level; this
     is the closed-form approximation of the exact binomial reserve.
     """
-    if t < 1:
-        raise ValueError("t must be at least 1")
-    _check_probability(p_b, "p_b")
-    _check_probability(target_qos_b, "target_qos_b")
+    _integer("t", t, 1)
+    _real("p_b", p_b, 0.0, 1.0, "()")
+    _real("target_qos_b", target_qos_b, 0.0, 1.0, "()")
     y = statistics.NormalDist().inv_cdf(target_qos_b)
     return t * p_b + y * math.sqrt(t * p_b * (1.0 - p_b))

@@ -40,7 +40,8 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .cost import CostModel, cost_eval
-from .qos import QosReport, ScenarioParams, _flip, _meets_target, min_items_for_qos, qos_all
+from .qos import (QosReport, ScenarioParams, _flip, _integer, _meets_target,
+                  min_items_for_qos, qos_all)
 
 __all__ = [
     "Design",
@@ -105,7 +106,13 @@ class SolverOpts:
 
 
 def feasible(params: ScenarioParams, d: Design) -> bool:
-    """Check the three QoS constraints and the four structural ones."""
+    """Check the three QoS constraints and the four structural ones.
+
+    M, T and Q must be integers; integers outside the structural bounds
+    make the design infeasible, not an error.
+    """
+    for name in ("m", "t", "q"):
+        _integer(name, getattr(d, name), -math.inf)
     n = params.n_consumers
     if not (n >= d.m >= d.q >= 0 and d.t >= d.q and n >= d.m - d.q + d.t):
         return False

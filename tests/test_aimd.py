@@ -18,6 +18,7 @@ from surgeshare import (
     run_partition,
     scan_oracle,
 )
+from surgeshare import aimd
 from surgeshare.aimd import PROBLEMS
 
 CAR_1000 = ScenarioParams(1000, 0.1, 0.3, 0.01)
@@ -174,6 +175,29 @@ def test_run_partition_validates_inputs():
                 make_config(**{field: value})
     with pytest.raises(ValueError, match="seed"):
         make_config(seed=-1)
+    # Every float setting is named when it is not a number, and an
+    # infinite initial state is rejected when the config is built.
+    for field in ("alpha", "beta", "z_init", "q_init", "gamma", "gamma_target",
+                  "lam_min", "convergence_tol"):
+        for value in ("0.5", True, None):
+            if field == "gamma" and value is None:
+                continue  # None asks for a calibrated gain
+            with pytest.raises(TypeError, match=field):
+                make_config(**{field: value})
+    for field in ("z_init", "q_init"):
+        with pytest.raises(ValueError, match=field):
+            make_config(**{field: math.inf})
+    # A fractional pool is named before any work is done, not after a
+    # whole simulated run.
+    def no_run(*args):
+        raise AssertionError("the run started")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(aimd, "_rate_function", no_run)
+        for m, t, name in ((120.5, 215, "m"), (120, 215.0, "t")):
+            for entry in (run_partition, scan_oracle,
+                          lambda problem, params, m, t: auto_config(problem, m, t, params)):
+                with pytest.raises(TypeError, match=f"{name} must be an integer"):
+                    entry("maximize", CAR_1000, m, t)
 
 
 # The three entry points share one check of the pool against N.

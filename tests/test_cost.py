@@ -53,6 +53,10 @@ def test_schedule_validation():
             DiscountSchedule(breakpoints=((1, 0.0), (bad, 0.1)))
     with pytest.raises(TypeError, match="True"):
         DiscountSchedule(breakpoints=((True, 0.0), (20, 0.1)))
+    # A fraction given as text is rejected, not converted.
+    for bad in ("0.1", True, None):
+        with pytest.raises(TypeError, match="discount fraction"):
+            DiscountSchedule(breakpoints=((1, 0.0), (10, bad)))
     numpy_qty = DiscountSchedule(breakpoints=((np.int64(1), 0.0), (np.int32(10), 0.1)))
     assert numpy_qty.breakpoints == ((1, 0.0), (10, 0.1))
     assert type(numpy_qty.breakpoints[1][0]) is int
@@ -68,6 +72,11 @@ def test_smooth_discount_validation():
             SmoothDiscount(amplitude=0.2, rate=bad)
         with pytest.raises(ValueError, match="amplitude"):
             SmoothDiscount(amplitude=bad, rate=1.0)
+    for bad in ("0.2", True, None):
+        with pytest.raises(TypeError, match="amplitude"):
+            SmoothDiscount(amplitude=bad, rate=1.0)
+        with pytest.raises(TypeError, match="rate"):
+            SmoothDiscount(amplitude=0.2, rate=bad)
 
 
 @pytest.mark.parametrize("field", ["per_item_main", "per_item_prosumer", "horizon_years"])
@@ -77,11 +86,19 @@ def test_cost_model_rejects_non_positive_or_non_finite(field, value):
         dataclasses.replace(car_cost_model(), **{field: value})
 
 
-@pytest.mark.parametrize("value", [1.5, True])
+@pytest.mark.parametrize("value", [1.5, True, "3", None])
 def test_cost_model_rejects_non_integer_horizon(value):
     # save_scenario writes the horizon as an integer.
     with pytest.raises(TypeError, match="horizon_years"):
         dataclasses.replace(car_cost_model(), horizon_years=value)
+
+
+@pytest.mark.parametrize("field", ["per_item_main", "per_item_prosumer"])
+@pytest.mark.parametrize("value", ["3", True, None])
+def test_cost_model_rejects_non_number_unit_costs(field, value):
+    # The message names the field, not just a failed comparison.
+    with pytest.raises(TypeError, match=field):
+        dataclasses.replace(car_cost_model(), **{field: value})
 
 
 def test_cost_model_stores_no_smooth_fit():

@@ -68,6 +68,21 @@ def test_cdf_rejects_bad_probability(bad_p):
         binom_cdf(3, 10, bad_p)
 
 
+def test_kernels_reject_non_integer_counts_and_nan_thresholds():
+    # A fractional count must not be truncated, and a NaN threshold is
+    # named rather than failing inside int() or returning nan.
+    for kernel in (binom_cdf, binom_cdf_cont, binom_pmf_cont):
+        for n in (10.5, 10.0, "10", True):
+            with pytest.raises(TypeError, match="n must be an integer"):
+                kernel(3, n, 0.5)
+        with pytest.raises(ValueError, match=r"(a|x) must lie in"):
+            kernel(math.nan, 10, 0.5)
+        assert kernel(math.inf, 10, 0.5) == (0.0 if kernel is binom_pmf_cont else 1.0)
+        assert kernel(-math.inf, 10, 0.5) == 0.0
+    with pytest.raises(TypeError, match="t must be an integer"):
+        normal_approx_reserve(215.5, 0.01, 0.98)
+
+
 def test_cdf_random_property_suite():
     # Bounds, monotonicity in the threshold, and anti-monotonicity in p.
     rng = random.Random(1234)
@@ -237,6 +252,10 @@ def test_min_items_rejects_bad_inputs():
             min_items_for_qos(10, 0.3, target)
     with pytest.raises(ValueError):
         min_items_for_qos(10, 1.0, 0.9)
+    # A fractional n is not searched as is.
+    for n in (10.5, True):
+        with pytest.raises(TypeError, match="n must be an integer"):
+            min_items_for_qos(n, 0.5, 0.9)
 
 
 def test_min_items_near_normal_approximation():
@@ -264,6 +283,15 @@ def test_normal_approx_reserve_consistent_with_table():
 def test_params_reject_non_integer_population(bad_n):
     with pytest.raises(TypeError, match="n_consumers"):
         ScenarioParams(bad_n, 0.1, 0.3, 0.01)
+
+
+@pytest.mark.parametrize("field", ["p_nonsurge", "p_surge", "p_bad",
+                                   "qos_target_ns", "qos_target_s", "qos_target_b"])
+@pytest.mark.parametrize("bad", ["0.1", True, None])
+def test_params_reject_non_real_fields(field, bad):
+    fields = dict(n_consumers=100, p_nonsurge=0.1, p_surge=0.3, p_bad=0.01)
+    with pytest.raises(TypeError, match=field):
+        ScenarioParams(**{**fields, field: bad})
 
 
 def test_params_accept_numpy_integer_population():

@@ -532,6 +532,24 @@ def _car_1000_aimd(section):
     return write
 
 
+def _ini(text):
+    def write(tmp_path, monkeypatch):
+        (tmp_path / "scenario.ini").write_text(text)
+    return write
+
+
+_PARAMS = "[params]\nn_consumers = 1000\np_nonsurge = 0.1\np_surge = 0.3\np_bad = 0.01\n"
+
+
+def _inline_cost(discount):
+    return _ini(_PARAMS + "[cost_model]\nper_item_main = 800\nper_item_prosumer = 120\n"
+                f"discount = {discount}\n")
+
+
+def _blocking_file(tmp_path, monkeypatch):
+    (tmp_path / "blocker").write_text("")
+
+
 def _mismatched_golden(tmp_path, monkeypatch):
     def load(resource, load=cli._load_golden):
         rows = load(resource)
@@ -562,6 +580,34 @@ def _mismatched_golden(tmp_path, monkeypatch):
                  "p_surge must lie in", id="design-scenario-bad-flag"),
     pytest.param(["design", "--scenario", "charger-n1000-98", "--cost-model", "nope"], None, 2,
                  "unknown cost model 'nope'", id="design-scenario-unknown-cost-model"),
+    pytest.param(["design", "--scenario", "{tmp}/scenario.ini"],
+                 _ini(_PARAMS.replace("1000", "1e3")), 2, "must be an integer",
+                 id="design-scenario-fractional-count"),
+    pytest.param(["design", "--scenario", "{tmp}/scenario.ini"],
+                 _ini(_PARAMS.replace("0.1", "abc")), 2, "must be a number",
+                 id="design-scenario-text-probability"),
+    pytest.param(["design", "--scenario", "{tmp}/scenario.ini"],
+                 _ini("[scenario]\nname = x\n"), 2, "missing the [params] section",
+                 id="design-scenario-no-params"),
+    pytest.param(["design", "--scenario", "{tmp}/scenario.ini"],
+                 _ini(_PARAMS + "[cost_model]\nbuiltin = car-mg4-2025\nper_item_main = 800\n"),
+                 2, "mixes 'builtin' with inline keys", id="design-scenario-builtin-and-inline"),
+    pytest.param(["design", "--scenario", "{tmp}/scenario.ini"],
+                 _ini(_PARAMS + "[cost_model]\nper_item_main = 800\n"), 2,
+                 "is missing keys", id="design-scenario-incomplete-cost-model"),
+    pytest.param(["design", "--scenario", "{tmp}/scenario.ini"],
+                 _inline_cost("1:0.0, 20:0.05, 10:0.1"), 2, "strictly increasing",
+                 id="design-scenario-non-increasing-discount"),
+    pytest.param(["design", "--scenario", "{tmp}/scenario.ini"],
+                 _inline_cost("1-0.0"), 2, "bad discount entry",
+                 id="design-scenario-malformed-discount"),
+    pytest.param(["design", "--scenario", "{tmp}/scenario.ini"],
+                 _ini("n_consumers = 1000\n"), 2, "cannot parse",
+                 id="design-scenario-no-section-header"),
+    pytest.param(["design", "--outdir", "{tmp}/blocker", "--output", "x.csv"],
+                 _blocking_file, 2, "error: [Errno", id="design-outdir-is-a-file"),
+    pytest.param(["design", "--outdir", "{tmp}", "--output", "missing/x.csv"],
+                 None, 2, "error: [Errno", id="design-output-dir-missing"),
     pytest.param(["compare", "--scenario", "charger-n1000-98"], None, 0, "",
                  id="compare-ok"),
     pytest.param(["compare", "--cost-model", "nope"], None, 2,
@@ -582,6 +628,9 @@ def _mismatched_golden(tmp_path, monkeypatch):
     pytest.param(["partition", "--scenario", "{tmp}/scenario.ini", "--m", "120", "--t", "215"],
                  _car_1000_aimd("max_iterations = 10\n"), 1, "not converged",
                  id="partition-unconverged"),
+    pytest.param(["partition", "--scenario", "car-n1000", "--m", "120", "--t", "215",
+                  "--outdir", "{tmp}", "--output", "missing/t.csv"],
+                 None, 2, "error: [Errno", id="partition-output-dir-missing"),
     pytest.param(["partition", "--n", "10", "--m", "5", "--t", "3", "--seed", "-1"],
                  None, 2, "seed", id="partition-negative-seed-flag"),
     pytest.param(["partition", "--scenario", "{tmp}/scenario.ini", "--m", "120", "--t", "215"],
@@ -594,6 +643,8 @@ def _mismatched_golden(tmp_path, monkeypatch):
     pytest.param(["reproduce", "--outdir", "{tmp}"], None, 0, "", id="reproduce-ok"),
     pytest.param(["reproduce", "--outdir", "{tmp}"], _mismatched_golden, 1, "",
                  id="reproduce-golden-mismatch"),
+    pytest.param(["reproduce", "--outdir", "{tmp}/blocker"], _blocking_file, 2, "error: [Errno",
+                 id="reproduce-outdir-is-a-file"),
     pytest.param(["reproduce", "--m", "3"], None, 2, "unrecognized arguments",
                  id="reproduce-unknown-flag"),
 ])

@@ -44,6 +44,15 @@ def test_feasible_rejects_reserve_above_prosumers():
     assert not feasible(CAR_1000, Design(120, 5, 6))
 
 
+def test_feasible_rejects_non_integer_design():
+    # A fractional design is an error, not a design to judge.
+    for d in (Design(120.5, 216, 6), Design(120, 216.0, 6), Design(120, 216, True)):
+        with pytest.raises(TypeError, match="must be an integer"):
+            feasible(CAR_1000, d)
+    # Integers outside the structural bounds are infeasible, not errors.
+    assert not feasible(CAR_1000, Design(-1, 216, 6))
+
+
 def test_feasible_rejects_low_qos():
     assert not feasible(CAR_1000, Design(80, 216, 6))
 
