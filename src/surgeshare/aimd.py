@@ -47,6 +47,7 @@ __all__ = [
 PROBLEMS = ("maximize", "equalize")
 TRACE_CSV_COLUMNS = ("iter", "z", "q", "capacity_event", "z_avg", "q_avg")
 _DRAW_BLOCK = 4096  # uniform draws per Generator call; even, two per event
+_BLOCK_ROWS = 1 << 15  # trace CSV rows built per numpy pass
 
 
 @dataclass(frozen=True)
@@ -197,6 +198,28 @@ def _best_reserve(problem: str, params: ScenarioParams, m: int, t: int,
     return max(reserves, key=lambda q: _objective(problem, params, m, t, q))
 
 
+def _event_series(rows: int, ev_at: array, za_ev: array,
+                  qa_ev: array) -> Tuple[array, array, array]:
+    """The per-iteration event flags and averages of a recorded run,
+    spread from the iteration and the averages of each event: row i
+    holds the averages of the last event at or before it, 0.0 before
+    the first.  Each value is a copy, so the series are bit-identical
+    to ones appended iteration by iteration."""
+    ev_hist = array("b", [0]) * rows
+    flags = np.frombuffer(ev_hist, np.int8)
+    flags[np.frombuffer(ev_at, np.int64)] = 1
+    events_so_far = np.cumsum(flags, dtype=np.int64)
+    series = []
+    for avgs in (za_ev, qa_ev):
+        hist = array("d", [0.0]) * rows
+        # The indices lie in [0, events], so "clip" changes none of them;
+        # it lets take() write into the array without a temporary copy.
+        np.take(np.concatenate(([0.0], np.frombuffer(avgs, np.float64))), events_so_far,
+                out=np.frombuffer(hist, np.float64), mode="clip")
+        series.append(hist)
+    return ev_hist, series[0], series[1]
+
+
 def run_partition(problem: str, params: ScenarioParams, m: int, t: int,
                   config: Optional[AimdConfig] = None,
                   record: bool = True) -> Tuple[AimdTrace, int, QosReport]:
@@ -225,11 +248,14 @@ def run_partition(problem: str, params: ScenarioParams, m: int, t: int,
     l = 0  # iterations so far
     draws, d = [], 0  # a block of uniform draws and the next one to use
 
+    # A recorded run keeps the claims of every iteration, and the
+    # iteration and averages of every event; the per-iteration event
+    # flags and averages are spread out from these after the loop.
     z_hist = array("d")
     q_hist = array("d")
-    ev_hist = array("b")
-    za_hist = array("d")
-    qa_hist = array("d")
+    ev_at = array("q")
+    za_ev = array("d")
+    qa_ev = array("d")
 
     # The windowed convergence test compares the averages with their
     # values ``window`` events back; a ring of window + 1 slots holds
@@ -254,9 +280,6 @@ def run_partition(problem: str, params: ScenarioParams, m: int, t: int,
             if record:
                 z_hist.append(z)
                 q_hist.append(q)
-                ev_hist.append(0)
-                za_hist.append(z_avg)
-                qa_hist.append(q_avg)
         if l == limit:
             break
         # Capacity event: fold the saturated claims into the running
@@ -268,9 +291,9 @@ def run_partition(problem: str, params: ScenarioParams, m: int, t: int,
         if record:
             z_hist.append(z)
             q_hist.append(q)
-            ev_hist.append(1)
-            za_hist.append(z_avg)
-            qa_hist.append(q_avg)
+            ev_at.append(l)
+            za_ev.append(z_avg)
+            qa_ev.append(q_avg)
         # Probabilistic multiplicative backoff.  The agent that does not
         # back off holds its claim, which keeps the pool occupancy below
         # M + 2*alpha at all times.
@@ -307,6 +330,10 @@ def run_partition(problem: str, params: ScenarioParams, m: int, t: int,
         l += 1
 
     total = limit if converged_at is None else converged_at + 1
+    if record:
+        ev_hist, za_hist, qa_hist = _event_series(len(z_hist), ev_at, za_ev, qa_ev)
+    else:
+        ev_hist, za_hist, qa_hist = array("b"), array("d"), array("d")
     trace = AimdTrace(
         z=z_hist, q=q_hist, capacity_event=ev_hist,
         z_avg_series=za_hist, q_avg_series=qa_hist,
@@ -332,11 +359,97 @@ def scan_oracle(problem: str, params: ScenarioParams, m: int,
     return q, abs(_objective(problem, params, m, t, q))
 
 
+def _int_text(mag, neg=None, decimals: int = 0):
+    """The text of the integers mag >= 0 divided by 10**decimals, with a
+    '-' where ``neg``, right-aligned in a uint8 matrix padded with spaces."""
+    # Digits come from // and a product: numpy's divmod by a scalar took
+    # several times longer than both together (numpy 2.4).
+    whole = mag // 10 ** decimals
+    int_w = len(str(int(whole.max()))) if len(mag) else 1
+    sign = int(neg is not None and bool(neg.any()))
+    width = sign + int_w + (decimals + 1 if decimals else 0)
+    out = np.empty((len(mag), width), np.uint8)
+    col = width
+    rest = mag
+    for _ in range(decimals):
+        col -= 1
+        head = rest // 10
+        out[:, col] = rest - head * 10 + ord("0")
+        rest = head
+    if decimals:
+        col -= 1
+        out[:, col] = ord(".")
+    shown = np.ones(len(mag), np.int64)  # digits of the whole part
+    for k in range(int_w):
+        col -= 1
+        head = rest // 10
+        digit = rest - head * 10 + ord("0")
+        rest = head
+        if k:
+            lead = whole < 10 ** k
+            digit[lead] = ord(" ")
+            shown += ~lead
+        out[:, col] = digit
+    if sign:
+        out[:, 0] = ord(" ")
+        out[neg, int_w - shown[neg]] = ord("-")
+    return out
+
+
+def _float_text(x):
+    """``format(v, ".6f")`` of each float v, as ``_int_text`` lays it out."""
+    x = x.astype(np.float64, copy=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = np.abs(x) * 1e6
+        exact = np.abs(s - np.floor(s) - 0.5) > 2.0 * np.spacing(s)
+    out = _int_text(np.rint(np.where(exact, s, 0.0)).astype(np.int64), np.signbit(x), 6)
+    if exact.all():
+        return out
+    slow = np.flatnonzero(~exact)
+    texts = [format(v, ".6f").encode() for v in x[slow].tolist()]
+    width = max(out.shape[1], max(map(len, texts)))
+    if width > out.shape[1]:
+        out = np.concatenate(
+            [np.full((len(x), width - out.shape[1]), ord(" "), np.uint8), out], axis=1)
+    for i, text in zip(slow.tolist(), texts):
+        out[i] = ord(" ")
+        out[i, width - len(text):] = np.frombuffer(text, np.uint8)
+    return out
+
+
 def write_trace_csv(path, trace: AimdTrace) -> None:
-    """Export the per-iteration history for downstream plotting."""
-    rows = zip(trace.z, trace.q, trace.capacity_event,
-               trace.z_avg_series, trace.q_avg_series)
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(TRACE_CSV_COLUMNS) + "\n")
-        fh.writelines(f"{l},{z:.6f},{q:.6f},{ev},{za:.6f},{qa:.6f}\n"
-                      for l, (z, q, ev, za, qa) in enumerate(rows))
+    """Export the per-iteration history for downstream plotting.
+
+    One row per iteration: ``TRACE_CSV_COLUMNS``, the iteration number
+    and the event flag as integers, the four claims and averages with
+    six decimals, exactly as ``f"{v:.6f}"`` prints them.
+
+    The rows are built in blocks of ``_BLOCK_ROWS`` with numpy.
+    ``f"{v:.6f}"`` prints the sign of v, then the exact product
+    |v| * 10**6 rounded half to even and divided by 10**6.  The
+    computed product s = fl(|v| * 1e6) lies within half an ulp of the
+    exact one, so ``np.rint(s)`` gives the same integer unless a
+    half-integer lies within half an ulp of s.
+    Where s lies within two ulps of a half-integer, the element is
+    printed by ``format(v, ".6f")`` itself instead.  Exact ties such as
+    1/128 = 0.0078125 take that path, and so do NaN, the infinities
+    and every s of 2**50 or more, whose ulp is too coarse to pass the
+    test; below 2**50 the int64 digits are exact.
+    """
+    # Views of the trace's arrays, not copies.
+    cols = [np.asarray(a) for a in (trace.z, trace.q, trace.capacity_event,
+                                    trace.z_avg_series, trace.q_avg_series)]
+    rows = min(len(c) for c in cols)
+    with open(path, "wb") as fh:
+        fh.write((",".join(TRACE_CSV_COLUMNS) + "\n").encode())
+        for start in range(0, rows, _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, rows)
+            z, q, ev, za, qa = (c[start:stop] for c in cols)
+            ev = ev.astype(np.int64)
+            fields = [_int_text(np.arange(start, stop, dtype=np.int64)),
+                      _float_text(z), _float_text(q), _int_text(np.abs(ev), ev < 0),
+                      _float_text(za), _float_text(qa)]
+            comma = np.full((stop - start, 1), ord(","), np.uint8)
+            block = np.hstack([part for f in fields for part in (f, comma)])
+            block[:, -1] = ord("\n")
+            fh.write(block.tobytes().replace(b" ", b""))

@@ -108,17 +108,29 @@ def _cmd_partition(args) -> int:
         overrides["seed"] = args.seed
     config = dataclasses.replace(
         aimd_mod.auto_config(args.problem, args.m, args.t, params), **overrides)
-    trace, q_star, rep = aimd_mod.run_partition(
-        args.problem, params, args.m, args.t, config=config,
-        record=args.output is not None)
+    path, created = None, False
+    if args.output:
+        # Open the output before the run, so that a path that cannot be
+        # written fails at once; "a" leaves an existing file as it is
+        # until the trace is written.
+        path = os.path.join(_outdir(args), args.output)
+        created = not os.path.exists(path)
+        open(path, "a").close()
+    try:
+        trace, q_star, rep = aimd_mod.run_partition(
+            args.problem, params, args.m, args.t, config=config,
+            record=path is not None)
+    except BaseException:
+        if created:
+            os.remove(path)
+        raise
     print(f"q_star = {q_star}")
     print(f"q_avg = {trace.q_avg:.4f}  z_avg = {trace.z_avg:.4f}")
     print(f"capacity_events = {trace.capacity_count}  iterations = {trace.total_iterations}")
     print(f"qos_s = {rep.qos_s:.4f}  qos_b = {rep.qos_b:.4f}")
     if trace.converged_at is None:
         print("warning: not converged within max_iterations", file=sys.stderr)
-    if args.output:
-        path = os.path.join(_outdir(args), args.output)
+    if path is not None:
         aimd_mod.write_trace_csv(path, trace)
         print(f"wrote {path}")
     return 0 if trace.converged_at is not None else 1

@@ -101,9 +101,13 @@ def binom_cdf(a: int, n: int, p: float) -> float:
     """P[X <= a] for X ~ Binomial(n, p), with the saturating branches.
 
     Returns 1 whenever a >= n (more items than possible requesters) and
-    0 for a < 0.
+    0 for a < 0.  The threshold a counts items: a float must be a whole
+    number or infinite.
     """
-    _real("a", a, -math.inf, math.inf, "[]")
+    if type(a) is not int:
+        _real("a", a, -math.inf, math.inf, "[]")
+        if math.isfinite(a) and a != math.floor(a):
+            raise ValueError(f"a must be a whole number; got {a!r}")
     _integer("n", n)
     _real("p", p, 0.0, 1.0, "()")
     if a < 0:

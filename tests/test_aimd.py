@@ -1,6 +1,10 @@
 """Unit tests for the AIMD partitioning simulation."""
 
+import dataclasses
 import math
+import os
+import tempfile
+from array import array
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from hypothesis import strategies as st
 
 from surgeshare import (
     AimdConfig,
+    AimdTrace,
     ScenarioParams,
     auto_config,
     binom_cdf,
@@ -414,3 +419,70 @@ def test_run_partition_equals_per_iteration_reference(case):
            trace.capacity_count, trace.z_avg.hex(), trace.q_avg.hex(),
            trace.converged_at, trace.total_iterations, q_star)
     assert got == _reference_run(problem, params, m, t, config, record)
+
+
+@pytest.mark.parametrize("problem", PROBLEMS)
+@pytest.mark.parametrize("params, m, t", [
+    (CAR_1000, 120, 215),
+    (ScenarioParams(5000, 0.1, 0.3, 0.01), 545, 1040),
+], ids=["car-n1000", "car-n5000"])
+@pytest.mark.parametrize("seed", [0, 7, 12345])
+def test_recorded_series_match_per_iteration_reference(problem, params, m, t, seed):
+    # The auto_config regimes the CLI records, cut to 30k iterations: a
+    # recorded run spreads its event flags and averages out after the
+    # loop, and every series must equal the one appended per iteration.
+    config = dataclasses.replace(auto_config(problem, m, t, params, seed=seed),
+                                 max_iterations=30_000)
+    trace, _, _ = run_partition(problem, params, m, t, config)
+    series = (trace.z, trace.q, trace.capacity_event, trace.z_avg_series, trace.q_avg_series)
+    assert [type(s) for s in series] == [array] * 5
+    assert [s.typecode for s in series] == list("ddbdd")
+    assert trace.capacity_count > 0
+    hist = _reference_run(problem, params, m, t, config, True)[0]
+    assert [list(s) for s in series] == hist
+
+
+def _trace_of(rows):
+    z, q, ev, za, qa = zip(*rows) if rows else ((),) * 5
+    return AimdTrace(array("d", z), array("d", q), array("b", ev), array("d", za),
+                     array("d", qa), capacity_count=0, z_avg=0.0, q_avg=0.0,
+                     converged_at=None, total_iterations=len(rows))
+
+
+def _ulps_from(x, steps):
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+_TIE = 0.0078125  # 1/128 = 7812.5 millionths exactly; prints 0.007812
+_HALF = 2.5e-6  # the double nearest a .5-millionth boundary
+# Doubles within a few ulps of a .5-millionth boundary, where the scaled
+# product can round to either side of the half.
+_near_half = st.builds(_ulps_from, st.integers(-10**10, 10**10).map(lambda k: (k + 0.5) / 1e6),
+                       st.integers(-3, 3))
+_values = st.one_of(st.floats(), st.floats(-1e3, 1e3), _near_half)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_values, _values, st.integers(-128, 127), _values, _values),
+                max_size=40),
+       st.integers(1, 8))
+@example([], 4)  # the header alone
+@example([(_TIE, -_TIE, 1, 3 * _TIE, 0.5)], 1)  # exact ties round to even
+@example([(math.nextafter(_TIE, 0.0), math.nextafter(_TIE, 1.0),
+           0, math.nextafter(_HALF, 0.0), math.nextafter(_HALF, 1.0))], 1)
+@example([(-0.0, -1e-9, 0, -123.4567895, 2.0**53 / 1e6),
+          (1e20, -1.7e308, 5, 5e-324, 9.1e9)], 1)
+@example([(math.nan, math.inf, -128, -math.inf, -math.nan),
+          (1.0, 2.0, 127, 3.0, 4.0)], 1)
+def test_write_trace_csv_matches_reference_writer(reference_trace_csv, rows, block):
+    # Blocks of 1 to 8 rows put block edges everywhere, with one wide
+    # fallback field in a block and none in the next.
+    trace = _trace_of(rows)
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(aimd, "_BLOCK_ROWS", block)
+        path = os.path.join(tmp, "trace.csv")
+        aimd.write_trace_csv(path, trace)
+        with open(path, "rb") as fh:
+            assert fh.read() == reference_trace_csv(trace)

@@ -83,6 +83,19 @@ def test_kernels_reject_non_integer_counts_and_nan_thresholds():
         normal_approx_reserve(215.5, 0.01, 0.98)
 
 
+def test_cdf_rejects_fractional_threshold():
+    # The threshold counts items: 3.5 and 3.999 used to be truncated to
+    # the value at 3.  Whole floats and the infinities stay valid.
+    for a in (3.5, 3.999, -0.5, 1e-300, np.float64(2.5), Fraction(7, 2)):
+        with pytest.raises(ValueError, match="a must be a whole number"):
+            binom_cdf(a, 10, 0.5)
+    for a in (3.0, np.float64(3.0), np.int64(3), Fraction(3)):
+        assert binom_cdf(a, 10, 0.5) == binom_cdf(3, 10, 0.5)
+    assert binom_cdf(-2.0, 10, 0.5) == 0.0 and binom_cdf(12.0, 10, 0.5) == 1.0
+    assert binom_cdf(math.inf, 10, 0.5) == 1.0
+    assert binom_cdf(-math.inf, 10, 0.5) == 0.0
+
+
 def test_cdf_random_property_suite():
     # Bounds, monotonicity in the threshold, and anti-monotonicity in p.
     rng = random.Random(1234)

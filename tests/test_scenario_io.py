@@ -378,7 +378,15 @@ def test_cli_design_respects_outdir_env(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "env_row.csv").exists()
 
 
-def test_cli_partition_equalize_seed7(tmp_path, capsys):
+def test_cli_partition_equalize_seed7(tmp_path, monkeypatch, capsys, reference_trace_csv):
+    written = []
+
+    def spy(path, trace):
+        written.append(trace)
+        return write(path, trace)
+
+    write = aimd.write_trace_csv
+    monkeypatch.setattr(aimd, "write_trace_csv", spy)
     code = cli_dispatch(["partition", "--scenario", "car-n1000",
                          "--m", "120", "--t", "215",
                          "--problem", "equalize", "--seed", "7",
@@ -387,9 +395,12 @@ def test_cli_partition_equalize_seed7(tmp_path, capsys):
     assert code == 0
     q_star = int(out.split("q_star = ")[1].split()[0])
     assert abs(q_star - 5) <= 1
-    with open(tmp_path / "trace.csv") as fh:
-        header = fh.readline().strip()
-    assert header == "iter,z,q,capacity_event,z_avg,q_avg"
+    data = (tmp_path / "trace.csv").read_bytes()
+    assert data.startswith(b"iter,z,q,capacity_event,z_avg,q_avg\n")
+    # Every row of the 593,577 as the per-row f-string writer prints it.
+    (trace,) = written
+    assert data.count(b"\n") == trace.total_iterations + 1
+    assert data == reference_trace_csv(trace)
 
 
 def test_cli_partition_rejects_t_above_n(capsys):
@@ -556,6 +567,43 @@ def _mismatched_golden(tmp_path, monkeypatch):
         rows[0] = {**rows[0], "M": str(int(rows[0]["M"]) + 100)}
         return rows
     monkeypatch.setattr(cli, "_load_golden", load)
+
+
+@pytest.mark.parametrize("argv, setup", [
+    (["--outdir", "{tmp}", "--output", "missing/t.csv"], None),
+    (["--outdir", "{tmp}/blocker", "--output", "t.csv"], _blocking_file),
+    (["--outdir", "{tmp}", "--output", "."], None),
+], ids=["output-dir-missing", "outdir-is-a-file", "output-is-a-dir"])
+def test_cli_partition_bad_output_fails_before_the_run(argv, setup, tmp_path, monkeypatch,
+                                                        capsys):
+    # The output path is opened before the run, not after a whole
+    # recorded simulation.
+    def no_run(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    if setup is not None:
+        setup(tmp_path, monkeypatch)
+    monkeypatch.setattr(aimd, "run_partition", no_run)
+    code = cli_dispatch(["partition", "--scenario", "car-n1000", "--m", "120", "--t", "215",
+                         *(arg.replace("{tmp}", str(tmp_path)) for arg in argv)])
+    assert code == 2
+    assert "error: [Errno" in capsys.readouterr().err
+
+
+def test_cli_partition_input_error_leaves_no_trace_file(tmp_path, capsys):
+    # The initial states are checked by run_partition, after the output
+    # is opened: a new file is removed, and an existing one is kept as
+    # it was.
+    scenario = tmp_path / "scenario.ini"
+    _car_1000_aimd("z_init = 100\nq_init = 30\n")(tmp_path, None)
+    argv = ["partition", "--scenario", str(scenario), "--m", "120", "--t", "215",
+            "--outdir", str(tmp_path)]
+    assert cli_dispatch([*argv, "--output", "new.csv"]) == 2
+    assert "z_init + q_init < M" in capsys.readouterr().err
+    assert not (tmp_path / "new.csv").exists()
+    (tmp_path / "old.csv").write_text("kept\n")
+    assert cli_dispatch([*argv, "--output", "old.csv"]) == 2
+    assert (tmp_path / "old.csv").read_text() == "kept\n"
 
 
 # The documented contract: 0 success, 1 unconverged or golden mismatch,
