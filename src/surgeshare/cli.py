@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import errno
 import importlib.resources
 import os
 import sys
@@ -39,10 +40,31 @@ _PARAM_FLAGS = {
 }
 
 
-def _outdir(args) -> str:
-    path = getattr(args, "outdir", None) or os.environ.get(OUTDIR_ENV) or "."
-    os.makedirs(path, exist_ok=True)
-    return path
+def _output_paths(args, *names: str) -> List[str]:
+    """Join each name to the output directory and check it before any work.
+
+    A path in a directory that exists is opened for appending, so that
+    one that cannot be written fails at once, and is removed again if
+    the check made it.  Any other path must name a file in the output
+    directory or in a parent of it still to be made.  The output
+    directory is made only once every path has passed.
+    """
+    outdir = args.outdir or os.environ.get(OUTDIR_ENV) or "."
+    top = os.path.abspath(outdir)
+    paths = [os.path.join(outdir, name) for name in names]
+    for path in paths:
+        full = os.path.abspath(path)
+        parent = os.path.dirname(full)
+        if os.path.isdir(parent):
+            existed = os.path.exists(path)
+            open(path, "a").close()
+            if not existed:
+                os.remove(path)
+        elif (os.path.commonpath([parent, top]) != parent
+              or os.path.commonpath([full, top]) == full):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    os.makedirs(outdir, exist_ok=True)
+    return paths
 
 
 def _scenario_params(args) -> Tuple[ScenarioParams, object, dict]:
@@ -89,14 +111,14 @@ def _cmd_qos(args) -> int:
 
 def _cmd_design(args) -> int:
     params, model, _ = _scenario_params(args)
+    paths = _output_paths(args, args.output) if args.output else []
     rep = solver_mod.solve_min_cost(params, model)
     d = rep.design
     print(f"M = {d.m}  T = {d.t}  Q = {d.q}")
     print(f"cost_total = {rep.cost_real:.2f}")
     print(f"cost_per_consumer = {rep.cost_per_consumer:.2f}")
     print(f"qos = ({rep.qos.qos_ns:.4f}, {rep.qos.qos_s:.4f}, {rep.qos.qos_b:.4f})")
-    if args.output:
-        path = os.path.join(_outdir(args), args.output)
+    for path in paths:
         solver_mod.write_design_csv(path, [rep])
         print(f"wrote {path}")
     return 0
@@ -108,29 +130,16 @@ def _cmd_partition(args) -> int:
         overrides["seed"] = args.seed
     config = dataclasses.replace(
         aimd_mod.auto_config(args.problem, args.m, args.t, params), **overrides)
-    path, created = None, False
-    if args.output:
-        # Open the output before the run, so that a path that cannot be
-        # written fails at once; "a" leaves an existing file as it is
-        # until the trace is written.
-        path = os.path.join(_outdir(args), args.output)
-        created = not os.path.exists(path)
-        open(path, "a").close()
-    try:
-        trace, q_star, rep = aimd_mod.run_partition(
-            args.problem, params, args.m, args.t, config=config,
-            record=path is not None)
-    except BaseException:
-        if created:
-            os.remove(path)
-        raise
+    paths = _output_paths(args, args.output) if args.output else []
+    trace, q_star, rep = aimd_mod.run_partition(
+        args.problem, params, args.m, args.t, config=config, record=bool(paths))
     print(f"q_star = {q_star}")
     print(f"q_avg = {trace.q_avg:.4f}  z_avg = {trace.z_avg:.4f}")
     print(f"capacity_events = {trace.capacity_count}  iterations = {trace.total_iterations}")
     print(f"qos_s = {rep.qos_s:.4f}  qos_b = {rep.qos_b:.4f}")
     if trace.converged_at is None:
         print("warning: not converged within max_iterations", file=sys.stderr)
-    if path is not None:
+    for path in paths:
         aimd_mod.write_trace_csv(path, trace)
         print(f"wrote {path}")
     return 0 if trace.converged_at is not None else 1
@@ -143,14 +152,14 @@ def _cmd_sweep(args) -> int:
     except ValueError:
         print("--grid must be a comma-separated list of numbers", file=sys.stderr)
         return 2
+    if args.axis == "n" and not all(x.is_integer() for x in grid):
+        print("--grid values for --axis n must be integers", file=sys.stderr)
+        return 2
+    (path,) = _output_paths(args, args.output or f"sweep_{args.axis}.csv")
     if args.axis == "qos":
         reports = solver_mod.sweep_cost_vs_qos(params, model, grid)
     else:
-        if not all(x.is_integer() for x in grid):
-            print("--grid values for --axis n must be integers", file=sys.stderr)
-            return 2
         reports = solver_mod.sweep_cost_vs_n(params, model, [int(x) for x in grid])
-    path = os.path.join(_outdir(args), args.output or f"sweep_{args.axis}.csv")
     solver_mod.write_design_csv(path, reports)
     print(f"wrote {path}")
     return 0
@@ -174,11 +183,11 @@ def _load_golden(resource: str) -> List[dict]:
 
 
 def _cmd_reproduce(args) -> int:
-    outdir = _outdir(args)
+    uses = ("car", "charger")
+    paths = _output_paths(args, *(f"{use}_min_cost.csv" for use in uses))
     ok = True
-    for use, golden_name in (("car", "car_min_cost_golden.csv"),
-                             ("charger", "charger_min_cost_golden.csv")):
-        golden = _load_golden(golden_name)
+    for use, path in zip(uses, paths):
+        golden = _load_golden(f"{use}_min_cost_golden.csv")
         reports = []
         print(f"-- {use} minimum-cost table --")
         for grow in golden:
@@ -199,7 +208,6 @@ def _cmd_reproduce(args) -> int:
                   f"got (M={d.m}, T={d.t}, Q={d.q}, cost={rep.cost_real:.0f})  "
                   f"expected (M={grow['M']}, T={grow['T']}, Q={grow['Q']}, "
                   f"cost={grow['cost_total']})  {status}")
-        path = os.path.join(outdir, f"{use}_min_cost.csv")
         solver_mod.write_design_csv(path, reports)
         print(f"  wrote {path}")
     print("reproduce: PASS" if ok else "reproduce: FAIL")

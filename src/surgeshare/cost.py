@@ -112,9 +112,13 @@ class CostModel:
 
 
 def discount_real(m: int, schedule: DiscountSchedule) -> float:
-    """Discount fraction applying to a purchase of m items (0 for m = 0)."""
-    if m < 0:
-        raise ValueError("m must be non-negative")
+    """Discount fraction applying to a purchase of m items (0 for m = 0).
+
+    As in ``qos.binom_cdf``, a plain non-negative int skips the full
+    check of ``_integer``.
+    """
+    if type(m) is not int or m < 0:
+        _integer("m", m)
     if m == 0:
         return 0.0
     # The schedule starts at quantity 1, so some breakpoint applies.
@@ -158,9 +162,10 @@ def cost_eval(m: int, t: int, model: CostModel) -> float:
 
     The reserve Q shares the pool unit cost, so the cost of (M, T, Q)
     does not depend on Q: the discounted pool term plus the prosumer term.
+    ``discount_real`` checks m.
     """
-    if t < 0:
-        raise ValueError("t must be non-negative")
+    if type(t) is not int or t < 0:
+        _integer("t", t)
     pool = model.per_item_main * (1.0 - discount_real(m, model.discount)) * m
     return float(pool + model.per_item_prosumer * t)
 

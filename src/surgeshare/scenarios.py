@@ -1,9 +1,9 @@
 """Scenario file ingestion and the built-in scenario registry.
 
 A scenario file is a small INI document with sections ``[scenario]``,
-``[params]``, ``[cost_model]`` and ``[aimd]``; an old ``[solver]``
-section loads but is ignored with a warning.  Unknown sections or keys
-are rejected so typos surface immediately.  The eight table rows of each
+``[params]``, ``[cost_model]`` and ``[aimd]``.  Unknown sections or keys
+are rejected so typos surface immediately; so is the ``[solver]``
+section of earlier approximate solvers.  The eight table rows of each
 use case ship as built-ins named ``car-n1000-98`` ... ``charger-n50000-99``
 (the ``-98``/``-99`` suffix selects the QoS target; names without a
 suffix default to 98%).
@@ -14,7 +14,6 @@ from __future__ import annotations
 import configparser
 import operator
 import typing
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict
 
@@ -55,10 +54,6 @@ _SECTIONS = {
     "scenario": {"name"},
     "params": set(_KINDS["params"]),
     "cost_model": {"builtin", "discount", *_KINDS["cost_model"]},
-    # Options of earlier solvers: old files still load, with a warning,
-    # but the exact solver has no options.
-    "solver": {"optimality_gap", "multistarts", "local_search_radius",
-               "max_local_rounds"},
     "aimd": set(_KINDS["aimd"]),
 }
 
@@ -210,11 +205,6 @@ def load_scenario(path_or_name: str) -> ScenarioFile:
                 raise ScenarioError(f"invalid [cost_model]: {exc}") from exc
     else:
         model = get_cost_model("car-mg4-2025")
-
-    if "solver" in parser:
-        warnings.warn(
-            f"{path_or_name}: [solver] keys {list(parser['solver'])} are ignored; "
-            f"the minimum-cost solver is exact and has no options", stacklevel=2)
 
     aimd: Dict[str, float] = {}
     if "aimd" in parser:

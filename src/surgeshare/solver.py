@@ -11,7 +11,7 @@ estimate and gallop to where it flips (``qos._flip``): the pool minima
 from the normal-approximation reserve, relying on the rule being
 monotone in the item count, and the reserve pointer from the length of
 the previous stretch of T with the same Q, relying on it being monotone
-in T at a fixed Q.  One scan, ``_scan``, walks T one stretch of
+in T at a fixed Q.  ``solve_min_cost`` walks T one stretch of
 constant Q at a time.  Within a stretch the smallest pool is
 max(M_ns, A_s + Q - T, Q), where M_ns is the smallest pool that meets
 the non-surge target and A_s the smallest surge supply M - Q + T that
@@ -23,12 +23,19 @@ some band's pool rate is so close to the prosumer rate that rounding
 could reverse the step, it prices every T.  The scan is exact for every
 cost model: ``CostModel`` requires positive unit costs and
 ``DiscountSchedule`` discounts in [0, 1), which is all it relies on.
-``solve_min_cost`` runs it with an early exit once the cheapest pool
-plus the prosumer cost of T exceeds the best design found, which cuts
-the scan at the optimal T instead of N; ``brute_force_design`` runs it
-up to T = N.  The full 3-D scan ``_brute_force_full`` (N <= 300)
-enumerates every reserve and pool instead and is the independent
-reference both are tested against.
+The scan exits early once the cheapest pool plus the prosumer cost of
+T exceeds the best design found, which cuts it at the optimal T
+instead of N.
+
+Two references check it.  ``brute_force_design`` prices every T from
+0 to N, with Q(T) and the pool minima from linear scans of the same
+rule.  It shares with the solver only that rule, the candidate pools
+per T (``_m_candidates``), ``cost_eval`` and the (cost, M, T, Q)
+tie-break, and none of its shortcuts: the galloping searches, the
+stretches and their piece ends, the ``_near_prosumer_rate`` fallback
+and the early exit.  It trusts that the candidates per T hold the
+cheapest pool; the full 3-D scan ``_brute_force_full`` (N <= 300)
+enumerates every reserve and pool instead and checks that too.
 """
 
 from __future__ import annotations
@@ -135,7 +142,7 @@ def _report(params: ScenarioParams, model: CostModel, d: Design) -> DesignReport
 
 
 # ---------------------------------------------------------------------------
-# Exact scan
+# Exact solver
 # ---------------------------------------------------------------------------
 
 def _pool_minima(params: ScenarioParams) -> Tuple[int, int]:
@@ -194,7 +201,8 @@ def _near_prosumer_rate(model: CostModel, n: int) -> bool:
 
 
 def _priced_points(n: int, m_ns: int, a_s: int, model: CostModel, stretches):
-    # The (T, Q) at which ``_scan`` prices its candidates, in rising T.
+    # The (T, Q) at which ``solve_min_cost`` prices its candidates, in
+    # rising T.
     # In a stretch of constant q the corner pool is max(c, a_s + q - T),
     # c = max(m_ns, q), and each family of candidates is cheapest at an
     # end of a piece of the stretch cut where the corner reaches c, c + 1
@@ -223,14 +231,28 @@ def _priced_points(n: int, m_ns: int, a_s: int, model: CostModel, stretches):
             yield t, q
 
 
-def _scan(params: ScenarioParams, model: CostModel, prune: bool) -> DesignReport:
+def solve_min_cost(params: ScenarioParams, model: CostModel,
+                   opts: Optional[SolverOpts] = None) -> DesignReport:
+    """Exact minimum-cost design by a pruned structured scan over T.
+
+    A galloping pointer gives the stretches of T with the same minimum
+    reserve Q, the candidates per T are the smallest feasible M plus
+    every discount-band start above it, and each stretch is priced only
+    at the ends of the pieces on which those candidates' costs are
+    monotone in T.  Since the cost is the pool term plus
+    ``per_item_prosumer * T``, no design with T prosumers costs less
+    than ``pool_floor + per_item_prosumer * T``, where ``pool_floor`` is
+    the cheapest pool that meets the non-surge target.  The scan stops
+    once that bound is strictly above the best cost found, so ties break
+    on (cost, M, T, Q) exactly as in ``brute_force_design``.  ``opts``
+    is accepted for compatibility and ignored.
+    """
     n = params.n_consumers
     m_ns, a_s = _pool_minima(params)
     # Every pool is at least m_ns, so only the bands starting above it
     # can hold a candidate; at large N there are none.
     starts = [min_qty for min_qty, _ in model.discount.breakpoints if min_qty > m_ns]
-    if prune:
-        pool_floor = min(cost_eval(m, 0, model) for m in _m_candidates(starts, m_ns, n))
+    pool_floor = min(cost_eval(m, 0, model) for m in _m_candidates(starts, m_ns, n))
     # T = 0 always yields a candidate: Q = 0 and M = max(m_ns, a_s) <= N
     # meet all three targets, so ``best`` is set after the first pass.
     best: Optional[Tuple[float, int, int, int]] = None
@@ -241,7 +263,7 @@ def _scan(params: ScenarioParams, model: CostModel, prune: bool) -> DesignReport
     # piece ends are priced (``_priced_points``).
     stretches = _reserve_stretches(n, params.p_bad, params.qos_target_b)
     for t, q in _priced_points(n, m_ns, a_s, model, stretches):
-        if prune and best is not None and pool_floor + model.per_item_prosumer * t > best[0]:
+        if best is not None and pool_floor + model.per_item_prosumer * t > best[0]:
             break
         m_min = max(m_ns, a_s - t + q, q)
         if m_min > n or m_min - q + t > n:
@@ -255,19 +277,42 @@ def _scan(params: ScenarioParams, model: CostModel, prune: bool) -> DesignReport
     return _report(params, model, Design(m, t, q))
 
 
-def brute_force_design(params: ScenarioParams, model: CostModel) -> DesignReport:
-    """Exact integer optimum of Problem 1 by structured scan over every T.
+# ---------------------------------------------------------------------------
+# References
+# ---------------------------------------------------------------------------
 
-    For each T, the minimum reserve Q follows from the bad-behaviour
-    constraint, and the minimum M from the non-surge and surge
-    constraints; since cost rises with M inside a discount band but can
-    drop where a band starts, the candidates per T are that corner plus
-    every band start above it.  Within each stretch of T with the same
-    Q, only the ends of the pieces on which those candidates' costs are
-    monotone in T are priced.  This is ``solve_min_cost``'s scan without
-    the early exit.
+def brute_force_design(params: ScenarioParams, model: CostModel) -> DesignReport:
+    """Exact integer optimum of Problem 1 by pricing every T: the reference.
+
+    For T = 0..N, Q(T) comes from a linear pointer that steps q up while
+    the bad-behaviour rule fails, and the pool minima from linear scans
+    of the same rule.  Shared with ``solve_min_cost``: the rule
+    ``qos._meets_target``, ``_m_candidates``, ``cost_eval`` and the
+    (cost, M, T, Q) tie-break.  Not shared: ``_flip``, the stretches and
+    their piece ends, ``_near_prosumer_rate`` and the early exit.
     """
-    return _scan(params, model, prune=False)
+    n = params.n_consumers
+
+    def least_passing(p: float, target: float) -> int:
+        return next(a for a in range(n + 1) if _meets_target(a, n, p, target))
+
+    m_ns = least_passing(params.p_nonsurge, params.qos_target_ns)
+    a_s = least_passing(params.p_surge, params.qos_target_s)
+    starts = [min_qty for min_qty, _ in model.discount.breakpoints if min_qty > m_ns]
+    best: Optional[Tuple[float, int, int, int]] = None
+    q = 0
+    for t in range(n + 1):
+        while not _meets_target(q, t, params.p_bad, params.qos_target_b):
+            q += 1
+        m_min = max(m_ns, a_s - t + q, q)
+        if m_min > n or m_min - q + t > n:
+            continue
+        for m in _m_candidates(starts, m_min, min(n, n + q - t)):
+            key = (cost_eval(m, t, model), m, t, q)
+            if best is None or key < best:
+                best = key
+    _, m, t, q = best
+    return _report(params, model, Design(m, t, q))
 
 
 def _brute_force_full(params: ScenarioParams, model: CostModel) -> DesignReport:
@@ -294,30 +339,6 @@ def _brute_force_full(params: ScenarioParams, model: CostModel) -> DesignReport:
             "no (M, T, Q) satisfies all constraints for these parameters")
     _, m, t, q = best
     return _report(params, model, Design(m, t, q))
-
-
-# ---------------------------------------------------------------------------
-# Exact solver
-# ---------------------------------------------------------------------------
-
-def solve_min_cost(params: ScenarioParams, model: CostModel,
-                   opts: Optional[SolverOpts] = None) -> DesignReport:
-    """Exact minimum-cost design by a pruned structured scan over T.
-
-    The scan is the one ``brute_force_design`` runs: a galloping pointer
-    gives the stretches of T with the same minimum reserve Q, the
-    candidates per T are the smallest feasible M plus every
-    discount-band start above it, and each stretch is priced only at the
-    ends of the pieces on which those candidates' costs are monotone in
-    T.  Since the cost is the pool term plus ``per_item_prosumer * T``,
-    no design with T prosumers costs less than ``pool_floor +
-    per_item_prosumer * T``, where ``pool_floor`` is the cheapest pool
-    that meets the non-surge target.  The scan stops once that bound is
-    strictly above the best cost found, so ties break on (cost, M, T, Q)
-    exactly as in the oracle.  ``opts`` is accepted for compatibility
-    and ignored.
-    """
-    return _scan(params, model, prune=True)
 
 
 # ---------------------------------------------------------------------------

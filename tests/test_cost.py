@@ -195,10 +195,32 @@ def test_cost_eval_empty_design():
 
 
 def test_cost_eval_invalid_design():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^m must be non-negative"):
         cost_eval(-1, 3, car_cost_model())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^t must be non-negative"):
         cost_eval(5, -1, car_cost_model())
+
+
+@pytest.mark.parametrize("m, t, name", [
+    (2.5, 1, "m"), (True, 1, "m"), ("3", 1, "m"), (120, 2.5, "t"), (120, False, "t"),
+])
+def test_cost_eval_checks_its_counts(m, t, name):
+    # A count of the wrong type is an error, not a cost.
+    with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+        cost_eval(m, t, car_cost_model())
+
+
+@pytest.mark.parametrize("m, error", [
+    ("3", TypeError), (2.5, TypeError), (True, TypeError), (-2, ValueError),
+])
+def test_discount_real_checks_its_count(m, error):
+    with pytest.raises(error, match="^m must be"):
+        discount_real(m, CAR_DISCOUNTS)
+
+
+def test_cost_eval_takes_numpy_counts():
+    model = car_cost_model()
+    assert cost_eval(np.int64(120), np.int64(216), model) == cost_eval(120, 216, model)
 
 
 def _smooth_pool_cost(m, model, sd):

@@ -6,7 +6,6 @@ import dataclasses
 import os
 import tempfile
 import typing
-import warnings
 
 import numpy as np
 import pytest
@@ -95,9 +94,14 @@ def test_load_rejects_unknown_key(tmp_path):
 
 def test_load_rejects_unknown_section(tmp_path):
     path = tmp_path / "odd.ini"
-    path.write_text("[params]\nn_consumers = 100\np_nonsurge = 0.1\n"
-                    "p_surge = 0.3\np_bad = 0.01\n[billing]\nrate = 3\n")
+    params = ("[params]\nn_consumers = 100\np_nonsurge = 0.1\n"
+              "p_surge = 0.3\np_bad = 0.01\n")
+    path.write_text(params + "[billing]\nrate = 3\n")
     with pytest.raises(ScenarioError, match="billing"):
+        load_scenario(str(path))
+    # The options of earlier approximate solvers are rejected the same way.
+    path.write_text(params + "[solver]\noptimality_gap = 0.02\n")
+    with pytest.raises(ScenarioError, match=r"unknown section \[solver\]"):
         load_scenario(str(path))
 
 
@@ -153,31 +157,6 @@ def test_builtin_prices_with_a_smooth_argument_save_by_name(tmp_path):
     assert "builtin = car-mg4-2025" in path.read_text()
 
 
-def _with_solver_section(tmp_path, section):
-    path = tmp_path / "old.ini"
-    path.write_text("[params]\nn_consumers = 100\np_nonsurge = 0.1\n"
-                    "p_surge = 0.3\np_bad = 0.01\n[solver]\n" + section)
-    return str(path)
-
-
-def test_solver_section_is_ignored_with_one_warning(tmp_path):
-    path = _with_solver_section(tmp_path, "optimality_gap = 0.02\nmultistarts = 3\n")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        sc = load_scenario(path)
-    assert len(caught) == 1 and caught[0].category is UserWarning
-    message = str(caught[0].message)
-    assert path in message and "optimality_gap" in message and "multistarts" in message
-    # None of the values is read, so even a non-number loads.
-    with pytest.warns(UserWarning):
-        assert load_scenario(_with_solver_section(tmp_path, "optimality_gap = x\n")) == sc
-
-
-def test_solver_section_rejects_unknown_key(tmp_path):
-    with pytest.raises(ScenarioError, match="bogus"):
-        load_scenario(_with_solver_section(tmp_path, "bogus = 1\n"))
-
-
 def test_round_trip_inline_model(tmp_path):
     inline = (
         "[scenario]\nname = bikes\n"
@@ -186,15 +165,11 @@ def test_round_trip_inline_model(tmp_path):
         "qos_target_s = 0.97\nqos_target_b = 0.97\n"
         "[cost_model]\nper_item_main = 800\nper_item_prosumer = 120\n"
         "horizon_years = 1\ndiscount = 1:0.0, 20:0.05, 100:0.12\n"
-        "[solver]\nmultistarts = 3\n"
         "[aimd]\nseed = 9\nalpha = 0.5\n"
     )
     src = tmp_path / "bikes.ini"
     src.write_text(inline)
-    # multistarts belonged to an earlier approximate solver: it still
-    # loads, with a warning, and is dropped.
-    with pytest.warns(UserWarning, match="multistarts"):
-        sc = load_scenario(str(src))
+    sc = load_scenario(str(src))
     assert sc.name == "bikes"
     assert sc.cost_model.name == ""
     assert sc.aimd == {"seed": 9, "alpha": 0.5}
@@ -592,8 +567,8 @@ def test_cli_partition_bad_output_fails_before_the_run(argv, setup, tmp_path, mo
 
 def test_cli_partition_input_error_leaves_no_trace_file(tmp_path, capsys):
     # The initial states are checked by run_partition, after the output
-    # is opened: a new file is removed, and an existing one is kept as
-    # it was.
+    # path is checked: no new file is left, and an existing one is kept
+    # as it was.
     scenario = tmp_path / "scenario.ini"
     _car_1000_aimd("z_init = 100\nq_init = 30\n")(tmp_path, None)
     argv = ["partition", "--scenario", str(scenario), "--m", "120", "--t", "215",
@@ -654,7 +629,7 @@ def test_cli_partition_input_error_leaves_no_trace_file(tmp_path, capsys):
                  id="design-scenario-no-section-header"),
     pytest.param(["design", "--outdir", "{tmp}/blocker", "--output", "x.csv"],
                  _blocking_file, 2, "error: [Errno", id="design-outdir-is-a-file"),
-    pytest.param(["design", "--outdir", "{tmp}", "--output", "missing/x.csv"],
+    pytest.param(["design", "--outdir", "{tmp}/new/sub", "--output", "missing/x.csv"],
                  None, 2, "error: [Errno", id="design-output-dir-missing"),
     pytest.param(["compare", "--scenario", "charger-n1000-98"], None, 0, "",
                  id="compare-ok"),
@@ -671,6 +646,9 @@ def test_cli_partition_input_error_leaves_no_trace_file(tmp_path, capsys):
     pytest.param(["sweep", "--cost-model", "nope", "--axis", "qos", "--grid", "0.95",
                   "--outdir", "{tmp}"], None, 2,
                  "unknown cost model 'nope'; built-ins are [", id="sweep-unknown-cost-model"),
+    pytest.param(["sweep", "--scenario", "charger-n1000-98", "--axis", "qos",
+                  "--grid", "0.9,0.95", "--outdir", "{tmp}/new/sub", "--output",
+                  "missing/s.csv"], None, 2, "error: [Errno", id="sweep-output-dir-missing"),
     pytest.param(["partition", "--scenario", "car-n1000", "--m", "120", "--t", "215"],
                  None, 0, "", id="partition-ok"),
     pytest.param(["partition", "--scenario", "{tmp}/scenario.ini", "--m", "120", "--t", "215"],
@@ -700,7 +678,12 @@ def test_cli_exit_code_contract(argv, setup, code, err, tmp_path, monkeypatch, c
     if setup is not None:
         setup(tmp_path, monkeypatch)
     assert cli_dispatch([arg.replace("{tmp}", str(tmp_path)) for arg in argv]) == code
-    assert err in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert err in captured.err
+    if code == 2:
+        # Bad input fails before any work: nothing is printed or made.
+        assert captured.out == ""
+        assert not (tmp_path / "new").exists()
 
 
 def test_cli_reproduce_deterministic(tmp_path, capsys):

@@ -170,8 +170,9 @@ def _cost_models(draw):
 @example(n=29, p_ns=0.307, p_s=0.787, p_b=0.0173, targets=(0.999, 0.95, 0.99),
          model=_cost_model(12, 2, ((1, 0.0), (20, 0.46))))
 def test_solver_equals_full_scan(n, p_ns, p_s, p_b, targets, model):
-    # Both entry points run the same T-scan, with and without the early
-    # exit; the 3-D scan is the independent check for each.
+    # The 3-D scan prices every reserve and pool, so it also checks what
+    # the solver and the oracle share: the minimum reserve per T and the
+    # candidate pools.
     params = ScenarioParams(n, p_ns, p_s, p_b, *targets)
     full = _brute_force_full(params, model)
     for rep in (solve_min_cost(params, model), brute_force_design(params, model)):
@@ -210,30 +211,6 @@ def test_reserve_pointer_equals_linear_pointer(t_max, p_b, target):
     assert per_t == list(_linear_reserves(t_max, p_b, target))
 
 
-def _per_t_scan(params, model, prune):
-    # The reference for pricing only the piece ends of each stretch:
-    # ``_scan``'s per-T body run at every T, with Q(T) from the linear
-    # pointer.
-    n = params.n_consumers
-    m_ns, a_s = solver_module._pool_minima(params)
-    starts = [min_qty for min_qty, _ in model.discount.breakpoints if min_qty > m_ns]
-    pool_floor = min(cost_eval(m, 0, model)
-                     for m in solver_module._m_candidates(starts, m_ns, n))
-    best = None
-    for t, q in enumerate(_linear_reserves(n, params.p_bad, params.qos_target_b)):
-        if prune and best is not None and pool_floor + model.per_item_prosumer * t > best[0]:
-            break
-        m_min = max(m_ns, a_s - t + q, q)
-        if m_min > n or m_min - q + t > n:
-            continue
-        for m in solver_module._m_candidates(starts, m_min, min(n, n + q - t)):
-            key = (cost_eval(m, t, model), m, t, q)
-            if best is None or key < best:
-                best = key
-    cost, m, t, q = best
-    return Design(m, t, q), cost
-
-
 @st.composite
 def _priced_models(draw):
     # Non-integer prices, the prosumer dearer or cheaper than a pool item:
@@ -267,20 +244,36 @@ def _priced_models(draw):
 @example(n=2644, p_s=0.877, ratio=0.18, p_b=0.0078, targets=(0.95, 0.9, 0.8),
          model=_cost_model(0.2, 0.1, ((1, 0.0), (734, 0.5))))
 def test_scan_equals_per_t_scan(n, p_s, ratio, p_b, targets, model):
-    # Beyond the reach of the 3-D scan, pricing the piece ends must give
-    # the design and the cost bits of pricing every T.  As in the paper's
-    # use cases, surges raise the request rate and few prosumers defect.
+    # Beyond the reach of the 3-D scan, the solver's galloping searches,
+    # piece-end pricing and early exit must give the design and the cost
+    # bits of the oracle, which prices every T.  As in the paper's use
+    # cases, surges raise the request rate and few prosumers defect.
     params = ScenarioParams(n, p_s * ratio, p_s, p_b, *targets)
-    for entry, prune in ((solve_min_cost, True), (brute_force_design, False)):
-        rep = entry(params, model)
-        design, cost = _per_t_scan(params, model, prune)
-        assert rep.design == design
-        assert rep.cost_real.hex() == cost.hex()
+    rep = solve_min_cost(params, model)
+    oracle = brute_force_design(params, model)
+    assert rep.design == oracle.design
+    assert rep.cost_real.hex() == oracle.cost_real.hex()
+
+
+def test_oracle_takes_none_of_the_solver_shortcuts(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle took a solver shortcut")
+
+    for module, name in ((solver_module, "_reserve_stretches"),
+                         (solver_module, "_priced_points"),
+                         (solver_module, "_near_prosumer_rate"),
+                         (qos_module, "_flip")):
+        monkeypatch.setattr(module, name, refuse)
+    scenario = load_scenario("car-n1000-98")
+    with pytest.raises(AssertionError, match="shortcut"):
+        solve_min_cost(scenario.params, scenario.cost_model)
+    rep = brute_force_design(scenario.params, scenario.cost_model)
+    assert rep.design == Design(120, 216, 6)
 
 
 @pytest.mark.parametrize("name, entry, most", [
-    ("car-n50000-98", solve_min_cost, 1000),     # 10,199 when every T is priced
-    ("car-n5000-98", brute_force_design, 1000),  # 7,993 when every T is priced
+    ("car-n50000-98", solve_min_cost, 1000),  # 10,199 when every T is priced
+    ("car-n5000-98", solve_min_cost, 1000),   # 1,505 when every T is priced
 ])
 def test_scan_prices_few_candidates(name, entry, most, monkeypatch):
     # Counted rather than timed, so the check is deterministic.
@@ -297,8 +290,8 @@ def test_scan_prices_few_candidates(name, entry, most, monkeypatch):
 
 
 @pytest.mark.parametrize("name, entry, most", [
-    ("car-n50000-98", solve_min_cost, 2000),    # 10,352 with a linear pointer
-    ("car-n5000-98", brute_force_design, 1000),  # 5,092 with a linear pointer
+    ("car-n50000-98", solve_min_cost, 2000),  # 10,352 with a linear pointer
+    ("car-n5000-98", solve_min_cost, 1000),   # 1,065 with a linear pointer
 ])
 def test_searches_make_few_rule_calls(name, entry, most, monkeypatch):
     # Counted rather than timed, so the check is deterministic.
