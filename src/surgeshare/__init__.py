@@ -35,8 +35,6 @@ from .solver import (
     compare_approaches,
     feasible,
     solve_min_cost,
-    sweep_cost_vs_n,
-    sweep_cost_vs_qos,
 )
 from .aimd import (
     AimdConfig,

@@ -107,9 +107,11 @@ class AimdTrace:
     total_iterations: int
 
 
-def _check_pool(problem: str, params: ScenarioParams, m: int, t: int) -> None:
+def _check_pool(problem: str, params: ScenarioParams, m: int, t: int,
+                config: Optional[AimdConfig] = None) -> None:
     # The inputs every entry point shares: a known problem, a pool of
-    # 0 <= M <= N items and 1 <= T <= N prosumers.
+    # 0 <= M <= N items and 1 <= T <= N prosumers; and, given a config,
+    # initial states that fit in the pool.
     if problem not in PROBLEMS:
         raise ValueError(f"problem must be one of {PROBLEMS}")
     _integer("t", t, 1)
@@ -118,6 +120,8 @@ def _check_pool(problem: str, params: ScenarioParams, m: int, t: int) -> None:
         raise ValueError("m cannot exceed the consumer population")
     if t > params.n_consumers:
         raise ValueError("t cannot exceed the consumer population")
+    if config is not None and config.z_init + config.q_init >= m:
+        raise ValueError("initial states must satisfy z_init + q_init < M")
 
 
 def auto_config(problem: str, m: int, t: int, params: ScenarioParams,
@@ -231,11 +235,9 @@ def run_partition(problem: str, params: ScenarioParams, m: int, t: int,
     Non-convergence is reported through ``trace.converged_at is None``,
     not as an exception.
     """
-    _check_pool(problem, params, m, t)
     if config is None:
         config = auto_config(problem, m, t, params)
-    if config.z_init + config.q_init >= m:
-        raise ValueError("initial states must satisfy z_init + q_init < M")
+    _check_pool(problem, params, m, t, config)
 
     rates = _rate_function(problem, params, t)
     rng = np.random.Generator(np.random.Philox(config.seed))

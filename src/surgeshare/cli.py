@@ -130,6 +130,7 @@ def _cmd_partition(args) -> int:
         overrides["seed"] = args.seed
     config = dataclasses.replace(
         aimd_mod.auto_config(args.problem, args.m, args.t, params), **overrides)
+    aimd_mod._check_pool(args.problem, params, args.m, args.t, config)
     paths = _output_paths(args, args.output) if args.output else []
     trace, q_star, rep = aimd_mod.run_partition(
         args.problem, params, args.m, args.t, config=config, record=bool(paths))
@@ -146,21 +147,22 @@ def _cmd_partition(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    # Every point is built, and so checked, before any path or solve.
     params, model, _ = _scenario_params(args)
     try:
         grid = [float(x) for x in args.grid.split(",") if x.strip()]
     except ValueError:
-        print("--grid must be a comma-separated list of numbers", file=sys.stderr)
-        return 2
-    if args.axis == "n" and not all(x.is_integer() for x in grid):
-        print("--grid values for --axis n must be integers", file=sys.stderr)
-        return 2
+        raise ValueError("--grid must be a comma-separated list of numbers") from None
+    if not grid:
+        raise ValueError("grid must be non-empty")
+    if args.axis == "n":
+        if not all(x.is_integer() for x in grid):
+            raise ValueError("--grid values for --axis n must be integers")
+        grid = [int(x) for x in grid]
+    names = _PARAM_FLAGS["target" if args.axis == "qos" else "n"]
+    points = [dataclasses.replace(params, **dict.fromkeys(names, x)) for x in grid]
     (path,) = _output_paths(args, args.output or f"sweep_{args.axis}.csv")
-    if args.axis == "qos":
-        reports = solver_mod.sweep_cost_vs_qos(params, model, grid)
-    else:
-        reports = solver_mod.sweep_cost_vs_n(params, model, [int(x) for x in grid])
-    solver_mod.write_design_csv(path, reports)
+    solver_mod.write_design_csv(path, [solver_mod.solve_min_cost(p, model) for p in points])
     print(f"wrote {path}")
     return 0
 

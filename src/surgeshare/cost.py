@@ -88,7 +88,7 @@ class CostModel:
 
     ``smooth`` is accepted and dropped, as ``solve_min_cost`` ignores
     ``opts``: only the benchmark set-up still passes one, and ROADMAP
-    item 1 removes it.
+    item 2 removes it.
     """
 
     per_item_main: float

@@ -44,7 +44,7 @@ import csv
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cost import CostModel, cost_eval
 from .qos import (QosReport, ScenarioParams, _flip, _integer, _meets_target,
@@ -59,8 +59,6 @@ __all__ = [
     "solve_min_cost",
     "brute_force_design",
     "compare_approaches",
-    "sweep_cost_vs_qos",
-    "sweep_cost_vs_n",
     "write_design_csv",
     "DESIGN_CSV_COLUMNS",
 ]
@@ -357,25 +355,16 @@ def compare_approaches(params: ScenarioParams, model: CostModel) -> Dict[str, De
     return {"hybrid": hybrid, "b2c": b2c, "ownership": ownership}
 
 
-def _sweep(params: ScenarioParams, model: CostModel, grid: Sequence,
-           vary: Callable[[ScenarioParams, object], ScenarioParams]) -> List[DesignReport]:
-    if not grid:
-        raise ValueError("grid must be non-empty")
-    return [solve_min_cost(vary(params, x), model) for x in grid]
-
-
 def sweep_cost_vs_qos(params: ScenarioParams, model: CostModel,
                       qos_grid: Sequence[float]) -> List[DesignReport]:
     """Optimal design at each common QoS target of the grid."""
-    return _sweep(params, model, qos_grid, lambda p, target: dataclasses.replace(
-        p, qos_target_ns=target, qos_target_s=target, qos_target_b=target))
-
-
-def sweep_cost_vs_n(params: ScenarioParams, model: CostModel,
-                    n_grid: Sequence[int]) -> List[DesignReport]:
-    """Optimal design at each (integer) consumer population size of the grid."""
-    return _sweep(params, model, n_grid,
-                  lambda p, n: dataclasses.replace(p, n_consumers=n))
+    # Only perfbench/workloads.py calls this; the benchmark-side change
+    # of ROADMAP item 2 deletes it (``cli sweep`` builds its own points).
+    if not qos_grid:
+        raise ValueError("grid must be non-empty")
+    points = [dataclasses.replace(params, qos_target_ns=x, qos_target_s=x, qos_target_b=x)
+              for x in qos_grid]
+    return [solve_min_cost(p, model) for p in points]
 
 
 def write_design_csv(path, reports: Sequence[DesignReport]) -> None:

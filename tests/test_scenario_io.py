@@ -318,7 +318,7 @@ def test_cli_sweep_n_rejects_fractional_population(tmp_path, capsys):
                          "--axis", "n", "--grid", "500.9,1000.5",
                          "--outdir", str(tmp_path)])
     assert code == 2
-    assert "integers" in capsys.readouterr().err
+    assert "error: --grid values for --axis n must be integers" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
@@ -452,7 +452,7 @@ def test_cli_compare(capsys):
     assert out.index("hybrid") < out.index("b2c") < out.index("ownership")
 
 
-def _sweep_rows(tmp_path, axis, grid):
+def _rows_of_sweep(tmp_path, axis, grid):
     code = cli_dispatch(["sweep", "--scenario", "charger-n1000-98",
                          "--axis", axis, "--grid", grid,
                          "--output", "curve.csv", "--outdir", str(tmp_path)])
@@ -466,15 +466,38 @@ def _sweep_rows(tmp_path, axis, grid):
 
 
 def test_cli_sweep_csv(tmp_path):
-    rows = _sweep_rows(tmp_path, "qos", "0.95,0.98")
+    rows = _rows_of_sweep(tmp_path, "qos", "0.95,0.98")
     assert [(r["N"], r["qos_target"]) for r in rows] == [("1000", "0.95"), ("1000", "0.98")]
     assert float(rows[1]["cost_total"]) >= float(rows[0]["cost_total"])
 
 
 def test_cli_sweep_n_csv(tmp_path):
-    rows = _sweep_rows(tmp_path, "n", "500,2000")
-    assert [(r["N"], r["qos_target"]) for r in rows] == [("500", "0.98"), ("2000", "0.98")]
-    assert [r["M"] for r in rows] == ["6", "17"]
+    rows = _rows_of_sweep(tmp_path, "n", "500,1000,2000")
+    assert [(r["N"], r["qos_target"]) for r in rows] == [
+        ("500", "0.98"), ("1000", "0.98"), ("2000", "0.98")]
+    assert [r["M"] for r in rows] == ["6", "10", "17"]
+    # The total cost never falls as the population grows.
+    costs = [float(r["cost_total"]) for r in rows]
+    assert all(b >= a for a, b in zip(costs, costs[1:]))
+
+
+def test_cli_sweep_bad_grid_is_a_value_error(tmp_path, capsys):
+    code = cli_dispatch(["sweep", "--scenario", "charger-n1000-98", "--axis", "qos",
+                         "--grid", "a,b", "--outdir", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: --grid must be a comma-separated list of numbers\n"
+
+
+def test_cli_sweep_checks_every_point_before_solving(tmp_path, monkeypatch, capsys):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a point was solved")
+
+    monkeypatch.setattr(solver, "solve_min_cost", no_solve)
+    code = cli_dispatch(["sweep", "--scenario", "charger-n1000-98", "--axis", "qos",
+                         "--grid", "0.9,0.95,1.5", "--outdir", str(tmp_path / "new")])
+    assert code == 2
+    assert capsys.readouterr().out == ""
+    assert not (tmp_path / "new").exists()
 
 
 # Each pair gives the same scenario twice: as --scenario refined by flags,
@@ -566,9 +589,8 @@ def test_cli_partition_bad_output_fails_before_the_run(argv, setup, tmp_path, mo
 
 
 def test_cli_partition_input_error_leaves_no_trace_file(tmp_path, capsys):
-    # The initial states are checked by run_partition, after the output
-    # path is checked: no new file is left, and an existing one is kept
-    # as it was.
+    # The initial states are checked before the output path: no new
+    # file is left, and an existing one is kept as it was.
     scenario = tmp_path / "scenario.ini"
     _car_1000_aimd("z_init = 100\nq_init = 30\n")(tmp_path, None)
     argv = ["partition", "--scenario", str(scenario), "--m", "120", "--t", "215",
@@ -649,6 +671,12 @@ def test_cli_partition_input_error_leaves_no_trace_file(tmp_path, capsys):
     pytest.param(["sweep", "--scenario", "charger-n1000-98", "--axis", "qos",
                   "--grid", "0.9,0.95", "--outdir", "{tmp}/new/sub", "--output",
                   "missing/s.csv"], None, 2, "error: [Errno", id="sweep-output-dir-missing"),
+    pytest.param(["sweep", "--scenario", "charger-n1000-98", "--axis", "qos",
+                  "--grid", "0.9,1.5", "--outdir", "{tmp}/new/sub"], None, 2,
+                 "error: qos_target_ns", id="sweep-bad-target"),
+    pytest.param(["sweep", "--scenario", "charger-n1000-98", "--axis", "n",
+                  "--grid", "100,0", "--outdir", "{tmp}/new/sub"], None, 2,
+                 "error: n_consumers", id="sweep-bad-population"),
     pytest.param(["partition", "--scenario", "car-n1000", "--m", "120", "--t", "215"],
                  None, 0, "", id="partition-ok"),
     pytest.param(["partition", "--scenario", "{tmp}/scenario.ini", "--m", "120", "--t", "215"],
@@ -657,6 +685,10 @@ def test_cli_partition_input_error_leaves_no_trace_file(tmp_path, capsys):
     pytest.param(["partition", "--scenario", "car-n1000", "--m", "120", "--t", "215",
                   "--outdir", "{tmp}", "--output", "missing/t.csv"],
                  None, 2, "error: [Errno", id="partition-output-dir-missing"),
+    pytest.param(["partition", "--scenario", "{tmp}/scenario.ini", "--m", "120", "--t", "215",
+                  "--outdir", "{tmp}/new/sub", "--output", "t.csv"],
+                 _car_1000_aimd("z_init = 200\n"), 2, "z_init + q_init < M",
+                 id="partition-bad-start"),
     pytest.param(["partition", "--n", "10", "--m", "5", "--t", "3", "--seed", "-1"],
                  None, 2, "seed", id="partition-negative-seed-flag"),
     pytest.param(["partition", "--scenario", "{tmp}/scenario.ini", "--m", "120", "--t", "215"],

@@ -18,15 +18,13 @@ from surgeshare import (
     compare_approaches,
     feasible,
     solve_min_cost,
-    sweep_cost_vs_n,
-    sweep_cost_vs_qos,
 )
 from surgeshare import qos as qos_module
 from surgeshare import solver as solver_module
 from surgeshare.cost import cost_eval
 from surgeshare.qos import _meets_target
 from surgeshare.scenarios import load_scenario
-from surgeshare.solver import _brute_force_full, _reserve_stretches
+from surgeshare.solver import _brute_force_full, _reserve_stretches, sweep_cost_vs_qos
 
 CAR_1000 = ScenarioParams(1000, 0.1, 0.3, 0.01)
 CHARGER_1000 = ScenarioParams(1000, 0.005, 0.015, 0.01)
@@ -413,19 +411,9 @@ def test_sweep_qos_monotone():
     assert all(b >= a for a, b in zip(costs, costs[1:]))
 
 
-def test_sweep_n_total_cost_monotone():
-    grid = [500, 1000, 2000]
-    reports = sweep_cost_vs_n(CHARGER_1000, charger_cost_model(), grid)
-    assert [rep.params.n_consumers for rep in reports] == grid
-    costs = [rep.cost_real for rep in reports]
-    assert all(b >= a for a, b in zip(costs, costs[1:]))
-
-
 def test_sweep_rejects_empty_grid():
     with pytest.raises(ValueError):
         sweep_cost_vs_qos(CAR_1000, car_cost_model(), [])
-    with pytest.raises(ValueError):
-        sweep_cost_vs_n(CAR_1000, car_cost_model(), [])
 
 
 def test_report_per_consumer_accounting():
