@@ -411,6 +411,15 @@ def test_sweep_qos_monotone():
     assert all(b >= a for a, b in zip(costs, costs[1:]))
 
 
+def test_sweep_n_total_cost_monotone():
+    grid = [500, 1000, 2000]
+    reports = [solve_min_cost(dataclasses.replace(CHARGER_1000, n_consumers=n),
+                              charger_cost_model()) for n in grid]
+    assert [rep.params.n_consumers for rep in reports] == grid
+    costs = [rep.cost_real for rep in reports]
+    assert all(b >= a for a, b in zip(costs, costs[1:]))
+
+
 def test_sweep_rejects_empty_grid():
     with pytest.raises(ValueError):
         sweep_cost_vs_qos(CAR_1000, car_cost_model(), [])
