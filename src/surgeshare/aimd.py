@@ -250,22 +250,17 @@ def run_partition(problem: str, params: ScenarioParams, m: int, t: int,
     l = 0  # iterations so far
     draws, d = [], 0  # a block of uniform draws and the next one to use
 
-    # A recorded run keeps the claims of every iteration, and the
-    # iteration and averages of every event; the per-iteration event
-    # flags and averages are spread out from these after the loop.
+    # Every run logs the averages of each event: the windowed convergence
+    # test compares them with their values ``window`` events back.  A
+    # recorded run also keeps the claims of every iteration and the
+    # iteration of every event; the per-iteration event flags and
+    # averages are spread out from these after the loop.
+    za_ev = array("d")
+    qa_ev = array("d")
     z_hist = array("d")
     q_hist = array("d")
     ev_at = array("q")
-    za_ev = array("d")
-    qa_ev = array("d")
-
-    # The windowed convergence test compares the averages with their
-    # values ``window`` events back; a ring of window + 1 slots holds
-    # them, indexed by event number.
     window = config.convergence_window
-    ring = window + 1
-    za_ring = [0.0] * ring
-    qa_ring = [0.0] * ring
     min_events = 5 * window
     tol = config.convergence_tol
     converged_at = None
@@ -290,12 +285,12 @@ def run_partition(problem: str, params: ScenarioParams, m: int, t: int,
         k += 1
         z_avg += (z - z_avg) / k
         q_avg += (q - q_avg) / k
+        za_ev.append(z_avg)
+        qa_ev.append(q_avg)
         if record:
             z_hist.append(z)
             q_hist.append(q)
             ev_at.append(l)
-            za_ev.append(z_avg)
-            qa_ev.append(q_avg)
         # Probabilistic multiplicative backoff.  The agent that does not
         # back off holds its claim, which keeps the pool occupancy below
         # M + 2*alpha at all times.
@@ -304,9 +299,9 @@ def run_partition(problem: str, params: ScenarioParams, m: int, t: int,
             worst = max(rc, rp)
             target = config.gamma_target
             gamma = target / worst if math.isfinite(worst) and worst > 0 else target
-        # Clamp to [lam_min, 1]; an infinite rate clamps to 1, and a NaN
-        # (an infinite gamma times a zero rate) passes through and never
-        # backs off.
+        # Clamp to [lam_min, 1]; an infinite rate clamps to 1, and a NaN (a
+        # gamma calibrated to inf by a subnormal rate, times a zero rate)
+        # passes through and never backs off.
         lam_c = gamma * rc
         lam_c = lam_min if lam_c < lam_min else 1.0 if lam_c > 1.0 else lam_c
         lam_p = gamma * rp
@@ -320,11 +315,9 @@ def run_partition(problem: str, params: ScenarioParams, m: int, t: int,
         if draws[d + 1] < lam_p:
             q *= beta
         d += 2
-        za_ring[k % ring] = z_avg
-        qa_ring[k % ring] = q_avg
         if k >= min_events:
-            dz = abs(z_avg - za_ring[(k - window) % ring])
-            dq = abs(q_avg - qa_ring[(k - window) % ring])
+            dz = abs(z_avg - za_ev[k - 1 - window])
+            dq = abs(q_avg - qa_ev[k - 1 - window])
             if (dz <= tol * max(abs(z_avg), 1.0)
                     and dq <= tol * max(abs(q_avg), 1.0)):
                 converged_at = l

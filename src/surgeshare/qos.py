@@ -283,20 +283,17 @@ def min_items_for_qos(n: int, p: float, target: float) -> int:
 
     ``_flip`` searches from the normal-approximation reserve, rounded
     up, relying on the rule being monotone in a (the cdf rises and the
-    upper tail falls as a grows).  A short linear pass then walks down
-    through any floating-point plateau the search landed on.  A target
-    of exactly 1 gives n.
+    upper tail falls as a grows).  Its answer is 0 or a count just above
+    one it judged failing, so it is the least.  A target of exactly 1
+    gives n.
     """
     _integer("n", n)
     _real("p", p, 0.0, 1.0, "()")
     _real("target", target, 0.0, 1.0, "(]")
     if n == 0 or target == 1.0:
         return n
-    a = _flip(lambda x: _meets_target(x, n, p, target), 0, n,
-              math.ceil(normal_approx_reserve(n, p, target)))
-    while a > 0 and _meets_target(a - 1, n, p, target):
-        a -= 1
-    return a
+    return _flip(lambda x: _meets_target(x, n, p, target), 0, n,
+                 math.ceil(normal_approx_reserve(n, p, target)))
 
 
 def normal_approx_reserve(t: int, p_b: float, target_qos_b: float) -> float:

@@ -212,13 +212,12 @@ def _priced_points(n: int, m_ns: int, a_s: int, model: CostModel, stretches):
     #   which never falls as T grows, so it is cheapest at its earliest
     #   valid T: the stretch start, a_s + q - c or a_s + q - s + 1;
     # - the N >= M - Q + T cap only drops candidates as T grows.
-    # A stretch no longer than its set of piece ends is walked T by T, and
-    # so is every stretch if ``_near_prosumer_rate``.
+    # Only if ``_near_prosumer_rate`` is every stretch walked T by T.
     marks = {m for b, _ in model.discount.breakpoints for m in (b - 1, b) if m_ns <= m <= n}
     marks.add(n)
     every_t = _near_prosumer_rate(model, n)
     for t0, t1, q in stretches:
-        if every_t or t1 - t0 <= len(marks) + 3:
+        if every_t:
             ts = range(t0, t1 + 1)
         else:
             k, c = a_s + q, max(m_ns, q)

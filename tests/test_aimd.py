@@ -60,6 +60,20 @@ def test_forced_backoff_scales_both_agents():
     assert trace.capacity_count == 1
 
 
+def test_gain_calibrated_to_inf_never_backs_off_a_zero_rate():
+    # At the one event (iteration 1) the consumer rate is about 5e-313, a
+    # subnormal (the surge cdf at 1250 + T underflows), and the reserve
+    # rate is 0, so the calibrated gamma is inf: the consumers back off
+    # with probability 1, and the reserve's NaN = inf * 0 passes the
+    # clamp and never backs off.
+    params = ScenarioParams(50000, 0.1, 0.3, 0.5)
+    config = AimdConfig(alpha=1.0, beta=0.5, z_init=1249.0, q_init=1.0, max_iterations=3)
+    trace, _, _ = run_partition("equalize", params, 1251, 10000, config)
+    assert list(trace.capacity_event) == [0, 1, 0]
+    assert list(trace.z) == [1250.0, 1250.0, 626.0]
+    assert list(trace.q) == [2.0, 2.0, 3.0]
+
+
 def test_vanishing_gain_rarely_backs_off():
     # With gamma ~ 0 the backoff probability sits at its floor, so the
     # claims oscillate right at the capacity boundary.

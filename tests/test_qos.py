@@ -16,6 +16,7 @@ from surgeshare import (
     normal_approx_reserve,
     qos_all,
 )
+from surgeshare import qos as qos_module
 from surgeshare.qos import _meets_target
 
 CAR = ScenarioParams(1000, 0.1, 0.3, 0.01)
@@ -219,13 +220,29 @@ def test_min_items_charger_surge():
     assert abs(min_items_for_qos(1000, 0.015, 0.98) - 23) <= 1
 
 
-def test_min_items_matches_linear_scan():
+def test_min_items_matches_linear_scan(monkeypatch):
+    # Each search judges every count at most once: the rule is monotone,
+    # so a count already judged needs no second call.
+    judged = []
+
+    def counting(a, n, p, target):
+        judged.append(a)
+        return _meets_target(a, n, p, target)
+
+    monkeypatch.setattr(qos_module, "_meets_target", counting)
+
+    def searched(n, p, target):
+        judged.clear()
+        a = min_items_for_qos(n, p, target)
+        assert len(judged) == len(set(judged)), judged
+        return a
+
     # (7, 0.5, 0.5 + 1 ulp): the tail at a=3 rounds down to meet the
     # target while the cdf rounds to just below 0.5.
     for n, p, target in [(10, 0.5, 0.999), (25, 0.1, 0.98), (60, 0.3, 0.9),
                          (7, 0.5, 0.5000000000000001)]:
         expected = next(a for a in range(n + 1) if binom_cdf(a, n, p) >= target)
-        assert min_items_for_qos(n, p, target) == expected
+        assert searched(n, p, target) == expected
     # Large n and targets near 1, where the search starts far from 0 and
     # the normal approximation is off by -1 to +10 items: the same rule
     # scanned from a = 0 up.
@@ -233,7 +250,7 @@ def test_min_items_matches_linear_scan():
                          (4999, 0.5, 0.999999), (5000, 0.001, 0.98),
                          (3000, 0.05, 1 - 1e-12), (5000, 0.5, 0.5000000000000001)]:
         expected = next(a for a in range(n + 1) if _meets_target(a, n, p, target))
-        assert min_items_for_qos(n, p, target) == expected
+        assert searched(n, p, target) == expected
 
 
 def test_min_items_is_minimal():

@@ -269,11 +269,14 @@ def test_oracle_takes_none_of_the_solver_shortcuts(monkeypatch):
     assert rep.design == Design(120, 216, 6)
 
 
-@pytest.mark.parametrize("name, entry, most", [
-    ("car-n50000-98", solve_min_cost, 1000),  # 10,199 when every T is priced
-    ("car-n5000-98", solve_min_cost, 1000),   # 1,505 when every T is priced
-])
-def test_scan_prices_few_candidates(name, entry, most, monkeypatch):
+@pytest.mark.parametrize("name, changes, entry, most", [
+    ("car-n50000-98", {}, solve_min_cost, 1000),  # 10,199 when every T is priced
+    ("car-n5000-98", {}, solve_min_cost, 1000),   # 1,505 when every T is priced
+    # Stretches a few T long: 588 when they are priced at every T.
+    ("car-n1000-98", {"p_bad": 0.1}, solve_min_cost, 300),
+], ids=["car-n50000-98-solve_min_cost-1000", "car-n5000-98-solve_min_cost-1000",
+        "car-n1000-98-p_bad-0.1-solve_min_cost-300"])
+def test_scan_prices_few_candidates(name, changes, entry, most, monkeypatch):
     # Counted rather than timed, so the check is deterministic.
     calls = []
 
@@ -283,7 +286,7 @@ def test_scan_prices_few_candidates(name, entry, most, monkeypatch):
 
     monkeypatch.setattr(solver_module, "cost_eval", counting)
     scenario = load_scenario(name)
-    entry(scenario.params, scenario.cost_model)
+    entry(dataclasses.replace(scenario.params, **changes), scenario.cost_model)
     assert len(calls) <= most
 
 
