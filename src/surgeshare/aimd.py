@@ -30,8 +30,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .qos import (QosReport, ScenarioParams, _cdf_cont_pair, _integer, _pmf_cont,
-                  _real, qos_all)
+from .qos import (QosReport, ScenarioParams, _cdf_cont, _integer, _pmf_cont, _real,
+                  qos_all)
 
 __all__ = [
     "AimdConfig",
@@ -180,12 +180,12 @@ def _rate_function(problem: str, params: ScenarioParams, t: int):
                     1.0 / dp if dp > 1e-300 else math.inf)
         return rates
 
-    cdf_pair = _cdf_cont_pair(n, params.p_surge, t, params.p_bad)
+    cdf_c = _cdf_cont(n, params.p_surge)
+    cdf_p = _cdf_cont(t, params.p_bad)
 
     def rates(z_avg: float, q_avg: float) -> Tuple[float, float]:
-        cc, cp = cdf_pair(z_avg + t, q_avg)
-        return (cc / (1e-12 if z_avg < 1e-12 else z_avg),
-                cp / (1e-12 if q_avg < 1e-12 else q_avg))
+        return (cdf_c(z_avg + t) / (1e-12 if z_avg < 1e-12 else z_avg),
+                cdf_p(q_avg) / (1e-12 if q_avg < 1e-12 else q_avg))
     return rates
 
 
@@ -241,10 +241,12 @@ def run_partition(problem: str, params: ScenarioParams, m: int, t: int,
 
     rates = _rate_function(problem, params, t)
     rng = np.random.Generator(np.random.Philox(config.seed))
-    alpha, beta, lam_min = config.alpha, config.beta, config.lam_min
+    # The claims are Python floats whatever real type the config holds:
+    # numpy float32 arithmetic would reach ``betainc`` with no signature.
+    alpha, beta, lam_min = float(config.alpha), float(config.beta), config.lam_min
     gamma = config.gamma
     limit = config.max_iterations
-    z, q = config.z_init, config.q_init
+    z, q = float(config.z_init), float(config.q_init)
     z_avg = q_avg = 0.0
     k = 0  # capacity events so far
     l = 0  # iterations so far
@@ -296,12 +298,15 @@ def run_partition(problem: str, params: ScenarioParams, m: int, t: int,
         # M + 2*alpha at all times.
         rc, rp = rates(z_avg, q_avg)
         if gamma is None:
+            # A worst rate that is zero, infinite or so small that the
+            # quotient overflows cannot be scaled to the target; the gain
+            # is then the target itself, so it is always finite.
             worst = max(rc, rp)
             target = config.gamma_target
-            gamma = target / worst if math.isfinite(worst) and worst > 0 else target
-        # Clamp to [lam_min, 1]; an infinite rate clamps to 1, and a NaN (a
-        # gamma calibrated to inf by a subnormal rate, times a zero rate)
-        # passes through and never backs off.
+            gamma = target / worst if 0.0 < worst < math.inf else target
+            if gamma == math.inf:
+                gamma = target
+        # Clamp to [lam_min, 1]; an infinite rate clamps to 1.
         lam_c = gamma * rc
         lam_c = lam_min if lam_c < lam_min else 1.0 if lam_c > 1.0 else lam_c
         lam_p = gamma * rp

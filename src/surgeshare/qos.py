@@ -9,6 +9,12 @@ and the normal-approximation reserve formula.  Whether a items meet a
 QoS target is decided in one place, ``_meets_target``, which the inverse
 search and the design solver share; both find where it flips with one
 search from an estimate, ``_flip``.
+
+Every binomial value is one scalar call into ``scipy.special.cython_special``
+(``bdtr``, ``bdtrc``, ``betainc``): the same bits as the ``scipy.special``
+ufuncs, without the per-call ufunc dispatch that costs several times the
+arithmetic.  n reaches them as a Python int, since they have no signature
+for a numpy integer, and at most ``_COUNT_MAX``, as they hold it in a C int.
 """
 
 from __future__ import annotations
@@ -18,8 +24,7 @@ import numbers
 import statistics
 from dataclasses import dataclass
 
-import numpy as np
-from scipy import special
+from scipy.special.cython_special import bdtr, bdtrc, betainc
 
 __all__ = [
     "ScenarioParams",
@@ -32,9 +37,11 @@ __all__ = [
     "normal_approx_reserve",
 ]
 
+_COUNT_MAX = 2**31 - 1  # the largest n scipy's binomial kernels accept
 
-def _integer(name: str, value, least=0) -> None:
-    """The one rule for a count: an integer, not a bool, of at least ``least``.
+
+def _integer(name: str, value, least=0, most=math.inf) -> None:
+    """The one rule for a count: an integer, not a bool, in [least, most].
 
     The exact-type test only spares a plain int the slower ABC check.
     """
@@ -44,6 +51,8 @@ def _integer(name: str, value, least=0) -> None:
     if value < least:
         raise ValueError(f"{name} must be non-negative; got {value!r}" if least == 0
                          else f"{name} must be at least {least}; got {value!r}")
+    if value > most:
+        raise ValueError(f"{name} cannot exceed {most}; got {value!r}")
 
 
 def _real(name: str, value, low: float, high: float, closed: str) -> None:
@@ -81,7 +90,7 @@ class ScenarioParams:
     qos_target_b: float = 0.98
 
     def __post_init__(self):
-        _integer("n_consumers", self.n_consumers, 1)
+        _integer("n_consumers", self.n_consumers, 1, _COUNT_MAX)
         for name in ("p_nonsurge", "p_surge", "p_bad"):
             _real(name, getattr(self, name), 0.0, 1.0, "()")
         for name in ("qos_target_ns", "qos_target_s", "qos_target_b"):
@@ -108,13 +117,13 @@ def binom_cdf(a: int, n: int, p: float) -> float:
         _real("a", a, -math.inf, math.inf, "[]")
         if math.isfinite(a) and a != math.floor(a):
             raise ValueError(f"a must be a whole number; got {a!r}")
-    _integer("n", n)
+    _integer("n", n, 0, _COUNT_MAX)
     _real("p", p, 0.0, 1.0, "()")
     if a < 0:
         return 0.0
     if a >= n:
         return 1.0
-    return float(special.bdtr(int(a), int(n), p))
+    return bdtr(int(a), int(n), p)
 
 
 def binom_cdf_cont(x: float, n: int, p: float) -> float:
@@ -126,58 +135,41 @@ def binom_cdf_cont(x: float, n: int, p: float) -> float:
     between.  Clamps to 0 below x = -1 and to 1 at x >= n.
     """
     _real("x", x, -math.inf, math.inf, "[]")
-    _integer("n", n, 1)
+    _integer("n", n, 1, _COUNT_MAX)
     _real("p", p, 0.0, 1.0, "()")
-    saturated, a, b = _cdf_cont_terms(x, n)
-    if saturated is not None:
-        return saturated
-    return float(special.betainc(a, b, 1.0 - p))
+    return _cdf_cont(n, p)(float(x))
 
 
-def _cdf_cont_terms(x: float, n: int):
-    """``binom_cdf_cont(x, n, p)`` as ``(saturated, a, b)``, unchecked.
+def _cdf_cont(n: int, p: float):
+    """Unchecked ``binom_cdf_cont`` for a fixed n and p, as a function of x.
 
-    ``saturated`` is 1.0 at x >= n and 0.0 at x <= -1; otherwise it is
-    None and the cdf is I_{1-p}(a, b).  The shapes of a saturated
-    threshold are a harmless (1, 1), so a batched call may evaluate them.
+    1 - p is computed once, here.  x must be a float, since ``betainc``
+    has no signature for an int or a numpy float32 first argument.
     """
-    if x >= n:
-        return 1.0, 1.0, 1.0
-    if x <= -1.0:
-        return 0.0, 1.0, 1.0
-    return None, n - x, x + 1.0
+    q = 1.0 - p
 
+    def cdf(x: float) -> float:
+        if x >= n:
+            return 1.0
+        if x <= -1.0:
+            return 0.0
+        return betainc(n - x, x + 1.0, q)
 
-def _cdf_cont_pair(n0: int, p0: float, n1: int, p1: float):
-    """Unchecked ``binom_cdf_cont`` for two fixed (n, p) as f(x0, x1).
-
-    Each use makes one ``special.betainc`` call over two-slot buffers
-    allocated here once, which costs less than two scalar calls and
-    gives the same values.
-    """
-    a, b, out = np.empty(2), np.empty(2), np.empty(2)
-    q = np.array([1.0 - p0, 1.0 - p1])
-    betainc = special.betainc
-
-    def cdf_pair(x0: float, x1: float):
-        s0, a[0], b[0] = _cdf_cont_terms(x0, n0)
-        s1, a[1], b[1] = _cdf_cont_terms(x1, n1)
-        c0, c1 = betainc(a, b, q, out=out).tolist()
-        return (c0 if s0 is None else s0), (c1 if s1 is None else s1)
-
-    return cdf_pair
+    return cdf
 
 
 def binom_pmf_cont(x: float, n: int, p: float) -> float:
     """Gamma-function extension of the binomial pmf; 0 outside [0, n].
 
     Evaluated fully in log space so it stays finite for n up to 1e5.
-    Uses scalar math.lgamma: the AIMD kernel evaluates the pmf once per
-    capacity event through ``_pmf_cont``, where a numpy ufunc call would
-    cost more than it saves and ``gammaln`` may differ in the last bits.
+    Uses scalar math.lgamma, as the cdf kernels use scalar
+    ``cython_special`` calls: the AIMD kernel evaluates the pmf once per
+    capacity event through ``_pmf_cont``, where a numpy ufunc call costs
+    more in dispatch than the arithmetic, and ``gammaln`` may differ
+    from math.lgamma in the last bits.
     """
     _real("x", x, -math.inf, math.inf, "[]")
-    _integer("n", n, 1)
+    _integer("n", n, 1, _COUNT_MAX)
     _real("p", p, 0.0, 1.0, "()")
     return _pmf_cont(n, p)(x)
 
@@ -234,9 +226,10 @@ def _meets_target(a: int, n: int, p: float, target: float) -> bool:
     """
     if a >= n:
         return True
+    n = int(n)  # a numpy integer from a caller's params or design
     return (target < 1.0
-            and special.bdtrc(a, n, p) <= 1.0 - target
-            and special.bdtr(a, n, p) >= target)
+            and bdtrc(a, n, p) <= 1.0 - target
+            and bdtr(a, n, p) >= target)
 
 
 def _flip(passes, lo: int, hi: int, start: int) -> int:
@@ -287,7 +280,7 @@ def min_items_for_qos(n: int, p: float, target: float) -> int:
     one it judged failing, so it is the least.  A target of exactly 1
     gives n.
     """
-    _integer("n", n)
+    _integer("n", n, 0, _COUNT_MAX)
     _real("p", p, 0.0, 1.0, "()")
     _real("target", target, 0.0, 1.0, "(]")
     if n == 0 or target == 1.0:

@@ -60,18 +60,22 @@ def test_forced_backoff_scales_both_agents():
     assert trace.capacity_count == 1
 
 
-def test_gain_calibrated_to_inf_never_backs_off_a_zero_rate():
-    # At the one event (iteration 1) the consumer rate is about 5e-313, a
+def test_gain_calibrated_to_inf_falls_back_to_target():
+    # At the first event the consumer rate is about 3.65e-309, a
     # subnormal (the surge cdf at 1250 + T underflows), and the reserve
-    # rate is 0, so the calibrated gamma is inf: the consumers back off
-    # with probability 1, and the reserve's NaN = inf * 0 passes the
-    # clamp and never backs off.
-    params = ScenarioParams(50000, 0.1, 0.3, 0.5)
-    config = AimdConfig(alpha=1.0, beta=0.5, z_init=1249.0, q_init=1.0, max_iterations=3)
-    trace, _, _ = run_partition("equalize", params, 1251, 10000, config)
-    assert list(trace.capacity_event) == [0, 1, 0]
-    assert list(trace.z) == [1250.0, 1250.0, 626.0]
-    assert list(trace.q) == [2.0, 2.0, 3.0]
+    # rate is 0: gamma_target / worst overflows to inf.  An infinite gain
+    # would back the consumers off at every event and the reserve never
+    # (inf * 0 is NaN, which passes the clamp); the run must instead use
+    # gamma = gamma_target, as for a zero or infinite worst rate.
+    params = ScenarioParams(50000, 0.14975, 0.2995, 0.5)
+    config = AimdConfig(alpha=1, beta=0.85, z_init=1249, q_init=1, gamma_target=0.9,
+                        max_iterations=20000)
+    fixed = dataclasses.replace(config, gamma=config.gamma_target)
+    calibrated, q_star, rep = run_partition("equalize", params, 1251, 10000, config)
+    reference, q_ref, rep_ref = run_partition("equalize", params, 1251, 10000, fixed)
+    # Every trace array and the scalars, then the reserve and its QoS.
+    assert calibrated == reference
+    assert (q_star, rep) == (q_ref, rep_ref)
 
 
 def test_vanishing_gain_rarely_backs_off():

@@ -1,12 +1,30 @@
-"""The public surface: every exported name resolves."""
+"""The public surface: every exported name resolves, and every entry
+point takes numpy integers as it takes Python ints."""
 
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import surgeshare
+from surgeshare import (
+    Design,
+    ScenarioParams,
+    auto_config,
+    binom_cdf,
+    binom_cdf_cont,
+    brute_force_design,
+    car_cost_model,
+    feasible,
+    min_items_for_qos,
+    run_partition,
+    scan_oracle,
+    solve_min_cost,
+)
+from surgeshare.aimd import PROBLEMS
 
 MODULES = ["qos", "cost", "solver", "aimd", "scenarios", "cli"]
 
@@ -33,3 +51,37 @@ def test_package_reexports_resolve_to_public_names():
         module = importlib.import_module(f"surgeshare.{module_name}")
         assert attr in module.__all__, f"{attr} is not public in surgeshare.{module_name}"
         assert getattr(surgeshare, attr) is getattr(module, attr)
+
+
+def test_numpy_integers_on_every_public_path():
+    # scipy's scalar kernels have no signature for a numpy integer n, so
+    # each path must reach them with Python ints and the same results.
+    i64, u32 = np.int64, np.uint32
+    assert binom_cdf(i64(120), u32(1000), 0.1) == binom_cdf(120, 1000, 0.1)
+    assert binom_cdf_cont(u32(120), i64(1000), 0.1) == binom_cdf_cont(120, 1000, 0.1)
+    assert min_items_for_qos(i64(1000), 0.3, 0.98) == min_items_for_qos(1000, 0.3, 0.98)
+    plain = ScenarioParams(1000, 0.1, 0.3, 0.01)
+    numpy = ScenarioParams(u32(1000), 0.1, 0.3, 0.01)
+    model = car_cost_model()
+    for solve in (solve_min_cost, brute_force_design):
+        assert solve(numpy, model) == solve(plain, model)
+    d = solve_min_cost(plain, model).design
+    for m in (d.m, d.m - 1):
+        assert (feasible(numpy, Design(i64(m), u32(d.t), i64(d.q)))
+                is feasible(plain, Design(m, d.t, d.q)) is (m == d.m))
+    for problem in PROBLEMS:
+        config = auto_config(problem, i64(120), u32(215), numpy)
+        assert config == auto_config(problem, 120, 215, plain)
+        config = dataclasses.replace(config, max_iterations=20000)
+        assert (run_partition(problem, numpy, i64(120), u32(215), config)
+                == run_partition(problem, plain, 120, 215, config))
+        assert scan_oracle(problem, numpy, i64(120), u32(215)) == scan_oracle(
+            problem, plain, 120, 215)
+        # numpy float32 claims run in Python floats, as their float() values.
+        fields = ("alpha", "beta", "z_init", "q_init")
+        single = dataclasses.replace(
+            config, **{f: np.float32(getattr(config, f)) for f in fields})
+        double = dataclasses.replace(
+            single, **{f: float(getattr(single, f)) for f in fields})
+        assert (run_partition(problem, plain, 120, 215, single)
+                == run_partition(problem, plain, 120, 215, double))

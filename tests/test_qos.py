@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import special
 
 from surgeshare import (
     ScenarioParams,
@@ -80,8 +81,19 @@ def test_kernels_reject_non_integer_counts_and_nan_thresholds():
             kernel(math.nan, 10, 0.5)
         assert kernel(math.inf, 10, 0.5) == (0.0 if kernel is binom_pmf_cont else 1.0)
         assert kernel(-math.inf, 10, 0.5) == 0.0
+        # scipy takes n as a C int: at 2**31 bdtr returns nan.
+        for n in (2**31, np.int64(2**31), 10**20):
+            with pytest.raises(ValueError, match="n cannot exceed 2147483647; got"):
+                kernel(5, n, 1e-9)
+        assert kernel(5, 2**31 - 1, 1e-9) > 0.0
     with pytest.raises(TypeError, match="t must be an integer"):
         normal_approx_reserve(215.5, 0.01, 0.98)
+    # The search used to answer 2**31, every requester, without a word.
+    with pytest.raises(ValueError, match="n cannot exceed 2147483647"):
+        min_items_for_qos(2**31, 1e-9, 0.98)
+    assert min_items_for_qos(2**31 - 1, 1e-9, 0.98) == 6
+    with pytest.raises(ValueError, match="n_consumers cannot exceed 2147483647"):
+        ScenarioParams(2**31, 0.1, 0.3, 0.01)
 
 
 def test_cdf_rejects_fractional_threshold():
@@ -95,6 +107,36 @@ def test_cdf_rejects_fractional_threshold():
     assert binom_cdf(-2.0, 10, 0.5) == 0.0 and binom_cdf(12.0, 10, 0.5) == 1.0
     assert binom_cdf(math.inf, 10, 0.5) == 1.0
     assert binom_cdf(-math.inf, 10, 0.5) == 0.0
+
+
+def test_kernels_match_the_scipy_ufuncs_bit_for_bit():
+    # The kernels call scipy.special.cython_special one value at a time;
+    # they must give exactly what the scipy.special ufuncs give, for n up
+    # to 5e4, p from 1e-4 to 0.999 and thresholds on both sides of the
+    # mean as well as saturated ones.
+    rng = random.Random(20261018)
+    for _ in range(1500):
+        n = round(10 ** rng.uniform(0.0, math.log10(5e4)))
+        p = 10 ** rng.uniform(-4.0, math.log10(0.999))
+        mean, sd = n * p, math.sqrt(n * p * (1.0 - p))
+        a = round(mean + rng.uniform(-6.0, 6.0) * sd)
+        for k in (a, rng.choice((-1, 0, n, n + 3))):
+            want = 0.0 if k < 0 else 1.0 if k >= n else float(special.bdtr(k, n, p))
+            assert binom_cdf(k, n, p).hex() == want.hex(), (k, n, p)
+            if 0 <= k < n:
+                cdf, tail = float(special.bdtr(k, n, p)), float(special.bdtrc(k, n, p))
+                # Targets at the cdf and one ulp either side of it.
+                for target in (cdf, math.nextafter(cdf, 0.0), math.nextafter(cdf, 2.0)):
+                    if 0.0 < target <= 1.0:
+                        want = target < 1.0 and tail <= 1.0 - target and cdf >= target
+                        assert _meets_target(k, n, p, target) is want, (k, n, p, target)
+        x = a + rng.random()
+        cdf = qos_module._cdf_cont(n, p)
+        for xs in (x, rng.choice((-1.5, -1.0, float(n), n + 0.5))):
+            want = (1.0 if xs >= n else 0.0 if xs <= -1.0
+                    else float(special.betainc(n - xs, xs + 1.0, 1.0 - p)))
+            assert binom_cdf_cont(xs, n, p).hex() == want.hex(), (xs, n, p)
+            assert cdf(xs).hex() == want.hex(), (xs, n, p)
 
 
 def test_cdf_random_property_suite():
