@@ -24,7 +24,7 @@ from . import aimd as aimd_mod
 from . import solver as solver_mod
 from .cost import get_cost_model
 from .qos import ScenarioParams, qos_all
-from .scenarios import ScenarioError, load_scenario
+from .scenarios import ScenarioError, ScenarioFile, load_scenario
 
 __all__ = ["main", "cli_dispatch"]
 
@@ -178,10 +178,26 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _load_golden(resource: str) -> List[dict]:
-    ref = importlib.resources.files("surgeshare").joinpath("data", resource)
+def _golden_table(use: str) -> List[Tuple[ScenarioFile, dict]]:
+    """The rows of a bundled minimum-cost golden, each with its built-in scenario."""
+    ref = importlib.resources.files("surgeshare").joinpath("data", f"{use}_min_cost_golden.csv")
     with ref.open("r") as fh:
-        return list(csv.DictReader(fh))
+        rows = list(csv.DictReader(fh))
+    # round, not int: int(0.57 * 100) is 56.
+    return [(load_scenario(f"{use}-n{row['N']}-{round(100 * float(row['qos_target']))}"), row)
+            for row in rows]
+
+
+def _golden_misses(report, row: dict) -> List[str]:
+    """One message per field of a design report outside a golden row's tolerance."""
+    d = report.design
+    misses = [f"{key} {got} vs {row[key]}"
+              for key, got in (("M", d.m), ("T", d.t), ("Q", d.q))
+              if abs(got - int(row[key])) > int(row[f"tol_{key.lower()}"])]
+    cost = float(row["cost_total"])
+    if abs(report.cost_real - cost) > float(row["tol_cost_rel"]) * cost:
+        misses.append(f"cost {report.cost_real:.0f} vs {row['cost_total']}")
+    return misses
 
 
 def _cmd_reproduce(args) -> int:
@@ -189,27 +205,19 @@ def _cmd_reproduce(args) -> int:
     paths = _output_paths(args, *(f"{use}_min_cost.csv" for use in uses))
     ok = True
     for use, path in zip(uses, paths):
-        golden = _load_golden(f"{use}_min_cost_golden.csv")
         reports = []
         print(f"-- {use} minimum-cost table --")
-        for grow in golden:
-            scenario = load_scenario(f"{use}-n{grow['N']}-{int(float(grow['qos_target']) * 100)}")
+        for scenario, grow in _golden_table(use):
             rep = solver_mod.solve_min_cost(scenario.params, scenario.cost_model)
             reports.append(rep)
             d = rep.design
-            checks = [
-                abs(d.m - int(grow["M"])) <= int(grow["tol_m"]),
-                abs(d.t - int(grow["T"])) <= int(grow["tol_t"]),
-                abs(d.q - int(grow["Q"])) <= int(grow["tol_q"]),
-                abs(rep.cost_real - float(grow["cost_total"]))
-                <= float(grow["tol_cost_rel"]) * float(grow["cost_total"]),
-            ]
-            status = "ok" if all(checks) else "MISMATCH"
-            ok = ok and all(checks)
+            misses = _golden_misses(rep, grow)
+            ok = ok and not misses
             print(f"  N={grow['N']:>6} target={grow['qos_target']}  "
                   f"got (M={d.m}, T={d.t}, Q={d.q}, cost={rep.cost_real:.0f})  "
                   f"expected (M={grow['M']}, T={grow['T']}, Q={grow['Q']}, "
-                  f"cost={grow['cost_total']})  {status}")
+                  f"cost={grow['cost_total']})  "
+                  + (f"MISMATCH ({', '.join(misses)})" if misses else "ok"))
         solver_mod.write_design_csv(path, reports)
         print(f"  wrote {path}")
     print("reproduce: PASS" if ok else "reproduce: FAIL")

@@ -155,6 +155,9 @@ def _m_candidates(starts: List[int], m_min: int, m_max: int):
     # The discounted pool term can drop where a discount band begins, so
     # the cheapest pool of size >= m_min is either m_min itself or the
     # first item count of a higher band; ``starts`` lists those counts.
+    # There is none when m_min > m_max: no pool meets the bounds.
+    if m_min > m_max:
+        return
     yield m_min
     for min_qty in starts:
         if m_min < min_qty <= m_max:
@@ -263,8 +266,6 @@ def solve_min_cost(params: ScenarioParams, model: CostModel,
         if best is not None and pool_floor + model.per_item_prosumer * t > best[0]:
             break
         m_min = max(m_ns, a_s - t + q, q)
-        if m_min > n or m_min - q + t > n:
-            continue
         # Larger M only tightens the N >= M - Q + T constraint; cap there.
         for m in _m_candidates(starts, m_min, min(n, n + q - t)):
             key = (cost_eval(m, t, model), m, t, q)
@@ -302,8 +303,6 @@ def brute_force_design(params: ScenarioParams, model: CostModel) -> DesignReport
         while not _meets_target(q, t, params.p_bad, params.qos_target_b):
             q += 1
         m_min = max(m_ns, a_s - t + q, q)
-        if m_min > n or m_min - q + t > n:
-            continue
         for m in _m_candidates(starts, m_min, min(n, n + q - t)):
             key = (cost_eval(m, t, model), m, t, q)
             if best is None or key < best:
@@ -325,8 +324,6 @@ def _brute_force_full(params: ScenarioParams, model: CostModel) -> DesignReport:
                      if _meets_target(q, t, params.p_bad, params.qos_target_b))
         for q in range(q_min, t + 1):
             m_lo = max(m_ns, a_s - t + q, q)
-            if m_lo > n or m_lo - q + t > n:
-                continue
             for m in range(m_lo, min(n, n + q - t) + 1):
                 key = (cost_eval(m, t, model), m, t, q)
                 if best is None or key < best:

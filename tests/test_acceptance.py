@@ -12,15 +12,14 @@ import time
 import numpy as np
 
 from surgeshare import (
-    ScenarioParams,
     auto_config,
     binom_cdf,
     binom_cdf_cont,
     binom_pmf_cont,
     brute_force_design,
-    car_cost_model,
-    charger_cost_model,
+    cli,
     compare_approaches,
+    load_scenario,
     min_items_for_qos,
     normal_approx_reserve,
     qos_all,
@@ -29,30 +28,9 @@ from surgeshare import (
     solve_min_cost,
 )
 
-CAR_MODEL = car_cost_model()
-CHARGER_MODEL = charger_cost_model()
-
-# (N, target, M*, T*, Q*, cost, tol_t)
-CAR_ROWS = [
-    (1000, 0.98, 120, 216, 6, 1.22e6, 2),
-    (1000, 0.99, 123, 217, 6, 1.24e6, 2),
-    (5000, 0.98, 544, 1040, 17, 5.32e6, 2),
-    (5000, 0.99, 550, 1045, 19, 5.37e6, 2),
-    (10000, 0.98, 1062, 2062, 30, 10.13e6, 2),
-    (10000, 0.99, 1070, 2069, 32, 10.18e6, 2),
-    (50000, 0.98, 5138, 10196, 123, 49.52e6, 10),
-    (50000, 0.99, 5157, 10208, 126, 49.64e6, 10),
-]
-CHARGER_ROWS = [
-    (1000, 0.98, 10, 14, 1, 0.29e6, 2),
-    (1000, 0.99, 11, 15, 1, 0.31e6, 2),
-    (5000, 0.98, 36, 60, 3, 1.00e6, 2),
-    (5000, 0.99, 37, 62, 3, 1.03e6, 2),
-    (10000, 0.98, 65, 114, 4, 1.74e6, 2),
-    (10000, 0.99, 67, 116, 4, 1.79e6, 2),
-    (50000, 0.98, 283, 534, 11, 6.90e6, 10),
-    (50000, 0.99, 287, 538, 11, 6.99e6, 10),
-]
+# The minimum-cost tables and their tolerances are the goldens bundled
+# with the package, which ``surgeshare reproduce`` checks the same way.
+USES = ("car", "charger")
 
 # (N, M, T, Q*_max, QoS%(s, b) max, Q*_eq, QoS%(s, b) eq)
 BEST_EFFORT_ROWS = [
@@ -63,50 +41,33 @@ BEST_EFFORT_ROWS = [
 ]
 
 
-def car_params(n, target):
-    return ScenarioParams(n, 0.1, 0.3, 0.01, target, target, target)
-
-
-def charger_params(n, target):
-    return ScenarioParams(n, 0.005, 0.015, 0.01, target, target, target)
-
-
 def _finish(criterion, failures):
     status = "PASS" if not failures else "FAIL"
     print(f"ACCEPTANCE {criterion}: {status}")
     assert not failures, f"criterion {criterion}: " + "; ".join(failures)
 
 
-def _check_rows(rows, make_params, model):
+def _check_table(use):
     failures = []
-    for n, target, m_ref, t_ref, q_ref, cost_ref, tol_t in rows:
+    for scenario, row in cli._golden_table(use):
         start = time.perf_counter()
-        rep = solve_min_cost(make_params(n, target), model)
+        rep = solve_min_cost(scenario.params, scenario.cost_model)
         elapsed = time.perf_counter() - start
-        d = rep.design
-        row = f"N={n}/{target}"
-        if abs(d.m - m_ref) > 1:
-            failures.append(f"{row}: M {d.m} vs {m_ref}")
-        if abs(d.t - t_ref) > tol_t:
-            failures.append(f"{row}: T {d.t} vs {t_ref}")
-        if abs(d.q - q_ref) > 2:
-            failures.append(f"{row}: Q {d.q} vs {q_ref}")
-        if abs(rep.cost_real - cost_ref) > 0.02 * cost_ref:
-            failures.append(f"{row}: cost {rep.cost_real:.0f} vs {cost_ref:.0f}")
+        failures += [f"{scenario.name}: {miss}" for miss in cli._golden_misses(rep, row)]
         if elapsed > 10.0:
-            failures.append(f"{row}: runtime {elapsed:.1f}s > 10s")
+            failures.append(f"{scenario.name}: runtime {elapsed:.1f}s > 10s")
     return failures
 
 
 def test_criterion_1_car_minimum_cost_table():
-    failures = _check_rows(CAR_ROWS, car_params, CAR_MODEL)
-    _finish(1, failures)
+    _finish(1, _check_table("car"))
 
 
 def test_criterion_2_charger_minimum_cost_table():
-    failures = _check_rows(CHARGER_ROWS, charger_params, CHARGER_MODEL)
+    failures = _check_table("charger")
     # The table also reports the per-consumer figure for the first row.
-    rep = solve_min_cost(charger_params(1000, 0.98), CHARGER_MODEL)
+    scenario = load_scenario("charger-n1000-98")
+    rep = solve_min_cost(scenario.params, scenario.cost_model)
     if abs(rep.cost_per_consumer - 28.56) > 0.05 * 28.56:
         failures.append(f"per-consumer {rep.cost_per_consumer:.2f} vs 28.56")
     _finish(2, failures)
@@ -117,28 +78,27 @@ def test_criterion_3_oracle_equivalence():
     # the solver's shortcuts, so it checks the galloping pointer, the
     # piece-end pricing and the early exit at N up to 5e4.
     failures = []
-    for rows, make_params, model in ((CAR_ROWS, car_params, CAR_MODEL),
-                                     (CHARGER_ROWS, charger_params, CHARGER_MODEL)):
-        for n, target, *_ in rows:
-            params = make_params(n, target)
+    for use in USES:
+        for scenario, _ in cli._golden_table(use):
+            params, model = scenario.params, scenario.cost_model
             start = time.perf_counter()
             oracle = brute_force_design(params, model)
             elapsed = time.perf_counter() - start
-            print(f"N={n}/{target}: oracle {elapsed:.3f}s")
+            print(f"{scenario.name}: oracle {elapsed:.3f}s")
             solved = solve_min_cost(params, model)
             if (solved.design, solved.cost_real) != (oracle.design, oracle.cost_real):
-                failures.append(f"N={n}/{target}: solver {solved.design} at "
+                failures.append(f"{scenario.name}: solver {solved.design} at "
                                 f"{solved.cost_real!r}, oracle {oracle.design} at "
                                 f"{oracle.cost_real!r}")
             if elapsed > 60.0:
-                failures.append(f"N={n}/{target}: oracle {elapsed:.1f}s > 60s")
+                failures.append(f"{scenario.name}: oracle {elapsed:.1f}s > 60s")
     _finish(3, failures)
 
 
 def test_criterion_4_best_effort_table():
     failures = []
     for n, m, t, q_max, qos_max, q_eq, qos_eq in BEST_EFFORT_ROWS:
-        params = ScenarioParams(n, 0.1, 0.3, 0.01)
+        params = load_scenario(f"car-n{n}").params
         for problem, q_ref, qos_ref in (("maximize", q_max, qos_max),
                                         ("equalize", q_eq, qos_eq)):
             q_oracle, _ = scan_oracle(problem, params, m, t)
@@ -173,13 +133,12 @@ def test_criterion_5_b2c_comparison():
         failures.append("car surge pool != 330 +- 1")
     if abs(min_items_for_qos(1000, 0.015, 0.98) - 23) > 1:
         failures.append("charger surge pool != 23 +- 1")
-    for rows, make_params, model in ((CAR_ROWS, car_params, CAR_MODEL),
-                                     (CHARGER_ROWS, charger_params, CHARGER_MODEL)):
-        for n, target, *_ in rows:
-            table = compare_approaches(make_params(n, target), model)
+    for use in USES:
+        for scenario, _ in cli._golden_table(use):
+            table = compare_approaches(scenario.params, scenario.cost_model)
             if not (table["hybrid"].cost_real < table["b2c"].cost_real
                     < table["ownership"].cost_real):
-                failures.append(f"ordering broken at N={n}/{target}")
+                failures.append(f"ordering broken at {scenario.name}")
     _finish(5, failures)
 
 
@@ -211,7 +170,7 @@ def test_criterion_6_property_suites():
                 break
 
     # qos_s depends only on m - q + t.
-    params = car_params(1000, 0.98)
+    params = load_scenario("car-n1000-98").params
     base = qos_all(params, 120, 216, 6).qos_s
     for delta in (-20, -1, 3, 40):
         if abs(qos_all(params, 120 + delta, 216 - delta, 6).qos_s - base) > 1e-12:

@@ -6,6 +6,7 @@ import dataclasses
 import os
 import tempfile
 import typing
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -62,11 +63,10 @@ def test_builtin_alias_defaults_to_98():
 
 
 def test_builtin_registry_covers_both_tables():
-    names = builtin_scenario_names()
-    for use in ("car", "charger"):
-        for n in (1000, 5000, 10000, 50000):
-            for pct in (98, 99):
-                assert f"{use}-n{n}-{pct}" in names
+    # Every golden row names a built-in scenario, and every built-in with
+    # a target suffix is a golden row.
+    named = {sc.name for use in ("car", "charger") for sc, _ in cli._golden_table(use)}
+    assert named == {name for name in builtin_scenario_names() if name.count("-") == 2}
 
 
 def test_load_rejects_missing_file():
@@ -560,11 +560,12 @@ def _blocking_file(tmp_path, monkeypatch):
 
 
 def _mismatched_golden(tmp_path, monkeypatch):
-    def load(resource, load=cli._load_golden):
-        rows = load(resource)
-        rows[0] = {**rows[0], "M": str(int(rows[0]["M"]) + 100)}
+    def table(use, table=cli._golden_table):
+        rows = table(use)
+        scenario, row = rows[0]
+        rows[0] = scenario, {**row, "M": str(int(row["M"]) + 100)}
         return rows
-    monkeypatch.setattr(cli, "_load_golden", load)
+    monkeypatch.setattr(cli, "_golden_table", table)
 
 
 @pytest.mark.parametrize("argv, setup", [
@@ -727,3 +728,35 @@ def test_cli_reproduce_deterministic(tmp_path, capsys):
     for name in ("car_min_cost.csv", "charger_min_cost.csv"):
         with open(out1 / name, "rb") as f1, open(out2 / name, "rb") as f2:
             assert f1.read() == f2.read()
+
+
+def test_cli_reproduce_names_the_field_that_misses(tmp_path, monkeypatch, capsys):
+    _mismatched_golden(tmp_path, monkeypatch)
+    assert cli_dispatch(["reproduce", "--outdir", str(tmp_path)]) == 1
+    assert "MISMATCH (M 120 vs 220)" in capsys.readouterr().out
+
+
+def test_golden_misses_at_the_tolerance_edge():
+    # A field exactly at its tolerance passes and one just past it is
+    # named: ``reproduce`` and acceptance criteria 1-2 share this rule.
+    _, row = cli._golden_table("car")[-1]
+    golden = [int(row["M"]), int(row["T"]), int(row["Q"]), float(row["cost_total"])]
+    tols = [int(row["tol_m"]), int(row["tol_t"]), int(row["tol_q"]),
+            float(row["tol_cost_rel"]) * golden[3]]
+    for i, key in enumerate(("M", "T", "Q", "cost")):
+        for shift in (tols[i], -tols[i], tols[i] + 1, -tols[i] - 1):
+            m, t, q, cost = (v + shift * (j == i) for j, v in enumerate(golden))
+            report = SimpleNamespace(design=solver.Design(m, t, q), cost_real=cost)
+            misses = [miss.split()[0] for miss in cli._golden_misses(report, row)]
+            assert misses == ([key] if abs(shift) > tols[i] else []), (key, shift)
+
+
+def test_golden_table_names_the_scenario_by_the_rounded_target(tmp_path, monkeypatch):
+    # int(0.57 * 100) is 56 and int(0.29 * 100) is 28.
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / "bike_min_cost_golden.csv").write_text(
+        "N,qos_target\n1000,0.57\n1000,0.29\n")
+    monkeypatch.setattr(cli.importlib.resources, "files", lambda package: tmp_path)
+    monkeypatch.setattr(cli, "load_scenario", lambda name: name)
+    assert [name for name, _ in cli._golden_table("bike")] == ["bike-n1000-57",
+                                                               "bike-n1000-29"]

@@ -241,7 +241,7 @@ def _priced_models(draw):
 # are not integers, so rounding alone decides the optimum (2313, 27, 0).
 @example(n=2644, p_s=0.877, ratio=0.18, p_b=0.0078, targets=(0.95, 0.9, 0.8),
          model=_cost_model(0.2, 0.1, ((1, 0.0), (734, 0.5))))
-def test_scan_equals_per_t_scan(n, p_s, ratio, p_b, targets, model):
+def test_solver_equals_brute_force_design(n, p_s, ratio, p_b, targets, model):
     # Beyond the reach of the 3-D scan, the solver's galloping searches,
     # piece-end pricing and early exit must give the design and the cost
     # bits of the oracle, which prices every T.  As in the paper's use
