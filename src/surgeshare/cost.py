@@ -87,8 +87,8 @@ class CostModel:
     annualizing per-consumer figures.
 
     ``smooth`` is accepted and dropped, as ``solve_min_cost`` ignores
-    ``opts``: only the benchmark set-up still passes one, and ROADMAP
-    item 2 removes it.
+    ``opts``: only the benchmark set-up still passes one, and the
+    benchmark change that stops passing it removes it.
     """
 
     per_item_main: float

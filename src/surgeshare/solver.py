@@ -27,15 +27,16 @@ The scan exits early once the cheapest pool plus the prosumer cost of
 T exceeds the best design found, which cuts it at the optimal T
 instead of N.
 
-Two references check it.  ``brute_force_design`` prices every T from
-0 to N, with Q(T) and the pool minima from linear scans of the same
-rule.  It shares with the solver only that rule, the candidate pools
-per T (``_m_candidates``), ``cost_eval`` and the (cost, M, T, Q)
-tie-break, and none of its shortcuts: the galloping searches, the
-stretches and their piece ends, the ``_near_prosumer_rate`` fallback
-and the early exit.  It trusts that the candidates per T hold the
-cheapest pool; the full 3-D scan ``_brute_force_full`` (N <= 300)
-enumerates every reserve and pool instead and checks that too.
+One reference checks it.  ``brute_force_design`` prices the whole
+(M, T) grid and shares with the solver only the rule, the operations
+of ``cost_eval`` and the (cost, M, T, Q) tie-break.  It rests on two
+arguments.  As the rule is monotone in the item count, the feasible
+reserves of (M, T) are the interval [max(Q(T), M + T - N),
+min(M, T, M + T - A_s)], Q(T) being the least reserve that meets the
+bad-behaviour target at T.  And as every cost is a pool term plus
+``per_item_prosumer * T`` and rounding is monotone, once the cheapest
+pool of at least M_ns items plus that term exceeds the best cost, no
+larger T can reach it.
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .cost import CostModel, cost_eval
 from .qos import (QosReport, ScenarioParams, _flip, _integer, _meets_target,
@@ -71,11 +74,13 @@ DESIGN_CSV_COLUMNS = (
 
 
 class InfeasibleDesignError(ValueError):
-    """Raised by the test reference ``_brute_force_full`` above N = 300.
+    """No longer raised by anything in the package.
 
     Every scenario has a design (T = 0, Q = 0 and the larger pool
-    minimum), so the exact scan never raises it; the name stays for
-    callers that catch it.
+    minimum), so neither the solver nor the reference raises it.  It is
+    kept only because ``perfbench/workloads.py`` and
+    ``perfbench/selftest.py`` catch it and construct it; the benchmark
+    change that stops using it removes it.
     """
 
 
@@ -280,57 +285,46 @@ def solve_min_cost(params: ScenarioParams, model: CostModel,
 # ---------------------------------------------------------------------------
 
 def brute_force_design(params: ScenarioParams, model: CostModel) -> DesignReport:
-    """Exact integer optimum of Problem 1 by pricing every T: the reference.
+    """Exact integer optimum of Problem 1 on the (M, T) grid: the reference.
 
-    For T = 0..N, Q(T) comes from a linear pointer that steps q up while
-    the bad-behaviour rule fails, and the pool minima from linear scans
-    of the same rule.  Shared with ``solve_min_cost``: the rule
-    ``qos._meets_target``, ``_m_candidates``, ``cost_eval`` and the
-    (cost, M, T, Q) tie-break.  Not shared: ``_flip``, the stretches and
-    their piece ends, ``_near_prosumer_rate`` and the early exit.
+    M_ns, A_s and Q(T) come from linear scans of ``qos._meets_target``,
+    and the pool term of ``cost_eval`` from one vector over M = 0..N.
+    The feasible reserves of (M, T) are [max(Q(T), M + T - N),
+    min(M, T, M + T - A_s)]; that interval is non-empty exactly when
+    M >= max(M_ns, Q(T), A_s + Q(T) - T), which is at most N, so each T
+    prices every M from there to N with its least reserve.  The cost is
+    the pool term plus ``per_item_prosumer * T`` and rounding is
+    monotone, so the scan stops once the cheapest pool of at least M_ns
+    items plus that term exceeds the best cost.
     """
-    n = params.n_consumers
+    # A Python int: with a numpy integer N, M + T - N would wrap around.
+    n = int(params.n_consumers)
 
     def least_passing(p: float, target: float) -> int:
         return next(a for a in range(n + 1) if _meets_target(a, n, p, target))
 
     m_ns = least_passing(params.p_nonsurge, params.qos_target_ns)
     a_s = least_passing(params.p_surge, params.qos_target_s)
-    starts = [min_qty for min_qty, _ in model.discount.breakpoints if min_qty > m_ns]
-    best: Optional[Tuple[float, int, int, int]] = None
+    # cost_eval's pool term at every M, in its order of operations; the
+    # discount picked at M = 0 is multiplied by 0.
+    quantities, fractions = zip(*model.discount.breakpoints)
+    ms = np.arange(n + 1)
+    discount = np.asarray(fractions)[np.searchsorted(quantities, ms, side="right") - 1]
+    pool = model.per_item_main * (1.0 - discount) * ms
+    pool_floor = pool[m_ns:].min()
+    best: Tuple = (math.inf,)
     q = 0
     for t in range(n + 1):
+        prosumers = model.per_item_prosumer * t
+        if pool_floor + prosumers > best[0]:
+            break
         while not _meets_target(q, t, params.p_bad, params.qos_target_b):
             q += 1
-        m_min = max(m_ns, a_s - t + q, q)
-        for m in _m_candidates(starts, m_min, min(n, n + q - t)):
-            key = (cost_eval(m, t, model), m, t, q)
-            if best is None or key < best:
-                best = key
-    _, m, t, q = best
-    return _report(params, model, Design(m, t, q))
-
-
-def _brute_force_full(params: ScenarioParams, model: CostModel) -> DesignReport:
-    n = params.n_consumers
-    if n > 300:
-        raise InfeasibleDesignError("full 3-D scan fallback is limited to N <= 300")
-    m_ns, a_s = _pool_minima(params)
-    best: Optional[Tuple[float, int, int, int]] = None
-    for t in range(0, n + 1):
-        # The smallest reserve by the rule feasible() checks, found by a
-        # linear scan rather than min_items_for_qos.
-        q_min = next(q for q in range(t + 1)
-                     if _meets_target(q, t, params.p_bad, params.qos_target_b))
-        for q in range(q_min, t + 1):
-            m_lo = max(m_ns, a_s - t + q, q)
-            for m in range(m_lo, min(n, n + q - t) + 1):
-                key = (cost_eval(m, t, model), m, t, q)
-                if best is None or key < best:
-                    best = key
-    if best is None:
-        raise InfeasibleDesignError(
-            "no (M, T, Q) satisfies all constraints for these parameters")
+        lo = max(m_ns, q, a_s + q - t)
+        # argmin keeps the first, so the smallest M, of equal costs.
+        costs = pool[lo:] + prosumers
+        m = lo + int(np.argmin(costs))
+        best = min(best, (float(costs[m - lo]), m, t, max(q, m + t - n)))
     _, m, t, q = best
     return _report(params, model, Design(m, t, q))
 
@@ -354,8 +348,8 @@ def compare_approaches(params: ScenarioParams, model: CostModel) -> Dict[str, De
 def sweep_cost_vs_qos(params: ScenarioParams, model: CostModel,
                       qos_grid: Sequence[float]) -> List[DesignReport]:
     """Optimal design at each common QoS target of the grid."""
-    # Only perfbench/workloads.py calls this; the benchmark-side change
-    # of ROADMAP item 2 deletes it (``cli sweep`` builds its own points).
+    # Only perfbench/workloads.py calls this; the benchmark change that
+    # stops calling it deletes it (``cli sweep`` builds its own points).
     if not qos_grid:
         raise ValueError("grid must be non-empty")
     points = [dataclasses.replace(params, qos_target_ns=x, qos_target_s=x, qos_target_b=x)

@@ -74,9 +74,10 @@ def test_criterion_2_charger_minimum_cost_table():
 
 
 def test_criterion_3_oracle_equivalence():
-    # The oracle prices every T with linear searches and shares none of
-    # the solver's shortcuts, so it checks the galloping pointer, the
-    # piece-end pricing and the early exit at N up to 5e4.
+    # The oracle prices every (M, T) with linear searches and shares only
+    # the QoS rule and the cost formula with the solver, so it checks the
+    # galloping pointer, the candidate pools and the piece-end pricing at
+    # N up to 5e4.  It has an early exit of its own, by the same bound.
     failures = []
     for use in USES:
         for scenario, _ in cli._golden_table(use):

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from surgeshare import (
@@ -299,6 +301,40 @@ def test_min_items_is_minimal():
     a = min_items_for_qos(1000, 0.3, 0.98)
     assert binom_cdf(a, 1000, 0.3) >= 0.98
     assert binom_cdf(a - 1, 1000, 0.3) < 0.98
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(1, 300),
+    p=st.floats(-4.0, math.log10(0.999)).map(lambda u: 10.0**u),
+    target=st.one_of(st.just(1.0), st.floats(-15.0, -1.0).map(lambda u: 1.0 - 10.0**u)),
+)
+def test_rule_equals_exact_arithmetic(n, p, target):
+    # The rule's verdict at every a against the cdf summed exactly for
+    # the float p and target: cdf(a) = total / den**n for p = num / den.
+    # The exact cdf rises in a and falls in n, so equal verdicts make the
+    # rule monotone in the item count and in T at a fixed reserve, which
+    # the solver's searches and the reference's thresholds rely on.
+    num, den = Fraction(p).as_integer_ratio()
+    goal = Fraction(target) * den**n
+    total = 0
+    for a in range(n + 1):
+        total += math.comb(n, a) * num**a * (den - num) ** (n - a)
+        # The one known miss, pinned by the test below.
+        if (n, a, target) != (1, 0, 1.0 - p):
+            assert _meets_target(a, n, p, target) == (total >= goal), a
+
+
+@pytest.mark.xfail(strict=True, reason="bdtrc(0, 1, p) subtracts the rounded 1 - p from 1")
+@pytest.mark.parametrize("p", [0.1, 10.0**-1.5])
+def test_rule_fails_a_target_just_above_the_exact_cdf(p):
+    # One consumer and no item: the exact cdf is 1 - p, and the target is
+    # 1 - p rounded up, so it is missed.  bdtr rounds the cdf up to the
+    # target, and for p >= 0.01 bdtrc gives 1 - fl(1 - p), which equals
+    # 1 - target, so both checks of the rule pass.
+    target = 1.0 - p
+    assert Fraction(target) > 1 - Fraction(p)
+    assert not _meets_target(0, 1, p, target)
 
 
 @pytest.mark.parametrize("target, expected", [(1 - 1e-15, 419), (1 - 2**-53, 423)])

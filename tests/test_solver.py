@@ -24,7 +24,7 @@ from surgeshare import solver as solver_module
 from surgeshare.cost import cost_eval
 from surgeshare.qos import _meets_target
 from surgeshare.scenarios import load_scenario
-from surgeshare.solver import _brute_force_full, _reserve_stretches, sweep_cost_vs_qos
+from surgeshare.solver import _reserve_stretches, sweep_cost_vs_qos
 
 CAR_1000 = ScenarioParams(1000, 0.1, 0.3, 0.01)
 CHARGER_1000 = ScenarioParams(1000, 0.005, 0.015, 0.01)
@@ -119,15 +119,27 @@ def _cost_models(draw):
     return _cost_model(draw(st.integers(1, 20)), draw(st.integers(1, 20)), schedule)
 
 
-@settings(max_examples=60, deadline=None)
+@st.composite
+def _priced_models(draw):
+    # Non-integer prices, the prosumer dearer or cheaper than a pool item:
+    # rates rarely tie, so most scans price only the piece ends.
+    quantities = sorted(draw(st.lists(st.integers(2, 1500), max_size=5, unique=True)))
+    fractions = sorted(draw(st.lists(st.floats(0.0, 0.9), min_size=len(quantities),
+                                     max_size=len(quantities))))
+    main = draw(st.floats(1.0, 1e5))
+    return _cost_model(main, main * draw(st.floats(0.01, 1.5)),
+                       ((1, 0.0),) + tuple(zip(quantities, fractions)))
+
+
+@settings(max_examples=100, deadline=None)
 @given(
-    n=st.integers(1, 300),
+    n=st.integers(1, 20_000),
     p_ns=st.floats(0.01, 0.9),
     p_s=st.floats(0.01, 0.95),
-    p_b=st.floats(0.01, 0.5),
+    p_b=st.floats(0.001, 0.5),
     targets=st.tuples(_targets, _targets, _targets),
     model=st.one_of(st.sampled_from([car_cost_model(), charger_cost_model()]),
-                    _cost_models()),
+                    _cost_models(), _priced_models()),
 )
 # A tie at cost 120: (6, 12, 2) and (5, 14, 3); the smaller M wins.
 @example(n=107, p_ns=0.023, p_s=0.117, p_b=0.081, targets=(0.9, 0.86, 0.92),
@@ -167,18 +179,31 @@ def _cost_models(draw):
 # earlier, where the pool 27 - T first reaches it.
 @example(n=29, p_ns=0.307, p_s=0.787, p_b=0.0173, targets=(0.999, 0.95, 0.99),
          model=_cost_model(12, 2, ((1, 0.0), (20, 0.46))))
-def test_solver_equals_full_scan(n, p_ns, p_s, p_b, targets, model):
-    # The 3-D scan prices every reserve and pool, so it also checks what
-    # the solver and the oracle share: the minimum reserve per T and the
-    # candidate pools.
+# The optima (200, 79, 2) and (100, 512, 17) are band starts that the
+# falling pool reaches inside a stretch of constant Q.
+@example(n=1915, p_ns=0.138 * 0.67, p_s=0.138, p_b=0.0072, targets=(0.75, 0.8, 0.95),
+         model=car_cost_model())
+@example(n=735, p_ns=0.8 * 0.15, p_s=0.8, p_b=0.02, targets=(0.75, 0.75, 0.98),
+         model=charger_cost_model())
+# The band rate 0.2 * 0.5 equals the prosumer rate 0.1, but the costs
+# are not integers, so rounding alone decides the optimum (2313, 27, 0).
+@example(n=2644, p_ns=0.877 * 0.18, p_s=0.877, p_b=0.0078, targets=(0.95, 0.9, 0.8),
+         model=_cost_model(0.2, 0.1, ((1, 0.0), (734, 0.5))))
+# A small car scenario at a common target of 0.95.
+@example(n=60, p_ns=0.1, p_s=0.3, p_b=0.01, targets=(0.95, 0.95, 0.95),
+         model=car_cost_model())
+def test_solver_equals_brute_force_design(n, p_ns, p_s, p_b, targets, model):
+    # The solver's galloping searches, candidate pools, piece-end pricing
+    # and early exit must give the design and the cost bits of the
+    # reference, which prices every (M, T).
     params = ScenarioParams(n, p_ns, p_s, p_b, *targets)
-    full = _brute_force_full(params, model)
-    for rep in (solve_min_cost(params, model), brute_force_design(params, model)):
-        assert rep.design == full.design
-        assert rep.cost_real == full.cost_real
+    rep = solve_min_cost(params, model)
+    oracle = brute_force_design(params, model)
+    assert rep.design == oracle.design
+    assert rep.cost_real.hex() == oracle.cost_real.hex()
     # The reserve meets its target on the exact upper tail, not only on
     # the rounded cdf.
-    d = full.design
+    d = rep.design
     assert d.q == d.t or special.bdtrc(d.q, d.t, p_b) <= 1.0 - targets[2]
 
 
@@ -209,50 +234,6 @@ def test_reserve_pointer_equals_linear_pointer(t_max, p_b, target):
     assert per_t == list(_linear_reserves(t_max, p_b, target))
 
 
-@st.composite
-def _priced_models(draw):
-    # Non-integer prices, the prosumer dearer or cheaper than a pool item:
-    # rates rarely tie, so most scans price only the piece ends.
-    quantities = sorted(draw(st.lists(st.integers(2, 1500), max_size=5, unique=True)))
-    fractions = sorted(draw(st.lists(st.floats(0.0, 0.9), min_size=len(quantities),
-                                     max_size=len(quantities))))
-    main = draw(st.floats(1.0, 1e5))
-    return _cost_model(main, main * draw(st.floats(0.01, 1.5)),
-                       ((1, 0.0),) + tuple(zip(quantities, fractions)))
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    n=st.integers(1, 3000),
-    p_s=st.floats(0.01, 0.95),
-    ratio=st.floats(0.05, 1.0),
-    p_b=st.floats(0.001, 0.1),
-    targets=st.tuples(_targets, _targets, _targets),
-    model=st.one_of(st.sampled_from([car_cost_model(), charger_cost_model()]),
-                    _cost_models(), _priced_models()),
-)
-# The optima (200, 79, 2) and (100, 512, 17) are band starts that the
-# falling pool reaches inside a stretch of constant Q.
-@example(n=1915, p_s=0.138, ratio=0.67, p_b=0.0072, targets=(0.75, 0.8, 0.95),
-         model=car_cost_model())
-@example(n=735, p_s=0.8, ratio=0.15, p_b=0.02, targets=(0.75, 0.75, 0.98),
-         model=charger_cost_model())
-# The band rate 0.2 * 0.5 equals the prosumer rate 0.1, but the costs
-# are not integers, so rounding alone decides the optimum (2313, 27, 0).
-@example(n=2644, p_s=0.877, ratio=0.18, p_b=0.0078, targets=(0.95, 0.9, 0.8),
-         model=_cost_model(0.2, 0.1, ((1, 0.0), (734, 0.5))))
-def test_solver_equals_brute_force_design(n, p_s, ratio, p_b, targets, model):
-    # Beyond the reach of the 3-D scan, the solver's galloping searches,
-    # piece-end pricing and early exit must give the design and the cost
-    # bits of the oracle, which prices every T.  As in the paper's use
-    # cases, surges raise the request rate and few prosumers defect.
-    params = ScenarioParams(n, p_s * ratio, p_s, p_b, *targets)
-    rep = solve_min_cost(params, model)
-    oracle = brute_force_design(params, model)
-    assert rep.design == oracle.design
-    assert rep.cost_real.hex() == oracle.cost_real.hex()
-
-
 def test_oracle_takes_none_of_the_solver_shortcuts(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle took a solver shortcut")
@@ -260,6 +241,9 @@ def test_oracle_takes_none_of_the_solver_shortcuts(monkeypatch):
     for module, name in ((solver_module, "_reserve_stretches"),
                          (solver_module, "_priced_points"),
                          (solver_module, "_near_prosumer_rate"),
+                         (solver_module, "_m_candidates"),
+                         (solver_module, "_pool_minima"),
+                         (solver_module, "min_items_for_qos"),
                          (qos_module, "_flip")):
         monkeypatch.setattr(module, name, refuse)
     scenario = load_scenario("car-n1000-98")
@@ -333,15 +317,6 @@ def test_cost_never_falls_as_a_target_rises(n, p_ns, p_s, p_b, targets, raised,
     assert stricter.cost_real >= base.cost_real
 
 
-def test_full_scan_agrees_with_structured_scan():
-    # The 3-D fallback must find the same optimum as the structured scan.
-    params = ScenarioParams(60, 0.1, 0.3, 0.01, 0.95, 0.95, 0.95)
-    a = brute_force_design(params, car_cost_model())
-    b = _brute_force_full(params, car_cost_model())
-    assert a.design == b.design
-    assert a.cost_real == pytest.approx(b.cost_real)
-
-
 def test_degenerate_no_prosumers_means_no_reserve():
     # With T forced to 0 the reserve constraint is vacuous and Q = 0.
     rep = brute_force_design(
@@ -390,9 +365,7 @@ def test_design_meets_exact_tail_near_target_one():
     d = rep.design
     assert special.bdtrc(d.q, d.t, 0.01) <= 1e-15
     assert feasible(params, d)
-    for other in (brute_force_design(params, car_cost_model()),
-                  _brute_force_full(params, car_cost_model())):
-        assert other.design == d
+    assert brute_force_design(params, car_cost_model()).design == d
 
 
 def test_compare_b2c_meets_nonsurge_target():
