@@ -131,6 +131,55 @@ def _priced_models(draw):
                        ((1, 0.0),) + tuple(zip(quantities, fractions)))
 
 
+_SMALL_EXAMPLES = (
+    # A tie at cost 120: (6, 12, 2) and (5, 14, 3); the smaller M wins.
+    dict(n=107, p_ns=0.023, p_s=0.117, p_b=0.081, targets=(0.9, 0.86, 0.92),
+         model=_cost_model(10, 5)),
+    # The cheapest pool is a band start above the non-surge minimum: (30, 8, 2).
+    dict(n=100, p_ns=0.2, p_s=0.3, p_b=0.1, targets=(0.9, 0.9, 0.9),
+         model=_cost_model(10, 1, ((1, 0.0), (30, 0.3)))),
+    # A band start beats the smallest feasible pool at the same T: (40, 0, 0).
+    dict(n=100, p_ns=0.2, p_s=0.3, p_b=0.1, targets=(0.9, 0.9, 0.9),
+         model=_cost_model(10, 5, ((1, 0.0), (40, 0.3)))),
+    # A bad-behaviour target one ulp above the exact cdf 0.5 of (Q=3, T=7):
+    # the reserve must be 4, as the cdf the solver checks says.
+    dict(n=10, p_ns=0.5, p_s=0.5, p_b=0.5, targets=(0.75, 1.0, 0.5000000000000001),
+         model=car_cost_model()),
+    # A bad-behaviour target of 1 - 1e-15: the rounded cdf of (Q=12, T=47)
+    # meets it, but the exact tail P[X > 12] = 1.025e-15 does not.
+    dict(n=65, p_ns=0.1, p_s=0.6, p_b=0.01, targets=(0.98, 0.98, 1 - 1e-15),
+         model=car_cost_model()),
+    # The smallest scenario, with every target at 1: one consumer, one item.
+    dict(n=1, p_ns=0.9, p_s=0.9, p_b=0.5, targets=(1.0, 1.0, 1.0),
+         model=car_cost_model()),
+    # A band rate equal to the prosumer rate (10 * 0.5 = 5): nine designs
+    # cost 190, and the one with the smallest M, (30, 8, 0), wins.
+    dict(n=83, p_ns=0.18, p_s=0.39, p_b=0.01, targets=(0.9, 0.9, 0.9),
+         model=_cost_model(10, 5, ((1, 0.0), (30, 0.5)))),
+    # A band rate three ulps above the prosumer rate (2.300000000000001 vs
+    # 2.3): rounding makes the cost non-monotone in T, so every T is priced;
+    # the optimum (99, 7, 0) lies inside the stretch T = 0..8 of Q = 0.
+    dict(n=149, p_ns=0.249, p_s=0.647, p_b=0.0265, targets=(0.8, 0.95, 0.8),
+         model=_cost_model(4.600000000000002, 2.3, ((1, 0.0), (17, 0.24), (31, 0.5)))),
+    # The stretch T = 0..50 of Q = 0 takes the pool 66 - T across the band
+    # boundaries at 55 (T = 11) and 45 (T = 21); the optimum is (45, 21, 0).
+    dict(n=91, p_ns=0.26, p_s=0.647, p_b=0.0021, targets=(0.99, 0.95, 0.9),
+         model=_cost_model(10, 2, ((1, 0.0), (45, 0.3), (55, 0.35)))),
+    # The band start 20 becomes a candidate at T = 8, inside the stretch
+    # T = 1..9 of Q = 1; the optimum (20, 7, 1) is the piece end one T
+    # earlier, where the pool 27 - T first reaches it.
+    dict(n=29, p_ns=0.307, p_s=0.787, p_b=0.0173, targets=(0.999, 0.95, 0.99),
+         model=_cost_model(12, 2, ((1, 0.0), (20, 0.46)))),
+)
+
+
+def _small_examples(test):
+    # Scenarios small enough for the 3-D scan, shared by both properties.
+    for case in _SMALL_EXAMPLES:
+        test = example(**case)(test)
+    return test
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     n=st.integers(1, 20_000),
@@ -141,44 +190,7 @@ def _priced_models(draw):
     model=st.one_of(st.sampled_from([car_cost_model(), charger_cost_model()]),
                     _cost_models(), _priced_models()),
 )
-# A tie at cost 120: (6, 12, 2) and (5, 14, 3); the smaller M wins.
-@example(n=107, p_ns=0.023, p_s=0.117, p_b=0.081, targets=(0.9, 0.86, 0.92),
-         model=_cost_model(10, 5))
-# The cheapest pool is a band start above the non-surge minimum: (30, 8, 2).
-@example(n=100, p_ns=0.2, p_s=0.3, p_b=0.1, targets=(0.9, 0.9, 0.9),
-         model=_cost_model(10, 1, ((1, 0.0), (30, 0.3))))
-# A band start beats the smallest feasible pool at the same T: (40, 0, 0).
-@example(n=100, p_ns=0.2, p_s=0.3, p_b=0.1, targets=(0.9, 0.9, 0.9),
-         model=_cost_model(10, 5, ((1, 0.0), (40, 0.3))))
-# A bad-behaviour target one ulp above the exact cdf 0.5 of (Q=3, T=7):
-# the reserve must be 4, as the cdf the solver checks says.
-@example(n=10, p_ns=0.5, p_s=0.5, p_b=0.5, targets=(0.75, 1.0, 0.5000000000000001),
-         model=car_cost_model())
-# A bad-behaviour target of 1 - 1e-15: the rounded cdf of (Q=12, T=47)
-# meets it, but the exact tail P[X > 12] = 1.025e-15 does not.
-@example(n=65, p_ns=0.1, p_s=0.6, p_b=0.01, targets=(0.98, 0.98, 1 - 1e-15),
-         model=car_cost_model())
-# The smallest scenario, with every target at 1: one consumer, one item.
-@example(n=1, p_ns=0.9, p_s=0.9, p_b=0.5, targets=(1.0, 1.0, 1.0),
-         model=car_cost_model())
-# A band rate equal to the prosumer rate (10 * 0.5 = 5): nine designs
-# cost 190, and the one with the smallest M, (30, 8, 0), wins.
-@example(n=83, p_ns=0.18, p_s=0.39, p_b=0.01, targets=(0.9, 0.9, 0.9),
-         model=_cost_model(10, 5, ((1, 0.0), (30, 0.5))))
-# A band rate three ulps above the prosumer rate (2.300000000000001 vs
-# 2.3): rounding makes the cost non-monotone in T, so every T is priced;
-# the optimum (99, 7, 0) lies inside the stretch T = 0..8 of Q = 0.
-@example(n=149, p_ns=0.249, p_s=0.647, p_b=0.0265, targets=(0.8, 0.95, 0.8),
-         model=_cost_model(4.600000000000002, 2.3, ((1, 0.0), (17, 0.24), (31, 0.5))))
-# The stretch T = 0..50 of Q = 0 takes the pool 66 - T across the band
-# boundaries at 55 (T = 11) and 45 (T = 21); the optimum is (45, 21, 0).
-@example(n=91, p_ns=0.26, p_s=0.647, p_b=0.0021, targets=(0.99, 0.95, 0.9),
-         model=_cost_model(10, 2, ((1, 0.0), (45, 0.3), (55, 0.35))))
-# The band start 20 becomes a candidate at T = 8, inside the stretch
-# T = 1..9 of Q = 1; the optimum (20, 7, 1) is the piece end one T
-# earlier, where the pool 27 - T first reaches it.
-@example(n=29, p_ns=0.307, p_s=0.787, p_b=0.0173, targets=(0.999, 0.95, 0.99),
-         model=_cost_model(12, 2, ((1, 0.0), (20, 0.46))))
+@_small_examples
 # The optima (200, 79, 2) and (100, 512, 17) are band starts that the
 # falling pool reaches inside a stretch of constant Q.
 @example(n=1915, p_ns=0.138 * 0.67, p_s=0.138, p_b=0.0072, targets=(0.75, 0.8, 0.95),
@@ -205,6 +217,60 @@ def test_solver_equals_brute_force_design(n, p_ns, p_s, p_b, targets, model):
     # the rounded cdf.
     d = rep.design
     assert d.q == d.t or special.bdtrc(d.q, d.t, p_b) <= 1.0 - targets[2]
+
+
+def _full_scan(params, model):
+    # Every (M, T, Q) inside the structural bounds, judged by the three
+    # rule verdicts and priced by cost_eval: it shares with the grid
+    # neither the reserve interval nor the early exit.
+    n = params.n_consumers
+    ns_ok = [_meets_target(m, n, params.p_nonsurge, params.qos_target_ns)
+             for m in range(n + 1)]
+    s_ok = [_meets_target(a, n, params.p_surge, params.qos_target_s)
+            for a in range(n + 1)]
+    best = None
+    for t in range(n + 1):
+        costs = [cost_eval(m, t, model) for m in range(n + 1)]
+        for q in range(t + 1):
+            if not _meets_target(q, t, params.p_bad, params.qos_target_b):
+                continue
+            for m in range(q, n + q - t + 1):
+                if ns_ok[m] and s_ok[m - q + t]:
+                    key = (costs[m], m, t, q)
+                    if best is None or key < best:
+                        best = key
+    return best
+
+
+def _design_key(rep):
+    return (rep.cost_real, rep.design.m, rep.design.t, rep.design.q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 60),
+    p_ns=st.floats(0.01, 0.9),
+    p_s=st.floats(0.01, 0.95),
+    p_b=st.floats(0.001, 0.5),
+    targets=st.tuples(_targets, _targets, _targets),
+    model=st.one_of(st.sampled_from([car_cost_model(), charger_cost_model()]),
+                    _cost_models(), _priced_models()),
+)
+@_small_examples
+def test_solver_equals_full_scan(n, p_ns, p_s, p_b, targets, model):
+    # At small N every (M, T, Q) can be priced, which also checks the
+    # grid's own arguments: the least reserve per (M, T) and the early exit.
+    params = ScenarioParams(n, p_ns, p_s, p_b, *targets)
+    full = _full_scan(params, model)
+    for rep in (solve_min_cost(params, model), brute_force_design(params, model)):
+        assert _design_key(rep) == full
+
+
+def test_full_scan_agrees_with_structured_scan():
+    # The (M, T) grid must find the same optimum as the 3-D scan.
+    params = ScenarioParams(60, 0.1, 0.3, 0.01, 0.95, 0.95, 0.95)
+    rep = brute_force_design(params, car_cost_model())
+    assert _design_key(rep) == _full_scan(params, car_cost_model())
 
 
 def _linear_reserves(t_max, p_b, target):
