@@ -30,8 +30,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .qos import (QosReport, ScenarioParams, _cdf_cont, _integer, _pmf_cont, _real,
-                  qos_all)
+from .qos import (QosReport, ScenarioParams, _cdf_cont, _integer, _normal_reserve,
+                  _pmf_cont, _real, qos_all)
 
 __all__ = [
     "AimdConfig",
@@ -138,7 +138,7 @@ def auto_config(problem: str, m: int, t: int, params: ScenarioParams,
     _check_pool(problem, params, m, t)
     _integer("m", m, 2)
     p_b = params.p_bad
-    q_hat = t * p_b + 2.33 * math.sqrt(t * p_b * (1.0 - p_b))
+    q_hat = _normal_reserve(t, p_b, 2.33)
     q_hat = min(q_hat, 0.4 * m)
     q_hat = max(q_hat, 0.5)
     if problem == "maximize":
@@ -360,8 +360,9 @@ def scan_oracle(problem: str, params: ScenarioParams, m: int,
 
 
 def _int_text(mag, neg=None, decimals: int = 0):
-    """The text of the integers mag >= 0 divided by 10**decimals, with a
-    '-' where ``neg``, right-aligned in a uint8 matrix padded with spaces."""
+    """The text of the integers mag >= 0 divided by 10**decimals,
+    right-aligned in a uint8 matrix padded with spaces, with a '-' in
+    column 0 where ``neg``: the writer strips the spaces between."""
     # Digits come from // and a product: numpy's divmod by a scalar took
     # several times longer than both together (numpy 2.4).
     whole = mag // 10 ** decimals
@@ -379,20 +380,16 @@ def _int_text(mag, neg=None, decimals: int = 0):
     if decimals:
         col -= 1
         out[:, col] = ord(".")
-    shown = np.ones(len(mag), np.int64)  # digits of the whole part
     for k in range(int_w):
         col -= 1
         head = rest // 10
         digit = rest - head * 10 + ord("0")
         rest = head
         if k:
-            lead = whole < 10 ** k
-            digit[lead] = ord(" ")
-            shown += ~lead
+            digit[whole < 10 ** k] = ord(" ")
         out[:, col] = digit
     if sign:
-        out[:, 0] = ord(" ")
-        out[neg, int_w - shown[neg]] = ord("-")
+        out[:, 0] = np.where(neg, ord("-"), ord(" "))
     return out
 
 
@@ -435,11 +432,18 @@ def write_trace_csv(path, trace: AimdTrace) -> None:
     1/128 = 0.0078125 take that path, and so do NaN, the infinities
     and every s of 2**50 or more, whose ulp is too coarse to pass the
     test; below 2**50 the int64 digits are exact.
+
+    The five per-iteration arrays must have one length, else
+    ``ValueError``, raised before the file is opened.
     """
     # Views of the trace's arrays, not copies.
     cols = [np.asarray(a) for a in (trace.z, trace.q, trace.capacity_event,
                                     trace.z_avg_series, trace.q_avg_series)]
-    rows = min(len(c) for c in cols)
+    lengths = [len(c) for c in cols]
+    if len(set(lengths)) > 1:
+        raise ValueError("trace arrays z, q, capacity_event, z_avg_series and "
+                         f"q_avg_series differ in length: {lengths}")
+    rows = lengths[0]
     with open(path, "wb") as fh:
         fh.write((",".join(TRACE_CSV_COLUMNS) + "\n").encode())
         for start in range(0, rows, _BLOCK_ROWS):

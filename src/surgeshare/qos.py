@@ -298,5 +298,10 @@ def normal_approx_reserve(t: int, p_b: float, target_qos_b: float) -> float:
     _integer("t", t, 1)
     _real("p_b", p_b, 0.0, 1.0, "()")
     _real("target_qos_b", target_qos_b, 0.0, 1.0, "()")
-    y = statistics.NormalDist().inv_cdf(target_qos_b)
-    return t * p_b + y * math.sqrt(t * p_b * (1.0 - p_b))
+    return _normal_reserve(t, p_b, statistics.NormalDist().inv_cdf(target_qos_b))
+
+
+def _normal_reserve(t, p, y):
+    """t*p + y*sqrt(t*p*(1-p)) at the normal quantile y, unchecked: the
+    formula that ``normal_approx_reserve`` and ``aimd.auto_config`` share."""
+    return t * p + y * math.sqrt(t * p * (1.0 - p))

@@ -12,20 +12,24 @@ from the normal-approximation reserve, relying on the rule being
 monotone in the item count, and the reserve pointer from the length of
 the previous stretch of T with the same Q, relying on it being monotone
 in T at a fixed Q.  ``solve_min_cost`` walks T one stretch of
-constant Q at a time.  Within a stretch the smallest pool is
+constant Q at a time and prices one pool per point, the smallest:
 max(M_ns, A_s + Q - T, Q), where M_ns is the smallest pool that meets
 the non-surge target and A_s the smallest surge supply M - Q + T that
-meets the surge target.  Between discount-band boundaries its cost
-moves by a step of one sign per T, and a pool that stays put, such as
-a band start, never gets cheaper as T grows.  So the scan prices
-candidates only at the ends of those pieces of each stretch.  Where
-some band's pool rate is so close to the prosumer rate that rounding
-could reverse the step, it prices every T.  The scan is exact for every
-cost model: ``CostModel`` requires positive unit costs and
-``DiscountSchedule`` discounts in [0, 1), which is all it relies on.
-The scan exits early once the cheapest pool plus the prosumer cost of
-T exceeds the best design found, which cuts it at the optimal T
-instead of N.
+meets the surge target.  With the reserve max(Q, M + T - N), as in the
+reference, every larger pool up to N is feasible too, but only a band
+start can be cheaper, and a pool that stays put never gets cheaper as
+T grows.  So a band start s is priced at the first T where it is
+feasible: at T = 0, once, if s >= max(M_ns, A_s), or else where the
+corner A_s + Q - T falls to s and s is the smallest pool.  Between
+discount-band boundaries the smallest pool's cost moves by a step of
+one sign per T, so the scan prices it only at the ends of those pieces
+of each stretch, those T among them.  Where some band's pool rate is
+so close to the prosumer rate that rounding could reverse the step, it
+prices every T.  The scan is exact for every cost model: ``CostModel``
+requires positive unit costs and ``DiscountSchedule`` discounts in
+[0, 1), which is all it relies on.  The scan exits early once the
+cheapest pool plus the prosumer cost of T exceeds the best design
+found, which cuts it at the optimal T instead of N.
 
 One reference checks it.  ``brute_force_design`` prices the whole
 (M, T) grid and shares with the solver only the rule, the operations
@@ -156,19 +160,6 @@ def _pool_minima(params: ScenarioParams) -> Tuple[int, int]:
             min_items_for_qos(n, params.p_surge, params.qos_target_s))
 
 
-def _m_candidates(starts: List[int], m_min: int, m_max: int):
-    # The discounted pool term can drop where a discount band begins, so
-    # the cheapest pool of size >= m_min is either m_min itself or the
-    # first item count of a higher band; ``starts`` lists those counts.
-    # There is none when m_min > m_max: no pool meets the bounds.
-    if m_min > m_max:
-        return
-    yield m_min
-    for min_qty in starts:
-        if m_min < min_qty <= m_max:
-            yield min_qty
-
-
 def _reserve_stretches(t_max: int, p_b: float, target: float):
     # The minimum reserve Q(T) for T = 0, 1, ..., t_max as stretches
     # (t0, t1, q): Q(T) = q for t0 <= T <= t1.  The stretches are
@@ -207,22 +198,25 @@ def _near_prosumer_rate(model: CostModel, n: int) -> bool:
 
 
 def _priced_points(n: int, m_ns: int, a_s: int, model: CostModel, stretches):
-    # The (T, Q) at which ``solve_min_cost`` prices its candidates, in
+    # The (T, Q) at which ``solve_min_cost`` prices the smallest pool, in
     # rising T.
-    # In a stretch of constant q the corner pool is max(c, a_s + q - T),
-    # c = max(m_ns, q), and each family of candidates is cheapest at an
-    # end of a piece of the stretch cut where the corner reaches c, c + 1
-    # or n, or crosses a band boundary b - 1 | b:
+    # In a stretch of constant q the smallest pool is max(c, a_s + q - T),
+    # c = max(m_ns, q), and the scan needs it at each end of a piece of
+    # the stretch cut where the corner a_s + q - T reaches c or c + 1, or
+    # crosses a band boundary b - 1 | b:
     # - while the corner is a_s + q - T in one band, its cost moves by a
     #   step per T of one sign (``_near_prosumer_rate`` rules out a step
     #   that rounding could reverse), so it is cheapest at a piece end;
-    # - a pool of c, or a band start s, costs pool + per_item_prosumer * T,
-    #   which never falls as T grows, so it is cheapest at its earliest
-    #   valid T: the stretch start, a_s + q - c or a_s + q - s + 1;
-    # - the N >= M - Q + T cap only drops candidates as T grows.
+    # - a pool of c costs pool + per_item_prosumer * T, which never falls
+    #   as T grows, so it is cheapest at the stretch start or at
+    #   a_s + q - c, where the corner reaches it;
+    # - a band start s, which also never gets cheaper as T grows, is
+    #   feasible first either at T = 0 or where the corner falls to s,
+    #   T = a_s + q - s: Q cannot have grown at that T, as a_s + Q - T
+    #   and Q only rise where Q does.  That T is the piece end of the
+    #   mark b = s, and s is the smallest pool there.
     # Only if ``_near_prosumer_rate`` is every stretch walked T by T.
     marks = {m for b, _ in model.discount.breakpoints for m in (b - 1, b) if m_ns <= m <= n}
-    marks.add(n)
     every_t = _near_prosumer_rate(model, n)
     for t0, t1, q in stretches:
         if every_t:
@@ -241,26 +235,33 @@ def solve_min_cost(params: ScenarioParams, model: CostModel,
     """Exact minimum-cost design by a pruned structured scan over T.
 
     A galloping pointer gives the stretches of T with the same minimum
-    reserve Q, the candidates per T are the smallest feasible M plus
-    every discount-band start above it, and each stretch is priced only
-    at the ends of the pieces on which those candidates' costs are
-    monotone in T.  Since the cost is the pool term plus
-    ``per_item_prosumer * T``, no design with T prosumers costs less
-    than ``pool_floor + per_item_prosumer * T``, where ``pool_floor`` is
-    the cheapest pool that meets the non-surge target.  The scan stops
-    once that bound is strictly above the best cost found, so ties break
-    on (cost, M, T, Q) exactly as in ``brute_force_design``.  ``opts``
-    is accepted for compatibility and ignored.
+    reserve Q.  Each priced point takes the smallest feasible pool M
+    with the reserve max(Q, M + T - N), under which every pool up to N
+    is feasible.  The band starts, the only larger pools that can be
+    cheaper, cost more at every later T, so each is priced at the first
+    T where it is feasible: at T = 0, or where the smallest pool falls
+    to it, a piece end of ``_priced_points``.
+    Since the cost is the pool term plus ``per_item_prosumer * T``, no
+    design with T prosumers costs less than
+    ``pool_floor + per_item_prosumer * T``, where ``pool_floor`` is the
+    cheapest pool that meets the non-surge target.  The scan stops once
+    that bound is strictly above the best cost found, so ties break on
+    (cost, M, T, Q) exactly as in ``brute_force_design``.  ``opts`` is
+    accepted for compatibility and ignored.
     """
-    n = params.n_consumers
+    # A Python int: with a numpy integer N, M + T - N would wrap around.
+    n = int(params.n_consumers)
     m_ns, a_s = _pool_minima(params)
     # Every pool is at least m_ns, so only the bands starting above it
-    # can hold a candidate; at large N there are none.
-    starts = [min_qty for min_qty, _ in model.discount.breakpoints if min_qty > m_ns]
-    pool_floor = min(cost_eval(m, 0, model) for m in _m_candidates(starts, m_ns, n))
-    # T = 0 always yields a candidate: Q = 0 and M = max(m_ns, a_s) <= N
-    # meet all three targets, so ``best`` is set after the first pass.
-    best: Optional[Tuple[float, int, int, int]] = None
+    # can hold a cheaper pool; at large N there are none.
+    starts = [b for b, _ in model.discount.breakpoints if m_ns < b <= n]
+    at_zero = {m: cost_eval(m, 0, model) for m in [m_ns, *starts]}
+    pool_floor = min(at_zero.values())
+    # At T = 0 the reserve is 0 and every pool from max(m_ns, a_s) to N is
+    # feasible: the band starts above the smallest pool are priced here,
+    # and the smallest pool with the scan.
+    best = min(((cost, m, 0, 0) for m, cost in at_zero.items() if m > max(m_ns, a_s)),
+               default=(math.inf,))
     # The minimum reserve is found per stretch of T where it stays put,
     # with rule calls only where it must grow; each search for that T
     # starts one previous stretch past the last one and relies on the
@@ -268,14 +269,10 @@ def solve_min_cost(params: ScenarioParams, model: CostModel,
     # piece ends are priced (``_priced_points``).
     stretches = _reserve_stretches(n, params.p_bad, params.qos_target_b)
     for t, q in _priced_points(n, m_ns, a_s, model, stretches):
-        if best is not None and pool_floor + model.per_item_prosumer * t > best[0]:
+        if pool_floor + model.per_item_prosumer * t > best[0]:
             break
-        m_min = max(m_ns, a_s - t + q, q)
-        # Larger M only tightens the N >= M - Q + T constraint; cap there.
-        for m in _m_candidates(starts, m_min, min(n, n + q - t)):
-            key = (cost_eval(m, t, model), m, t, q)
-            if best is None or key < best:
-                best = key
+        m = max(m_ns, a_s + q - t, q)
+        best = min(best, (cost_eval(m, t, model), m, t, max(q, m + t - n)))
     _, m, t, q = best
     return _report(params, model, Design(m, t, q))
 

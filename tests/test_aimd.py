@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import re
 import tempfile
 from array import array
 
@@ -504,3 +505,14 @@ def test_write_trace_csv_matches_reference_writer(reference_trace_csv, rows, blo
         aimd.write_trace_csv(path, trace)
         with open(path, "rb") as fh:
             assert fh.read() == reference_trace_csv(trace)
+
+
+def test_write_trace_csv_rejects_ragged_traces(tmp_path):
+    # One array a row short would otherwise drop a row of every other
+    # array; the writer refuses before it creates the file.
+    trace = _trace_of([(1.0, 2.0, 0, 1.0, 2.0), (1.5, 2.5, 1, 1.25, 2.25)])
+    trace.capacity_event.pop()
+    path = tmp_path / "trace.csv"
+    with pytest.raises(ValueError, match=re.escape("[2, 2, 1, 2, 2]")):
+        aimd.write_trace_csv(path, trace)
+    assert not path.exists()

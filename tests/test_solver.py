@@ -165,9 +165,9 @@ _SMALL_EXAMPLES = (
     # boundaries at 55 (T = 11) and 45 (T = 21); the optimum is (45, 21, 0).
     dict(n=91, p_ns=0.26, p_s=0.647, p_b=0.0021, targets=(0.99, 0.95, 0.9),
          model=_cost_model(10, 2, ((1, 0.0), (45, 0.3), (55, 0.35)))),
-    # The band start 20 becomes a candidate at T = 8, inside the stretch
-    # T = 1..9 of Q = 1; the optimum (20, 7, 1) is the piece end one T
-    # earlier, where the pool 27 - T first reaches it.
+    # The band start 20 is first feasible at T = 7, inside the stretch
+    # T = 1..9 of Q = 1, where the smallest pool 27 - T reaches it; that
+    # piece end is the optimum (20, 7, 1).
     dict(n=29, p_ns=0.307, p_s=0.787, p_b=0.0173, targets=(0.999, 0.95, 0.99),
          model=_cost_model(12, 2, ((1, 0.0), (20, 0.46)))),
 )
@@ -205,9 +205,9 @@ def _small_examples(test):
 @example(n=60, p_ns=0.1, p_s=0.3, p_b=0.01, targets=(0.95, 0.95, 0.95),
          model=car_cost_model())
 def test_solver_equals_brute_force_design(n, p_ns, p_s, p_b, targets, model):
-    # The solver's galloping searches, candidate pools, piece-end pricing
-    # and early exit must give the design and the cost bits of the
-    # reference, which prices every (M, T).
+    # The solver's galloping searches, its one pool per priced point,
+    # piece-end pricing and early exit must give the design and the cost
+    # bits of the reference, which prices every (M, T).
     params = ScenarioParams(n, p_ns, p_s, p_b, *targets)
     rep = solve_min_cost(params, model)
     oracle = brute_force_design(params, model)
@@ -307,7 +307,6 @@ def test_oracle_takes_none_of_the_solver_shortcuts(monkeypatch):
     for module, name in ((solver_module, "_reserve_stretches"),
                          (solver_module, "_priced_points"),
                          (solver_module, "_near_prosumer_rate"),
-                         (solver_module, "_m_candidates"),
                          (solver_module, "_pool_minima"),
                          (solver_module, "min_items_for_qos"),
                          (qos_module, "_flip")):
@@ -322,12 +321,16 @@ def test_oracle_takes_none_of_the_solver_shortcuts(monkeypatch):
 @pytest.mark.parametrize("name, changes, entry, most", [
     ("car-n50000-98", {}, solve_min_cost, 1000),  # 10,199 when every T is priced
     ("car-n5000-98", {}, solve_min_cost, 1000),   # 1,505 when every T is priced
-    # Stretches a few T long: 588 when they are priced at every T.
-    ("car-n1000-98", {"p_bad": 0.1}, solve_min_cost, 300),
+    # Stretches a few T long: 588 when they are priced at every T, and
+    # 173 when each priced point also prices the band starts above its
+    # smallest pool.
+    ("car-n1000-98", {"p_bad": 0.1}, solve_min_cost, 100),
 ], ids=["car-n50000-98-solve_min_cost-1000", "car-n5000-98-solve_min_cost-1000",
-        "car-n1000-98-p_bad-0.1-solve_min_cost-300"])
+        "car-n1000-98-p_bad-0.1-solve_min_cost-100"])
 def test_scan_prices_few_candidates(name, changes, entry, most, monkeypatch):
-    # Counted rather than timed, so the check is deterministic.
+    # Counted rather than timed, so the check is deterministic.  After
+    # T = 0 the scan prices one pool per priced point, so the count is
+    # the band starts priced at T = 0 plus the priced points.
     calls = []
 
     def counting(*args):
