@@ -40,10 +40,15 @@ class DiscountSchedule:
     breakpoints: Tuple[Tuple[int, float], ...]
 
     def __post_init__(self):
-        for m, d in self.breakpoints:
+        try:
+            pairs = tuple((m, d) for m, d in self.breakpoints)
+        except (TypeError, ValueError):  # not iterable, or not pairs
+            raise TypeError("breakpoints must be (min_quantity, fraction) pairs; "
+                            f"got {self.breakpoints!r}") from None
+        for m, d in pairs:
             _integer("breakpoint quantity", m, 1)
             _real("discount fraction", d, 0.0, 1.0, "[)")
-        bps = tuple((int(m), float(d)) for m, d in self.breakpoints)
+        bps = tuple((int(m), float(d)) for m, d in pairs)
         object.__setattr__(self, "breakpoints", bps)
         if not bps:
             raise ValueError("schedule needs at least one breakpoint")
@@ -99,6 +104,8 @@ class CostModel:
     name: str = ""
 
     def __post_init__(self, smooth):
+        if not isinstance(self.discount, DiscountSchedule):
+            raise TypeError(f"discount must be a DiscountSchedule; got {self.discount!r}")
         for name in ("per_item_main", "per_item_prosumer"):
             _real(name, getattr(self, name), 0.0, math.inf, "()")
         # The range first, so that a NaN or infinite horizon is a

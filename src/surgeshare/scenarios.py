@@ -217,8 +217,12 @@ def _format_numbers(section: str, values: Dict[str, object]) -> Dict[str, str]:
     # str of a Python int or float reads back to an equal value; the
     # conversion first turns numpy scalars into Python ones.  An int key
     # takes operator.index, so a fractional value fails here instead of
-    # being truncated.
+    # being truncated.  An unknown key fails here, before any file is
+    # opened, as it would fail to load.
     kinds = _KINDS[section]
+    for k in values:
+        if k not in kinds:
+            raise ScenarioError(f"unknown key {k!r} in section [{section}]")
     return {k: str(operator.index(v) if kinds[k] is int else float(v))
             for k, v in values.items()}
 

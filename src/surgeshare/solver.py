@@ -1,43 +1,45 @@
 """Problem 1: minimum-cost dimensioning of the (M, T, Q) design.
 
 The cost depends on M and T alone (the reserve shares the pool unit
-cost) and rises linearly in T, so for a fixed prosumer pool T the
-cheapest design takes the smallest reserve Q that meets the
-bad-behaviour target and the smallest pool M that meets the other two,
-or the start of a higher discount band.  Every target is judged by one
+cost) and rises with T at a fixed M.  Every target is judged by one
 rule, ``qos._meets_target``, which ``feasible`` checks, so a design the
 scan returns is feasible.  Both searches on the rule start from an
 estimate and gallop to where it flips (``qos._flip``): the pool minima
 from the normal-approximation reserve, relying on the rule being
 monotone in the item count, and the reserve pointer from the length of
 the previous stretch of T with the same Q, relying on it being monotone
-in T at a fixed Q.  ``solve_min_cost`` walks T one stretch of
-constant Q at a time and prices one pool per point, the smallest:
-max(M_ns, A_s + Q - T, Q), where M_ns is the smallest pool that meets
-the non-surge target and A_s the smallest surge supply M - Q + T that
-meets the surge target.  With the reserve max(Q, M + T - N), as in the
-reference, every larger pool up to N is feasible too, but only a band
-start can be cheaper, and a pool that stays put never gets cheaper as
-T grows.  So a band start s is priced at the first T where it is
-feasible: at T = 0, once, if s >= max(M_ns, A_s), or else where the
-corner A_s + Q - T falls to s and s is the smallest pool.  Between
-discount-band boundaries the smallest pool's cost moves by a step of
-one sign per T, so the scan prices it only at the ends of those pieces
-of each stretch, those T among them.  Where some band's pool rate is
-so close to the prosumer rate that rounding could reverse the step, it
-prices every T.  The scan is exact for every cost model: ``CostModel``
-requires positive unit costs and ``DiscountSchedule`` discounts in
-[0, 1), which is all it relies on.  The scan exits early once the
-cheapest pool plus the prosumer cost of T exceeds the best design
-found, which cuts it at the optimal T instead of N.
+in T at a fixed Q.  Let M_ns be the smallest pool that meets the
+non-surge target, A_s the smallest surge supply M - Q + T that meets
+the surge target, and Q(T) the least reserve that meets the
+bad-behaviour target at T.  ``solve_min_cost`` rests on three facts.
+
+- A pool M >= max(M_ns, A_s) is feasible at T = 0 with Q = 0, where it
+  is cheapest; within a discount band the pool cost rises with M, so
+  only max(M_ns, A_s) and the band starts above it are priced there.
+- A pool M = A_s - x below A_s needs T - Q >= x with Q >= Q(T).  As
+  T - Q(T) grows by at most one per T, its least feasible T is the
+  first with T - Q(T) = x, where the only reserve that fits is Q(T),
+  and it is feasible only if Q(T) <= M.  So every design with
+  prosumers fills the surge supply to exactly A_s.
+- Along a stretch of T with a constant reserve q those designs are
+  (A_s - x, x + q, q), whose cost moves by one step of one sign per x
+  while the pool stays in one discount band.  So only the ends of the
+  stretch's range of x and the band boundaries b - 1 | b in it are
+  priced, or every x where some band's pool rate is so close to the
+  prosumer rate that rounding could reverse the step.
+
+The scan is exact for every cost model: ``CostModel`` requires
+positive unit costs and ``DiscountSchedule`` discounts in [0, 1), which
+is all it relies on.  It exits early once the cheapest pool plus the
+prosumer cost of T exceeds the best design found, which cuts it at the
+optimal T instead of N.
 
 One reference checks it.  ``brute_force_design`` prices the whole
 (M, T) grid and shares with the solver only the rule, the operations
 of ``cost_eval`` and the (cost, M, T, Q) tie-break.  It rests on two
 arguments.  As the rule is monotone in the item count, the feasible
 reserves of (M, T) are the interval [max(Q(T), M + T - N),
-min(M, T, M + T - A_s)], Q(T) being the least reserve that meets the
-bad-behaviour target at T.  And as every cost is a pool term plus
+min(M, T, M + T - A_s)].  And as every cost is a pool term plus
 ``per_item_prosumer * T`` and rounding is monotone, once the cheapest
 pool of at least M_ns items plus that term exceeds the best cost, no
 larger T can reach it.
@@ -154,8 +156,10 @@ def _report(params: ScenarioParams, model: CostModel, d: Design) -> DesignReport
 
 def _pool_minima(params: ScenarioParams) -> Tuple[int, int]:
     # The smallest pool that meets the non-surge target, and the smallest
-    # surge supply M - Q + T that meets the surge target.
-    n = params.n_consumers
+    # surge supply M - Q + T that meets the surge target.  N is taken as
+    # a Python int: a target of 1 gives N itself, and with a numpy
+    # unsigned N a difference such as A_s - M_ns would wrap around.
+    n = int(params.n_consumers)
     return (min_items_for_qos(n, params.p_nonsurge, params.qos_target_ns),
             min_items_for_qos(n, params.p_surge, params.qos_target_s))
 
@@ -197,82 +201,56 @@ def _near_prosumer_rate(model: CostModel, n: int) -> bool:
     return any(abs(pm * (1.0 - d) - pp) <= tol for _, d in model.discount.breakpoints)
 
 
-def _priced_points(n: int, m_ns: int, a_s: int, model: CostModel, stretches):
-    # The (T, Q) at which ``solve_min_cost`` prices the smallest pool, in
-    # rising T.
-    # In a stretch of constant q the smallest pool is max(c, a_s + q - T),
-    # c = max(m_ns, q), and the scan needs it at each end of a piece of
-    # the stretch cut where the corner a_s + q - T reaches c or c + 1, or
-    # crosses a band boundary b - 1 | b:
-    # - while the corner is a_s + q - T in one band, its cost moves by a
-    #   step per T of one sign (``_near_prosumer_rate`` rules out a step
-    #   that rounding could reverse), so it is cheapest at a piece end;
-    # - a pool of c costs pool + per_item_prosumer * T, which never falls
-    #   as T grows, so it is cheapest at the stretch start or at
-    #   a_s + q - c, where the corner reaches it;
-    # - a band start s, which also never gets cheaper as T grows, is
-    #   feasible first either at T = 0 or where the corner falls to s,
-    #   T = a_s + q - s: Q cannot have grown at that T, as a_s + Q - T
-    #   and Q only rise where Q does.  That T is the piece end of the
-    #   mark b = s, and s is the smallest pool there.
-    # Only if ``_near_prosumer_rate`` is every stretch walked T by T.
-    marks = {m for b, _ in model.discount.breakpoints for m in (b - 1, b) if m_ns <= m <= n}
-    every_t = _near_prosumer_rate(model, n)
-    for t0, t1, q in stretches:
-        if every_t:
-            ts = range(t0, t1 + 1)
-        else:
-            k, c = a_s + q, max(m_ns, q)
-            ends = {k - m for m in marks if m > c}
-            ends.update((k - c, k - c - 1))
-            ts = sorted({t for t in ends if t0 < t < t1} | {t0, t1})
-        for t in ts:
-            yield t, q
-
-
 def solve_min_cost(params: ScenarioParams, model: CostModel,
                    opts: Optional[SolverOpts] = None) -> DesignReport:
     """Exact minimum-cost design by a pruned structured scan over T.
 
-    A galloping pointer gives the stretches of T with the same minimum
-    reserve Q.  Each priced point takes the smallest feasible pool M
-    with the reserve max(Q, M + T - N), under which every pool up to N
-    is feasible.  The band starts, the only larger pools that can be
-    cheaper, cost more at every later T, so each is priced at the first
-    T where it is feasible: at T = 0, or where the smallest pool falls
-    to it, a piece end of ``_priced_points``.
+    At T = 0 it prices the pool max(M_ns, A_s) and the band starts above
+    it.  Below A_s it takes the stretches (t0, t1, q) of T with the same
+    minimum reserve q from a galloping pointer and keeps ``reach``, the
+    largest T - Q(T) so far.  Each stretch starts at T - q <= reach + 1,
+    and T - q grows by one per T inside it, so it gives the designs
+    (A_s - x, x + q, q) for x in (reach, min(t1 - q, A_s - max(M_ns, q))].
+    Of those it prices the two ends and the band marks x = A_s - b and
+    A_s - b + 1, or every x where ``_near_prosumer_rate`` holds.
     Since the cost is the pool term plus ``per_item_prosumer * T``, no
     design with T prosumers costs less than
     ``pool_floor + per_item_prosumer * T``, where ``pool_floor`` is the
     cheapest pool that meets the non-surge target.  The scan stops once
-    that bound is strictly above the best cost found, so ties break on
-    (cost, M, T, Q) exactly as in ``brute_force_design``.  ``opts`` is
-    accepted for compatibility and ignored.
+    that bound at the next stretch's first T is strictly above the best
+    cost found, so ties break on (cost, M, T, Q) exactly as in
+    ``brute_force_design``, or once reach leaves no x for later stretches.
+    ``opts`` is accepted for compatibility and ignored.
     """
-    # A Python int: with a numpy integer N, M + T - N would wrap around.
+    # A Python int, as in ``_pool_minima``, so no difference wraps around.
     n = int(params.n_consumers)
     m_ns, a_s = _pool_minima(params)
-    # Every pool is at least m_ns, so only the bands starting above it
-    # can hold a cheaper pool; at large N there are none.
-    starts = [b for b, _ in model.discount.breakpoints if m_ns < b <= n]
-    at_zero = {m: cost_eval(m, 0, model) for m in [m_ns, *starts]}
-    pool_floor = min(at_zero.values())
     # At T = 0 the reserve is 0 and every pool from max(m_ns, a_s) to N is
-    # feasible: the band starts above the smallest pool are priced here,
-    # and the smallest pool with the scan.
-    best = min(((cost, m, 0, 0) for m, cost in at_zero.items() if m > max(m_ns, a_s)),
-               default=(math.inf,))
-    # The minimum reserve is found per stretch of T where it stays put,
-    # with rule calls only where it must grow; each search for that T
-    # starts one previous stretch past the last one and relies on the
-    # rule being monotone in T at a fixed Q.  Within a stretch only the
-    # piece ends are priced (``_priced_points``).
-    stretches = _reserve_stretches(n, params.p_bad, params.qos_target_b)
-    for t, q in _priced_points(n, m_ns, a_s, model, stretches):
-        if pool_floor + model.per_item_prosumer * t > best[0]:
+    # feasible; only a band start above the smallest can be cheaper.  With
+    # m_ns and the band starts above it, the same costs give pool_floor.
+    smallest = max(m_ns, a_s)
+    starts = [b for b, _ in model.discount.breakpoints if m_ns < b <= n]
+    at_zero = {m: cost_eval(m, 0, model) for m in {m_ns, smallest, *starts}}
+    pool_floor = min(at_zero.values())
+    best = min((cost, m, 0, 0) for m, cost in at_zero.items() if m >= smallest)
+    # The pools b - 1 and b at each band boundary, as x = a_s - M.
+    marks = {a_s - m for b, _ in model.discount.breakpoints for m in (b - 1, b)}
+    every_x = _near_prosumer_rate(model, n)
+    reach = 0
+    for _, t1, q in _reserve_stretches(n, params.p_bad, params.qos_target_b):
+        cap = a_s - max(m_ns, q)
+        top = min(cap, t1 - q)
+        if every_x:
+            xs = range(reach + 1, top + 1)
+        else:
+            xs = {x for x in (reach + 1, top, *marks) if reach < x <= top}
+        for x in xs:
+            best = min(best, (cost_eval(a_s - x, x + q, model), a_s - x, x + q, q))
+        reach = max(reach, t1 - q)
+        # q only rises, so no later stretch gives a design once reach is
+        # at cap, and none costs less than the bound at its first T.
+        if reach >= cap or pool_floor + model.per_item_prosumer * (t1 + 1) > best[0]:
             break
-        m = max(m_ns, a_s + q - t, q)
-        best = min(best, (cost_eval(m, t, model), m, t, max(q, m + t - n)))
     _, m, t, q = best
     return _report(params, model, Design(m, t, q))
 

@@ -76,9 +76,9 @@ def test_criterion_2_charger_minimum_cost_table():
 def test_criterion_3_oracle_equivalence():
     # The oracle prices every (M, T) with linear searches and shares only
     # the QoS rule and the cost formula with the solver, so it checks the
-    # galloping pointer, the one pool priced per point and the piece-end
-    # pricing at N up to 5e4.  It has an early exit of its own, by the
-    # same bound.
+    # galloping pointer, the one design per pool below A_s and the band
+    # marks priced per stretch at N up to 5e4.  It has an early exit of
+    # its own, by the same bound.
     failures = []
     for use in USES:
         for scenario, _ in cli._golden_table(use):

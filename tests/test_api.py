@@ -63,8 +63,12 @@ def test_numpy_integers_on_every_public_path():
     plain = ScenarioParams(1000, 0.1, 0.3, 0.01)
     numpy = ScenarioParams(u32(1000), 0.1, 0.3, 0.01)
     model = car_cost_model()
+    # A non-surge target of 1 makes the pool minimum N itself, above A_s.
+    full_ns = (1.0, 0.9, 0.9)
     for solve in (solve_min_cost, brute_force_design):
         assert solve(numpy, model) == solve(plain, model)
+        assert (solve(ScenarioParams(u32(100), 0.1, 0.3, 0.01, *full_ns), model)
+                == solve(ScenarioParams(100, 0.1, 0.3, 0.01, *full_ns), model))
     d = solve_min_cost(plain, model).design
     for m in (d.m, d.m - 1):
         assert (feasible(numpy, Design(i64(m), u32(d.t), i64(d.q)))

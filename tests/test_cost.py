@@ -60,6 +60,18 @@ def test_schedule_validation():
     numpy_qty = DiscountSchedule(breakpoints=((np.int64(1), 0.0), (np.int32(10), 0.1)))
     assert numpy_qty.breakpoints == ((1, 0.0), (10, 0.1))
     assert type(numpy_qty.breakpoints[1][0]) is int
+    # Breakpoints that are not pairs, or no iterable at all, are rejected
+    # by name; any iterable of pairs is taken, and stored as a tuple.
+    for bad in (None, 5, ((1, 0.0, 5),), ((1,),), (1, 0.0)):
+        with pytest.raises(TypeError, match="breakpoints must be"):
+            DiscountSchedule(breakpoints=bad)
+    pairs = [[1, 0.0], (10, 0.1)]
+    assert DiscountSchedule(pairs).breakpoints == ((1, 0.0), (10, 0.1))
+    assert DiscountSchedule(iter(pairs)).breakpoints == ((1, 0.0), (10, 0.1))
+    # A cost model takes only a schedule as its discount.
+    for bad in (((1, 0.0),), [(1, 0.0)], None):
+        with pytest.raises(TypeError, match="discount must be a DiscountSchedule"):
+            CostModel(1.0, 1.0, bad)
 
 
 def test_smooth_discount_validation():

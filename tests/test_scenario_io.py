@@ -287,6 +287,15 @@ def test_save_rejects_fractional_integer_key(tmp_path):
         save_scenario(sc, str(tmp_path / "x.ini"))
 
 
+def test_save_rejects_unknown_aimd_key(tmp_path):
+    sc = ScenarioFile(name="x", params=ScenarioParams(250, 0.1, 0.3, 0.01),
+                      cost_model=car_cost_model(), aimd={"seed": 4, "bogus": 1})
+    path = tmp_path / "x.ini"
+    with pytest.raises(ScenarioError, match=r"unknown key 'bogus' in section \[aimd\]"):
+        save_scenario(sc, str(path))
+    assert not path.exists()
+
+
 def test_sections_take_their_keys_from_the_dataclasses(tmp_path):
     config = dataclasses.replace(auto_config("equalize", 120, 215, load_scenario(
         "car-n1000").params, seed=3), gamma=0.5)

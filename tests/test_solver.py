@@ -122,7 +122,7 @@ def _cost_models(draw):
 @st.composite
 def _priced_models(draw):
     # Non-integer prices, the prosumer dearer or cheaper than a pool item:
-    # rates rarely tie, so most scans price only the piece ends.
+    # rates rarely tie, so most scans price only range ends and band marks.
     quantities = sorted(draw(st.lists(st.integers(2, 1500), max_size=5, unique=True)))
     fractions = sorted(draw(st.lists(st.floats(0.0, 0.9), min_size=len(quantities),
                                      max_size=len(quantities))))
@@ -166,8 +166,8 @@ _SMALL_EXAMPLES = (
     dict(n=91, p_ns=0.26, p_s=0.647, p_b=0.0021, targets=(0.99, 0.95, 0.9),
          model=_cost_model(10, 2, ((1, 0.0), (45, 0.3), (55, 0.35)))),
     # The band start 20 is first feasible at T = 7, inside the stretch
-    # T = 1..9 of Q = 1, where the smallest pool 27 - T reaches it; that
-    # piece end is the optimum (20, 7, 1).
+    # T = 1..9 of Q = 1, where the pool 27 - T reaches it; that band
+    # mark is the optimum (20, 7, 1).
     dict(n=29, p_ns=0.307, p_s=0.787, p_b=0.0173, targets=(0.999, 0.95, 0.99),
          model=_cost_model(12, 2, ((1, 0.0), (20, 0.46)))),
 )
@@ -205,9 +205,9 @@ def _small_examples(test):
 @example(n=60, p_ns=0.1, p_s=0.3, p_b=0.01, targets=(0.95, 0.95, 0.95),
          model=car_cost_model())
 def test_solver_equals_brute_force_design(n, p_ns, p_s, p_b, targets, model):
-    # The solver's galloping searches, its one pool per priced point,
-    # piece-end pricing and early exit must give the design and the cost
-    # bits of the reference, which prices every (M, T).
+    # The solver's galloping searches, its one design per pool below A_s,
+    # its range ends and band marks and its early exit must give the
+    # design and the cost bits of the reference, which prices every (M, T).
     params = ScenarioParams(n, p_ns, p_s, p_b, *targets)
     rep = solve_min_cost(params, model)
     oracle = brute_force_design(params, model)
@@ -217,6 +217,16 @@ def test_solver_equals_brute_force_design(n, p_ns, p_s, p_b, targets, model):
     # the rounded cdf.
     d = rep.design
     assert d.q == d.t or special.bdtrc(d.q, d.t, p_b) <= 1.0 - targets[2]
+    if d.t > 0:
+        # A design with prosumers fills the surge supply M - Q + T to
+        # exactly A_s, the least that meets the surge target, and its
+        # reserve is Q(T), the least that meets the bad-behaviour target
+        # at T.  So M + T - A_s = Q, and Q is the only reserve in
+        # [Q(T), min(M, T, M + T - A_s)].
+        a_s = d.m - d.q + d.t
+        assert _meets_target(a_s, n, p_s, targets[1])
+        assert not _meets_target(a_s - 1, n, p_s, targets[1])
+        assert d.q == 0 or not _meets_target(d.q - 1, d.t, p_b, targets[2])
 
 
 def _full_scan(params, model):
@@ -305,7 +315,6 @@ def test_oracle_takes_none_of_the_solver_shortcuts(monkeypatch):
         raise AssertionError("the oracle took a solver shortcut")
 
     for module, name in ((solver_module, "_reserve_stretches"),
-                         (solver_module, "_priced_points"),
                          (solver_module, "_near_prosumer_rate"),
                          (solver_module, "_pool_minima"),
                          (solver_module, "min_items_for_qos"),
@@ -321,16 +330,17 @@ def test_oracle_takes_none_of_the_solver_shortcuts(monkeypatch):
 @pytest.mark.parametrize("name, changes, entry, most", [
     ("car-n50000-98", {}, solve_min_cost, 1000),  # 10,199 when every T is priced
     ("car-n5000-98", {}, solve_min_cost, 1000),   # 1,505 when every T is priced
-    # Stretches a few T long: 588 when they are priced at every T, and
-    # 173 when each priced point also prices the band starts above its
-    # smallest pool.
+    # Stretches a few T long: 588 when they are priced at every T, 173
+    # when each priced T also priced the band starts above its smallest
+    # pool, and 74 when each stretch prices only its new pools below A_s.
     ("car-n1000-98", {"p_bad": 0.1}, solve_min_cost, 100),
 ], ids=["car-n50000-98-solve_min_cost-1000", "car-n5000-98-solve_min_cost-1000",
         "car-n1000-98-p_bad-0.1-solve_min_cost-100"])
 def test_scan_prices_few_candidates(name, changes, entry, most, monkeypatch):
-    # Counted rather than timed, so the check is deterministic.  After
-    # T = 0 the scan prices one pool per priced point, so the count is
-    # the band starts priced at T = 0 plus the priced points.
+    # Counted rather than timed, so the check is deterministic.  The
+    # count is the pools priced at T = 0 plus, for each stretch of
+    # constant Q, the ends of its range of pools below A_s and the band
+    # boundaries inside it: one design per pool, with T - Q = A_s - M.
     calls = []
 
     def counting(*args):
