@@ -359,16 +359,15 @@ def scan_oracle(problem: str, params: ScenarioParams, m: int,
     return q, abs(_objective(problem, params, m, t, q))
 
 
-def _int_text(mag, neg=None, decimals: int = 0):
+def _digits(mag, decimals: int = 0):
     """The text of the integers mag >= 0 divided by 10**decimals,
-    right-aligned in a uint8 matrix padded with spaces, with a '-' in
-    column 0 where ``neg``: the writer strips the spaces between."""
+    right-aligned in a uint8 matrix padded with spaces: the writer
+    strips them."""
     # Digits come from // and a product: numpy's divmod by a scalar took
     # several times longer than both together (numpy 2.4).
     whole = mag // 10 ** decimals
-    int_w = len(str(int(whole.max()))) if len(mag) else 1
-    sign = int(neg is not None and bool(neg.any()))
-    width = sign + int_w + (decimals + 1 if decimals else 0)
+    int_w = len(str(int(whole.max())))
+    width = int_w + (decimals + 1 if decimals else 0)
     out = np.empty((len(mag), width), np.uint8)
     col = width
     rest = mag
@@ -388,30 +387,16 @@ def _int_text(mag, neg=None, decimals: int = 0):
         if k:
             digit[whole < 10 ** k] = ord(" ")
         out[:, col] = digit
-    if sign:
-        out[:, 0] = np.where(neg, ord("-"), ord(" "))
     return out
 
 
-def _float_text(x):
-    """``format(v, ".6f")`` of each float v, as ``_int_text`` lays it out."""
-    x = x.astype(np.float64, copy=False)
-    with np.errstate(over="ignore", invalid="ignore"):
-        s = np.abs(x) * 1e6
-        exact = np.abs(s - np.floor(s) - 0.5) > 2.0 * np.spacing(s)
-    out = _int_text(np.rint(np.where(exact, s, 0.0)).astype(np.int64), np.signbit(x), 6)
-    if exact.all():
-        return out
-    slow = np.flatnonzero(~exact)
-    texts = [format(v, ".6f").encode() for v in x[slow].tolist()]
-    width = max(out.shape[1], max(map(len, texts)))
-    if width > out.shape[1]:
-        out = np.concatenate(
-            [np.full((len(x), width - out.shape[1]), ord(" "), np.uint8), out], axis=1)
-    for i, text in zip(slow.tolist(), texts):
-        out[i] = ord(" ")
-        out[i, width - len(text):] = np.frombuffer(text, np.uint8)
-    return out
+def _slow_rows(start: int, z, q, ev, za, qa) -> bytes:
+    """The rows from iteration ``start`` on, printed one by one by the
+    reference writer's f-string."""
+    rows = zip(range(start, start + len(z)), z.tolist(), q.tolist(), ev.tolist(),
+               za.tolist(), qa.tolist())
+    return "".join(f"{l},{z:.6f},{q:.6f},{ev},{za:.6f},{qa:.6f}\n"
+                   for l, z, q, ev, za, qa in rows).encode()
 
 
 def write_trace_csv(path, trace: AimdTrace) -> None:
@@ -421,17 +406,21 @@ def write_trace_csv(path, trace: AimdTrace) -> None:
     and the event flag as integers, the four claims and averages with
     six decimals, exactly as ``f"{v:.6f}"`` prints them.
 
-    The rows are built in blocks of ``_BLOCK_ROWS`` with numpy.
-    ``f"{v:.6f}"`` prints the sign of v, then the exact product
-    |v| * 10**6 rounded half to even and divided by 10**6.  The
-    computed product s = fl(|v| * 1e6) lies within half an ulp of the
-    exact one, so ``np.rint(s)`` gives the same integer unless a
-    half-integer lies within half an ulp of s.
-    Where s lies within two ulps of a half-integer, the element is
-    printed by ``format(v, ".6f")`` itself instead.  Exact ties such as
-    1/128 = 0.0078125 take that path, and so do NaN, the infinities
-    and every s of 2**50 or more, whose ulp is too coarse to pass the
-    test; below 2**50 the int64 digits are exact.
+    The rows are built in blocks of ``_BLOCK_ROWS`` with numpy.  For
+    v >= 0, ``f"{v:.6f}"`` prints the exact product v * 10**6 rounded
+    half to even and divided by 10**6.  The computed product
+    s = fl(v * 1e6) lies within half an ulp of the exact one, so
+    ``np.rint(s)`` gives the same integer unless a half-integer lies
+    within half an ulp of s; below 2**50 the int64 digits are exact.
+    A block is printed from those digits when all its flags are
+    non-negative and every value has a clear sign bit and an s more
+    than two ulps from a half-integer, which also rules out NaN, the
+    infinities and every s of 2**50 or more.  The claims and averages
+    that ``run_partition`` records are non-negative, so their blocks
+    take this path unless a value lies that near a tie.  Any other
+    block, one with a negative value, -0.0 or an exact tie such as
+    1/128 = 0.0078125, is printed row by row by ``_slow_rows`` with the
+    f-string itself.
 
     The five per-iteration arrays must have one length, else
     ``ValueError``, raised before the file is opened.
@@ -450,9 +439,17 @@ def write_trace_csv(path, trace: AimdTrace) -> None:
             stop = min(start + _BLOCK_ROWS, rows)
             z, q, ev, za, qa = (c[start:stop] for c in cols)
             ev = ev.astype(np.int64)
-            fields = [_int_text(np.arange(start, stop, dtype=np.int64)),
-                      _float_text(z), _float_text(q), _int_text(np.abs(ev), ev < 0),
-                      _float_text(za), _float_text(qa)]
+            values = [x.astype(np.float64, copy=False) for x in (z, q, za, qa)]
+            with np.errstate(over="ignore", invalid="ignore"):
+                scaled = [x * 1e6 for x in values]
+                fast = (ev.min() >= 0 and not any(np.signbit(x).any() for x in values)
+                        and all((np.abs(s - np.floor(s) - 0.5) > 2.0 * np.spacing(s)).all()
+                                for s in scaled))
+            if not fast:
+                fh.write(_slow_rows(start, z, q, ev, za, qa))
+                continue
+            z, q, za, qa = (_digits(np.rint(s).astype(np.int64), 6) for s in scaled)
+            fields = [_digits(np.arange(start, stop, dtype=np.int64)), z, q, _digits(ev), za, qa]
             comma = np.full((stop - start, 1), ord(","), np.uint8)
             block = np.hstack([part for f in fields for part in (f, comma)])
             block[:, -1] = ord("\n")

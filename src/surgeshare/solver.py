@@ -23,10 +23,16 @@ bad-behaviour target at T.  ``solve_min_cost`` rests on three facts.
   prosumers fills the surge supply to exactly A_s.
 - Along a stretch of T with a constant reserve q those designs are
   (A_s - x, x + q, q), whose cost moves by one step of one sign per x
-  while the pool stays in one discount band.  So only the ends of the
-  stretch's range of x and the band boundaries b - 1 | b in it are
-  priced, or every x where some band's pool rate is so close to the
-  prosumer rate that rounding could reverse the step.
+  while the pool stays in one discount band.  So only the stretch's
+  last x and the band boundaries b - 1 | b in its range are priced,
+  or every x where some band's pool rate is so close to the prosumer
+  rate that rounding could reverse the step.  The range's first x,
+  reach + 1, needs no price of its own.  Where the cost falls with x,
+  it ends no band piece at a minimum.  Where it rises, the design at
+  x = reach, priced as the last x of an earlier stretch with reserve
+  q' <= q or as (A_s, 0, 0), is cheaper by
+  per_item_prosumer * (1 + q - q') - rate > 0, unless a band boundary
+  lies between the two pools, and then reach + 1 is a boundary.
 
 The scan is exact for every cost model: ``CostModel`` requires
 positive unit costs and ``DiscountSchedule`` discounts in [0, 1), which
@@ -210,9 +216,14 @@ def solve_min_cost(params: ScenarioParams, model: CostModel,
     minimum reserve q from a galloping pointer and keeps ``reach``, the
     largest T - Q(T) so far.  Each stretch starts at T - q <= reach + 1,
     and T - q grows by one per T inside it, so it gives the designs
-    (A_s - x, x + q, q) for x in (reach, min(t1 - q, A_s - max(M_ns, q))].
-    Of those it prices the two ends and the band marks x = A_s - b and
-    A_s - b + 1, or every x where ``_near_prosumer_rate`` holds.
+    (A_s - x, x + q, q) for x in (reach, top], top = min(t1 - q,
+    A_s - max(M_ns, q)).  Of those it prices ``top`` and the band marks
+    x = A_s - b and A_s - b + 1, or every x where ``_near_prosumer_rate``
+    holds.  Outside that case reach + 1 is priced only as ``top`` or a
+    mark: otherwise, if the cost falls with x, a larger x of its band
+    piece is cheaper, and if it rises, the design at x = reach, the
+    ``top`` of an earlier stretch with reserve q' <= q or (A_s, 0, 0),
+    is cheaper.
     Since the cost is the pool term plus ``per_item_prosumer * T``, no
     design with T prosumers costs less than
     ``pool_floor + per_item_prosumer * T``, where ``pool_floor`` is the
@@ -243,7 +254,7 @@ def solve_min_cost(params: ScenarioParams, model: CostModel,
         if every_x:
             xs = range(reach + 1, top + 1)
         else:
-            xs = {x for x in (reach + 1, top, *marks) if reach < x <= top}
+            xs = {x for x in (top, *marks) if reach < x <= top}
         for x in xs:
             best = min(best, (cost_eval(a_s - x, x + q, model), a_s - x, x + q, q))
         reach = max(reach, t1 - q)

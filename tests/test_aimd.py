@@ -496,8 +496,8 @@ _values = st.one_of(st.floats(), st.floats(-1e3, 1e3), _near_half)
 @example([(math.nan, math.inf, -128, -math.inf, -math.nan),
           (1.0, 2.0, 127, 3.0, 4.0)], 1)
 def test_write_trace_csv_matches_reference_writer(reference_trace_csv, rows, block):
-    # Blocks of 1 to 8 rows put block edges everywhere, with one wide
-    # fallback field in a block and none in the next.
+    # Blocks of 1 to 8 rows put block edges everywhere, with a slow-path
+    # block next to a fast one.
     trace = _trace_of(rows)
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setattr(aimd, "_BLOCK_ROWS", block)
@@ -505,6 +505,14 @@ def test_write_trace_csv_matches_reference_writer(reference_trace_csv, rows, blo
         aimd.write_trace_csv(path, trace)
         with open(path, "rb") as fh:
             assert fh.read() == reference_trace_csv(trace)
+
+
+def test_write_trace_csv_prints_a_negative_flag(tmp_path, reference_trace_csv):
+    # Every value of the row passes the numpy path's tests; the flag alone
+    # must send the block to the slow path.
+    trace = _trace_of([(1.0, 2.0, -1, 3.0, 4.0)])
+    aimd.write_trace_csv(tmp_path / "trace.csv", trace)
+    assert (tmp_path / "trace.csv").read_bytes() == reference_trace_csv(trace)
 
 
 def test_write_trace_csv_rejects_ragged_traces(tmp_path):

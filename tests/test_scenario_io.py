@@ -369,8 +369,13 @@ def test_cli_partition_equalize_seed7(tmp_path, monkeypatch, capsys, reference_t
         written.append(trace)
         return write(path, trace)
 
+    def refuse(*args):
+        raise AssertionError("a recorded run took the slow path")
+
     write = aimd.write_trace_csv
     monkeypatch.setattr(aimd, "write_trace_csv", spy)
+    # Every claim and average of this run prints by the numpy path.
+    monkeypatch.setattr(aimd, "_slow_rows", refuse)
     code = cli_dispatch(["partition", "--scenario", "car-n1000",
                          "--m", "120", "--t", "215",
                          "--problem", "equalize", "--seed", "7",

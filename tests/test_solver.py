@@ -332,14 +332,15 @@ def test_oracle_takes_none_of_the_solver_shortcuts(monkeypatch):
     ("car-n5000-98", {}, solve_min_cost, 1000),   # 1,505 when every T is priced
     # Stretches a few T long: 588 when they are priced at every T, 173
     # when each priced T also priced the band starts above its smallest
-    # pool, and 74 when each stretch prices only its new pools below A_s.
-    ("car-n1000-98", {"p_bad": 0.1}, solve_min_cost, 100),
+    # pool, 74 when each stretch priced both ends of its new pools below
+    # A_s, and 41 when it prices only the last one and the band marks.
+    ("car-n1000-98", {"p_bad": 0.1}, solve_min_cost, 50),
 ], ids=["car-n50000-98-solve_min_cost-1000", "car-n5000-98-solve_min_cost-1000",
-        "car-n1000-98-p_bad-0.1-solve_min_cost-100"])
+        "car-n1000-98-p_bad-0.1-solve_min_cost-50"])
 def test_scan_prices_few_candidates(name, changes, entry, most, monkeypatch):
     # Counted rather than timed, so the check is deterministic.  The
     # count is the pools priced at T = 0 plus, for each stretch of
-    # constant Q, the ends of its range of pools below A_s and the band
+    # constant Q, the last of its range of pools below A_s and the band
     # boundaries inside it: one design per pool, with T - Q = A_s - M.
     calls = []
 
