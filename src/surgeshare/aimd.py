@@ -407,20 +407,20 @@ def write_trace_csv(path, trace: AimdTrace) -> None:
     six decimals, exactly as ``f"{v:.6f}"`` prints them.
 
     The rows are built in blocks of ``_BLOCK_ROWS`` with numpy.  For
-    v >= 0, ``f"{v:.6f}"`` prints the exact product v * 10**6 rounded
-    half to even and divided by 10**6.  The computed product
-    s = fl(v * 1e6) lies within half an ulp of the exact one, so
-    ``np.rint(s)`` gives the same integer unless a half-integer lies
-    within half an ulp of s; below 2**50 the int64 digits are exact.
-    A block is printed from those digits when all its flags are
-    non-negative and every value has a clear sign bit and an s more
-    than two ulps from a half-integer, which also rules out NaN, the
-    infinities and every s of 2**50 or more.  The claims and averages
-    that ``run_partition`` records are non-negative, so their blocks
-    take this path unless a value lies that near a tie.  Any other
-    block, one with a negative value, -0.0 or an exact tie such as
-    1/128 = 0.0078125, is printed row by row by ``_slow_rows`` with the
-    f-string itself.
+    v >= 0, ``f"{v:.6f}"`` prints the exact product P = v * 10**6
+    rounded half to even and divided by 10**6.  The computed product
+    s = fl(v * 1e6) is the double nearest P.  Below 2**50 every
+    half-integer is a double, so none lies strictly between P and s,
+    and were P one, s would equal it.  So unless s is itself a
+    half-integer, ``np.rint(s)`` is the rounding of P, and its int64
+    digits are exact.  A block is printed from those digits when all
+    its flags are non-negative and every value has a clear sign bit and
+    an s below 2**50 with s - floor(s) != 0.5, which also rules out NaN
+    and the infinities.  The claims and averages that ``run_partition``
+    records are non-negative, so their blocks take this path unless a
+    value's s is a half-integer.  Any other block, one with a negative
+    value, -0.0 or an exact tie such as 1/128 = 0.0078125, is printed
+    row by row by ``_slow_rows`` with the f-string itself.
 
     The five per-iteration arrays must have one length, else
     ``ValueError``, raised before the file is opened.
@@ -443,7 +443,7 @@ def write_trace_csv(path, trace: AimdTrace) -> None:
             with np.errstate(over="ignore", invalid="ignore"):
                 scaled = [x * 1e6 for x in values]
                 fast = (ev.min() >= 0 and not any(np.signbit(x).any() for x in values)
-                        and all((np.abs(s - np.floor(s) - 0.5) > 2.0 * np.spacing(s)).all()
+                        and all(((s < 2.0**50) & (s - np.floor(s) != 0.5)).all()
                                 for s in scaled))
             if not fast:
                 fh.write(_slow_rows(start, z, q, ev, za, qa))

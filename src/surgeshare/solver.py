@@ -3,15 +3,15 @@
 The cost depends on M and T alone (the reserve shares the pool unit
 cost) and rises with T at a fixed M.  Every target is judged by one
 rule, ``qos._meets_target``, which ``feasible`` checks, so a design the
-scan returns is feasible.  Both searches on the rule start from an
-estimate and gallop to where it flips (``qos._flip``): the pool minima
+scan returns is feasible.  Every search on the rule starts from an
+estimate and gallops to where it flips (``qos._flip``): the pool minima
 from the normal-approximation reserve, relying on the rule being
-monotone in the item count, and the reserve pointer from the length of
-the previous stretch of T with the same Q, relying on it being monotone
-in T at a fixed Q.  Let M_ns be the smallest pool that meets the
-non-surge target, A_s the smallest surge supply M - Q + T that meets
-the surge target, and Q(T) the least reserve that meets the
-bad-behaviour target at T.  ``solve_min_cost`` rests on three facts.
+monotone in the item count, and, with one search per reserve, the end
+of that reserve's stretch of T from the length of the previous
+stretch, relying on the rule being monotone in T at a fixed reserve.
+Let M_ns be the smallest pool that meets the non-surge target, A_s the
+smallest surge supply M - Q + T that meets the surge target, and Q(T)
+the least reserve that meets the bad-behaviour target at T.  ``solve_min_cost`` rests on three facts.
 
 - A pool M >= max(M_ns, A_s) is feasible at T = 0 with Q = 0, where it
   is cheapest; within a discount band the pool cost rises with M, so
@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -173,26 +174,21 @@ def _pool_minima(params: ScenarioParams) -> Tuple[int, int]:
 def _reserve_stretches(t_max: int, p_b: float, target: float):
     # The minimum reserve Q(T) for T = 0, 1, ..., t_max as stretches
     # (t0, t1, q): Q(T) = q for t0 <= T <= t1.  The stretches are
-    # contiguous, cover [0, t_max] and q rises from one to the next.
-    # Q(T) never falls as T grows, and at a fixed Q the rule fails for
-    # every T from its first failure on, so a stretch ends just before
-    # that flip and needs no rule call inside.  The next flip is searched
-    # from the previous stretch's length.
-    def flip_after(q: int, t: int, start: int) -> int:
-        # The first T after t at which q items fail, or t_max + 1.
-        return _flip(lambda x: not _meets_target(q, x, p_b, target), t + 1, t_max + 1, start)
-
-    q, t0 = 0, 0
-    flip = flip_after(0, 0, 1)
-    while True:
-        yield t0, flip - 1, q
-        if flip > t_max:
+    # contiguous, cover [0, t_max] and q rises by one from each to the
+    # next.  At a fixed q the rule fails for every T from its first
+    # failure on, so the stretch of q ends just before that flip, which
+    # one search finds from where the stretch of q - 1 ended, started at
+    # that stretch's length.  One more prosumer raises Q by at most one,
+    # so q meets where its stretch starts; were rounding to make it fail
+    # there, the stretch would be empty (t1 < t0) and give no design.
+    t0, length = 0, 1
+    for q in itertools.count():
+        t1 = _flip(lambda t: not _meets_target(q, t, p_b, target),
+                   t0, t_max + 1, t0 + length) - 1
+        yield t0, t1, q
+        if t1 >= t_max:
             return
-        # q is known to fail at the flip.
-        q += 1
-        while not _meets_target(q, flip, p_b, target):
-            q += 1
-        flip, t0 = flip_after(q, flip, 2 * flip - t0), flip
+        t0, length = t1 + 1, t1 + 1 - t0
 
 
 def _near_prosumer_rate(model: CostModel, n: int) -> bool:
@@ -213,13 +209,13 @@ def solve_min_cost(params: ScenarioParams, model: CostModel,
 
     At T = 0 it prices the pool max(M_ns, A_s) and the band starts above
     it.  Below A_s it takes the stretches (t0, t1, q) of T with the same
-    minimum reserve q from a galloping pointer and keeps ``reach``, the
-    largest T - Q(T) so far.  Each stretch starts at T - q <= reach + 1,
-    and T - q grows by one per T inside it, so it gives the designs
-    (A_s - x, x + q, q) for x in (reach, top], top = min(t1 - q,
-    A_s - max(M_ns, q)).  Of those it prices ``top`` and the band marks
-    x = A_s - b and A_s - b + 1, or every x where ``_near_prosumer_rate``
-    holds.  Outside that case reach + 1 is priced only as ``top`` or a
+    minimum reserve q, one galloping search per reserve, and keeps
+    ``reach``, the largest T - Q(T) so far.  Each stretch starts at
+    T - q <= reach + 1, and T - q grows by one per T inside it, so it
+    gives the designs (A_s - x, x + q, q) for x in (reach, top],
+    top = min(t1 - q, A_s - max(M_ns, q)).  Of those it prices ``top``
+    and the band marks x = A_s - b and A_s - b + 1, or every x where
+    ``_near_prosumer_rate`` holds.  Outside that case reach + 1 is priced only as ``top`` or a
     mark: otherwise, if the cost falls with x, a larger x of its band
     piece is cheaper, and if it rises, the design at x = reach, the
     ``top`` of an earlier stretch with reserve q' <= q or (A_s, 0, 0),

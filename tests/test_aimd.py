@@ -495,6 +495,11 @@ _values = st.one_of(st.floats(), st.floats(-1e3, 1e3), _near_half)
           (1e20, -1.7e308, 5, 5e-324, 9.1e9)], 1)
 @example([(math.nan, math.inf, -128, -math.inf, -math.nan),
           (1.0, 2.0, 127, 3.0, 4.0)], 1)
+# Clear sign bits and non-negative flags: only the test s = v * 1e6 < 2**50
+# sends NaN, +inf, 2**53 / 1e6 and the double above it, whose s rounds to
+# the wrong millionth, to the slow path.
+@example([(math.nan, 1.0, 0, 2.0, 3.0), (1.0, math.inf, 1, 2.0, 3.0),
+          (2.0**53 / 1e6, math.nextafter(2.0**53 / 1e6, math.inf), 2, 1.0, 0.5)], 1)
 def test_write_trace_csv_matches_reference_writer(reference_trace_csv, rows, block):
     # Blocks of 1 to 8 rows put block edges everywhere, with a slow-path
     # block next to a fast one.

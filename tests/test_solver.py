@@ -170,6 +170,9 @@ _SMALL_EXAMPLES = (
     # mark is the optimum (20, 7, 1).
     dict(n=29, p_ns=0.307, p_s=0.787, p_b=0.0173, targets=(0.999, 0.95, 0.99),
          model=_cost_model(12, 2, ((1, 0.0), (20, 0.46)))),
+    # A small car scenario at a common target of 0.95.
+    dict(n=60, p_ns=0.1, p_s=0.3, p_b=0.01, targets=(0.95, 0.95, 0.95),
+         model=car_cost_model()),
 )
 
 
@@ -201,9 +204,6 @@ def _small_examples(test):
 # are not integers, so rounding alone decides the optimum (2313, 27, 0).
 @example(n=2644, p_ns=0.877 * 0.18, p_s=0.877, p_b=0.0078, targets=(0.95, 0.9, 0.8),
          model=_cost_model(0.2, 0.1, ((1, 0.0), (734, 0.5))))
-# A small car scenario at a common target of 0.95.
-@example(n=60, p_ns=0.1, p_s=0.3, p_b=0.01, targets=(0.95, 0.95, 0.95),
-         model=car_cost_model())
 def test_solver_equals_brute_force_design(n, p_ns, p_s, p_b, targets, model):
     # The solver's galloping searches, its one design per pool below A_s,
     # its range ends and band marks and its early exit must give the
@@ -274,13 +274,6 @@ def test_solver_equals_full_scan(n, p_ns, p_s, p_b, targets, model):
     full = _full_scan(params, model)
     for rep in (solve_min_cost(params, model), brute_force_design(params, model)):
         assert _design_key(rep) == full
-
-
-def test_full_scan_agrees_with_structured_scan():
-    # The (M, T) grid must find the same optimum as the 3-D scan.
-    params = ScenarioParams(60, 0.1, 0.3, 0.01, 0.95, 0.95, 0.95)
-    rep = brute_force_design(params, car_cost_model())
-    assert _design_key(rep) == _full_scan(params, car_cost_model())
 
 
 def _linear_reserves(t_max, p_b, target):
@@ -355,8 +348,10 @@ def test_scan_prices_few_candidates(name, changes, entry, most, monkeypatch):
 
 
 @pytest.mark.parametrize("name, entry, most", [
-    ("car-n50000-98", solve_min_cost, 2000),  # 10,352 with a linear pointer
-    ("car-n5000-98", solve_min_cost, 1000),   # 1,065 with a linear pointer
+    # 10,352 and 1,065 with a linear pointer; 461 and 103 when each
+    # stretch also scanned the rule at its first T.
+    ("car-n50000-98", solve_min_cost, 400),
+    ("car-n5000-98", solve_min_cost, 95),
 ])
 def test_searches_make_few_rule_calls(name, entry, most, monkeypatch):
     # Counted rather than timed, so the check is deterministic.
