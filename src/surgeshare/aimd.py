@@ -9,14 +9,19 @@ problem, or the QoS level itself for the equalization problem.  The
 only shared information is the single-bit capacity signal.
 
 ``run_partition`` runs both problems in one loop; the problem only
-picks the backoff-rate function, built once per run with its constants
-hoisted.  The loop is event-driven: each pass of it is one capacity
-event, preceded by a tight additive phase that grows both claims until
-the pool saturates, so the rate kernels, the random draws (taken in
-blocks) and the convergence test run once per event, not once per
-iteration.  The result is bit-identical to a per-iteration loop that
-adds alpha one step at a time and draws one uniform at a time, for
-every seed; the optional trace still has one row per iteration.
+picks the backoff-rate functions, built once per run with their
+constants hoisted.  The loop is event-driven: each pass of it is one
+capacity event, preceded by a tight additive phase that grows both
+claims until the pool saturates, so the random draws (taken in blocks)
+and the convergence test run once per event, not once per iteration.
+So do the rate kernels, but for the equalize consumer's: its rate is a
+cdf of at most 1 over the average claim, so a draw at or above
+gamma * 2 / z_avg already settles its backoff, and the kernel runs only
+for a draw below that (fewer than one event in ten).  Rounding is monotone,
+so the bound holds for the computed rate too.  The result is
+bit-identical to a per-iteration loop that adds alpha one step at a
+time, draws one uniform at a time and calls both kernels every event,
+for every seed; the optional trace still has one row per iteration.
 
 A centralized ``scan_oracle`` provides ground truth for both problems.
 """
@@ -159,34 +164,45 @@ def auto_config(problem: str, m: int, t: int, params: ScenarioParams,
 
 
 def _rate_function(problem: str, params: ScenarioParams, t: int):
-    """The raw backoff rates (rc, rp) of one run as a function of the
-    averages, with every constant of the rate law computed once.
+    """The raw backoff rates of one run, ``rate_c(z_avg)`` and
+    ``rate_p(q_avg)``, with every constant of the rate law computed once,
+    and the consumer rate's ceiling.
 
     Maximization uses the gradient of the QoS sum: the pmf of each
     agent's population at its average claim (the surge argument shifted
     by T, as in QoS_s), inverted.  Equalization uses the QoS level over
     the average claim, so the better-served agent backs off more often
     and the two QoS values are pushed together.
+
+    The ceiling, 2.0, bounds the equalize consumer rate's numerator, a
+    cdf of at most 1, so the computed rate is at most
+    ``ceiling / max(z_avg, 1e-12)``; the factor 2 asks nothing of the
+    last bits of ``betainc``.  The maximize rates, inverted pmfs, have
+    no useful bound, and their ceiling is None.
     """
     n = params.n_consumers
     if problem == "maximize":
         pmf_c = _pmf_cont(n, params.p_surge)
         pmf_p = _pmf_cont(t, params.p_bad)
 
-        def rates(z_avg: float, q_avg: float) -> Tuple[float, float]:
+        def rate_c(z_avg: float) -> float:
             dc = z_avg * pmf_c(z_avg + t)
+            return 1.0 / dc if dc > 1e-300 else math.inf
+
+        def rate_p(q_avg: float) -> float:
             dp = q_avg * pmf_p(q_avg)
-            return (1.0 / dc if dc > 1e-300 else math.inf,
-                    1.0 / dp if dp > 1e-300 else math.inf)
-        return rates
+            return 1.0 / dp if dp > 1e-300 else math.inf
+        return rate_c, rate_p, None
 
     cdf_c = _cdf_cont(n, params.p_surge)
     cdf_p = _cdf_cont(t, params.p_bad)
 
-    def rates(z_avg: float, q_avg: float) -> Tuple[float, float]:
-        return (cdf_c(z_avg + t) / (1e-12 if z_avg < 1e-12 else z_avg),
-                cdf_p(q_avg) / (1e-12 if q_avg < 1e-12 else q_avg))
-    return rates
+    def rate_c(z_avg: float) -> float:
+        return cdf_c(z_avg + t) / (1e-12 if z_avg < 1e-12 else z_avg)
+
+    def rate_p(q_avg: float) -> float:
+        return cdf_p(q_avg) / (1e-12 if q_avg < 1e-12 else q_avg)
+    return rate_c, rate_p, 2.0
 
 
 def _objective(problem: str, params: ScenarioParams, m: int, t: int, q: int) -> float:
@@ -239,7 +255,7 @@ def run_partition(problem: str, params: ScenarioParams, m: int, t: int,
         config = auto_config(problem, m, t, params)
     _check_pool(problem, params, m, t, config)
 
-    rates = _rate_function(problem, params, t)
+    rate_c, rate_p, ceiling = _rate_function(problem, params, t)
     rng = np.random.Generator(np.random.Philox(config.seed))
     # The claims are Python floats whatever real type the config holds:
     # numpy float32 arithmetic would reach ``betainc`` with no signature.
@@ -250,7 +266,9 @@ def run_partition(problem: str, params: ScenarioParams, m: int, t: int,
     z_avg = q_avg = 0.0
     k = 0  # capacity events so far
     l = 0  # iterations so far
-    draws, d = [], 0  # a block of uniform draws and the next one to use
+    # A block of uniform draws and the next one to use; d == _DRAW_BLOCK
+    # asks for a new block.
+    draws, d = [], _DRAW_BLOCK
 
     # Every run logs the averages of each event: the windowed convergence
     # test compares them with their values ``window`` events back.  A
@@ -293,11 +311,15 @@ def run_partition(problem: str, params: ScenarioParams, m: int, t: int,
             z_hist.append(z)
             q_hist.append(q)
             ev_at.append(l)
-        # Probabilistic multiplicative backoff.  The agent that does not
-        # back off holds its claim, which keeps the pool occupancy below
-        # M + 2*alpha at all times.
-        rc, rp = rates(z_avg, q_avg)
+        # Probabilistic multiplicative backoff, two draws per event,
+        # consumers first; a block gives the same stream as scalar draws.
+        # The agent that does not back off holds its claim, which keeps
+        # the pool occupancy below M + 2*alpha at all times.
+        if d == _DRAW_BLOCK:
+            draws, d = rng.random(_DRAW_BLOCK).tolist(), 0
+        u = draws[d]
         if gamma is None:
+            rc, rp = rate_c(z_avg), rate_p(q_avg)
             # A worst rate that is zero, infinite or so small that the
             # quotient overflows cannot be scaled to the target; the gain
             # is then the target itself, so it is always finite.
@@ -306,16 +328,27 @@ def run_partition(problem: str, params: ScenarioParams, m: int, t: int,
             gamma = target / worst if 0.0 < worst < math.inf else target
             if gamma == math.inf:
                 gamma = target
+        else:
+            rp = rate_p(q_avg)
+            # The draw alone can settle the consumer's backoff.  The
+            # rate's numerator is at most the ceiling, and rounded
+            # division and the product with gamma > 0 are monotone, so
+            # gamma * rc <= gamma * (ceiling / z') with the rate's own
+            # z' = max(z_avg, 1e-12).  A draw u at or above that bound
+            # (and below 1) then backs off exactly when u < lam_min, for
+            # every rate the kernel could return; rc = 0.0 clamps to
+            # lam_min and stands in for it.
+            if (ceiling is not None
+                    and u >= gamma * (ceiling / (1e-12 if z_avg < 1e-12 else z_avg))):
+                rc = 0.0
+            else:
+                rc = rate_c(z_avg)
         # Clamp to [lam_min, 1]; an infinite rate clamps to 1.
         lam_c = gamma * rc
         lam_c = lam_min if lam_c < lam_min else 1.0 if lam_c > 1.0 else lam_c
         lam_p = gamma * rp
         lam_p = lam_min if lam_p < lam_min else 1.0 if lam_p > 1.0 else lam_p
-        # Two draws per event, consumers first; a block gives the same
-        # stream as scalar draws.
-        if d == len(draws):
-            draws, d = rng.random(_DRAW_BLOCK).tolist(), 0
-        if draws[d] < lam_c:
+        if u < lam_c:
             z *= beta
         if draws[d + 1] < lam_p:
             q *= beta
@@ -415,12 +448,13 @@ def write_trace_csv(path, trace: AimdTrace) -> None:
     half-integer, ``np.rint(s)`` is the rounding of P, and its int64
     digits are exact.  A block is printed from those digits when all
     its flags are non-negative and every value has a clear sign bit and
-    an s below 2**50 with s - floor(s) != 0.5, which also rules out NaN
-    and the infinities.  The claims and averages that ``run_partition``
-    records are non-negative, so their blocks take this path unless a
-    value's s is a half-integer.  Any other block, one with a negative
-    value, -0.0 or an exact tie such as 1/128 = 0.0078125, is printed
-    row by row by ``_slow_rows`` with the f-string itself.
+    an s below 2**50, which also rules out NaN and the infinities; only
+    its rows with an exact tie, a value whose s - floor(s) == 0.5 such
+    as 1/128 = 0.0078125, are printed by ``_slow_rows`` with the
+    f-string itself.  The claims and averages that ``run_partition``
+    records are non-negative, so their blocks take this path.  Any other
+    block, one with a negative flag or value, -0.0, NaN, an infinity or
+    an s of 2**50 or more, is printed row by row by ``_slow_rows``.
 
     The five per-iteration arrays must have one length, else
     ``ValueError``, raised before the file is opened.
@@ -443,14 +477,22 @@ def write_trace_csv(path, trace: AimdTrace) -> None:
             with np.errstate(over="ignore", invalid="ignore"):
                 scaled = [x * 1e6 for x in values]
                 fast = (ev.min() >= 0 and not any(np.signbit(x).any() for x in values)
-                        and all(((s < 2.0**50) & (s - np.floor(s) != 0.5)).all()
-                                for s in scaled))
+                        and all((s < 2.0**50).all() for s in scaled))
             if not fast:
                 fh.write(_slow_rows(start, z, q, ev, za, qa))
                 continue
-            z, q, za, qa = (_digits(np.rint(s).astype(np.int64), 6) for s in scaled)
-            fields = [_digits(np.arange(start, stop, dtype=np.int64)), z, q, _digits(ev), za, qa]
+            tied = np.logical_or.reduce([s - np.floor(s) == 0.5 for s in scaled])
+            zd, qd, zad, qad = (_digits(np.rint(s).astype(np.int64), 6) for s in scaled)
+            fields = [_digits(np.arange(start, stop, dtype=np.int64)), zd, qd, _digits(ev),
+                      zad, qad]
             comma = np.full((stop - start, 1), ord(","), np.uint8)
             block = np.hstack([part for f in fields for part in (f, comma)])
             block[:, -1] = ord("\n")
-            fh.write(block.tobytes().replace(b" ", b""))
+            # A tied row's digits may be a millionth off: the f-string
+            # prints it, between the digit rows around it.
+            done = 0
+            for i in np.flatnonzero(tied).tolist():
+                fh.write(block[done:i].tobytes().replace(b" ", b""))
+                fh.write(_slow_rows(start + i, *(c[i:i + 1] for c in (z, q, ev, za, qa))))
+                done = i + 1
+            fh.write(block[done:].tobytes().replace(b" ", b""))

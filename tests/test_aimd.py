@@ -1,5 +1,6 @@
 """Unit tests for the AIMD partitioning simulation."""
 
+import collections
 import dataclasses
 import math
 import os
@@ -430,6 +431,13 @@ def partition_cases(draw):
 # Stops inside an additive phase, with no backoff floor.
 @example(("equalize", CAR_1000, 120, 215,
           make_config(alpha=0.01, gamma=None, lam_min=0.0, max_iterations=2500), False))
+# A vanishing gain with no floor: the consumer cap is far below every
+# draw, so the consumer kernel is skipped at nearly every event.
+@example(("equalize", CAR_1000, 120, 215,
+          make_config(gamma=1e-300, lam_min=0.0, max_iterations=3000), False))
+# A floor of 1: both agents back off at every event, whatever the rates.
+@example(("equalize", CAR_1000, 120, 215,
+          make_config(alpha=0.5, lam_min=1.0, max_iterations=3000), True))
 def test_run_partition_equals_per_iteration_reference(case):
     problem, params, m, t, config, record = case
     trace, q_star, _ = run_partition(problem, params, m, t, config, record=record)
@@ -438,6 +446,86 @@ def test_run_partition_equals_per_iteration_reference(case):
            trace.capacity_count, trace.z_avg.hex(), trace.q_avg.hex(),
            trace.converged_at, trace.total_iterations, q_star)
     assert got == _reference_run(problem, params, m, t, config, record)
+
+
+def _skips_consumer_kernel(u, gamma, ceiling, z_avg):
+    # The test run_partition makes before it calls the equalize consumer's
+    # rate kernel: a draw u at or above this bound stands rc = 0.0 in for
+    # the kernel's rate.
+    z = 1e-12 if z_avg < 1e-12 else z_avg
+    return u >= gamma * (ceiling / z)
+
+
+def _clamped(lam, lam_min):
+    return lam_min if lam < lam_min else 1.0 if lam > 1.0 else lam
+
+
+@st.composite
+def skip_cases(draw):
+    gamma = draw(st.one_of(st.just(1e-300), st.floats(1e-3, 10.0), st.just(1e12)))
+    lam_min = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.just(1.0)))
+    z_avg = draw(st.one_of(st.just(0.0), st.just(1e-13), st.floats(0.0, 1e5)))
+    cdf = draw(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)))
+    return gamma, lam_min, z_avg, cdf
+
+
+@settings(max_examples=500, deadline=None)
+@given(skip_cases(), st.floats(0.0, 1.0, exclude_max=True), st.integers(0, 3),
+       st.integers(-2, 2))
+def test_skipped_consumer_kernel_decides_as_the_full_rate(case, u, edge, step):
+    # Wherever the draw skips the kernel, the full rate and clamp of every
+    # cdf in [0, 1] decide the backoff as rc = 0.0 does: only the floor
+    # lam_min can make u < lam_c.
+    gamma, lam_min, z_avg, cdf = case
+    ceiling = aimd._rate_function("equalize", CAR_1000, 215)[2]
+    z = 1e-12 if z_avg < 1e-12 else z_avg
+    # Move the draw to within two ulps of the skip bound, the floor or the
+    # scaled rate, where a rounding slip would show.
+    near = _ulps_from((u, gamma * (ceiling / z), lam_min, gamma * (cdf / z))[edge], step)
+    if 0.0 <= near < 1.0:
+        u = near
+    lam_c = _clamped(gamma * (cdf / z), lam_min)
+    if _skips_consumer_kernel(u, gamma, ceiling, z_avg):
+        assert (u < lam_c) == (u < _clamped(gamma * 0.0, lam_min))
+
+
+def _counting_kernels(monkeypatch):
+    # Wraps aimd's kernel factories: calls[name][n] counts the calls of
+    # the kernel built for population n.
+    calls = {"cdf": collections.Counter(), "pmf": collections.Counter()}
+    for name in calls:
+        factory = getattr(aimd, f"_{name}_cont")
+
+        def counted(n, p, factory=factory, counter=calls[name]):
+            kernel = factory(n, p)
+
+            def call(x):
+                counter[n] += 1
+                return kernel(x)
+            return call
+        monkeypatch.setattr(aimd, f"_{name}_cont", counted)
+    return calls
+
+
+def test_equalize_consumer_kernel_runs_only_when_the_draw_needs_it(monkeypatch):
+    # The consumer's kernel (n = N = 1000) runs only where the draw lies
+    # below the cap: about 9% of events on this run.  The prosumer's
+    # (n = T = 215) runs at every event.
+    calls = _counting_kernels(monkeypatch)
+    config = auto_config("equalize", 120, 215, CAR_1000, seed=0)
+    trace, _, _ = run_partition("equalize", CAR_1000, 120, 215, config, record=False)
+    events = trace.capacity_count
+    assert calls["pmf"] == {}
+    assert 1 <= calls["cdf"][1000] <= 0.2 * events
+    assert calls["cdf"][215] == events
+
+
+def test_maximize_kernels_run_once_per_agent_per_event(monkeypatch):
+    calls = _counting_kernels(monkeypatch)
+    config = auto_config("maximize", 120, 215, CAR_1000, seed=0)
+    trace, _, _ = run_partition("maximize", CAR_1000, 120, 215, config, record=False)
+    assert calls["cdf"] == {}
+    assert calls["pmf"] == {1000: trace.capacity_count, 215: trace.capacity_count}
 
 
 @pytest.mark.parametrize("problem", PROBLEMS)
@@ -517,6 +605,25 @@ def test_write_trace_csv_prints_a_negative_flag(tmp_path, reference_trace_csv):
     # must send the block to the slow path.
     trace = _trace_of([(1.0, 2.0, -1, 3.0, 4.0)])
     aimd.write_trace_csv(tmp_path / "trace.csv", trace)
+    assert (tmp_path / "trace.csv").read_bytes() == reference_trace_csv(trace)
+
+
+def test_write_trace_csv_prints_only_a_tied_row_by_f_string(tmp_path, monkeypatch,
+                                                           reference_trace_csv):
+    # One exact tie in the middle of a block: that row alone goes to the
+    # f-string, the rows around it are printed from digits.
+    rows = [(1.0 + i, 2.5, i % 2, 0.25, 3.0) for i in range(9)]
+    rows[4] = (5.0, _TIE, 1, 0.25, 3.0)
+    trace = _trace_of(rows)
+    slow_calls = []
+    slow_rows = aimd._slow_rows
+
+    def spy(start, *columns):
+        slow_calls.append((start, [list(c) for c in columns]))
+        return slow_rows(start, *columns)
+    monkeypatch.setattr(aimd, "_slow_rows", spy)
+    aimd.write_trace_csv(tmp_path / "trace.csv", trace)
+    assert slow_calls == [(4, [[5.0], [_TIE], [1], [0.25], [3.0]])]
     assert (tmp_path / "trace.csv").read_bytes() == reference_trace_csv(trace)
 
 
