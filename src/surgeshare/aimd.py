@@ -14,14 +14,28 @@ constants hoisted.  The loop is event-driven: each pass of it is one
 capacity event, preceded by a tight additive phase that grows both
 claims until the pool saturates, so the random draws (taken in blocks)
 and the convergence test run once per event, not once per iteration.
-So do the rate kernels, but for the equalize consumer's: its rate is a
-cdf of at most 1 over the average claim, so a draw at or above
-gamma * 2 / z_avg already settles its backoff, and the kernel runs only
-for a draw below that (fewer than one event in ten).  Rounding is monotone,
-so the bound holds for the computed rate too.  The result is
-bit-identical to a per-iteration loop that adds alpha one step at a
-time, draws one uniform at a time and calls both kernels every event,
-for every seed; the optional trace still has one row per iteration.
+
+The rate kernels mostly do not run at all.  A backoff only needs the
+sign of u - lam for the event's draw u, not lam itself, so each agent
+keeps a bracket of its running average a, [a - h, a + h] with
+h = sigma / 64 of its population, and the clamped probabilities
+lam_lo <= lam <= lam_hi that hold anywhere in it; two kernel calls
+build them when the average leaves the bracket.  A draw below lam_lo
+backs off, one at or above lam_hi holds, and only a draw in between
+evaluates the rate.  The equalize numerator, a continuous cdf, rises
+with a, so the ends of the bracket bound it; the maximize denominator
+a * pmf(a + off) is log-concave, so its least value lies at an end.
+Each kernel value at an end is widened by 2**-10, far above the
+kernels' own relative error, and a cdf by 1e-200 more, far above the
+values where ``betainc`` fails.  Rounding, the product with gamma and the
+clamp are monotone, so every decision equals the one of the full rate:
+the result is bit-identical to a per-iteration loop that adds alpha
+one step at a time, draws one uniform at a time and calls both kernels
+every event, for every seed; the optional trace still has one row per
+iteration.  On car-n1000 seed 0 the kernels run 0.011 times per
+equalize event and 0.46 times per maximize event, where evaluating both
+rates would take 2.  The first event still evaluates both rates, to
+calibrate gamma.
 
 A centralized ``scan_oracle`` provides ground truth for both problems.
 """
@@ -52,6 +66,19 @@ __all__ = [
 PROBLEMS = ("maximize", "equalize")
 TRACE_CSV_COLUMNS = ("iter", "z", "q", "capacity_event", "z_avg", "q_avg")
 _DRAW_BLOCK = 4096  # uniform draws per Generator call; even, two per event
+# A bracket's half-width in standard deviations of the agent's population:
+# wide enough that an average, which moves by (claim - average) / k per
+# event, leaves it rarely, and narrow enough that the rate barely moves
+# across it, so few draws fall between its two probabilities.
+_BRACKET = 1.0 / 64
+# The relative slack on a kernel value at a bracket end: about three
+# digits, where the cdf kernel is good to 3e-16 and the pmf to 1e-11
+# (n <= 10,200, against mpmath).
+_SLACK = 2.0**-10
+# The absolute slack on a cdf value.  Below about 1e-258 ``betainc`` can
+# return 0 or values off by a factor of 2, not monotone in x: the largest
+# such value in a scan of 15,000 random n <= 2**31 - 1 and p was 1.9e-259.
+_CDF_FLOOR = 1e-200
 _BLOCK_ROWS = 1 << 15  # trace CSV rows built per numpy pass
 
 
@@ -164,45 +191,78 @@ def auto_config(problem: str, m: int, t: int, params: ScenarioParams,
 
 
 def _rate_function(problem: str, params: ScenarioParams, t: int):
-    """The raw backoff rates of one run, ``rate_c(z_avg)`` and
-    ``rate_p(q_avg)``, with every constant of the rate law computed once,
-    and the consumer rate's ceiling.
+    """The two agents of one run, consumers then prosumers, each as
+    ``(rate, bounds, h)``: the raw backoff rate at an average claim, with
+    every constant of the rate law computed once; ``bounds(lo, hi)``,
+    a pair that holds the computed rate at every float in [lo, hi]; and
+    the half-width of the agent's brackets.
 
     Maximization uses the gradient of the QoS sum: the pmf of each
     agent's population at its average claim (the surge argument shifted
     by T, as in QoS_s), inverted.  Equalization uses the QoS level over
     the average claim, so the better-served agent backs off more often
     and the two QoS values are pushed together.
-
-    The ceiling, 2.0, bounds the equalize consumer rate's numerator, a
-    cdf of at most 1, so the computed rate is at most
-    ``ceiling / max(z_avg, 1e-12)``; the factor 2 asks nothing of the
-    last bits of ``betainc``.  The maximize rates, inverted pmfs, have
-    no useful bound, and their ceiling is None.
     """
-    n = params.n_consumers
+    return (_agent(problem, params.n_consumers, params.p_surge, t),
+            _agent(problem, t, params.p_bad, 0))
+
+
+def _agent(problem: str, n: int, p: float, off: int):
+    """One agent of ``_rate_function``: a population of n requesting
+    with probability p, its kernels taken at the average claim plus off.
+
+    The bounds are ``_SLACK`` wider than the kernel values at the ends
+    of the bracket, and a cdf's ``_CDF_FLOOR`` wider again.  Equalize:
+    the cdf I_{1-p}(n - x, x + 1) rises with x, and fl(x + off) with x,
+    so over the bracket the rate lies in
+    [cdf(lo + off) / hi', cdf(hi + off) / lo'], with x' = max(x, 1e-12)
+    as in the rate.  Maximize: log a and the log of the pmf, whose
+    second derivative is -psi'(x + 1) - psi'(n - x + 1) < 0, are
+    concave, so a * pmf(a + off) is log-concave and least at an end of
+    the bracket; that least value bounds the rate from above, and 0
+    from below.  A least value at or below 1e-300 bounds it by inf, as
+    the rate itself is inf there.
+    """
+    h = _BRACKET * math.sqrt(n * p * (1.0 - p))
     if problem == "maximize":
-        pmf_c = _pmf_cont(n, params.p_surge)
-        pmf_p = _pmf_cont(t, params.p_bad)
+        pmf = _pmf_cont(n, p)
 
-        def rate_c(z_avg: float) -> float:
-            dc = z_avg * pmf_c(z_avg + t)
-            return 1.0 / dc if dc > 1e-300 else math.inf
+        def rate(a: float) -> float:
+            d = a * pmf(a + off)
+            return 1.0 / d if d > 1e-300 else math.inf
 
-        def rate_p(q_avg: float) -> float:
-            dp = q_avg * pmf_p(q_avg)
-            return 1.0 / dp if dp > 1e-300 else math.inf
-        return rate_c, rate_p, None
+        def bounds(lo: float, hi: float) -> Tuple[float, float]:
+            d = (1.0 - _SLACK) * min(lo * pmf(lo + off), hi * pmf(hi + off))
+            return 0.0, 1.0 / d if d > 1e-300 else math.inf
+        return rate, bounds, h
 
-    cdf_c = _cdf_cont(n, params.p_surge)
-    cdf_p = _cdf_cont(t, params.p_bad)
+    cdf = _cdf_cont(n, p)
 
-    def rate_c(z_avg: float) -> float:
-        return cdf_c(z_avg + t) / (1e-12 if z_avg < 1e-12 else z_avg)
+    def rate(a: float) -> float:
+        return cdf(a + off) / (1e-12 if a < 1e-12 else a)
 
-    def rate_p(q_avg: float) -> float:
-        return cdf_p(q_avg) / (1e-12 if q_avg < 1e-12 else q_avg)
-    return rate_c, rate_p, 2.0
+    def bounds(lo: float, hi: float) -> Tuple[float, float]:
+        least = cdf(lo + off) * (1.0 - _SLACK) - _CDF_FLOOR
+        most = cdf(hi + off) * (1.0 + _SLACK) + _CDF_FLOOR
+        return (least / (1e-12 if hi < 1e-12 else hi),
+                most / (1e-12 if lo < 1e-12 else lo))
+    return rate, bounds, h
+
+
+def _clamp(lam: float, lam_min: float) -> float:
+    # A backoff probability: lam clamped to [lam_min, 1], an infinite
+    # rate to 1.
+    return lam_min if lam < lam_min else 1.0 if lam > 1.0 else lam
+
+
+def _bracket(bounds, a: float, h: float, gamma: float,
+             lam_min: float) -> Tuple[float, float, float, float]:
+    """The bracket [lo, hi] = [a - h, a + h] of an agent's average a
+    and the clamped probabilities lam_lo <= lam_hi that hold its backoff
+    probability anywhere in it."""
+    lo, hi = a - h, a + h
+    r_lo, r_hi = bounds(lo, hi)
+    return lo, hi, _clamp(gamma * r_lo, lam_min), _clamp(gamma * r_hi, lam_min)
 
 
 def _objective(problem: str, params: ScenarioParams, m: int, t: int, q: int) -> float:
@@ -255,12 +315,14 @@ def run_partition(problem: str, params: ScenarioParams, m: int, t: int,
         config = auto_config(problem, m, t, params)
     _check_pool(problem, params, m, t, config)
 
-    rate_c, rate_p, ceiling = _rate_function(problem, params, t)
+    (rate_c, bounds_c, h_c), (rate_p, bounds_p, h_p) = _rate_function(problem, params, t)
     rng = np.random.Generator(np.random.Philox(config.seed))
-    # The claims are Python floats whatever real type the config holds:
-    # numpy float32 arithmetic would reach ``betainc`` with no signature.
-    alpha, beta, lam_min = float(config.alpha), float(config.beta), config.lam_min
-    gamma = config.gamma
+    # The claims, gains and floors are Python floats whatever real type
+    # the config holds: numpy float32 arithmetic would reach ``betainc``
+    # with no signature, and numpy scalars slow every operation.
+    alpha, beta = float(config.alpha), float(config.beta)
+    lam_min, target = float(config.lam_min), float(config.gamma_target)
+    gamma = None if config.gamma is None else float(config.gamma)
     limit = config.max_iterations
     z, q = float(config.z_init), float(config.q_init)
     z_avg = q_avg = 0.0
@@ -282,8 +344,14 @@ def run_partition(problem: str, params: ScenarioParams, m: int, t: int,
     ev_at = array("q")
     window = config.convergence_window
     min_events = 5 * window
-    tol = config.convergence_tol
+    tol = float(config.convergence_tol)
     converged_at = None
+    # Each agent's bracket [lo, hi] and the clamped probabilities
+    # lam_lo <= lam_hi that hold its backoff probability there; the
+    # empty bracket [inf, -inf] is built at the first event.
+    lo_c = lo_p = math.inf
+    hi_c = hi_p = -math.inf
+    lam_lo_c = lam_hi_c = lam_lo_p = lam_hi_p = 0.0
 
     # Each pass is one capacity event, at iteration l.
     while True:
@@ -317,40 +385,26 @@ def run_partition(problem: str, params: ScenarioParams, m: int, t: int,
         # the pool occupancy below M + 2*alpha at all times.
         if d == _DRAW_BLOCK:
             draws, d = rng.random(_DRAW_BLOCK).tolist(), 0
-        u = draws[d]
         if gamma is None:
-            rc, rp = rate_c(z_avg), rate_p(q_avg)
             # A worst rate that is zero, infinite or so small that the
             # quotient overflows cannot be scaled to the target; the gain
             # is then the target itself, so it is always finite.
-            worst = max(rc, rp)
-            target = config.gamma_target
+            worst = max(rate_c(z_avg), rate_p(q_avg))
             gamma = target / worst if 0.0 < worst < math.inf else target
             if gamma == math.inf:
                 gamma = target
-        else:
-            rp = rate_p(q_avg)
-            # The draw alone can settle the consumer's backoff.  The
-            # rate's numerator is at most the ceiling, and rounded
-            # division and the product with gamma > 0 are monotone, so
-            # gamma * rc <= gamma * (ceiling / z') with the rate's own
-            # z' = max(z_avg, 1e-12).  A draw u at or above that bound
-            # (and below 1) then backs off exactly when u < lam_min, for
-            # every rate the kernel could return; rc = 0.0 clamps to
-            # lam_min and stands in for it.
-            if (ceiling is not None
-                    and u >= gamma * (ceiling / (1e-12 if z_avg < 1e-12 else z_avg))):
-                rc = 0.0
-            else:
-                rc = rate_c(z_avg)
-        # Clamp to [lam_min, 1]; an infinite rate clamps to 1.
-        lam_c = gamma * rc
-        lam_c = lam_min if lam_c < lam_min else 1.0 if lam_c > 1.0 else lam_c
-        lam_p = gamma * rp
-        lam_p = lam_min if lam_p < lam_min else 1.0 if lam_p > 1.0 else lam_p
-        if u < lam_c:
+        if not lo_c <= z_avg <= hi_c:
+            lo_c, hi_c, lam_lo_c, lam_hi_c = _bracket(bounds_c, z_avg, h_c, gamma, lam_min)
+        if not lo_p <= q_avg <= hi_p:
+            lo_p, hi_p, lam_lo_p, lam_hi_p = _bracket(bounds_p, q_avg, h_p, gamma, lam_min)
+        # The draw backs off below lam_lo and holds at or above lam_hi,
+        # as it does against the clamped full rate, which lies between
+        # them; only a draw in between evaluates the rate.
+        u = draws[d]
+        if u < lam_lo_c or u < lam_hi_c and u < _clamp(gamma * rate_c(z_avg), lam_min):
             z *= beta
-        if draws[d + 1] < lam_p:
+        u = draws[d + 1]
+        if u < lam_lo_p or u < lam_hi_p and u < _clamp(gamma * rate_p(q_avg), lam_min):
             q *= beta
         d += 2
         if k >= min_events:
