@@ -494,10 +494,11 @@ def bracket_cases(draw):
     n = draw(st.one_of(st.integers(1, 50), st.integers(1, _COUNT_MAX), st.just(_COUNT_MAX)))
     t = draw(st.integers(1, n))
     params = ScenarioParams(n, 0.1, draw(_probability), draw(_probability))
+    problem = draw(st.sampled_from(PROBLEMS))
     agent = draw(st.sampled_from([0, 1]))
     size, p, off = (n, params.p_surge, t) if agent == 0 else (t, params.p_bad, 0)
     sigma = math.sqrt(size * p * (1.0 - p))
-    h = sigma * aimd._BRACKET
+    h = aimd._rate_function(problem, params, t)[agent][2]
     a = draw(st.one_of(
         st.one_of(st.floats(-8.0, 8.0), st.floats(-40.0, 40.0)).map(
             lambda k: size * p - off + k * sigma),
@@ -505,7 +506,7 @@ def bracket_cases(draw):
         st.floats(-3.0, 3.0).map(lambda j: size - off + j * h)))
     spot = draw(st.one_of(st.none(), st.tuples(
         st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), st.integers(-2, 2))))
-    return (draw(st.sampled_from(PROBLEMS)), params, t, agent,
+    return (problem, params, t, agent,
             max(a, 0.0),  # an average of non-negative claims
             draw(st.one_of(st.just(1e-300), st.floats(1e-3, 10.0), st.just(1e12))),
             draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.just(1.0))), spot)
