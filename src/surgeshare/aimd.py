@@ -17,25 +17,27 @@ and the convergence test run once per event, not once per iteration.
 
 The rate kernels mostly do not run at all.  A backoff only needs the
 sign of u - lam for the event's draw u, not lam itself, so each agent
-keeps a bracket of its running average a, [a - h, a + h] with
-h = sigma / 64 of its population, and the clamped probabilities
-lam_lo <= lam <= lam_hi that hold anywhere in it; two kernel calls
-build them when the average leaves the bracket.  A draw below lam_lo
-backs off, one at or above lam_hi holds, and only a draw in between
-evaluates the rate.  The equalize numerator, a continuous cdf, rises
-with a, so the ends of the bracket bound it; the maximize denominator
-a * pmf(a + off) is log-concave, so its least value lies at an end.
-Each kernel value at an end is widened by 2**-10, far above the
-kernels' own relative error, and a cdf by 1e-200 more, far above the
-values where ``betainc`` fails.  Rounding, the product with gamma and the
-clamp are monotone, so every decision equals the one of the full rate:
-the result is bit-identical to a per-iteration loop that adds alpha
-one step at a time, draws one uniform at a time and calls both kernels
-every event, for every seed; the optional trace still has one row per
-iteration.  On car-n1000 seed 0 the kernels run 0.011 times per
-equalize event and 0.46 times per maximize event, where evaluating both
-rates would take 2.  The first event still evaluates both rates, to
-calibrate gamma.
+keeps a bracket of its running average a, [a - h, a + h] with h a
+per-problem fraction of its population's sigma (``_BRACKET``), and the
+clamped probabilities lam_lo <= lam <= lam_hi that hold anywhere in it;
+two kernel calls (three for maximize) build them when the average
+leaves the bracket.  A draw below lam_lo backs off, one at or above
+lam_hi holds, and only a draw in between evaluates the rate.  The
+equalize numerator, a continuous cdf, rises with a, so the ends of the
+bracket bound it.  The maximize denominator a * pmf(a + off) is
+log-concave, so its least value lies at an end, and secants of its log
+through the ends and the centre bound its largest (``_agent``).
+Each kernel value is widened by 2**-10, far above the kernels' own
+relative error, and a cdf by 1e-200 more, far above the values where
+``betainc`` fails.  Rounding, the product with gamma and the clamp are
+monotone, so every decision equals the one of the full rate: the result
+is bit-identical to a per-iteration loop that adds alpha one step at a
+time, draws one uniform at a time and calls both kernels every event,
+for every seed; the optional trace still has one row per iteration.
+On car-n1000 seed 0 the kernels run 0.011 times per equalize event and
+0.13 times per maximize event (0.40 at car-n50000), where evaluating
+both rates would take 2.  The first event still evaluates both rates,
+to calibrate gamma.
 
 A centralized ``scan_oracle`` provides ground truth for both problems.
 """
@@ -66,11 +68,15 @@ __all__ = [
 PROBLEMS = ("maximize", "equalize")
 TRACE_CSV_COLUMNS = ("iter", "z", "q", "capacity_event", "z_avg", "q_avg")
 _DRAW_BLOCK = 4096  # uniform draws per Generator call; even, two per event
-# A bracket's half-width in standard deviations of the agent's population:
-# wide enough that an average, which moves by (claim - average) / k per
-# event, leaves it rarely, and narrow enough that the rate barely moves
-# across it, so few draws fall between its two probabilities.
-_BRACKET = 1.0 / 64
+# A bracket's half-width in standard deviations of the agent's population,
+# per problem: wide enough that an average, which moves by
+# (claim - average) / k per event, leaves it rarely, and narrow enough that
+# the rate barely moves across it, so few draws fall between its two
+# probabilities.  Of sigma/64, /32, /16 and /8, sigma/16 made the fewest
+# maximize kernel calls on the four best-effort rows (seeds 0-2): 0.13 per
+# event at car-n1000 and 0.38 at car-n50000, against 0.25 and 0.79 at
+# sigma/64.
+_BRACKET = {"maximize": 1.0 / 16, "equalize": 1.0 / 64}
 # The relative slack on a kernel value at a bracket end: about three
 # digits, where the cdf kernel is good to 3e-16 and the pmf to 1e-11
 # (n <= 10,200, against mpmath).
@@ -211,19 +217,36 @@ def _agent(problem: str, n: int, p: float, off: int):
     """One agent of ``_rate_function``: a population of n requesting
     with probability p, its kernels taken at the average claim plus off.
 
-    The bounds are ``_SLACK`` wider than the kernel values at the ends
-    of the bracket, and a cdf's ``_CDF_FLOOR`` wider again.  Equalize:
-    the cdf I_{1-p}(n - x, x + 1) rises with x, and fl(x + off) with x,
-    so over the bracket the rate lies in
+    The bounds are ``_SLACK`` wider than the kernel values they come
+    from, and a cdf's ``_CDF_FLOOR`` wider again.  Equalize: the cdf
+    I_{1-p}(n - x, x + 1) rises with x, and fl(x + off) with x, so over
+    the bracket the rate lies in
     [cdf(lo + off) / hi', cdf(hi + off) / lo'], with x' = max(x, 1e-12)
-    as in the rate.  Maximize: log a and the log of the pmf, whose
-    second derivative is -psi'(x + 1) - psi'(n - x + 1) < 0, are
-    concave, so a * pmf(a + off) is log-concave and least at an end of
-    the bracket; that least value bounds the rate from above, and 0
-    from below.  A least value at or below 1e-300 bounds it by inf, as
-    the rate itself is inf there.
+    as in the rate.
+
+    Maximize: log a and the log of the pmf, whose second derivative is
+    -psi'(x + 1) - psi'(n - x + 1) < 0, are concave, so
+    D(a) = a * pmf(a + off) is log-concave.  Its least value on the
+    bracket lies at an end and bounds the rate from above; a least value
+    at or below 1e-300 bounds it by inf, as the rate itself is inf
+    there.  For the computed centre c with lo < c < hi, and
+    w = (c - lo) / (hi - c), concavity puts log D on [lo, c] below the
+    secant through c and hi, extended, and on [c, hi] below the one
+    through lo and c, so
+
+        max D on [lo, hi] <= U = D(c) * max(1, (D(c) / D(hi))**w,
+                                            (D(c) / D(lo))**(1 / w)),
+
+    and 1 / ((1 + _SLACK) * U) bounds the rate from below.  D(c) is at
+    least the least end value, so each log taken is finite, and U is
+    formed in logs, so that a U past the float range gives a bound at or
+    near 0, not an overflow.  The ends lie evenly around a, so w is 1
+    but for rounding, and the kernels' relative errors enter U about
+    three-fold, far inside ``_SLACK``.  The lower bound is 0 with the
+    upper bound inf, as past a support edge, where D is 0, and when c
+    rounds onto an end, as when h is below an ulp of a.
     """
-    h = _BRACKET * math.sqrt(n * p * (1.0 - p))
+    h = _BRACKET[problem] * math.sqrt(n * p * (1.0 - p))
     if problem == "maximize":
         pmf = _pmf_cont(n, p)
 
@@ -232,8 +255,18 @@ def _agent(problem: str, n: int, p: float, off: int):
             return 1.0 / d if d > 1e-300 else math.inf
 
         def bounds(lo: float, hi: float) -> Tuple[float, float]:
-            d = (1.0 - _SLACK) * min(lo * pmf(lo + off), hi * pmf(hi + off))
-            return 0.0, 1.0 / d if d > 1e-300 else math.inf
+            d_lo, d_hi = lo * pmf(lo + off), hi * pmf(hi + off)
+            least = (1.0 - _SLACK) * min(d_lo, d_hi)
+            if least <= 1e-300:
+                return 0.0, math.inf
+            c = 0.5 * (lo + hi)
+            if not lo < c < hi:
+                return 0.0, 1.0 / least
+            w = (c - lo) / (hi - c)
+            log_c = math.log(c * pmf(c + off))
+            log_u = log_c + max(0.0, w * (log_c - math.log(d_hi)),
+                                (log_c - math.log(d_lo)) / w)
+            return math.exp(-log_u) / (1.0 + _SLACK), 1.0 / least
         return rate, bounds, h
 
     cdf = _cdf_cont(n, p)

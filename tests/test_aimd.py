@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import optimize, special
 
 from surgeshare import (
     AimdConfig,
@@ -484,13 +485,34 @@ def _clamped(lam, lam_min):
 _probability = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 
 
+def _mode(size, p, off):
+    # The argmax over x >= 0 of x * pmf(x + off), the maximize rate's
+    # denominator: the root of the slope of its log,
+    # 1/x + log(p / (1 - p)) - psi(x + off + 1) + psi(size - x - off + 1),
+    # which falls from +inf; the support end size - off when the slope
+    # is still positive there.
+    top = size - off
+    if top <= 0:
+        return 0.0
+
+    def slope(x):
+        return (1.0 / x + math.log(p) - math.log1p(-p) - special.psi(x + off + 1.0)
+                + special.psi(size - x - off + 1.0))
+    if slope(top) >= 0.0:
+        return float(top)
+    return optimize.brentq(slope, 1e-300, top)
+
+
 @st.composite
 def bracket_cases(draw):
     # One agent of a run at any population the kernels accept, with a
     # bracket centred up to 8 (or 40) sigma into either tail of its kernel
     # or within 3 half-widths of an end of its support, and a point of it:
     # the centre (None), or a fraction of the way across, moved by up to
-    # two ulps.
+    # two ulps.  A maximize bracket may also lie across the mode of
+    # a * pmf(a + off), up to a half-width off centre, with the point at
+    # the mode: there the largest value lies inside the bracket, and only
+    # the concavity terms of the lower rate bound cover it.
     n = draw(st.one_of(st.integers(1, 50), st.integers(1, _COUNT_MAX), st.just(_COUNT_MAX)))
     t = draw(st.integers(1, n))
     params = ScenarioParams(n, 0.1, draw(_probability), draw(_probability))
@@ -499,15 +521,21 @@ def bracket_cases(draw):
     size, p, off = (n, params.p_surge, t) if agent == 0 else (t, params.p_bad, 0)
     sigma = math.sqrt(size * p * (1.0 - p))
     h = aimd._rate_function(problem, params, t)[agent][2]
-    a = draw(st.one_of(
-        st.one_of(st.floats(-8.0, 8.0), st.floats(-40.0, 40.0)).map(
-            lambda k: size * p - off + k * sigma),
-        st.floats(-3.0, 3.0).map(lambda j: j * h),
-        st.floats(-3.0, 3.0).map(lambda j: size - off + j * h)))
-    spot = draw(st.one_of(st.none(), st.tuples(
-        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), st.integers(-2, 2))))
-    return (problem, params, t, agent,
-            max(a, 0.0),  # an average of non-negative claims
+    centres = [st.one_of(st.floats(-8.0, 8.0), st.floats(-40.0, 40.0)).map(
+                   lambda k: size * p - off + k * sigma),
+               st.floats(-3.0, 3.0).map(lambda j: j * h),
+               st.floats(-3.0, 3.0).map(lambda j: size - off + j * h)]
+    spots = [st.none(), st.tuples(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+                                  st.integers(-2, 2))]
+    if problem == "maximize":
+        mode = _mode(size, p, off)
+        centres.append(st.floats(-1.0, 1.0).map(lambda j: mode + j * h))
+    a = max(draw(st.one_of(centres)), 0.0)  # an average of non-negative claims
+    if problem == "maximize":
+        spots.append(st.tuples(st.just(min(max((mode - a + h) / (2.0 * h), 0.0), 1.0)),
+                               st.integers(-2, 2)))
+    spot = draw(st.one_of(spots))
+    return (problem, params, t, agent, a,
             draw(st.one_of(st.just(1e-300), st.floats(1e-3, 10.0), st.just(1e12))),
             draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.just(1.0))), spot)
 
@@ -520,6 +548,24 @@ def bracket_cases(draw):
 # covers it.
 @example(("equalize", ScenarioParams(900, 0.1, 0.5, 0.5784157333434456), 900, 1,
           35.396216379153174, 1.0, 0.0, None), 0.5, 0, 0)
+# The consumers' a * pmf(a + 1287) peaks at its mode 0.3317, an eighth of
+# the way across [0.045, 2.34]; there it is 3.1 times its largest value
+# at the centre and the ends.
+@example(("maximize", ScenarioParams(1350, 0.1, 0.5, 0.3), 1287, 0,
+          1.192834479158153, 1.0, 0.0, (0.125, 0)), 0.5, 0, 0)
+# At the mode of a * pmf(a) for T = 1, p_bad = 5e-22, a bracket of
+# h = 1.4e-12 is so flat that the lower rate bound at its centre equals
+# the rate there but for rounding: only the slack covers it.
+@example(("maximize", ScenarioParams(10, 0.1, 0.5, 5e-22), 1, 1,
+          0.020792344766578267, 1.0, 0.0, None), 0.5, 0, 0)
+# h = 6.7e-17 is 0.6 of an ulp below a = 1, so lo is the float below 1 and
+# the centre rounds to hi = 1: w would divide by zero.
+@example(("maximize", ScenarioParams(10, 0.1, 0.5, 1.135959703518257e-30), 1, 1,
+          1.0, 1.0, 0.0, None), 0.5, 0, 0)
+# The bracket's upper end lies past the support end T = 20, where the pmf
+# and so a * pmf(a) are 0: no lower rate bound.
+@example(("maximize", ScenarioParams(1000, 0.1, 0.3, 0.9), 20, 1,
+          20.0, 1.0, 0.0, (1.0, 0)), 0.5, 0, 0)
 def test_bracket_decides_as_the_full_rate(case, u, edge, step):
     # Wherever a bracket decides a backoff, the full rate and clamp at any
     # point of it decide the same: a draw below lam_lo backs off and one
@@ -571,15 +617,22 @@ def test_equalize_kernels_run_at_few_events(monkeypatch):
     assert 1 <= sum(calls["cdf"].values()) <= 0.03 * trace.capacity_count
 
 
-def test_maximize_kernels_run_under_once_per_event(monkeypatch):
-    # Both agents' kernels together run 5,211 times over this run's
-    # 11,395 events (0.46 per event), where two calls per event evaluate
-    # both rates.
+@pytest.mark.parametrize("params, m, t, most", [
+    # 1,448 calls over 11,395 events (0.13 per event): 109 for the
+    # consumers (n = N = 1000) and 1,339 for the prosumers (n = T = 215).
+    (CAR_1000, 120, 215, 0.2),
+    # 4,016 calls over 10,146 events (0.40 per event): 320 for the
+    # consumers (n = 50,000) and 3,696 for the prosumers (n = 10,200).
+    (ScenarioParams(50000, 0.1, 0.3, 0.01), 5150, 10200, 0.5),
+], ids=["car-n1000", "car-n50000"])
+def test_maximize_kernels_run_at_few_events(monkeypatch, params, m, t, most):
+    # Two calls per event evaluate both rates; a bracket with no lower
+    # rate bound leaves 5,211 calls at car-n1000 and 13,679 at car-n50000.
     calls = _counting_kernels(monkeypatch)
-    config = auto_config("maximize", 120, 215, CAR_1000, seed=0)
-    trace, _, _ = run_partition("maximize", CAR_1000, 120, 215, config, record=False)
+    config = auto_config("maximize", m, t, params, seed=0)
+    trace, _, _ = run_partition("maximize", params, m, t, config, record=False)
     assert calls["cdf"] == {}
-    assert 1 <= sum(calls["pmf"].values()) < trace.capacity_count
+    assert 1 <= sum(calls["pmf"].values()) <= most * trace.capacity_count
 
 
 @pytest.mark.parametrize("problem", PROBLEMS)
