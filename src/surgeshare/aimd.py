@@ -39,6 +39,17 @@ On car-n1000 seed 0 the kernels run 0.011 times per equalize event and
 both rates would take 2.  The first event still evaluates both rates,
 to calibrate gamma.
 
+The loop and the kernels hold the pool M, the event count, the shift
+T and the population n as floats, so that each comparison and each
+piece of arithmetic on the hot path has two float operands: CPython
+3.11+ specializes an operation only then (PEP 659), and with an int M
+the additive phase's test ``z + q < M`` stays on the generic compare.
+Each such value is an event count or at most ``qos._COUNT_MAX``, far
+below 2**53, where Python converts an int to the same double and
+compares ints and floats exactly, so every result is the same bit for
+bit; the trace still reports its counts as ints.  On py3.11 the
+benchmark's ``partition`` op_s_gmean fell to 0.84 of the int loop's.
+
 A centralized ``scan_oracle`` provides ground truth for both problems.
 """
 
@@ -247,6 +258,9 @@ def _agent(problem: str, n: int, p: float, off: int):
     rounds onto an end, as when h is below an ulp of a.
     """
     h = _BRACKET[problem] * math.sqrt(n * p * (1.0 - p))
+    # A float shift keeps a + off on the float/float add; off <= _COUNT_MAX
+    # < 2**53, so the sum is the same bit for bit.
+    off = float(off)
     if problem == "maximize":
         pmf = _pmf_cont(n, p)
 
@@ -358,8 +372,14 @@ def run_partition(problem: str, params: ScenarioParams, m: int, t: int,
     gamma = None if config.gamma is None else float(config.gamma)
     limit = config.max_iterations
     z, q = float(config.z_init), float(config.q_init)
+    # The pool, the event count k and min_events are floats too, so the
+    # pool test, the running-average quotients and the convergence test
+    # take CPython's float/float paths; an int operand keeps a comparison
+    # off its specialized form.  All are below 2**53, where int and float
+    # compare and convert exactly, so every result is the same bit for bit.
+    pool = float(m)
     z_avg = q_avg = 0.0
-    k = 0  # capacity events so far
+    k = 0.0  # capacity events so far
     l = 0  # iterations so far
     # A block of uniform draws and the next one to use; d == _DRAW_BLOCK
     # asks for a new block.
@@ -376,7 +396,8 @@ def run_partition(problem: str, params: ScenarioParams, m: int, t: int,
     q_hist = array("d")
     ev_at = array("q")
     window = config.convergence_window
-    min_events = 5 * window
+    back = -1 - window  # the averages ``window`` events back, from the end
+    min_events = float(5 * window)  # a float, as k is
     tol = float(config.convergence_tol)
     converged_at = None
     # Each agent's bracket [lo, hi] and the clamped probabilities
@@ -391,7 +412,7 @@ def run_partition(problem: str, params: ScenarioParams, m: int, t: int,
         # Additive-increase phase: both agents grow by alpha until the
         # pool saturates.  Repeated addition, not z + j*alpha, keeps the
         # rounding of a per-iteration loop.
-        while z + q < m and l < limit:
+        while z + q < pool and l < limit:
             z += alpha
             q += alpha
             l += 1
@@ -403,7 +424,7 @@ def run_partition(problem: str, params: ScenarioParams, m: int, t: int,
         # Capacity event: fold the saturated claims into the running
         # averages.  The trace records these claims; the backoff outcome
         # shows from the next iteration on.
-        k += 1
+        k += 1.0
         z_avg += (z - z_avg) / k
         q_avg += (q - q_avg) / k
         za_ev.append(z_avg)
@@ -441,8 +462,8 @@ def run_partition(problem: str, params: ScenarioParams, m: int, t: int,
             q *= beta
         d += 2
         if k >= min_events:
-            dz = abs(z_avg - za_ev[k - 1 - window])
-            dq = abs(q_avg - qa_ev[k - 1 - window])
+            dz = abs(z_avg - za_ev[back])
+            dq = abs(q_avg - qa_ev[back])
             if (dz <= tol * max(abs(z_avg), 1.0)
                     and dq <= tol * max(abs(q_avg), 1.0)):
                 converged_at = l
@@ -457,7 +478,7 @@ def run_partition(problem: str, params: ScenarioParams, m: int, t: int,
     trace = AimdTrace(
         z=z_hist, q=q_hist, capacity_event=ev_hist,
         z_avg_series=za_hist, q_avg_series=qa_hist,
-        capacity_count=k, z_avg=z_avg, q_avg=q_avg,
+        capacity_count=len(za_ev), z_avg=z_avg, q_avg=q_avg,
         converged_at=converged_at, total_iterations=total,
     )
     q_limit = min(m, t)

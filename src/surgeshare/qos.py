@@ -151,9 +151,14 @@ def _cdf_cont(n: int, p: float):
 
     Monotone in x only above about 1e-259, as ``binom_cdf_cont`` says.
     1 - p is computed once, here.  x must be a float, since ``betainc``
-    has no signature for an int or a numpy float32 first argument.
+    has no signature for an int or a numpy float32 first argument.  n is
+    held as a float so that the test and the difference with x take
+    CPython's specialized float/float paths; n <= ``_COUNT_MAX`` < 2**53
+    converts exactly, so every value is the same bit for bit as with the
+    int.
     """
     q = 1.0 - p
+    n = float(n)  # float/float paths; exact below 2**53
 
     def cdf(x: float) -> float:
         if x >= n:
@@ -173,19 +178,26 @@ def binom_pmf_cont(x: float, n: int, p: float) -> float:
     ``cython_special`` calls: the AIMD kernel evaluates the pmf once per
     capacity event through ``_pmf_cont``, where a numpy ufunc call costs
     more in dispatch than the arithmetic, and ``gammaln`` may differ
-    from math.lgamma in the last bits.
+    from math.lgamma in the last bits.  x is taken as its float, as in
+    ``binom_cdf_cont``: a numpy float32 x would make the log-space sum
+    float32 (NEP 50).
     """
     _real("x", x, -math.inf, math.inf, "[]")
     _integer("n", n, 1, _COUNT_MAX)
     _real("p", p, 0.0, 1.0, "()")
-    return _pmf_cont(n, p)(x)
+    return _pmf_cont(n, p)(float(x))
 
 
 def _pmf_cont(n: int, p: float):
     """Unchecked ``binom_pmf_cont`` for a fixed n and p, as a function of x.
 
-    lgamma(n + 1), log p and log1p(-p) are computed once, here.
+    lgamma(n + 1), log p and log1p(-p) are computed once, here.  As in
+    ``_cdf_cont``, n is held as a float so that the tests and the
+    differences with x take CPython's specialized float/float paths;
+    n <= ``_COUNT_MAX`` < 2**53 converts exactly, so every value is the
+    same bit for bit as with the int.
     """
+    n = float(n)  # float/float paths; exact below 2**53
     log_norm, log_p, log_q = math.lgamma(n + 1.0), math.log(p), math.log1p(-p)
     lgamma, exp = math.lgamma, math.exp
 

@@ -337,6 +337,20 @@ def test_seeded_equalize_outcomes_are_pinned(n, m, t, q_star, iterations, events
     assert trace.z_avg.hex() == z_avg and trace.q_avg.hex() == q_avg
 
 
+@pytest.mark.parametrize("record", [False, True])
+@pytest.mark.parametrize("problem", PROBLEMS)
+def test_trace_counts_are_python_ints(problem, record):
+    # The loop counts events in a float, exact only below 2**53, which
+    # every count and _COUNT_MAX are; the counts it reports stay ints,
+    # which the pins above cannot show, as 11395 == 11395.0.
+    assert _COUNT_MAX < 2**53
+    config = dataclasses.replace(auto_config(problem, 120, 215, CAR_1000, seed=0),
+                                 convergence_window=200)
+    trace, _, _ = run_partition(problem, CAR_1000, 120, 215, config, record=record)
+    counts = (trace.capacity_count, trace.total_iterations, trace.converged_at)
+    assert [type(c) for c in counts] == [int] * 3, counts
+
+
 def test_unconverged_record_run_has_one_row_per_iteration():
     # 1234 iterations stop inside an additive phase; the trace still
     # holds exactly one row per iteration.

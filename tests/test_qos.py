@@ -197,6 +197,15 @@ def test_pmf_cont_positive_in_tail():
     assert binom_pmf_cont(7.3, 215, 0.01) > 0.0
 
 
+def test_continuous_kernels_take_x_as_its_float():
+    # Under NEP 50 a numpy float32 x would make the pmf's log-space sum
+    # float32: 0.0115065 here, against 0.0115180 for its float.
+    x = np.float32(1234.567)
+    for kernel in (binom_cdf_cont, binom_pmf_cont):
+        got = kernel(x, 5000, 0.25)
+        assert type(got) is float and got.hex() == kernel(float(x), 5000, 0.25).hex()
+
+
 @pytest.mark.parametrize("n,p_frac", [(12, Fraction(3, 10)), (40, Fraction(1, 100)),
                                       (200, Fraction(1, 10))])
 def test_pmf_cont_matches_integers(n, p_frac):
