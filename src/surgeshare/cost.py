@@ -16,8 +16,6 @@ import math
 from dataclasses import InitVar, dataclass
 from typing import Optional, Tuple
 
-import numpy as np
-
 from .qos import _integer, _real
 
 __all__ = [
@@ -77,6 +75,8 @@ class SmoothDiscount:
         _real("rate", self.rate, 0.0, math.inf, "()")
 
     def value(self, m: float) -> float:
+        import numpy as np
+
         return self.amplitude * (1.0 - np.exp(-self.rate * m))
 
 
@@ -149,6 +149,8 @@ def fit_smooth_discount(
     """
     if schedule.max_discount == 0.0:
         return SmoothDiscount(amplitude=0.0, rate=1.0)
+    import numpy as np
+
     if m_max is None:
         m_max = max(int(1.5 * schedule.breakpoints[-1][0]), 10)
     grid = np.unique(np.round(np.geomspace(1, m_max, 400)).astype(int))

@@ -15,6 +15,16 @@ Every binomial value is one scalar call into ``scipy.special.cython_special``
 ufuncs, without the per-call ufunc dispatch that costs several times the
 arithmetic.  n reaches them as a Python int, since they have no signature
 for a numpy integer, and at most ``_COUNT_MAX``, as they hold it in a C int.
+
+scipy is imported at the first binomial evaluation, not with the package:
+importing ``scipy.special`` costs a process about 0.35-0.4 s, once, which
+a command that evaluates no binomial (``--help``, an input error, loading
+a scenario) does not pay.  Until then the module's ``bdtr``, ``bdtrc`` and
+``betainc`` are stubs; the first call of any of them rebinds all three to
+scipy's own functions, which every later call reaches through the same
+global lookup, with no extra frame.  numpy, which this module does not
+use, is imported by the first AIMD run, trace write, oracle design or
+smooth fit.
 """
 
 from __future__ import annotations
@@ -23,8 +33,6 @@ import math
 import numbers
 import statistics
 from dataclasses import dataclass
-
-from scipy.special.cython_special import bdtr, bdtrc, betainc
 
 __all__ = [
     "ScenarioParams",
@@ -38,6 +46,30 @@ __all__ = [
 ]
 
 _COUNT_MAX = 2**31 - 1  # the largest n scipy's binomial kernels accept
+
+
+def _load_kernels() -> None:
+    """Rebind ``bdtr``, ``bdtrc`` and ``betainc`` to scipy's kernels."""
+    global bdtr, bdtrc, betainc
+    from scipy.special.cython_special import bdtr, bdtrc, betainc
+
+
+# Stubs until the first call: each loads the kernels, which replaces all
+# three, and forwards its call to the one that now holds its name.  The
+# callers below look the names up at call time, so none may capture them.
+def bdtr(k, n, p):
+    _load_kernels()
+    return bdtr(k, n, p)
+
+
+def bdtrc(k, n, p):
+    _load_kernels()
+    return bdtrc(k, n, p)
+
+
+def betainc(a, b, x):
+    _load_kernels()
+    return betainc(a, b, x)
 
 
 def _integer(name: str, value, least=0, most=math.inf) -> None:

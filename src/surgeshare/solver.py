@@ -60,8 +60,6 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .cost import CostModel, cost_eval
 from .qos import (QosReport, ScenarioParams, _flip, _integer, _meets_target,
                   min_items_for_qos, qos_all)
@@ -279,6 +277,8 @@ def brute_force_design(params: ScenarioParams, model: CostModel) -> DesignReport
     monotone, so the scan stops once the cheapest pool of at least M_ns
     items plus that term exceeds the best cost.
     """
+    import numpy as np
+
     # A Python int: with a numpy integer N, M + T - N would wrap around.
     n = int(params.n_consumers)
 

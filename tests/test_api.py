@@ -89,3 +89,54 @@ def test_numpy_integers_on_every_public_path():
             single, **{f: float(getattr(single, f)) for f in fields})
         assert (run_partition(problem, plain, 120, 215, single)
                 == run_partition(problem, plain, 120, 215, double))
+
+
+# Prints, at each stage, which of numpy and scipy the process has loaded.
+_HEAVY = (
+    "import sys\n"
+    "def heavy():\n"
+    "    print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'}))\n"
+)
+
+
+def test_import_loads_neither_numpy_nor_scipy(fresh_python):
+    code = _HEAVY + (
+        "import surgeshare\n"
+        "from surgeshare import cli, cost, qos\n"
+        "heavy()\n"
+        "for name in surgeshare.builtin_scenario_names():\n"
+        "    surgeshare.load_scenario(name)\n"
+        "for name in sorted(cost._BUILTINS):\n"
+        "    surgeshare.get_cost_model(name)\n"
+        "cli.build_parser().parse_args(['design', '--scenario', 'car-n1000-98'])\n"
+        "print(cli.cli_dispatch(['qos', '--m', '-3', '--t', '1', '--q', '0']))\n"
+        "heavy()\n"
+        "surgeshare.binom_cdf(3, 10, 0.5)\n"
+        "surgeshare.binom_cdf_cont(3.5, 10, 0.5)\n"
+        "from scipy.special import cython_special\n"
+        "print([getattr(qos, k) is getattr(cython_special, k)\n"
+        "       for k in ('bdtr', 'bdtrc', 'betainc')])\n"
+    )
+    proc = fresh_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "2", "[]", "[True, True, True]"]
+
+
+def test_package_works_without_numpy_and_scipy_until_a_kernel(fresh_python):
+    code = _HEAVY + (
+        "class Block:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.split('.')[0] in ('numpy', 'scipy'):\n"
+        "            raise ModuleNotFoundError(f'No module named {name!r}', name=name)\n"
+        "sys.meta_path.insert(0, Block())\n"
+        "import surgeshare\n"
+        "print(surgeshare.load_scenario('car-n1000-98').name)\n"
+        "try:\n"
+        "    surgeshare.binom_cdf(3, 10, 0.5)\n"
+        "except ModuleNotFoundError as exc:\n"
+        "    print(exc.name)\n"
+        "heavy()\n"
+    )
+    proc = fresh_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["car-n1000-98", "scipy", "[]"]
