@@ -19,7 +19,8 @@ for a numpy integer, and at most ``_COUNT_MAX``, as they hold it in a C int.
 scipy is imported at the first binomial evaluation, not with the package:
 importing ``scipy.special`` costs a process about 0.35-0.4 s, once, which
 a command that evaluates no binomial (``--help``, an input error, loading
-a scenario) does not pay.  Until then the module's ``bdtr``, ``bdtrc`` and
+a scenario) does not pay.  Every other command pays it at its first
+kernel call instead of at start-up, so it is no faster.  Until then the module's ``bdtr``, ``bdtrc`` and
 ``betainc`` are stubs; the first call of any of them rebinds all three to
 scipy's own functions, which every later call reaches through the same
 global lookup, with no extra frame.  numpy, which this module does not
