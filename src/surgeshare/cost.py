@@ -7,6 +7,8 @@ discount schedule applied to the pool term.  The two use-case models
 ship as the built-ins ``car-mg4-2025`` and ``charger-dc60-2025``.
 ``fit_smooth_discount`` stands apart: it approximates a schedule by the
 exponential decay A*(1 - exp(-B*M)), and no design is priced with it.
+It searches a log grid of rates, then refines the best by golden-section
+search, on the standard library alone: this module never imports numpy.
 """
 
 from __future__ import annotations
@@ -75,9 +77,8 @@ class SmoothDiscount:
         _real("rate", self.rate, 0.0, math.inf, "()")
 
     def value(self, m: float) -> float:
-        import numpy as np
-
-        return self.amplitude * (1.0 - np.exp(-self.rate * m))
+        """D(m) for one quantity m."""
+        return self.amplitude * (1.0 - math.exp(-self.rate * m))
 
 
 @dataclass(frozen=True)
@@ -133,6 +134,22 @@ def discount_real(m: int, schedule: DiscountSchedule) -> float:
     return schedule.breakpoints[idx][1]
 
 
+# 1/phi: each golden-section step keeps this share of the bracket.
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _fit_grid(m_max: int) -> list:
+    """The fit's quantities: 400 log-spaced points on [1, m_max], rounded
+    to integers, without repeats.
+
+    This is numpy's ``unique(round(geomspace(1, m_max, 400)))``: both
+    round half to even, and geomspace takes 10 ** (i * step) between its
+    exact end points.
+    """
+    step = math.log10(m_max) / 399
+    return sorted({1, m_max, *(round(10.0 ** (i * step)) for i in range(1, 399))})
+
+
 def fit_smooth_discount(
     schedule: DiscountSchedule,
     m_max: Optional[int] = None,
@@ -143,27 +160,67 @@ def fit_smooth_discount(
     [1, m_max] (default: 1.5x the last breakpoint quantity), so every
     decade of the quantity axis gets comparable weight.  The problem is
     linear in A, so for each rate B the best amplitude in [0, 0.999] is
-    the clipped closed-form least-squares value (variable projection);
-    B itself is found by a log-grid search over [1e-3/m_max, 10] that
-    zooms in four times on the best rate.
+    the clipped closed-form least-squares value (variable projection,
+    Golub & Pereyra 1973).  B is the best of 257 log-spaced rates over
+    [1e-3/m_max, 10], refined by golden-section search (Kiefer 1953)
+    between that rate's two neighbours.  It runs on the standard
+    library alone.
     """
-    if schedule.max_discount == 0.0:
-        return SmoothDiscount(amplitude=0.0, rate=1.0)
-    import numpy as np
-
+    if not isinstance(schedule, DiscountSchedule):
+        raise TypeError(f"schedule must be a DiscountSchedule; got {schedule!r}")
     if m_max is None:
         m_max = max(int(1.5 * schedule.breakpoints[-1][0]), 10)
-    grid = np.unique(np.round(np.geomspace(1, m_max, 400)).astype(int))
-    target = np.array([discount_real(int(m), schedule) for m in grid])
-    rates = np.geomspace(1e-3 / m_max, 10.0, 257)
-    for _ in range(5):
-        g = -np.expm1(-np.outer(rates, grid))
-        amps = np.clip(g @ target / (g * g).sum(axis=1), 0.0, 0.999)
-        sse = np.square(amps[:, None] * g - target).sum(axis=1)
-        i = int(np.argmin(sse))
-        amplitude, rate = amps[i], rates[i]
-        rates = np.geomspace(rates[max(i - 1, 0)], rates[min(i + 1, rates.size - 1)], 257)
-    return SmoothDiscount(amplitude=float(amplitude), rate=float(rate))
+    else:
+        _integer("m_max", m_max, 1)
+        m_max = int(m_max)
+    if schedule.max_discount == 0.0:
+        return SmoothDiscount(amplitude=0.0, rate=1.0)
+    grid = _fit_grid(m_max)
+    neg_grid = [-float(m) for m in grid]
+    # The target is a step function: runs of (fraction, start, stop) on the grid.
+    bounds = [bisect.bisect_left(grid, m) for m, _ in schedule.breakpoints] + [len(grid)]
+    runs = [(frac, lo, hi)
+            for (_, frac), lo, hi in zip(schedule.breakpoints, bounds, bounds[1:]) if lo < hi]
+    target_sq = sum(frac * frac * (hi - lo) for frac, lo, hi in runs)
+
+    def sse(rate):
+        """(squared error, rate, amplitude) at the best amplitude for rate."""
+        # h = -g, where g = 1 - exp(-rate*m) is the model's shape.
+        h = [math.expm1(rate * m) for m in neg_grid]
+        gt = -sum([frac * sum(h[lo:hi]) for frac, lo, hi in runs])
+        amplitude = min(gt / math.hypot(*h) ** 2, 0.999)
+        if amplitude <= 0.0:
+            return target_sq, rate, 0.0
+        # |t - A*g|^2 = A^2 * |h - u|^2 with u = -t/A, summed by math.dist
+        # without the cancellation of expanding the square.
+        u = []
+        for frac, lo, hi in runs:
+            u += [-frac / amplitude] * (hi - lo)
+        return (amplitude * math.dist(h, u)) ** 2, rate, amplitude
+
+    low = math.log10(1e-3 / m_max)
+    step = (1.0 - low) / 256
+    rates = [1e-3 / m_max, *(10.0 ** (low + k * step) for k in range(1, 256)), 10.0]
+    coarse = [sse(rate) for rate in rates]
+    best = min(coarse)  # ties go to the lower rate, as numpy's argmin
+    i = coarse.index(best)
+    # Golden section on [a, b], with interior points x1 < x2.
+    a, b = rates[max(i - 1, 0)], rates[min(i + 1, 256)]
+    x1, x2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    f1, f2 = sse(x1), sse(x2)
+    best = min(best, f1, f2)
+    while b - a > 1e-8 * b:
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _GOLDEN * (b - a)
+            f1 = sse(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _GOLDEN * (b - a)
+            f2 = sse(x2)
+        best = min(best, f1, f2)
+    _, rate, amplitude = best
+    return SmoothDiscount(amplitude=amplitude, rate=rate)
 
 
 def cost_eval(m: int, t: int, model: CostModel) -> float:

@@ -24,8 +24,7 @@ kernel call instead of at start-up, so it is no faster.  Until then the module's
 ``betainc`` are stubs; the first call of any of them rebinds all three to
 scipy's own functions, which every later call reaches through the same
 global lookup, with no extra frame.  numpy, which this module does not
-use, is imported by the first AIMD run, trace write, oracle design or
-smooth fit.
+use, is imported by the first AIMD run, trace write or oracle design.
 """
 
 from __future__ import annotations
@@ -169,9 +168,11 @@ def binom_cdf_cont(x: float, n: int, p: float) -> float:
     return 0 or values that are not monotone in x (the largest such
     value in a scan of 15,000 random n and p was 1.9e-259).  At n = 900,
     p = 0.5784157333434456 it returns 0.0 for x in about [35.05, 35.34]
-    and about 1e-269 on either side.  The AIMD brackets absorb this
-    with their absolute slack ``aimd._CDF_FLOOR``.  Clamps to 0 below
-    x = -1 and to 1 at x >= n.
+    and about 1e-269 on either side.  A caller that compares values or
+    relies on monotonicity must treat every value below a floor such
+    as ``aimd._CDF_FLOOR`` (1e-200) as equal, as the AIMD brackets do
+    with that absolute slack.  Clamps to 0 below x = -1 and to 1 at
+    x >= n.
     """
     _real("x", x, -math.inf, math.inf, "[]")
     _integer("n", n, 1, _COUNT_MAX)

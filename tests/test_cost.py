@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from surgeshare import (
     fit_smooth_discount,
     get_cost_model,
 )
-from surgeshare.cost import CAR_DISCOUNTS, CHARGER_DISCOUNTS
+from surgeshare.cost import CAR_DISCOUNTS, CHARGER_DISCOUNTS, _fit_grid
 
 
 def test_car_schedule_lookups():
@@ -170,6 +171,93 @@ def test_fit_does_not_load_scipy_optimize(fresh_python):
     proc = fresh_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("schedule", [((1, 0.0), (20, 0.1)), [(1, 0.0)], None, "car-mg4-2025"])
+def test_fit_takes_only_a_schedule(schedule):
+    with pytest.raises(TypeError, match="^schedule must be a DiscountSchedule"):
+        fit_smooth_discount(schedule)
+
+
+@pytest.mark.parametrize("discount", [CAR_DISCOUNTS, DiscountSchedule(((1, 0.0),))])
+@pytest.mark.parametrize("m_max, error", [
+    (0, ValueError), (-5, ValueError), ("30", TypeError), (True, TypeError),
+    (2.5, TypeError), (30.0, TypeError),
+])
+def test_fit_checks_m_max(discount, m_max, error):
+    # A flat schedule needs no fit, but its m_max is checked all the same.
+    with pytest.raises(error, match="^m_max must be"):
+        fit_smooth_discount(discount, m_max)
+
+
+def test_fit_takes_numpy_m_max():
+    assert fit_smooth_discount(CAR_DISCOUNTS, np.int64(1500)) == \
+        fit_smooth_discount(CAR_DISCOUNTS, 1500)
+    sd = fit_smooth_discount(CAR_DISCOUNTS, 1)
+    assert 0.0 <= sd.amplitude <= 0.999 and sd.rate > 0.0
+
+
+def _numpy_zoom_fit(schedule, m_max):
+    # The numpy search the fit used before: five rounds of a 257-rate log
+    # grid, each zooming in on the best rate's two neighbours.
+    grid = np.unique(np.round(np.geomspace(1, m_max, 400)).astype(int))
+    target = np.array([discount_real(int(m), schedule) for m in grid])
+    rates = np.geomspace(1e-3 / m_max, 10.0, 257)
+    for _ in range(5):
+        g = -np.expm1(-np.outer(rates, grid))
+        amps = np.clip(g @ target / (g * g).sum(axis=1), 0.0, 0.999)
+        sse = np.square(amps[:, None] * g - target).sum(axis=1)
+        i = int(np.argmin(sse))
+        amplitude, rate = amps[i], rates[i]
+        rates = np.geomspace(rates[max(i - 1, 0)], rates[min(i + 1, rates.size - 1)], 257)
+    return float(amplitude), float(rate)
+
+
+def _random_schedule(rng):
+    # Concave (early steps, shrinking increments) or accelerating (late
+    # steps, growing increments) like the benchmark's inline models.
+    concave = rng.random() < 0.5
+    qty = rng.randint(2, 20) if concave else rng.randint(100, 400)
+    inc, frac, steps = rng.uniform(0.01, 0.1), 0.0, [(1, 0.0)]
+    for _ in range(rng.randint(2, 5)):
+        frac = min(frac + inc, 0.95)
+        steps.append((qty, frac))
+        qty = int(qty * rng.uniform(2.0, 4.0) if concave else qty * rng.uniform(1.2, 1.6)) + 1
+        inc *= rng.uniform(0.4, 0.9) if concave else rng.uniform(1.5, 2.5)
+    return DiscountSchedule(tuple(steps))
+
+
+def test_fit_matches_numpy_zoom_search():
+    rng = random.Random(20260)
+    for _ in range(200):
+        schedule = _random_schedule(rng)
+        m_max = max(int(1.5 * schedule.breakpoints[-1][0]), 10)
+        sd = fit_smooth_discount(schedule, m_max)
+        fit_sse = _fit_residual(schedule, m_max, sd.amplitude, sd.rate)
+        oracle_sse = _fit_residual(schedule, m_max, *_numpy_zoom_fit(schedule, m_max))
+        assert fit_sse <= oracle_sse * (1.0 + 1e-12) + 1e-15, schedule
+
+
+def test_fit_grid_matches_numpy():
+    for m_max in range(1, 20001):
+        expected = np.unique(np.round(np.geomspace(1, m_max, 400)).astype(int))
+        assert _fit_grid(m_max) == expected.tolist(), m_max
+
+
+def test_fit_and_value_load_neither_numpy_nor_scipy(fresh_python):
+    code = (
+        "import sys\n"
+        "import surgeshare\n"
+        "sd = surgeshare.fit_smooth_discount(surgeshare.DiscountSchedule(((1, 0.0), (20, 0.1))))\n"
+        "values = [sd.value(120), sd.value(120.0)]\n"
+        "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n"
+        "import numpy as np\n"
+        "values += [sd.value(np.int64(120)), sd.value(np.float64(120.0))]\n"
+        "print([type(v).__name__ for v in values])\n"
+    )
+    proc = fresh_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "['float', 'float', 'float', 'float']"]
 
 
 # The quantity range each built-in schedule's smooth fit covers.
