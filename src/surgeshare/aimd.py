@@ -60,8 +60,8 @@ from array import array
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .qos import (QosReport, ScenarioParams, _cdf_cont, _integer, _normal_reserve,
-                  _pmf_cont, _real, qos_all)
+from .qos import (QosReport, ScenarioParams, _cdf_cont, _check_field, _integer,
+                  _normal_reserve, _pmf_cont, _real, qos_all)
 
 __all__ = [
     "AimdConfig",
@@ -120,21 +120,20 @@ class AimdConfig:
     convergence_tol: float = 5e-4
 
     def __post_init__(self):
-        # Counts and the seed must be integers before they are compared,
-        # multiplied or handed to numpy; scenario files can carry any
-        # float, NaN and inf included.
-        _integer("max_iterations", self.max_iterations, 1)
-        _integer("convergence_window", self.convergence_window, 1)
-        _integer("seed", self.seed)
-        _real("alpha", self.alpha, 0.0, math.inf, "()")
-        _real("beta", self.beta, 0.0, 1.0, "()")
-        _real("z_init", self.z_init, 0.0, math.inf, "[)")
-        _real("q_init", self.q_init, 0.0, math.inf, "[)")
+        # Counts and the seed must be integers before they are compared or
+        # handed to numpy: scenario files can carry any float, NaN and inf.
+        _check_field(self, "max_iterations", _integer, 1)
+        _check_field(self, "convergence_window", _integer, 1)
+        _check_field(self, "seed", _integer)
+        _check_field(self, "alpha", _real, 0.0, math.inf, "()")
+        _check_field(self, "beta", _real, 0.0, 1.0, "()")
+        _check_field(self, "z_init", _real, 0.0, math.inf, "[)")
+        _check_field(self, "q_init", _real, 0.0, math.inf, "[)")
         if self.gamma is not None:
-            _real("gamma", self.gamma, 0.0, math.inf, "()")
-        _real("gamma_target", self.gamma_target, 0.0, 1.0, "(]")
-        _real("lam_min", self.lam_min, 0.0, 1.0, "[]")
-        _real("convergence_tol", self.convergence_tol, 0.0, math.inf, "()")
+            _check_field(self, "gamma", _real, 0.0, math.inf, "()")
+        _check_field(self, "gamma_target", _real, 0.0, 1.0, "(]")
+        _check_field(self, "lam_min", _real, 0.0, 1.0, "[]")
+        _check_field(self, "convergence_tol", _real, 0.0, math.inf, "()")
 
 
 @dataclass
@@ -155,20 +154,21 @@ class AimdTrace:
 
 
 def _check_pool(problem: str, params: ScenarioParams, m: int, t: int,
-                config: Optional[AimdConfig] = None) -> None:
+                config: Optional[AimdConfig] = None) -> Tuple[int, int]:
     # The inputs every entry point shares: a known problem, a pool of
     # 0 <= M <= N items and 1 <= T <= N prosumers; and, given a config,
-    # initial states that fit in the pool.
+    # initial states that fit in the pool.  Returns M and T as checked.
     if problem not in PROBLEMS:
         raise ValueError(f"problem must be one of {PROBLEMS}")
-    _integer("t", t, 1)
-    _integer("m", m)
+    t = _integer("t", t, 1)
+    m = _integer("m", m)
     if m > params.n_consumers:
         raise ValueError("m cannot exceed the consumer population")
     if t > params.n_consumers:
         raise ValueError("t cannot exceed the consumer population")
     if config is not None and config.z_init + config.q_init >= m:
         raise ValueError("initial states must satisfy z_init + q_init < M")
+    return m, t
 
 
 def auto_config(problem: str, m: int, t: int, params: ScenarioParams,
@@ -190,7 +190,7 @@ def auto_config(problem: str, m: int, t: int, params: ScenarioParams,
     steps) because its backoff law saturates when the reserve average
     overshoots, leaving only a weak restoring force.
     """
-    _check_pool(problem, params, m, t)
+    m, t = _check_pool(problem, params, m, t)
     _integer("m", m, 2)
     p_b = params.p_bad
     q_hat = _normal_reserve(t, p_b, 2.33)
@@ -368,20 +368,16 @@ def run_partition(problem: str, params: ScenarioParams, m: int, t: int,
     """
     if config is None:
         config = auto_config(problem, m, t, params)
-    _check_pool(problem, params, m, t, config)
+    m, t = _check_pool(problem, params, m, t, config)
 
     import numpy as np
 
     (rate_c, bounds_c, h_c), (rate_p, bounds_p, h_p) = _rate_function(problem, params, t)
     rng = np.random.Generator(np.random.Philox(config.seed))
-    # The claims, gains and floors are Python floats whatever real type
-    # the config holds: numpy float32 arithmetic would reach ``betainc``
-    # with no signature, and numpy scalars slow every operation.
-    alpha, beta = float(config.alpha), float(config.beta)
-    lam_min, target = float(config.lam_min), float(config.gamma_target)
-    gamma = None if config.gamma is None else float(config.gamma)
+    alpha, beta = config.alpha, config.beta
+    lam_min, target, gamma = config.lam_min, config.gamma_target, config.gamma
     limit = config.max_iterations
-    z, q = float(config.z_init), float(config.q_init)
+    z, q = config.z_init, config.q_init
     # The pool, the event count k and min_events are floats too, so the
     # pool test, the running-average quotients and the convergence test
     # take CPython's float/float paths; an int operand keeps a comparison
@@ -408,7 +404,7 @@ def run_partition(problem: str, params: ScenarioParams, m: int, t: int,
     window = config.convergence_window
     back = -1 - window  # the averages ``window`` events back, from the end
     min_events = float(5 * window)  # a float, as k is
-    tol = float(config.convergence_tol)
+    tol = config.convergence_tol
     converged_at = None
     # Each agent's bracket [lo, hi] and the clamped probabilities
     # lam_lo <= lam_hi that hold its backoff probability there; the
@@ -505,7 +501,7 @@ def scan_oracle(problem: str, params: ScenarioParams, m: int,
     Maximization returns the argmax of QoS_s + QoS_b; equalization the
     argmin of |QoS_s - QoS_b|.  Ties break toward the smaller reserve.
     """
-    _check_pool(problem, params, m, t)
+    m, t = _check_pool(problem, params, m, t)
     q = _best_reserve(problem, params, m, t, range(0, min(m, t) + 1))
     return q, abs(_objective(problem, params, m, t, q))
 

@@ -18,7 +18,7 @@ import math
 from dataclasses import InitVar, dataclass
 from typing import Optional, Tuple
 
-from .qos import _integer, _real
+from .qos import _COUNT_MAX, _check_field, _integer, _real
 
 __all__ = [
     "DiscountSchedule",
@@ -45,10 +45,8 @@ class DiscountSchedule:
         except (TypeError, ValueError):  # not iterable, or not pairs
             raise TypeError("breakpoints must be (min_quantity, fraction) pairs; "
                             f"got {self.breakpoints!r}") from None
-        for m, d in pairs:
-            _integer("breakpoint quantity", m, 1)
-            _real("discount fraction", d, 0.0, 1.0, "[)")
-        bps = tuple((int(m), float(d)) for m, d in pairs)
+        bps = tuple((_integer("breakpoint quantity", m, 1),
+                     _real("discount fraction", d, 0.0, 1.0, "[)")) for m, d in pairs)
         object.__setattr__(self, "breakpoints", bps)
         if not bps:
             raise ValueError("schedule needs at least one breakpoint")
@@ -73,11 +71,12 @@ class SmoothDiscount:
     rate: float
 
     def __post_init__(self):
-        _real("amplitude", self.amplitude, 0.0, 1.0, "[)")
-        _real("rate", self.rate, 0.0, math.inf, "()")
+        _check_field(self, "amplitude", _real, 0.0, 1.0, "[)")
+        _check_field(self, "rate", _real, 0.0, math.inf, "()")
 
     def value(self, m: float) -> float:
-        """D(m) for one quantity m."""
+        """D(m) for one quantity m >= 0."""
+        m = _real("m", m, 0.0, math.inf, "[)")
         return self.amplitude * (1.0 - math.exp(-self.rate * m))
 
 
@@ -108,11 +107,11 @@ class CostModel:
         if not isinstance(self.discount, DiscountSchedule):
             raise TypeError(f"discount must be a DiscountSchedule; got {self.discount!r}")
         for name in ("per_item_main", "per_item_prosumer"):
-            _real(name, getattr(self, name), 0.0, math.inf, "()")
+            _check_field(self, name, _real, 0.0, math.inf, "()")
         # The range first, so that a NaN or infinite horizon is a
         # ValueError like any other out-of-range value.
         _real("horizon_years", self.horizon_years, 1, math.inf, "[)")
-        _integer("horizon_years", self.horizon_years, 1)
+        _check_field(self, "horizon_years", _integer, 1)
 
     def cost_per_consumer(self, cost_real: float, n_consumers: int) -> float:
         """Annualized per-consumer cost over the model horizon."""
@@ -120,13 +119,12 @@ class CostModel:
 
 
 def discount_real(m: int, schedule: DiscountSchedule) -> float:
-    """Discount fraction applying to a purchase of m items (0 for m = 0).
+    """Discount fraction applying to a purchase of m items (0 for m = 0)."""
+    return _discount(_integer("m", m), schedule)
 
-    As in ``qos.binom_cdf``, a plain non-negative int skips the full
-    check of ``_integer``.
-    """
-    if type(m) is not int or m < 0:
-        _integer("m", m)
+
+def _discount(m: int, schedule: DiscountSchedule) -> float:
+    # Unchecked ``discount_real``, for a Python int m >= 0.
     if m == 0:
         return 0.0
     # The schedule starts at quantity 1, so some breakpoint applies.
@@ -157,22 +155,22 @@ def fit_smooth_discount(
     """Least-squares fit of A*(1 - exp(-B*m)) to the step schedule.
 
     The residuals are taken on a log-spaced integer grid covering
-    [1, m_max] (default: 1.5x the last breakpoint quantity), so every
-    decade of the quantity axis gets comparable weight.  The problem is
-    linear in A, so for each rate B the best amplitude in [0, 0.999] is
-    the clipped closed-form least-squares value (variable projection,
-    Golub & Pereyra 1973).  B is the best of 257 log-spaced rates over
-    [1e-3/m_max, 10], refined by golden-section search (Kiefer 1953)
-    between that rate's two neighbours.  It runs on the standard
-    library alone.
+    [1, m_max] (default: 1.5x the last breakpoint quantity; at most
+    ``qos._COUNT_MAX``, the largest population the package takes), so
+    every decade of the quantity axis gets comparable weight.  The
+    problem is linear in A, so for each rate B the best amplitude in
+    [0, 0.999] is the clipped closed-form least-squares value (variable
+    projection, Golub & Pereyra 1973).  B is the best of 257 log-spaced
+    rates over [1e-3/m_max, 10], refined by golden-section search
+    (Kiefer 1953) between that rate's two neighbours.  It runs on the
+    standard library alone.
     """
     if not isinstance(schedule, DiscountSchedule):
         raise TypeError(f"schedule must be a DiscountSchedule; got {schedule!r}")
     if m_max is None:
         m_max = max(int(1.5 * schedule.breakpoints[-1][0]), 10)
     else:
-        _integer("m_max", m_max, 1)
-        m_max = int(m_max)
+        m_max = _integer("m_max", m_max, 1, _COUNT_MAX)
     if schedule.max_discount == 0.0:
         return SmoothDiscount(amplitude=0.0, rate=1.0)
     grid = _fit_grid(m_max)
@@ -228,12 +226,12 @@ def cost_eval(m: int, t: int, model: CostModel) -> float:
 
     The reserve Q shares the pool unit cost, so the cost of (M, T, Q)
     does not depend on Q: the discounted pool term plus the prosumer term.
-    ``discount_real`` checks m.
+    A plain non-negative int m and t skip the full check of ``_integer``.
     """
-    if type(t) is not int or t < 0:
-        _integer("t", t)
-    pool = model.per_item_main * (1.0 - discount_real(m, model.discount)) * m
-    return float(pool + model.per_item_prosumer * t)
+    if type(m) is not int or type(t) is not int or m < 0 or t < 0:
+        m, t = _integer("m", m), _integer("t", t)
+    pool = model.per_item_main * (1.0 - _discount(m, model.discount)) * m
+    return pool + model.per_item_prosumer * t
 
 
 CAR_DISCOUNTS = DiscountSchedule(

@@ -13,8 +13,8 @@ search from an estimate, ``_flip``.
 Every binomial value is one scalar call into ``scipy.special.cython_special``
 (``bdtr``, ``bdtrc``, ``betainc``): the same bits as the ``scipy.special``
 ufuncs, without the per-call ufunc dispatch that costs several times the
-arithmetic.  n reaches them as a Python int, since they have no signature
-for a numpy integer, and at most ``_COUNT_MAX``, as they hold it in a C int.
+arithmetic.  n is at most ``_COUNT_MAX``, as they hold it in a C int, and
+a Python int, as ``_integer`` returns every count.
 
 scipy is imported at the first binomial evaluation, not with the package:
 importing ``scipy.special`` costs a process about 0.35-0.4 s, once, which
@@ -72,35 +72,54 @@ def betainc(a, b, x):
     return betainc(a, b, x)
 
 
-def _integer(name: str, value, least=0, most=math.inf) -> None:
+def _integer(name: str, value, least=0, most=math.inf) -> int:
     """The one rule for a count: an integer, not a bool, in [least, most].
 
-    The exact-type test only spares a plain int the slower ABC check.
+    Returns it as a Python int, which every caller stores or computes
+    with: this and ``_real`` are the package's only conversions of numpy
+    scalars, which scipy's kernels have no signature for, whose unsigned
+    differences wrap around and whose float32 arithmetic stays float32
+    (NEP 50).  A plain int is returned as it is, without the ABC check.
     """
-    if type(value) is not int and (isinstance(value, bool)
-                                   or not isinstance(value, numbers.Integral)):
-        raise TypeError(f"{name} must be an integer; got {value!r}")
-    if value < least:
+    x = value
+    if type(x) is not int:
+        if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+            raise TypeError(f"{name} must be an integer; got {value!r}")
+        x = int(x)
+    if x < least:
         raise ValueError(f"{name} must be non-negative; got {value!r}" if least == 0
                          else f"{name} must be at least {least}; got {value!r}")
-    if value > most:
+    if x > most:
         raise ValueError(f"{name} cannot exceed {most}; got {value!r}")
+    return x
 
 
-def _real(name: str, value, low: float, high: float, closed: str) -> None:
+def _real(name: str, value, low: float, high: float, closed: str) -> float:
     """The one rule for a real number: not a bool, and inside an interval.
 
     ``closed`` is the interval's pair of brackets, such as "(]" for
-    (low, high]; NaN lies in no interval.  As in ``_integer``, a plain
-    float skips the ABC check.
+    (low, high]; NaN lies in no interval, and an int past the float
+    range lies at its infinity.  Returns it as a Python float, as
+    ``_integer`` returns an int; a plain float is returned as it is.
     """
-    if type(value) is not float and (isinstance(value, bool)
-                                     or not isinstance(value, numbers.Real)):
-        raise TypeError(f"{name} must be a real number; got {value!r}")
-    if not ((low <= value if closed[0] == "[" else low < value)
-            and (value <= high if closed[1] == "]" else value < high)):
+    x = value
+    if type(x) is not float:
+        if isinstance(x, bool) or not isinstance(x, numbers.Real):
+            raise TypeError(f"{name} must be a real number; got {value!r}")
+        try:
+            x = float(x)
+        except OverflowError:  # an int past the float range
+            x = math.inf if x > 0 else -math.inf
+    if not ((low <= x if closed[0] == "[" else low < x)
+            and (x <= high if closed[1] == "]" else x < high)):
         raise ValueError(f"{name} must lie in {closed[0]}{low:g}, {high:g}{closed[1]}; "
                          f"got {value!r}")
+    return x
+
+
+def _check_field(obj, name: str, rule, *bounds) -> None:
+    """Check field ``name`` of a frozen dataclass by ``rule`` and store what it returns."""
+    object.__setattr__(obj, name, rule(name, getattr(obj, name), *bounds))
 
 
 @dataclass(frozen=True)
@@ -122,11 +141,11 @@ class ScenarioParams:
     qos_target_b: float = 0.98
 
     def __post_init__(self):
-        _integer("n_consumers", self.n_consumers, 1, _COUNT_MAX)
+        _check_field(self, "n_consumers", _integer, 1, _COUNT_MAX)
         for name in ("p_nonsurge", "p_surge", "p_bad"):
-            _real(name, getattr(self, name), 0.0, 1.0, "()")
+            _check_field(self, name, _real, 0.0, 1.0, "()")
         for name in ("qos_target_ns", "qos_target_s", "qos_target_b"):
-            _real(name, getattr(self, name), 0.0, 1.0, "(]")
+            _check_field(self, name, _real, 0.0, 1.0, "(]")
 
 
 @dataclass(frozen=True)
@@ -146,16 +165,16 @@ def binom_cdf(a: int, n: int, p: float) -> float:
     number or infinite.
     """
     if type(a) is not int:
-        _real("a", a, -math.inf, math.inf, "[]")
+        a = _real("a", a, -math.inf, math.inf, "[]")
         if math.isfinite(a) and a != math.floor(a):
             raise ValueError(f"a must be a whole number; got {a!r}")
-    _integer("n", n, 0, _COUNT_MAX)
-    _real("p", p, 0.0, 1.0, "()")
+    n = _integer("n", n, 0, _COUNT_MAX)
+    p = _real("p", p, 0.0, 1.0, "()")
     if a < 0:
         return 0.0
     if a >= n:
         return 1.0
-    return bdtr(int(a), int(n), p)
+    return bdtr(int(a), n, p)
 
 
 def binom_cdf_cont(x: float, n: int, p: float) -> float:
@@ -174,10 +193,10 @@ def binom_cdf_cont(x: float, n: int, p: float) -> float:
     with that absolute slack.  Clamps to 0 below x = -1 and to 1 at
     x >= n.
     """
-    _real("x", x, -math.inf, math.inf, "[]")
-    _integer("n", n, 1, _COUNT_MAX)
-    _real("p", p, 0.0, 1.0, "()")
-    return _cdf_cont(n, p)(float(x))
+    x = _real("x", x, -math.inf, math.inf, "[]")
+    n = _integer("n", n, 1, _COUNT_MAX)
+    p = _real("p", p, 0.0, 1.0, "()")
+    return _cdf_cont(n, p)(x)
 
 
 def _cdf_cont(n: int, p: float):
@@ -185,11 +204,10 @@ def _cdf_cont(n: int, p: float):
 
     Monotone in x only above about 1e-259, as ``binom_cdf_cont`` says.
     1 - p is computed once, here.  x must be a float, since ``betainc``
-    has no signature for an int or a numpy float32 first argument.  n is
-    held as a float so that the test and the difference with x take
-    CPython's specialized float/float paths; n <= ``_COUNT_MAX`` < 2**53
-    converts exactly, so every value is the same bit for bit as with the
-    int.
+    has no signature for an int first argument.  n is held as a float so
+    that the test and the difference with x take CPython's specialized
+    float/float paths; n <= ``_COUNT_MAX`` < 2**53 converts exactly, so
+    every value is the same bit for bit as with the int.
     """
     q = 1.0 - p
     n = float(n)  # float/float paths; exact below 2**53
@@ -212,14 +230,12 @@ def binom_pmf_cont(x: float, n: int, p: float) -> float:
     ``cython_special`` calls: the AIMD kernel evaluates the pmf once per
     capacity event through ``_pmf_cont``, where a numpy ufunc call costs
     more in dispatch than the arithmetic, and ``gammaln`` may differ
-    from math.lgamma in the last bits.  x is taken as its float, as in
-    ``binom_cdf_cont``: a numpy float32 x would make the log-space sum
-    float32 (NEP 50).
+    from math.lgamma in the last bits.
     """
-    _real("x", x, -math.inf, math.inf, "[]")
-    _integer("n", n, 1, _COUNT_MAX)
-    _real("p", p, 0.0, 1.0, "()")
-    return _pmf_cont(n, p)(float(x))
+    x = _real("x", x, -math.inf, math.inf, "[]")
+    n = _integer("n", n, 1, _COUNT_MAX)
+    p = _real("p", p, 0.0, 1.0, "()")
+    return _pmf_cont(n, p)(x)
 
 
 def _pmf_cont(n: int, p: float):
@@ -251,9 +267,7 @@ def qos_all(params: ScenarioParams, m: int, t: int, q: int) -> QosReport:
     minus reserve plus prosumer supply), A_b = Q (the reserve), with the
     bad-behaviour requester population being the T prosumers.
     """
-    _integer("m", m)
-    _integer("t", t)
-    _integer("q", q)
+    m, t, q = _integer("m", m), _integer("t", t), _integer("q", q)
     if q > m:
         raise ValueError(f"reserve q={q} cannot exceed pool size m={m}")
     if q > t:
@@ -279,7 +293,6 @@ def _meets_target(a: int, n: int, p: float, target: float) -> bool:
     """
     if a >= n:
         return True
-    n = int(n)  # a numpy integer from a caller's params or design
     return (target < 1.0
             and bdtrc(a, n, p) <= 1.0 - target
             and bdtr(a, n, p) >= target)
@@ -333,9 +346,9 @@ def min_items_for_qos(n: int, p: float, target: float) -> int:
     one it judged failing, so it is the least.  A target of exactly 1
     gives n.
     """
-    _integer("n", n, 0, _COUNT_MAX)
-    _real("p", p, 0.0, 1.0, "()")
-    _real("target", target, 0.0, 1.0, "(]")
+    n = _integer("n", n, 0, _COUNT_MAX)
+    p = _real("p", p, 0.0, 1.0, "()")
+    target = _real("target", target, 0.0, 1.0, "(]")
     if n == 0 or target == 1.0:
         return n
     return _flip(lambda x: _meets_target(x, n, p, target), 0, n,
@@ -348,9 +361,9 @@ def normal_approx_reserve(t: int, p_b: float, target_qos_b: float) -> float:
     ``y`` is the standard normal quantile at the target QoS level; this
     is the closed-form approximation of the exact binomial reserve.
     """
-    _integer("t", t, 1)
-    _real("p_b", p_b, 0.0, 1.0, "()")
-    _real("target_qos_b", target_qos_b, 0.0, 1.0, "()")
+    t = _integer("t", t, 1)
+    p_b = _real("p_b", p_b, 0.0, 1.0, "()")
+    target_qos_b = _real("target_qos_b", target_qos_b, 0.0, 1.0, "()")
     return _normal_reserve(t, p_b, statistics.NormalDist().inv_cdf(target_qos_b))
 
 

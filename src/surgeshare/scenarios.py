@@ -214,11 +214,11 @@ def load_scenario(path_or_name: str) -> ScenarioFile:
 
 
 def _format_numbers(section: str, values: Dict[str, object]) -> Dict[str, str]:
-    # str of a Python int or float reads back to an equal value; the
-    # conversion first turns numpy scalars into Python ones.  An int key
-    # takes operator.index, so a fractional value fails here instead of
-    # being truncated.  An unknown key fails here, before any file is
-    # opened, as it would fail to load.
+    # str of a Python int or float reads back to an equal value.  The
+    # [aimd] dict is no dataclass and may hold numpy scalars, so each value
+    # is converted: an int key by operator.index, so that a fractional
+    # value fails here instead of being truncated.  An unknown key fails
+    # here, before any file is opened, as it would fail to load.
     kinds = _KINDS[section]
     for k in values:
         if k not in kinds:

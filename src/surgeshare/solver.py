@@ -132,16 +132,13 @@ def feasible(params: ScenarioParams, d: Design) -> bool:
     M, T and Q must be integers; integers outside the structural bounds
     make the design infeasible, not an error.
     """
-    for name in ("m", "t", "q"):
-        _integer(name, getattr(d, name), -math.inf)
+    m, t, q = (_integer(name, getattr(d, name), -math.inf) for name in ("m", "t", "q"))
     n = params.n_consumers
-    if not (n >= d.m >= d.q >= 0 and d.t >= d.q and n >= d.m - d.q + d.t):
+    if not (n >= m >= q >= 0 and t >= q and n >= m - q + t):
         return False
-    return bool(
-        _meets_target(d.m, n, params.p_nonsurge, params.qos_target_ns)
-        and _meets_target(d.m - d.q + d.t, n, params.p_surge, params.qos_target_s)
-        and _meets_target(d.q, d.t, params.p_bad, params.qos_target_b)
-    )
+    return (_meets_target(m, n, params.p_nonsurge, params.qos_target_ns)
+            and _meets_target(m - q + t, n, params.p_surge, params.qos_target_s)
+            and _meets_target(q, t, params.p_bad, params.qos_target_b))
 
 
 def _report(params: ScenarioParams, model: CostModel, d: Design) -> DesignReport:
@@ -161,12 +158,9 @@ def _report(params: ScenarioParams, model: CostModel, d: Design) -> DesignReport
 
 def _pool_minima(params: ScenarioParams) -> Tuple[int, int]:
     # The smallest pool that meets the non-surge target, and the smallest
-    # surge supply M - Q + T that meets the surge target.  N is taken as
-    # a Python int: a target of 1 gives N itself, and with a numpy
-    # unsigned N a difference such as A_s - M_ns would wrap around.
-    n = int(params.n_consumers)
-    return (min_items_for_qos(n, params.p_nonsurge, params.qos_target_ns),
-            min_items_for_qos(n, params.p_surge, params.qos_target_s))
+    # surge supply M - Q + T that meets the surge target.
+    return (min_items_for_qos(params.n_consumers, params.p_nonsurge, params.qos_target_ns),
+            min_items_for_qos(params.n_consumers, params.p_surge, params.qos_target_s))
 
 
 def _reserve_stretches(t_max: int, p_b: float, target: float):
@@ -227,8 +221,7 @@ def solve_min_cost(params: ScenarioParams, model: CostModel,
     ``brute_force_design``, or once reach leaves no x for later stretches.
     ``opts`` is accepted for compatibility and ignored.
     """
-    # A Python int, as in ``_pool_minima``, so no difference wraps around.
-    n = int(params.n_consumers)
+    n = params.n_consumers
     m_ns, a_s = _pool_minima(params)
     # At T = 0 the reserve is 0 and every pool from max(m_ns, a_s) to N is
     # feasible; only a band start above the smallest can be cheaper.  With
@@ -279,8 +272,7 @@ def brute_force_design(params: ScenarioParams, model: CostModel) -> DesignReport
     """
     import numpy as np
 
-    # A Python int: with a numpy integer N, M + T - N would wrap around.
-    n = int(params.n_consumers)
+    n = params.n_consumers
 
     def least_passing(p: float, target: float) -> int:
         return next(a for a in range(n + 1) if _meets_target(a, n, p, target))

@@ -1,9 +1,10 @@
 """The public surface: every exported name resolves, and every entry
-point takes numpy integers as it takes Python ints."""
+point takes numpy integers and reals as it takes Python numbers."""
 
 import ast
 import dataclasses
 import importlib
+import numbers
 from pathlib import Path
 
 import numpy as np
@@ -11,15 +12,26 @@ import pytest
 
 import surgeshare
 from surgeshare import (
+    AimdConfig,
+    CostModel,
     Design,
+    DiscountSchedule,
     ScenarioParams,
+    SmoothDiscount,
     auto_config,
     binom_cdf,
     binom_cdf_cont,
+    binom_pmf_cont,
     brute_force_design,
     car_cost_model,
+    compare_approaches,
+    cost_eval,
+    discount_real,
     feasible,
+    fit_smooth_discount,
     min_items_for_qos,
+    normal_approx_reserve,
+    qos_all,
     run_partition,
     scan_oracle,
     solve_min_cost,
@@ -89,6 +101,84 @@ def test_numpy_integers_on_every_public_path():
             single, **{f: float(getattr(single, f)) for f in fields})
         assert (run_partition(problem, plain, 120, 215, single)
                 == run_partition(problem, plain, 120, 215, double))
+
+
+def _python_numbers(value) -> bool:
+    # Whether every number in value, through tuples and dataclass fields,
+    # is exactly a Python int or float.
+    if dataclasses.is_dataclass(value):
+        return all(_python_numbers(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if isinstance(value, tuple):
+        return all(_python_numbers(v) for v in value)
+    if isinstance(value, (numbers.Number, np.generic)):
+        return type(value) in (int, float)
+    return True
+
+
+@pytest.mark.parametrize("real", [np.float32, np.float64])
+def test_numpy_reals_on_every_public_path(real):
+    # Each numpy real is taken as its Python float, and each numpy integer
+    # as its int: every field stores, and every result is computed from,
+    # the Python number, so both give the same results, all Python numbers.
+    def py(x):
+        return float(real(x))
+
+    def same(got, want):
+        assert got == want and _python_numbers(got), (got, want)
+
+    same(binom_cdf(real(120), 1000, real(0.1)), binom_cdf(120, 1000, py(0.1)))
+    for kernel in (binom_cdf_cont, binom_pmf_cont):
+        same(kernel(real(120.5), 1000, real(0.1)), kernel(120.5, 1000, py(0.1)))
+    same(min_items_for_qos(1000, real(0.3), real(0.98)),
+         min_items_for_qos(1000, py(0.3), py(0.98)))
+    same(normal_approx_reserve(215, real(0.01), real(0.98)),
+         normal_approx_reserve(215, py(0.01), py(0.98)))
+
+    probs = dict(p_nonsurge=0.1, p_surge=0.3, p_bad=0.01,
+                 qos_target_ns=0.98, qos_target_s=0.99, qos_target_b=0.98)
+    numpy = ScenarioParams(np.int64(1000), **{k: real(v) for k, v in probs.items()})
+    plain = ScenarioParams(1000, **{k: py(v) for k, v in probs.items()})
+    same(numpy, plain)
+    steps = car_cost_model().discount.breakpoints
+    schedule = DiscountSchedule(tuple((np.int64(m), real(d)) for m, d in steps))
+    plain_schedule = DiscountSchedule(tuple((m, py(d)) for m, d in steps))
+    same(schedule, plain_schedule)
+    model = CostModel(real(6500), real(2400), schedule, horizon_years=np.int64(1))
+    plain_model = CostModel(py(6500), py(2400), plain_schedule)
+    same(model, plain_model)
+    same(discount_real(np.int64(120), schedule), discount_real(120, plain_schedule))
+    same(cost_eval(np.int64(120), np.int64(216), model), cost_eval(120, 216, plain_model))
+    smooth = SmoothDiscount(real(0.2), real(0.01))
+    same(smooth, SmoothDiscount(py(0.2), py(0.01)))
+    same(smooth.value(real(120.5)), smooth.value(py(120.5)))
+    same(fit_smooth_discount(schedule, np.int64(1500)), fit_smooth_discount(plain_schedule, 1500))
+
+    for solve in (solve_min_cost, brute_force_design):
+        same(solve(numpy, model), solve(plain, plain_model))
+    same(tuple(compare_approaches(numpy, model).items()),
+         tuple(compare_approaches(plain, plain_model).items()))
+    d = solve_min_cost(plain, plain_model).design
+    assert feasible(numpy, d) is feasible(plain, d) is True
+    same(qos_all(numpy, d.m, d.t, d.q), qos_all(plain, d.m, d.t, d.q))
+
+    reals = ("alpha", "beta", "z_init", "q_init", "gamma", "gamma_target", "lam_min",
+             "convergence_tol")
+    counts = ("max_iterations", "seed", "convergence_window")
+    for problem in PROBLEMS:
+        config = auto_config(problem, 120, 215, numpy)
+        same(config, auto_config(problem, 120, 215, plain))
+        config = dataclasses.replace(config, gamma=0.5, max_iterations=20000, seed=3)
+        single = AimdConfig(**{f: real(getattr(config, f)) for f in reals},
+                            **{f: np.int64(getattr(config, f)) for f in counts})
+        double = AimdConfig(**{f: py(getattr(config, f)) for f in reals},
+                            **{f: getattr(config, f) for f in counts})
+        same(single, double)
+        trace, *result = run_partition(problem, numpy, 120, 215, single, record=False)
+        plain_trace, *plain_result = run_partition(problem, plain, 120, 215, double,
+                                                   record=False)
+        same(trace, plain_trace)
+        same(tuple(result), tuple(plain_result))
+        same(scan_oracle(problem, numpy, 120, 215), scan_oracle(problem, plain, 120, 215))
 
 
 # Prints, at each stage, which of numpy and scipy the process has loaded.

@@ -21,6 +21,7 @@ from surgeshare import (
     get_cost_model,
 )
 from surgeshare.cost import CAR_DISCOUNTS, CHARGER_DISCOUNTS, _fit_grid
+from surgeshare.qos import _COUNT_MAX
 
 
 def test_car_schedule_lookups():
@@ -92,8 +93,19 @@ def test_smooth_discount_validation():
             SmoothDiscount(amplitude=0.2, rate=bad)
 
 
+@pytest.mark.parametrize("m, error", [
+    (-5, ValueError), (True, TypeError), (math.nan, ValueError), ("3", TypeError),
+])
+def test_smooth_discount_value_checks_m(m, error):
+    # A quantity is a real m >= 0, checked as any other input and named.
+    with pytest.raises(error, match="^m must"):
+        SmoothDiscount(amplitude=0.2, rate=0.01).value(m)
+
+
 @pytest.mark.parametrize("field", ["per_item_main", "per_item_prosumer", "horizon_years"])
-@pytest.mark.parametrize("value", [0, -1, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("value", [0, -1, math.nan, math.inf, -math.inf,
+                                   # an int past the float range is infinite
+                                   pytest.param(10**400, id="10**400")])
 def test_cost_model_rejects_non_positive_or_non_finite(field, value):
     with pytest.raises(ValueError, match=field):
         dataclasses.replace(car_cost_model(), **{field: value})
@@ -183,10 +195,14 @@ def test_fit_takes_only_a_schedule(schedule):
 @pytest.mark.parametrize("m_max, error", [
     (0, ValueError), (-5, ValueError), ("30", TypeError), (True, TypeError),
     (2.5, TypeError), (30.0, TypeError),
+    # Above the largest population the package takes, as far as 10**400,
+    # where the grid's powers of ten overflow a float.
+    pytest.param(_COUNT_MAX + 1, ValueError, id="COUNT_MAX+1-ValueError"),
+    pytest.param(10**400, ValueError, id="10**400-ValueError"),
 ])
 def test_fit_checks_m_max(discount, m_max, error):
     # A flat schedule needs no fit, but its m_max is checked all the same.
-    with pytest.raises(error, match="^m_max must be"):
+    with pytest.raises(error, match=f"^m_max (must be|cannot exceed {_COUNT_MAX};)"):
         fit_smooth_discount(discount, m_max)
 
 

@@ -363,7 +363,16 @@ def test_cli_design_respects_outdir_env(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "env_row.csv").exists()
 
 
-def test_cli_partition_equalize_seed7(tmp_path, monkeypatch, capsys, reference_trace_csv):
+@pytest.mark.parametrize("problem, q_oracle, sha256", [
+    pytest.param("equalize", 5,
+                 "87c46ad2d926bbb2f72af58625e727a0617c45c88229fddab1a1c2bbb758bf65",
+                 id="equalize"),
+    pytest.param("maximize", 7,
+                 "d22266459b3fe6e90a07eca50ce452a2ea2899de54d121749f08743c7557b1d0",
+                 id="maximize"),
+])
+def test_cli_partition_seed7(problem, q_oracle, sha256, tmp_path, monkeypatch, capsys,
+                             reference_trace_csv):
     written = []
 
     def spy(path, trace):
@@ -379,22 +388,21 @@ def test_cli_partition_equalize_seed7(tmp_path, monkeypatch, capsys, reference_t
     monkeypatch.setattr(aimd, "_slow_rows", refuse)
     code = cli_dispatch(["partition", "--scenario", "car-n1000",
                          "--m", "120", "--t", "215",
-                         "--problem", "equalize", "--seed", "7",
+                         "--problem", problem, "--seed", "7",
                          "--output", "trace.csv", "--outdir", str(tmp_path)])
     out = capsys.readouterr().out
     assert code == 0
     q_star = int(out.split("q_star = ")[1].split()[0])
-    assert abs(q_star - 5) <= 1
+    assert abs(q_star - q_oracle) <= 1
     data = (tmp_path / "trace.csv").read_bytes()
     assert data.startswith(b"iter,z,q,capacity_event,z_avg,q_avg\n")
-    # Every row of the 593,577 as the per-row f-string writer prints it.
+    # Every row (593,577 for equalize) as the per-row f-string writer prints it.
     (trace,) = written
     assert data.count(b"\n") == trace.total_iterations + 1
     assert data == reference_trace_csv(trace)
     # Pins the run itself: a change to the AIMD bits changes the trace the
     # reference writer is fed too, and would pass the comparison above.
-    assert hashlib.sha256(data).hexdigest() == (
-        "87c46ad2d926bbb2f72af58625e727a0617c45c88229fddab1a1c2bbb758bf65")
+    assert hashlib.sha256(data).hexdigest() == sha256
 
 
 def test_cli_partition_rejects_t_above_n(capsys):
