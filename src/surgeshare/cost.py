@@ -115,6 +115,8 @@ class CostModel:
 
     def cost_per_consumer(self, cost_real: float, n_consumers: int) -> float:
         """Annualized per-consumer cost over the model horizon."""
+        cost_real = _real("cost_real", cost_real, 0, math.inf, "[)")
+        n_consumers = _integer("n_consumers", n_consumers, 1, _COUNT_MAX)
         return cost_real / (n_consumers * self.horizon_years)
 
 
@@ -155,7 +157,8 @@ def fit_smooth_discount(
     """Least-squares fit of A*(1 - exp(-B*m)) to the step schedule.
 
     The residuals are taken on a log-spaced integer grid covering
-    [1, m_max] (default: 1.5x the last breakpoint quantity; at most
+    [1, m_max] (default: 1.5x the last breakpoint quantity, rounded
+    down and at least 10; a default or given m_max is at most
     ``qos._COUNT_MAX``, the largest population the package takes), so
     every decade of the quantity axis gets comparable weight.  The
     problem is linear in A, so for each rate B the best amplitude in
@@ -168,7 +171,9 @@ def fit_smooth_discount(
     if not isinstance(schedule, DiscountSchedule):
         raise TypeError(f"schedule must be a DiscountSchedule; got {schedule!r}")
     if m_max is None:
-        m_max = max(int(1.5 * schedule.breakpoints[-1][0]), 10)
+        # In integers, equal to int(1.5 * last) for every last quantity up
+        # to the cap and free of float overflow above it.
+        m_max = min(max(3 * schedule.breakpoints[-1][0] // 2, 10), _COUNT_MAX)
     else:
         m_max = _integer("m_max", m_max, 1, _COUNT_MAX)
     if schedule.max_discount == 0.0:

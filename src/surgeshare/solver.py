@@ -11,7 +11,8 @@ of that reserve's stretch of T from the length of the previous
 stretch, relying on the rule being monotone in T at a fixed reserve.
 Let M_ns be the smallest pool that meets the non-surge target, A_s the
 smallest surge supply M - Q + T that meets the surge target, and Q(T)
-the least reserve that meets the bad-behaviour target at T.  ``solve_min_cost`` rests on three facts.
+the least reserve that meets the bad-behaviour target at T.
+``solve_min_cost`` rests on three facts.
 
 - A pool M >= max(M_ns, A_s) is feasible at T = 0 with Q = 0, where it
   is cheapest; within a discount band the pool cost rises with M, so
@@ -40,6 +41,19 @@ is all it relies on.  It exits early once the cheapest pool plus the
 prosumer cost of T exceeds the best design found, which cuts it at the
 optimal T instead of N.
 
+Q(T) depends only on (p_bad, bad-behaviour target), not on N, so the
+stretch ends are kept in one table per process and computed once per
+key.  A scan starts from the ends already found, goes on with the same
+search from the last, and when it stops adds the ends it found below
+its own T limit; an end clipped at that limit is not a flip and is not
+kept.  As the rule is monotone in T at a fixed reserve, an end is the
+same whatever limit found it, so every solve sees the stretches a scan
+from an empty table gives.  A key's ends are replaced whole by a longer
+tuple under a lock; the scan reads them without one, so two concurrent
+solves can at worst repeat a search.  The table holds at most
+``_RESERVE_KEYS`` keys and is emptied when a new key would pass that,
+and each key holds at most the ends its longest scan used.
+
 One reference checks it.  ``brute_force_design`` prices the whole
 (M, T) grid and shares with the solver only the rule, the operations
 of ``cost_eval`` and the (cost, M, T, Q) tie-break.  It rests on two
@@ -57,6 +71,7 @@ import csv
 import dataclasses
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -163,6 +178,25 @@ def _pool_minima(params: ScenarioParams) -> Tuple[int, int]:
             min_items_for_qos(params.n_consumers, params.p_surge, params.qos_target_s))
 
 
+# Stretch ends found so far per (p_b, target): entry q is the last T of
+# the stretch of reserve q, a true flip of the rule.  The lock is
+# reentrant because a scan left in a reference cycle publishes when the
+# garbage collector closes it, which can happen while this thread holds
+# the lock.
+_RESERVE_KEYS = 64
+_reserve_ends: Dict[Tuple[float, float], Tuple[int, ...]] = {}
+_reserve_lock = threading.RLock()
+
+
+def _publish_ends(key: Tuple[float, float], ends: Tuple[int, ...]) -> None:
+    with _reserve_lock:
+        known = _reserve_ends.get(key)
+        if known is None and len(_reserve_ends) >= _RESERVE_KEYS:
+            _reserve_ends.clear()
+        if known is None or len(ends) > len(known):
+            _reserve_ends[key] = ends
+
+
 def _reserve_stretches(t_max: int, p_b: float, target: float):
     # The minimum reserve Q(T) for T = 0, 1, ..., t_max as stretches
     # (t0, t1, q): Q(T) = q for t0 <= T <= t1.  The stretches are
@@ -173,14 +207,31 @@ def _reserve_stretches(t_max: int, p_b: float, target: float):
     # that stretch's length.  One more prosumer raises Q by at most one,
     # so q meets where its stretch starts; were rounding to make it fail
     # there, the stretch would be empty (t1 < t0) and give no design.
+    # The flips do not depend on t_max, so the ends an earlier scan found
+    # for (p_b, target) are reused and the walk goes on from the last.
+    key = (p_b, target)
+    known = _reserve_ends.get(key, ())
     t0, length = 0, 1
-    for q in itertools.count():
-        t1 = _flip(lambda t: not _meets_target(q, t, p_b, target),
-                   t0, t_max + 1, t0 + length) - 1
-        yield t0, t1, q
+    for q, t1 in enumerate(known):
         if t1 >= t_max:
+            yield t0, t_max, q
             return
+        yield t0, t1, q
         t0, length = t1 + 1, t1 + 1 - t0
+    found = []
+    try:
+        for q in itertools.count(len(known)):
+            t1 = _flip(lambda t: not _meets_target(q, t, p_b, target),
+                       t0, t_max + 1, t0 + length) - 1
+            if t1 < t_max:
+                found.append(t1)
+            yield t0, t1, q
+            if t1 >= t_max:
+                return
+            t0, length = t1 + 1, t1 + 1 - t0
+    finally:
+        if found:
+            _publish_ends(key, known + tuple(found))
 
 
 def _near_prosumer_rate(model: CostModel, n: int) -> bool:
@@ -201,9 +252,10 @@ def solve_min_cost(params: ScenarioParams, model: CostModel,
 
     At T = 0 it prices the pool max(M_ns, A_s) and the band starts above
     it.  Below A_s it takes the stretches (t0, t1, q) of T with the same
-    minimum reserve q, one galloping search per reserve, and keeps
-    ``reach``, the largest T - Q(T) so far.  Each stretch starts at
-    T - q <= reach + 1, and T - q grows by one per T inside it, so it
+    minimum reserve q, one galloping search per reserve that no earlier
+    solve in the process found, and keeps ``reach``, the largest
+    T - Q(T) so far.  Each stretch starts at T - q <= reach + 1, and
+    T - q grows by one per T inside it, so it
     gives the designs (A_s - x, x + q, q) for x in (reach, top],
     top = min(t1 - q, A_s - max(M_ns, q)).  Of those it prices ``top``
     and the band marks x = A_s - b and A_s - b + 1, or every x where
@@ -231,20 +283,34 @@ def solve_min_cost(params: ScenarioParams, model: CostModel,
     at_zero = {m: cost_eval(m, 0, model) for m in {m_ns, smallest, *starts}}
     pool_floor = min(at_zero.values())
     best = min((cost, m, 0, 0) for m, cost in at_zero.items() if m >= smallest)
-    # The pools b - 1 and b at each band boundary, as x = a_s - M.
-    marks = {a_s - m for b, _ in model.discount.breakpoints for m in (b - 1, b)}
+    # The pools b - 1 and b at each band boundary, as x = a_s - M, in
+    # rising order and closed by a sentinel; marks[i] is the first above
+    # reach, and i only moves forward as reach grows.
+    marks = sorted({a_s - m for b, _ in model.discount.breakpoints for m in (b - 1, b)})
+    marks.append(math.inf)
     every_x = _near_prosumer_rate(model, n)
-    reach = 0
+    reach = i = 0
     for _, t1, q in _reserve_stretches(n, params.p_bad, params.qos_target_b):
-        cap = a_s - max(m_ns, q)
-        top = min(cap, t1 - q)
+        while marks[i] <= reach:
+            i += 1
+        cap = a_s - (q if q > m_ns else m_ns)
+        end = t1 - q
+        top = end if end < cap else cap
         if every_x:
             xs = range(reach + 1, top + 1)
+        elif top > reach:
+            xs = [top]
+            while marks[i] < top:
+                xs.append(marks[i])
+                i += 1
         else:
-            xs = {x for x in (top, *marks) if reach < x <= top}
+            xs = ()
         for x in xs:
-            best = min(best, (cost_eval(a_s - x, x + q, model), a_s - x, x + q, q))
-        reach = max(reach, t1 - q)
+            priced = (cost_eval(a_s - x, x + q, model), a_s - x, x + q, q)
+            if priced < best:
+                best = priced
+        if end > reach:
+            reach = end
         # q only rises, so no later stretch gives a design once reach is
         # at cap, and none costs less than the bound at its first T.
         if reach >= cap or pool_floor + model.per_item_prosumer * (t1 + 1) > best[0]:

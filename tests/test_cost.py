@@ -20,6 +20,7 @@ from surgeshare import (
     fit_smooth_discount,
     get_cost_model,
 )
+from surgeshare import cost as cost_module
 from surgeshare.cost import CAR_DISCOUNTS, CHARGER_DISCOUNTS, _fit_grid
 from surgeshare.qos import _COUNT_MAX
 
@@ -204,6 +205,29 @@ def test_fit_checks_m_max(discount, m_max, error):
     # A flat schedule needs no fit, but its m_max is checked all the same.
     with pytest.raises(error, match=f"^m_max (must be|cannot exceed {_COUNT_MAX};)"):
         fit_smooth_discount(discount, m_max)
+
+
+def test_fit_default_m_max(monkeypatch):
+    # The default m_max is 1.5x the last quantity, as the former
+    # int(1.5 * q) gave it, so the built-in fits keep their bits; it is
+    # computed in integers and capped like a given m_max, so a last
+    # quantity past the float range fits too.
+    sizes = []
+
+    def recording(m_max):
+        sizes.append(m_max)
+        return _fit_grid(m_max)
+
+    monkeypatch.setattr(cost_module, "_fit_grid", recording)
+    for last in (10**400, 2**31):
+        sd = fit_smooth_discount(DiscountSchedule(((1, 0.0), (last, 0.1))))
+        assert 0.0 <= sd.amplitude <= 0.999 and sd.rate > 0.0
+    assert sizes == [_COUNT_MAX, _COUNT_MAX]
+    for schedule in (CAR_DISCOUNTS, CHARGER_DISCOUNTS):
+        sizes.clear()
+        m_max = int(1.5 * schedule.breakpoints[-1][0])
+        assert fit_smooth_discount(schedule) == fit_smooth_discount(schedule, m_max)
+        assert sizes == [m_max, m_max]
 
 
 def test_fit_takes_numpy_m_max():
@@ -406,3 +430,20 @@ def test_cost_per_consumer_annualized():
     cost = cost_eval(10, 14, model)
     # Decade total divided by ten years and 1000 consumers.
     assert model.cost_per_consumer(cost, 1000) == pytest.approx(28.516, abs=1e-3)
+
+
+def test_cost_per_consumer_checks_its_inputs():
+    model = car_cost_model()
+    per = model.cost_per_consumer(np.float32(1000.0), 1000)
+    assert type(per) is float and per == 1000.0 / (1000 * model.horizon_years)
+    assert type(model.cost_per_consumer(1000, np.int64(1000))) is float
+    with pytest.raises(TypeError, match="^cost_real must be a real number"):
+        model.cost_per_consumer(True, 1000)
+    for cost in (-5.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="^cost_real must lie in"):
+            model.cost_per_consumer(cost, 1000)
+    with pytest.raises(TypeError, match="^n_consumers must be an integer"):
+        model.cost_per_consumer(1000.0, True)
+    for n in (0, _COUNT_MAX + 1):
+        with pytest.raises(ValueError, match="^n_consumers"):
+            model.cost_per_consumer(1000.0, n)

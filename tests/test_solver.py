@@ -1,6 +1,10 @@
 """Unit tests for the minimum-cost design solver and its oracle."""
 
 import dataclasses
+import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from scipy import special
@@ -19,6 +23,7 @@ from surgeshare import (
     feasible,
     solve_min_cost,
 )
+from surgeshare import cli
 from surgeshare import qos as qos_module
 from surgeshare import solver as solver_module
 from surgeshare.cost import cost_eval
@@ -28,6 +33,19 @@ from surgeshare.solver import _reserve_stretches, sweep_cost_vs_qos
 
 CAR_1000 = ScenarioParams(1000, 0.1, 0.3, 0.01)
 CHARGER_1000 = ScenarioParams(1000, 0.005, 0.015, 0.01)
+
+
+def _empty_table():
+    # The process-wide stretch ends that _reserve_stretches reuses.
+    solver_module._reserve_ends.clear()
+
+
+@pytest.fixture
+def empty_table():
+    """Start from an empty table of reserve stretch ends and leave one."""
+    _empty_table()
+    yield
+    _empty_table()
 
 
 def test_feasible_car_table_row():
@@ -295,12 +313,20 @@ def _linear_reserves(t_max, p_b, target):
 def test_reserve_pointer_equals_linear_pointer(t_max, p_b, target):
     # The galloping pointer skips the rule between the T where Q must
     # grow; its stretches must still give Q(T) at every T.
+    _empty_table()
     stretches = list(_reserve_stretches(t_max, p_b, target))
     assert stretches[0][0] == 0 and stretches[-1][1] == t_max
     for (_, t1, q), (t0, _, q_next) in zip(stretches, stretches[1:]):
         assert t0 == t1 + 1 and q_next > q
     per_t = [q for t0, t1, q in stretches for _ in range(t0, t1 + 1)]
     assert per_t == list(_linear_reserves(t_max, p_b, target))
+    # The same stretches when a scan to a smaller t_max filled the table
+    # first, and the smaller scan's own when read back from the longer.
+    _empty_table()
+    shorter = list(_reserve_stretches(t_max // 2, p_b, target))
+    assert list(_reserve_stretches(t_max, p_b, target)) == stretches
+    assert list(_reserve_stretches(t_max // 2, p_b, target)) == shorter
+    _empty_table()
 
 
 def test_oracle_takes_none_of_the_solver_shortcuts(monkeypatch):
@@ -353,7 +379,7 @@ def test_scan_prices_few_candidates(name, changes, entry, most, monkeypatch):
     ("car-n50000-98", solve_min_cost, 400),
     ("car-n5000-98", solve_min_cost, 95),
 ])
-def test_searches_make_few_rule_calls(name, entry, most, monkeypatch):
+def test_searches_make_few_rule_calls(name, entry, most, monkeypatch, empty_table):
     # Counted rather than timed, so the check is deterministic.
     calls = []
 
@@ -366,6 +392,64 @@ def test_searches_make_few_rule_calls(name, entry, most, monkeypatch):
     scenario = load_scenario(name)
     entry(scenario.params, scenario.cost_model)
     assert len(calls) <= most
+    # A second solve reads its reserve stretches from the table, so only
+    # the two pool-minima searches call the rule.
+    calls.clear()
+    entry(scenario.params, scenario.cost_model)
+    assert len(calls) <= 10
+    assert all(args[1] == scenario.params.n_consumers for args in calls)
+
+
+def _golden_scenarios():
+    return [sc for use in ("car", "charger") for sc, _ in cli._golden_table(use)]
+
+
+def _cold_reports(scenarios):
+    reports = {}
+    for sc in scenarios:
+        _empty_table()
+        reports[sc.name] = solve_min_cost(sc.params, sc.cost_model)
+    _empty_table()
+    return reports
+
+
+def test_shared_table_keeps_every_golden_report(empty_table):
+    # Rows of one target share Q(T); whichever row fills the table first,
+    # each report is the one a solve from an empty table gives.
+    scenarios = _golden_scenarios()
+    cold = _cold_reports(scenarios)
+    assert len(cold) == 16
+    random.Random(7).shuffle(scenarios)
+    for sc in scenarios:
+        assert solve_min_cost(sc.params, sc.cost_model) == cold[sc.name], sc.name
+    # Two (p_bad, target) keys: 0.98 and 0.99 at p_bad = 0.01.
+    assert len(solver_module._reserve_ends) == 2
+
+
+def test_shared_table_under_threads(empty_table):
+    # Four threads on two CPUs, switching often, fill one table at once;
+    # a lost or torn update could only repeat a search, never change a
+    # report.
+    scenarios = _golden_scenarios()
+    cold = _cold_reports(scenarios)
+
+    start = threading.Barrier(4)
+
+    def solve_all(seed):
+        order = scenarios[:]
+        random.Random(seed).shuffle(order)
+        start.wait(timeout=60)
+        return {sc.name: solve_min_cost(sc.params, sc.cost_model) for sc in order}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(solve_all, seed) for seed in range(4)]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(reports == cold for reports in results)
 
 
 @settings(max_examples=60, deadline=None)
