@@ -15,6 +15,7 @@ import argparse
 import csv
 import dataclasses
 import errno
+import gc
 import importlib.resources
 import os
 import sys
@@ -293,7 +294,21 @@ def cli_dispatch(argv: Optional[List[str]] = None) -> int:
 
 
 def main() -> None:
-    sys.exit(cli_dispatch())
+    """Run one command from ``sys.argv`` and end the process with its exit code.
+
+    This is the ``surgeshare`` console script and ``python -m
+    surgeshare.cli``; it never returns.  A command is short-lived, and
+    nearly every object it makes lives until the process exits, the tens
+    of thousands that numpy and scipy make as they import included.  The
+    cyclic garbage collector would walk them all and free next to
+    nothing, so it is off while the command runs, and the heap is frozen
+    before the exit so that the collections at interpreter shutdown skip
+    it too.  ``cli_dispatch`` leaves the collector as its caller set it.
+    """
+    gc.disable()
+    code = cli_dispatch()
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

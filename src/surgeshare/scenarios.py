@@ -12,10 +12,11 @@ suffix default to 98%).
 from __future__ import annotations
 
 import configparser
+import functools
 import operator
 import typing
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Tuple
 
 from .aimd import AimdConfig
 from .cost import CostModel, DiscountSchedule, get_cost_model
@@ -73,8 +74,12 @@ class ScenarioFile:
         return SolverOpts()
 
 
-def _builtin_table() -> Dict[str, ScenarioFile]:
-    table: Dict[str, ScenarioFile] = {}
+@functools.cache
+def _builtin_table() -> Dict[str, Tuple[str, ScenarioParams, CostModel]]:
+    # Name -> (canonical name, params, cost model), built once per process:
+    # all three are immutable, so every ``load_scenario`` of a built-in
+    # shares them and makes only its own ScenarioFile and ``aimd`` dict.
+    table: Dict[str, Tuple[str, ScenarioParams, CostModel]] = {}
     cases = {
         "car": dict(p_nonsurge=0.1, p_surge=0.3, p_bad=0.01,
                     cost_model="car-mg4-2025"),
@@ -82,13 +87,14 @@ def _builtin_table() -> Dict[str, ScenarioFile]:
                         cost_model="charger-dc60-2025"),
     }
     for use, info in cases.items():
+        model = get_cost_model(info["cost_model"])
         for n in (1000, 5000, 10000, 50000):
             for pct in (98, 99):
                 target = pct / 100.0
                 name = f"{use}-n{n}-{pct}"
-                scenario = ScenarioFile(
-                    name=name,
-                    params=ScenarioParams(
+                entry = (
+                    name,
+                    ScenarioParams(
                         n_consumers=n,
                         p_nonsurge=info["p_nonsurge"],
                         p_surge=info["p_surge"],
@@ -97,11 +103,11 @@ def _builtin_table() -> Dict[str, ScenarioFile]:
                         qos_target_s=target,
                         qos_target_b=target,
                     ),
-                    cost_model=get_cost_model(info["cost_model"]),
+                    model,
                 )
-                table[name] = scenario
+                table[name] = entry
                 if pct == 98:
-                    table[f"{use}-n{n}"] = scenario
+                    table[f"{use}-n{n}"] = entry
     return table
 
 
@@ -146,9 +152,9 @@ def _coerce(section: str, key: str, raw: str):
 
 def load_scenario(path_or_name: str) -> ScenarioFile:
     """Load a scenario file, or resolve a built-in scenario name."""
-    builtins = _builtin_table()
-    if path_or_name in builtins:
-        return builtins[path_or_name]
+    builtin = _builtin_table().get(path_or_name)
+    if builtin is not None:
+        return ScenarioFile(*builtin)
 
     parser = configparser.ConfigParser(interpolation=None)
     try:

@@ -353,6 +353,15 @@ def test_min_items_exact_near_target_one(target, expected):
     assert min_items_for_qos(1000, 0.3, target) == expected
 
 
+def test_rule_target_one_fails_where_the_tail_underflows():
+    # At p = 1e-20, 1 - p rounds to 1: the tail P[X > 19] of Bin(20, p),
+    # exactly p**20, underflows to 0 and the cdf rounds to 1, so only the
+    # rule's check that the target is below 1 rejects 19 items.
+    assert special.bdtrc(19, 20, 1e-20) == 0.0 and special.bdtr(19, 20, 1e-20) == 1.0
+    assert not _meets_target(19, 20, 1e-20, 1.0)
+    assert _meets_target(20, 20, 1e-20, 1.0)
+
+
 def test_min_items_target_one_needs_every_requester():
     # Far above the mean the tail underflows to 0, yet only a = n serves
     # every requester.

@@ -3,8 +3,10 @@
 import configparser
 import csv
 import dataclasses
+import gc
 import hashlib
 import os
+import sys
 import tempfile
 import typing
 from types import SimpleNamespace
@@ -61,6 +63,16 @@ def test_builtin_charger_scenario():
 
 def test_builtin_alias_defaults_to_98():
     assert load_scenario("car-n1000") == load_scenario("car-n1000-98")
+
+
+def test_builtin_scenarios_share_no_aimd_dict():
+    # The built-in table is built once per process; each load still
+    # gets its own [aimd] overrides to change.
+    first = load_scenario("car-n1000")
+    first.aimd["seed"] = 3
+    assert load_scenario("car-n1000").aimd == {}
+    assert load_scenario("car-n1000-98").aimd == {}
+    assert load_scenario("car-n1000").aimd is not load_scenario("car-n1000").aimd
 
 
 def test_builtin_registry_covers_both_tables():
@@ -470,6 +482,53 @@ def test_cli_runs_as_module(fresh_python):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert [line.split("=")[0].strip() for line in lines] == ["qos_ns", "qos_s", "qos_b"]
+
+
+_QOS_ARGV = ["qos", "--m", "120", "--t", "216", "--q", "6"]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_cli_dispatch_leaves_the_collector_as_it_was(enabled, capsys):
+    # Tests, the benchmark and embedding programs call cli_dispatch in a
+    # process that goes on; only main, which ends the process, turns the
+    # collector off.
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        frozen = gc.get_freeze_count()
+        assert cli_dispatch(_QOS_ARGV) == 0
+        assert gc.isenabled() is enabled
+        assert gc.get_freeze_count() == frozen
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+
+
+def test_main_exits_with_the_collector_off_and_the_heap_frozen(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["surgeshare", *_QOS_ARGV])
+    was = gc.isenabled()
+    try:
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        assert exc.value.code == 0
+        assert not gc.isenabled()
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+        (gc.enable if was else gc.disable)()
+    assert capsys.readouterr().out.startswith("qos_ns = ")
+
+
+def test_module_reproduce_equals_in_process_reproduce(fresh_python, tmp_path, capsys):
+    # The process exits with its heap frozen, so no collection runs at
+    # shutdown: its tables must be whole without any finalizer.
+    fresh, here = tmp_path / "fresh", tmp_path / "here"
+    proc = fresh_python("-m", "surgeshare.cli", "reproduce", "--outdir", str(fresh))
+    assert proc.returncode == 0, proc.stderr
+    assert cli_dispatch(["reproduce", "--outdir", str(here)]) == 0
+    assert proc.stdout.replace(str(fresh), str(here)) == capsys.readouterr().out
+    for name in ("car_min_cost.csv", "charger_min_cost.csv"):
+        assert (fresh / name).read_bytes() == (here / name).read_bytes()
 
 
 def test_cli_compare(capsys):

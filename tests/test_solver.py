@@ -21,6 +21,7 @@ from surgeshare import (
     charger_cost_model,
     compare_approaches,
     feasible,
+    min_items_for_qos,
     solve_min_cost,
 )
 from surgeshare import cli
@@ -54,6 +55,16 @@ def test_feasible_car_table_row():
 
 def test_feasible_rejects_oversized_pool():
     assert not feasible(CAR_1000, Design(1001, 216, 6))
+
+
+def test_feasible_at_the_structural_bounds():
+    # A pool of exactly N; a surge supply M - Q + T of exactly N; and at
+    # N = 1, M = T = Q = N, where every structural bound holds with
+    # equality.
+    assert feasible(CAR_1000, Design(1000, 0, 0))
+    q = min_items_for_qos(880, 0.01, 0.98)
+    assert feasible(CAR_1000, Design(1000 - 880 + q, 880, q))
+    assert feasible(ScenarioParams(1, 0.5, 0.5, 0.5), Design(1, 1, 1))
 
 
 def test_feasible_rejects_reserve_above_prosumers():
@@ -294,6 +305,33 @@ def test_solver_equals_full_scan(n, p_ns, p_s, p_b, targets, model):
         assert _design_key(rep) == full
 
 
+# The smallest inputs found on which a one-line change to the marks or
+# band starts of solve_min_cost returned another design than the
+# reference: each optimum is a pool that only that line prices.
+@pytest.mark.parametrize("params, model, design", [
+    # A_s = 3, M_ns = 1 and one stretch of Q = 0, so reach = 0 and
+    # top = 2.  The optimum is the band start 2 at x = A_s - M = 1, the
+    # only mark in (reach, top): both reach + 1 and top - 1.
+    pytest.param(ScenarioParams(3, 0.11, 0.71, 0.02, 0.95, 0.98, 0.8),
+                 _cost_model(23, 9, ((1, 0.0), (2, 0.41), (4, 0.43), (5, 0.48))),
+                 Design(2, 1, 0), id="mark-at-reach+1-and-top-1"),
+    # A_s = 4 and top = 3: the marks x = 1 and x = 2 lie below top, and
+    # the optimum is the second, the band start 2.
+    pytest.param(ScenarioParams(4, 0.13, 0.52, 0.04, 0.8, 0.99, 0.8),
+                 _cost_model(6, 5, ((1, 0.0), (2, 0.12), (4, 0.12), (5, 0.43))),
+                 Design(2, 2, 0), id="second-mark-below-top"),
+    # The band start N = 3 is the cheapest pool, at T = 0.
+    pytest.param(ScenarioParams(3, 0.18, 0.4, 0.03, 0.99, 0.8, 0.9),
+                 _cost_model(1, 1, ((1, 0.0), (3, 0.35), (5, 0.48))),
+                 Design(3, 0, 0), id="band-start-at-n"),
+])
+def test_solver_prices_each_band_mark_and_start(params, model, design):
+    rep = solve_min_cost(params, model)
+    oracle = brute_force_design(params, model)
+    assert rep.design == oracle.design == design
+    assert rep.cost_real.hex() == oracle.cost_real.hex()
+
+
 def _linear_reserves(t_max, p_b, target):
     # The reserve pointer as a plain linear scan: one rule call per T
     # plus one per step of Q.
@@ -497,6 +535,13 @@ def test_compare_approaches_car():
     assert table["ownership"].qos.qos_ns == 1.0
     assert (table["hybrid"].cost_real < table["b2c"].cost_real
             < table["ownership"].cost_real)
+
+
+def test_compare_ownership_is_one_item_per_consumer():
+    model = car_cost_model()
+    own = compare_approaches(CAR_1000, model)["ownership"]
+    assert own.design == Design(1000, 0, 0)
+    assert own.cost_real == cost_eval(1000, 0, model)
 
 
 def test_compare_approaches_charger():
