@@ -23,36 +23,48 @@ the least reserve that meets the bad-behaviour target at T.
   and it is feasible only if Q(T) <= M.  So every design with
   prosumers fills the surge supply to exactly A_s.
 - Along a stretch of T with a constant reserve q those designs are
-  (A_s - x, x + q, q), whose cost moves by one step of one sign per x
-  while the pool stays in one discount band.  So only the stretch's
-  last x and the band boundaries b - 1 | b in its range are priced,
-  or every x where some band's pool rate is so close to the prosumer
-  rate that rounding could reverse the step.  The range's first x,
-  reach + 1, needs no price of its own.  Where the cost falls with x,
-  it ends no band piece at a minimum.  Where it rises, the design at
-  x = reach, priced as the last x of an earlier stretch with reserve
-  q' <= q or as (A_s, 0, 0), is cheaper by
-  per_item_prosumer * (1 + q - q') - rate > 0, unless a band boundary
-  lies between the two pools, and then reach + 1 is a boundary.
+  (A_s - x, x + q, q) for x in (reach, top].  Here reach is the largest
+  T - Q(T) of the earlier stretches, 0 before the first, so the pools of
+  every smaller x were first reached there, and
+  top = min(t1 - q, A_s - max(M_ns, q)) is the last x of the stretch
+  t0 <= T <= t1 whose pool is large enough.  Only ``top`` and the x
+  whose pool is a band start are priced, or every x where some band's
+  pool rate is so close to the prosumer rate that rounding could reverse
+  a step (``_near_prosumer_rate``).  No other x is cheapest.  Its pool
+  is not a band start, so the pool one smaller lies in the same band,
+  and within a band the cost moves by one step of one sign per x.  If
+  the cost falls with x, the design at x + 1 is cheaper.  If it rises,
+  the design at x - 1 is cheaper, or at x = reach the one priced there
+  (the ``top`` of an earlier stretch with reserve q' <= q, or
+  (A_s, 0, 0)): its pool is one larger and its T no larger.  Where that
+  pool starts a band, its discount is at least this band's, so the gap
+  is still at least the step.  Outside ``_near_prosumer_rate`` the step
+  exceeds the rounding error of two costs, so the computed costs keep
+  that order.
 
 The scan is exact for every cost model: ``CostModel`` requires
-positive unit costs and ``DiscountSchedule`` discounts in [0, 1), which
-is all it relies on.  It exits early once the cheapest pool plus the
-prosumer cost of T exceeds the best design found, which cuts it at the
+positive unit costs and ``DiscountSchedule`` discounts in [0, 1) that
+never fall as the quantity grows, which is all it relies on.  No design
+with T prosumers costs less than the cheapest pool of at least M_ns
+items plus ``per_item_prosumer * T``.  The scan stops once that bound at
+the next stretch's first T is strictly above the best cost found, so
+ties break on (cost, M, T, Q) exactly as in ``brute_force_design``, or
+once reach leaves no x for later stretches.  This cuts it at the
 optimal T instead of N.
 
 Q(T) depends only on (p_bad, bad-behaviour target), not on N, so the
-stretch ends are kept in one table per process and computed once per
-key.  A scan starts from the ends already found, goes on with the same
-search from the last, and when it stops adds the ends it found below
-its own T limit; an end clipped at that limit is not a flip and is not
-kept.  As the rule is monotone in T at a fixed reserve, an end is the
-same whatever limit found it, so every solve sees the stretches a scan
-from an empty table gives.  A key's ends are replaced whole by a longer
-tuple under a lock; the scan reads them without one, so two concurrent
-solves can at worst repeat a search.  The table holds at most
-``_RESERVE_KEYS`` keys and is emptied when a new key would pass that,
-and each key holds at most the ends its longest scan used.
+stretch ends are kept in a table per process, one list per key, and each
+is computed once.  A scan reads the ends already in the list and goes on
+with the same search from the last.  Each end it finds below its own T
+limit is appended at once, under a lock and only if it is the list's
+next entry; an end clipped at that limit is not a flip and is not kept.
+As the rule is monotone in T at a fixed reserve, an end is the same
+whatever scan or limit found it.  So a list only grows, every solve sees
+the stretches a scan from an empty table gives, and its entries are read
+without the lock: two concurrent solves can at worst repeat a search.
+The table holds at most ``_RESERVE_KEYS`` keys and is emptied when a new
+key would pass that, and each key holds at most the ends its longest
+scan used.
 
 One reference checks it.  ``brute_force_design`` prices the whole
 (M, T) grid and shares with the solver only the rule, the operations
@@ -179,22 +191,10 @@ def _pool_minima(params: ScenarioParams) -> Tuple[int, int]:
 
 
 # Stretch ends found so far per (p_b, target): entry q is the last T of
-# the stretch of reserve q, a true flip of the rule.  The lock is
-# reentrant because a scan left in a reference cycle publishes when the
-# garbage collector closes it, which can happen while this thread holds
-# the lock.
+# the stretch of reserve q, a true flip of the rule.
 _RESERVE_KEYS = 64
-_reserve_ends: Dict[Tuple[float, float], Tuple[int, ...]] = {}
-_reserve_lock = threading.RLock()
-
-
-def _publish_ends(key: Tuple[float, float], ends: Tuple[int, ...]) -> None:
-    with _reserve_lock:
-        known = _reserve_ends.get(key)
-        if known is None and len(_reserve_ends) >= _RESERVE_KEYS:
-            _reserve_ends.clear()
-        if known is None or len(ends) > len(known):
-            _reserve_ends[key] = ends
+_reserve_ends: Dict[Tuple[float, float], List[int]] = {}
+_reserve_lock = threading.Lock()
 
 
 def _reserve_stretches(t_max: int, p_b: float, target: float):
@@ -208,30 +208,30 @@ def _reserve_stretches(t_max: int, p_b: float, target: float):
     # so q meets where its stretch starts; were rounding to make it fail
     # there, the stretch would be empty (t1 < t0) and give no design.
     # The flips do not depend on t_max, so the ends an earlier scan found
-    # for (p_b, target) are reused and the walk goes on from the last.
+    # for (p_b, target) are read back and the walk goes on from the last.
     key = (p_b, target)
-    known = _reserve_ends.get(key, ())
+    with _reserve_lock:
+        if key not in _reserve_ends and len(_reserve_ends) >= _RESERVE_KEYS:
+            _reserve_ends.clear()
+        ends = _reserve_ends.setdefault(key, [])
     t0, length = 0, 1
-    for q, t1 in enumerate(known):
+    for q in itertools.count():
+        if q < len(ends):
+            t1 = ends[q]
+        else:
+            t1 = _flip(lambda t: not _meets_target(q, t, p_b, target),
+                       t0, t_max + 1, t0 + length) - 1
+            # Another scan may have appended ends meanwhile; each is the
+            # same flip, so only the next one missing is stored.
+            if t1 < t_max:
+                with _reserve_lock:
+                    if len(ends) == q:
+                        ends.append(t1)
         if t1 >= t_max:
             yield t0, t_max, q
             return
         yield t0, t1, q
         t0, length = t1 + 1, t1 + 1 - t0
-    found = []
-    try:
-        for q in itertools.count(len(known)):
-            t1 = _flip(lambda t: not _meets_target(q, t, p_b, target),
-                       t0, t_max + 1, t0 + length) - 1
-            if t1 < t_max:
-                found.append(t1)
-            yield t0, t1, q
-            if t1 >= t_max:
-                return
-            t0, length = t1 + 1, t1 + 1 - t0
-    finally:
-        if found:
-            _publish_ends(key, known + tuple(found))
 
 
 def _near_prosumer_rate(model: CostModel, n: int) -> bool:
@@ -248,30 +248,11 @@ def _near_prosumer_rate(model: CostModel, n: int) -> bool:
 
 def solve_min_cost(params: ScenarioParams, model: CostModel,
                    opts: Optional[SolverOpts] = None) -> DesignReport:
-    """Exact minimum-cost design by a pruned structured scan over T.
+    """Exact minimum-cost design: the report of the feasible (M, T, Q)
+    of least cost, ties broken on (M, T, Q) as in ``brute_force_design``.
 
-    At T = 0 it prices the pool max(M_ns, A_s) and the band starts above
-    it.  Below A_s it takes the stretches (t0, t1, q) of T with the same
-    minimum reserve q, one galloping search per reserve that no earlier
-    solve in the process found, and keeps ``reach``, the largest
-    T - Q(T) so far.  Each stretch starts at T - q <= reach + 1, and
-    T - q grows by one per T inside it, so it
-    gives the designs (A_s - x, x + q, q) for x in (reach, top],
-    top = min(t1 - q, A_s - max(M_ns, q)).  Of those it prices ``top``
-    and the band marks x = A_s - b and A_s - b + 1, or every x where
-    ``_near_prosumer_rate`` holds.  Outside that case reach + 1 is priced only as ``top`` or a
-    mark: otherwise, if the cost falls with x, a larger x of its band
-    piece is cheaper, and if it rises, the design at x = reach, the
-    ``top`` of an earlier stretch with reserve q' <= q or (A_s, 0, 0),
-    is cheaper.
-    Since the cost is the pool term plus ``per_item_prosumer * T``, no
-    design with T prosumers costs less than
-    ``pool_floor + per_item_prosumer * T``, where ``pool_floor`` is the
-    cheapest pool that meets the non-surge target.  The scan stops once
-    that bound at the next stretch's first T is strictly above the best
-    cost found, so ties break on (cost, M, T, Q) exactly as in
-    ``brute_force_design``, or once reach leaves no x for later stretches.
-    ``opts`` is accepted for compatibility and ignored.
+    The module docstring gives the scan and why it is exact.  ``opts``
+    is accepted for compatibility and ignored.
     """
     n = params.n_consumers
     m_ns, a_s = _pool_minima(params)
@@ -283,10 +264,10 @@ def solve_min_cost(params: ScenarioParams, model: CostModel,
     at_zero = {m: cost_eval(m, 0, model) for m in {m_ns, smallest, *starts}}
     pool_floor = min(at_zero.values())
     best = min((cost, m, 0, 0) for m, cost in at_zero.items() if m >= smallest)
-    # The pools b - 1 and b at each band boundary, as x = a_s - M, in
-    # rising order and closed by a sentinel; marks[i] is the first above
-    # reach, and i only moves forward as reach grows.
-    marks = sorted({a_s - m for b, _ in model.discount.breakpoints for m in (b - 1, b)})
+    # The band starts b as x = a_s - b, in rising order and closed by a
+    # sentinel; marks[i] is the first above reach, and i only moves
+    # forward as reach grows.
+    marks = sorted({a_s - b for b, _ in model.discount.breakpoints})
     marks.append(math.inf)
     every_x = _near_prosumer_rate(model, n)
     reach = i = 0

@@ -490,6 +490,51 @@ def test_shared_table_under_threads(empty_table):
     assert all(reports == cold for reports in results)
 
 
+def test_table_lists_stay_prefixes_under_threads(empty_table):
+    # Threads that find the same missing end at once must store it once:
+    # after each round every key's list is a prefix of the list one
+    # thread alone builds, so no scan can read a stretch twice.
+    scenarios = _golden_scenarios()
+    for sc in scenarios:
+        solve_min_cost(sc.params, sc.cost_model)
+    alone = {key: list(ends) for key, ends in solver_module._reserve_ends.items()}
+
+    def solve_all(start):
+        start.wait(timeout=60)
+        for sc in scenarios:
+            solve_min_cost(sc.params, sc.cost_model)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            _empty_table()
+            start = threading.Barrier(4)
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                for f in [pool.submit(solve_all, start) for _ in range(4)]:
+                    f.result(timeout=120)
+            for key, ends in solver_module._reserve_ends.items():
+                assert list(ends) == alone[key][:len(ends)], key
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_table_keeps_at_most_its_key_limit(empty_table):
+    # Every p_bad is a new key; the table is emptied before it would pass
+    # the limit, and a solve after that is the one an empty table gives.
+    limit = solver_module._RESERVE_KEYS
+    model = car_cost_model()
+    scenarios = [ScenarioParams(300, 0.05, 0.2, 0.01 + 0.001 * k, 0.95, 0.95, 0.95)
+                 for k in range(limit + 1)]
+    cold = solve_min_cost(scenarios[-1], model)
+    _empty_table()
+    for params in scenarios:
+        rep = solve_min_cost(params, model)
+        assert len(solver_module._reserve_ends) <= limit
+    assert len(solver_module._reserve_ends) == 1
+    assert rep == cold
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(1, 400),
