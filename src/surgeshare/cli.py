@@ -22,6 +22,7 @@ import sys
 from typing import List, Optional, Tuple
 
 from . import aimd as aimd_mod
+from . import qos as qos_mod
 from . import solver as solver_mod
 from .cost import get_cost_model
 from .qos import ScenarioParams, qos_all
@@ -39,6 +40,23 @@ _PARAM_FLAGS = {
     "p_b": ("p_bad",),
     "target": ("qos_target_ns", "qos_target_s", "qos_target_b"),
 }
+
+
+# The largest n up to which the running command computes its binomials
+# with the summing kernels of ``_binom``: ``_binom.N_MAX`` while ``main``
+# runs its command, else 0, so that every other caller keeps scipy's.
+_summed_upto = 0
+
+
+def _choose_kernels(n: int) -> None:
+    """Bind ``qos.bdtr`` and ``qos.bdtrc`` to ``_binom``'s if n is small enough.
+
+    Each command that evaluates binomials calls this once it knows the
+    largest n it solves, before its first kernel call.
+    """
+    if n <= _summed_upto:
+        from . import _binom
+        qos_mod.bdtr, qos_mod.bdtrc = _binom.bdtr, _binom.bdtrc
 
 
 def _output_paths(args, *names: str) -> List[str]:
@@ -103,6 +121,7 @@ def _add_scenario_args(sub, need_cost: bool = True):
 
 def _cmd_qos(args) -> int:
     params, _, _ = _scenario_params(args)
+    _choose_kernels(max(params.n_consumers, args.t))
     rep = qos_all(params, args.m, args.t, args.q)
     print(f"qos_ns = {rep.qos_ns:.6f}")
     print(f"qos_s  = {rep.qos_s:.6f}")
@@ -113,6 +132,7 @@ def _cmd_qos(args) -> int:
 def _cmd_design(args) -> int:
     params, model, _ = _scenario_params(args)
     paths = _output_paths(args, args.output) if args.output else []
+    _choose_kernels(params.n_consumers)
     rep = solver_mod.solve_min_cost(params, model)
     d = rep.design
     print(f"M = {d.m}  T = {d.t}  Q = {d.q}")
@@ -163,6 +183,7 @@ def _cmd_sweep(args) -> int:
     names = _PARAM_FLAGS["target" if args.axis == "qos" else "n"]
     points = [dataclasses.replace(params, **dict.fromkeys(names, x)) for x in grid]
     (path,) = _output_paths(args, args.output or f"sweep_{args.axis}.csv")
+    _choose_kernels(max(p.n_consumers for p in points))
     solver_mod.write_design_csv(path, [solver_mod.solve_min_cost(p, model) for p in points])
     print(f"wrote {path}")
     return 0
@@ -170,6 +191,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_compare(args) -> int:
     params, model, _ = _scenario_params(args)
+    _choose_kernels(params.n_consumers)
     table = solver_mod.compare_approaches(params, model)
     for label in ("hybrid", "b2c", "ownership"):
         rep = table[label]
@@ -204,11 +226,13 @@ def _golden_misses(report, row: dict) -> List[str]:
 def _cmd_reproduce(args) -> int:
     uses = ("car", "charger")
     paths = _output_paths(args, *(f"{use}_min_cost.csv" for use in uses))
+    tables = [_golden_table(use) for use in uses]
+    _choose_kernels(max(sc.params.n_consumers for table in tables for sc, _ in table))
     ok = True
-    for use, path in zip(uses, paths):
+    for use, path, table in zip(uses, paths, tables):
         reports = []
         print(f"-- {use} minimum-cost table --")
-        for scenario, grow in _golden_table(use):
+        for scenario, grow in table:
             rep = solver_mod.solve_min_cost(scenario.params, scenario.cost_model)
             reports.append(rep)
             d = rep.design
@@ -304,9 +328,29 @@ def main() -> None:
     nothing, so it is off while the command runs, and the heap is frozen
     before the exit so that the collections at interpreter shutdown skip
     it too.  ``cli_dispatch`` leaves the collector as its caller set it.
+
+    A ``qos``, ``design``, ``compare``, ``sweep`` or ``reproduce``
+    command whose largest n is at most ``_binom.N_MAX`` makes too few
+    kernel calls to pay for importing scipy, so ``main`` has it compute
+    its binomials with ``_binom``'s summing kernels, chosen once, before
+    the first call.  The command runs on a reserve table of its own, as
+    the stretch ends it finds come from those kernels, and ``qos.bdtr``,
+    ``qos.bdtrc`` and ``solver._reserve_ends`` are put back as they were
+    before the exit: a caller that runs ``main`` in its own process and
+    catches the exit goes on with its own kernels and table.
+    ``cli_dispatch`` always keeps scipy's.
     """
+    global _summed_upto
+    from . import _binom
+
+    saved = qos_mod.bdtr, qos_mod.bdtrc, solver_mod._reserve_ends
+    solver_mod._reserve_ends, _summed_upto = {}, _binom.N_MAX
     gc.disable()
-    code = cli_dispatch()
+    try:
+        code = cli_dispatch()
+    finally:
+        _summed_upto = 0
+        qos_mod.bdtr, qos_mod.bdtrc, solver_mod._reserve_ends = saved
     gc.freeze()
     sys.exit(code)
 

@@ -36,7 +36,10 @@ from surgeshare import (
     scan_oracle,
     solve_min_cost,
 )
+from surgeshare import _binom
 from surgeshare.aimd import PROBLEMS
+from surgeshare.cli import cli_dispatch
+from surgeshare.scenarios import load_scenario
 
 MODULES = ["qos", "cost", "solver", "aimd", "scenarios", "cli"]
 
@@ -230,3 +233,69 @@ def test_package_works_without_numpy_and_scipy_until_a_kernel(fresh_python):
     proc = fresh_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["car-n1000-98", "scipy", "[]"]
+
+
+# Makes every later import of numpy or scipy fail, as if neither were
+# installed.
+_BLOCK = (
+    "import sys\n"
+    "class Block:\n"
+    "    def find_spec(self, name, path=None, target=None):\n"
+    "        if name.split('.')[0] in ('numpy', 'scipy'):\n"
+    "            raise ModuleNotFoundError(f'No module named {name!r}', name=name)\n"
+    "sys.meta_path.insert(0, Block())\n"
+)
+
+
+def test_import_and_cli_module_do_not_load_the_summing_kernels(fresh_python):
+    code = ("import sys\nimport surgeshare\nfrom surgeshare import cli\n"
+            "print('surgeshare._binom' in sys.modules)\n")
+    proc = fresh_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+@pytest.mark.parametrize("argv, files", [
+    (["qos", "--m", "120", "--t", "216", "--q", "6"], []),
+    (["design", "--scenario", "charger-n1000-98", "--output", "d.csv"], ["d.csv"]),
+    (["design", "--scenario", "car-n50000-99"], []),
+    (["compare", "--scenario", "charger-n1000-98"], []),
+    (["sweep", "--axis", "qos", "--grid", "0.9,0.95,0.99"], ["sweep_qos.csv"]),
+    (["reproduce"], ["car_min_cost.csv", "charger_min_cost.csv"]),
+], ids=["qos", "design", "design-n-max", "compare", "sweep", "reproduce"])
+def test_small_commands_run_without_numpy_and_scipy(fresh_python, tmp_path, capsys,
+                                                    argv, files):
+    # python -m surgeshare.cli with numpy and scipy blocked exits 0 and
+    # prints and writes what cli_dispatch does here with scipy's kernels.
+    assert load_scenario("car-n50000-99").params.n_consumers == _binom.N_MAX
+    fresh, here = tmp_path / "fresh", tmp_path / "here"
+    if files:
+        argv = [*argv, "--outdir"]
+    code = _BLOCK + ("import runpy\n"
+                     "runpy.run_module('surgeshare.cli', run_name='__main__', alter_sys=True)\n")
+    proc = fresh_python("-c", code, *argv, *([str(fresh)] if files else []))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert cli_dispatch([*argv, *([str(here)] if files else [])]) == 0
+    assert proc.stdout.replace(str(fresh), str(here)) == capsys.readouterr().out
+    for name in files:
+        assert (fresh / name).read_bytes() == (here / name).read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["partition", "--scenario", "car-n1000", "--m", "120", "--t", "215"],
+    ["design", "--n", "50001"],
+], ids=["partition", "design-above-n-max"])
+def test_partition_and_large_commands_keep_scipys_kernels(fresh_python, argv):
+    code = _HEAVY + (
+        "from surgeshare import _binom, cli\n"
+        "assert _binom.N_MAX == 50000\n"
+        "try:\n"
+        "    cli.main()\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code)\n"
+        "heavy()\n"
+        "print(_binom._tails.cache_info().misses)\n"
+    )
+    proc = fresh_python("-c", code, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-3:] == ["0", "['numpy', 'scipy']", "0"]

@@ -2,6 +2,7 @@
 
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ from surgeshare import (
     normal_approx_reserve,
     qos_all,
 )
+from surgeshare import _binom
 from surgeshare import qos as qos_module
 from surgeshare.qos import _meets_target
 
@@ -422,3 +424,138 @@ def test_params_reject_non_real_fields(field, bad):
 
 def test_params_accept_numpy_integer_population():
     assert ScenarioParams(np.int64(100), 0.1, 0.3, 0.01).n_consumers == 100
+
+
+# ---------------------------------------------------------------------------
+# The summing kernels that one-shot commands use (surgeshare._binom)
+# ---------------------------------------------------------------------------
+
+def _decimal_tail(k: int, n: int, p: float, upper: bool) -> Decimal:
+    """P[X > k] if upper else P[X <= k] for the float p, summed outward
+    from k to 60 digits until the terms past the mean fall below 1e-70
+    of the sum."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        big_p = Decimal(p)
+        big_q = 1 - big_p
+        j = k + 1 if upper else k
+        t = Decimal(math.comb(n, j)) * big_p**j * big_q ** (n - j)
+        s, mean, tiny = t, n * big_p, Decimal("1e-70")
+        while (j < n) if upper else (j > 0):
+            if upper:
+                t = t * (n - j) * big_p / ((j + 1) * big_q)
+                j += 1
+            else:
+                t = t * j * big_q / ((n - j + 1) * big_p)
+                j -= 1
+            s += t
+            if t < s * tiny and (j > mean if upper else j < mean):
+                break
+        return s
+
+
+def _summed_grid(seed: int, count: int):
+    # n log-uniform up to N_MAX, p log-uniform in [1e-4, 0.95], k from one
+    # sigma below the mean to six above it, and k = 0 and k = n - 1.
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = max(2, round(10 ** rng.uniform(0.0, math.log10(_binom.N_MAX))))
+        p = 10 ** rng.uniform(-4.0, math.log10(0.95))
+        mean, sd = n * p, math.sqrt(n * p * (1.0 - p))
+        k = min(max(round(mean + rng.uniform(-1.0, 6.0) * sd), 0), n - 1)
+        for kk in (k, 0, n - 1):
+            yield kk, n, p
+
+
+def test_summed_kernels_agree_with_scipy():
+    # Within the module docstring's bound on the two kernels' difference,
+    # on the smaller tail; the larger is 1 minus it.  At k = 0 both use
+    # cephes' closed forms (the test below).
+    worst = 0.0
+    for k, n, p in _summed_grid(20261020, 700):
+        ours = _binom.bdtr(k, n, p), _binom.bdtrc(k, n, p)
+        want = float(special.bdtr(k, n, p)), float(special.bdtrc(k, n, p))
+        if k == 0:
+            assert ours[0] == want[0] and abs(ours[1] - want[1]) <= math.ulp(want[1]), (n, p)
+            continue
+        small = min(want)
+        # The larger tail of either may be one rounding off 1 minus the smaller.
+        slack = [2**-53 if value > small else 1e-300 for value in want]
+        for got, value, eps in zip(ours, want, slack):
+            assert abs(got - value) <= _binom.SCIPY_REL_DIFF * small + eps, (k, n, p)
+        if small > 1e-290:
+            worst = max(worst, abs(min(ours) - small) / small)
+    # The grid reaches where scipy's own error shows.
+    assert worst > 1e-13
+
+
+@pytest.mark.parametrize("p", [1e-9, 0.009999999999999998, 0.01, 0.3, 0.5, 0.95])
+def test_summed_kernels_equal_scipy_at_k_zero(p):
+    # cephes' closed forms, bit for bit: (1 - p)**n, and its complement,
+    # which switches to cephes' expm1 below p = 0.01.  The golden rows'
+    # p_bad is 0.01, and at n = 1 its tail meets the target 0.99 by a
+    # float tie.  scipy's bdtrc takes the same forms; a build that calls
+    # the C library's expm1 there may differ by an ulp.
+    for n in (1, 2, 3, 10, 100, 1000):
+        assert _binom.bdtr(0, n, p) == special.bdtr(0, n, p), n
+        tail = (-special.expm1(n * math.log1p(-p)) if p < 0.01
+                else 1.0 - special.bdtr(0, n, p))
+        assert _binom.bdtrc(0, n, p) == tail, n
+        assert abs(_binom.bdtrc(0, n, p) - special.bdtrc(0, n, p)) <= math.ulp(tail), n
+
+
+_PI_60 = Decimal("3.14159265358979323846264338327950288419716939937510582097494459")
+
+
+@pytest.mark.parametrize("n", [*range(1, 17), 20, 35, 36, 50, 80, 81, 200, 500, 501, 49_999])
+def test_stirling_error_against_60_digits(n):
+    # log n! - (n + 1/2) log n + n - log sqrt(2 pi): the table up to 15,
+    # then each branch of the series on both sides of its limit, to an
+    # absolute 2e-16, as the pmf's exponent takes it.
+    with localcontext() as ctx:
+        ctx.prec = 60
+        exact = (Decimal(math.factorial(n)).ln() - (n + Decimal("0.5")) * Decimal(n).ln()
+                 + n - (2 * _PI_60).ln() / 2)
+    assert abs(Decimal(_binom._stirlerr(n)) - exact) <= Decimal("2e-16")
+
+
+@pytest.mark.parametrize("k, n, p", [
+    (5, 12, 0.3),                     # the Stirling-error table
+    (3, 10, 0.35),                    # P[X <= 3] > 1/2 although 3 < np: both sums
+    (1, 2206, 0.25),                  # far below the mean, near 1e-273
+    (11, 12, 0.95),                   # the last term alone, p**n
+    (120, 1000, 0.1),                 # a golden pool at its target
+    (16, 47, 0.01),                   # far above the mean
+    (14_968, 49_999, 0.3),            # near the median at N_MAX
+    (16_000, 50_000, 0.3),            # near 1e-22 at N_MAX
+    (18_200, 50_000, 0.3),            # near 1e-206 at N_MAX
+    (30, 50_000, 1e-4),               # a small p at N_MAX
+    (47_600, 50_000, 0.95),           # a large p at N_MAX
+])
+def test_summed_kernels_against_a_60_digit_sum(k, n, p):
+    low, high = _decimal_tail(k, n, p, upper=False), _decimal_tail(k, n, p, upper=True)
+    assert abs(low + high - 1) < Decimal("1e-50")
+    small, got = (low, _binom.bdtr(k, n, p)) if low <= high else (high, _binom.bdtrc(k, n, p))
+    assert small > Decimal("1e-290")
+    assert abs(Decimal(got) - small) <= Decimal(_binom.REL_ERR) * small, (k, n, p)
+    # The larger tail carries that error and one rounding of 1 minus it.
+    big = _binom.bdtrc(k, n, p) if low <= high else _binom.bdtr(k, n, p)
+    assert abs(Decimal(big) - (1 - small)) <= Decimal(_binom.REL_ERR) * small + Decimal(2**-53)
+
+
+def test_summed_kernels_give_the_rules_verdicts(monkeypatch):
+    # With qos's kernels bound to the sums, the rule gives the same
+    # verdict as with scipy's at every item count, at targets near 1 and
+    # at the float ties of 1 - p too.
+    rng = random.Random(42)
+    cases = []
+    for _ in range(150):
+        n = rng.randint(1, 300)
+        p = 10 ** rng.uniform(-4.0, math.log10(0.999))
+        target = rng.choice((1.0 - 10 ** rng.uniform(-15.0, -1.0), 1.0 - p, 0.98, 0.99))
+        cases.append((n, p, target))
+    scipy_verdicts = [[_meets_target(a, n, p, t) for a in range(n + 1)] for n, p, t in cases]
+    monkeypatch.setattr(qos_module, "bdtr", _binom.bdtr)
+    monkeypatch.setattr(qos_module, "bdtrc", _binom.bdtrc)
+    for (n, p, t), want in zip(cases, scipy_verdicts):
+        assert [_meets_target(a, n, p, t) for a in range(n + 1)] == want, (n, p, t)

@@ -33,7 +33,7 @@ from surgeshare import (
     load_scenario,
     save_scenario,
 )
-from surgeshare import aimd, cli, cost, scenarios, solver
+from surgeshare import _binom, aimd, cli, cost, qos, scenarios, solver
 from surgeshare.cost import CAR_DISCOUNTS
 from surgeshare.cli import cli_dispatch
 
@@ -517,6 +517,44 @@ def test_main_exits_with_the_collector_off_and_the_heap_frozen(monkeypatch, caps
         gc.unfreeze()
         (gc.enable if was else gc.disable)()
     assert capsys.readouterr().out.startswith("qos_ns = ")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["design", "--scenario", "charger-n1000-98"], 0),
+    (["qos", "--m", "-3", "--t", "1", "--q", "0"], 2),
+], ids=["design", "input-error"])
+def test_main_leaves_the_callers_kernels_and_reserve_table(monkeypatch, capsys, argv, code):
+    # main computes a small command's binomials with the summing kernels
+    # on a reserve table of its own; a caller that catches its exit goes
+    # on with scipy's kernels and its own table, unchanged.
+    assert cli_dispatch(argv) == code
+    want = capsys.readouterr()
+    kernels, table = (qos.bdtr, qos.bdtrc), solver._reserve_ends
+    ends = {key: list(value) for key, value in table.items()}
+    misses = _binom._tails.cache_info().misses
+    monkeypatch.setattr(sys, "argv", ["surgeshare", *argv])
+    was = gc.isenabled()
+    try:
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        assert exc.value.code == code
+    finally:
+        gc.unfreeze()
+        (gc.enable if was else gc.disable)()
+    assert capsys.readouterr() == want
+    assert qos.bdtr is kernels[0] and qos.bdtrc is kernels[1]
+    assert solver._reserve_ends is table
+    assert {key: list(value) for key, value in table.items()} == ends
+    assert cli._summed_upto == 0
+    assert (_binom._tails.cache_info().misses > misses) is (code == 0)
+
+
+def test_cli_dispatch_keeps_scipys_kernels(capsys):
+    # Only main binds the summing kernels: a command run through
+    # cli_dispatch keeps the caller's, even at N = 1.
+    assert cli_dispatch(["qos", "--n", "1", "--m", "1", "--t", "1", "--q", "0"]) == 0
+    assert qos.bdtr is not _binom.bdtr and qos.bdtrc is not _binom.bdtrc
+    capsys.readouterr()
 
 
 def test_module_reproduce_equals_in_process_reproduce(fresh_python, tmp_path, capsys):

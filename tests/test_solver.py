@@ -332,6 +332,19 @@ def test_solver_prices_each_band_mark_and_start(params, model, design):
     assert rep.cost_real.hex() == oracle.cost_real.hex()
 
 
+def test_near_rate_path_prices_the_first_x_above_reach():
+    # Equal unit prices and no bands: every x in (reach, top] is priced
+    # (_near_prosumer_rate), and the optimum is the first, x = reach + 1,
+    # which ties in cost with (47, 0, 0) and wins on M.
+    params = ScenarioParams(104, 0.129447127362631, 0.40755744725781007,
+                            0.1535731755486898, 0.9, 0.8, 0.8)
+    model = _cost_model(8, 8)
+    assert solver_module._near_prosumer_rate(model, params.n_consumers)
+    rep = solve_min_cost(params, model)
+    assert rep.design == brute_force_design(params, model).design == Design(46, 1, 0)
+    assert rep.cost_real == 376.0
+
+
 def _linear_reserves(t_max, p_b, target):
     # The reserve pointer as a plain linear scan: one rule call per T
     # plus one per step of Q.
