@@ -4,11 +4,12 @@
 X ~ Binomial(n, p), with integers 0 <= k < n and 0 < p < 1: the calls
 ``qos`` makes of scipy's ``cython_special`` kernels of the same names.
 
-A fresh process spends about 0.2 s importing ``scipy.special``.  A
-command whose n are at most ``N_MAX`` spends less than that in these
-sums, though each call takes microseconds to a millisecond here against
-scipy's 0.4 us, so ``cli.main`` binds them in place of scipy's for such
-a command.  Every other caller keeps scipy's.
+A fresh process spends 0.2-0.45 s importing ``scipy.special``.  Each
+call here takes 10-40 us at n <= ``N_MAX`` against scipy's 0.4 us, so a
+command that makes a few thousand calls spends less in these sums, and
+``cli.main`` binds them in place of scipy's for such a command, as its
+``_choose_kernels`` estimates from the limits below.  Every other caller
+keeps scipy's.
 
 Of the two tails, the one that does not hold the median is summed: the
 side below k when k < np, else the side above, and the other side if
@@ -45,14 +46,19 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-# The largest n the command line computes with these kernels.  Where
-# the two take as long in a fresh ``surgeshare design`` (medians of 3)
-# depends on how many reserve stretches its scan walks, so on N p_bad:
-# near N = 2e6 at the paper's p_bad = 0.01 (``car-n1000-98``), but near
-# 2.3e4 at p_bad = 0.2 and 1.2e4 at p_bad = 0.5 (p_surge 0.95, targets
-# 0.999), which at 5e4 take 2.2x and 4.8x scipy's time.  5e4 keeps every
-# built-in scenario and golden row on these sums.
+# The command line computes with these kernels only where n <= N_MAX,
+# the range over which the bound above was checked, and where its design
+# scans walk at most STRETCHES_MAX reserve stretches, about two calls
+# each.  The scans are what costs: at n = 5e4 with p_surge 0.99 and
+# p_nonsurge 0.01, which make a scan walk to T = N, a fresh
+# ``surgeshare design`` with N p_bad stretches took as long on these
+# sums as with scipy's import at about 3,500 (p_bad 0.07, targets 0.5,
+# the dearest per stretch measured), 4,600 (p_bad 0.2, targets 0.999)
+# and 6,000 (p_bad 0.5); at 1,500 the worst measured took 0.54x the
+# time (medians of 5 on 2 CPUs).  Every built-in scenario and the
+# golden rows (1,000 in all) stay well inside.
 N_MAX = 50_000
+STRETCHES_MAX = 1_500
 
 REL_ERR = 2e-12
 SCIPY_REL_DIFF = 1e-9

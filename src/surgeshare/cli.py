@@ -19,7 +19,7 @@ import gc
 import importlib.resources
 import os
 import sys
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import aimd as aimd_mod
 from . import qos as qos_mod
@@ -42,21 +42,40 @@ _PARAM_FLAGS = {
 }
 
 
-# The largest n up to which the running command computes its binomials
-# with the summing kernels of ``_binom``: ``_binom.N_MAX`` while ``main``
-# runs its command, else 0, so that every other caller keeps scipy's.
-_summed_upto = 0
+# Whether the running command may compute its binomials with the summing
+# kernels of ``_binom``: true only while ``main`` runs it, so that every
+# other caller keeps scipy's.
+_summing = False
 
 
-def _choose_kernels(n: int) -> None:
-    """Bind ``qos.bdtr`` and ``qos.bdtrc`` to ``_binom``'s if n is small enough.
+def _choose_kernels(n: int, stretches: float = 0.0) -> None:
+    """Bind ``qos.bdtr`` and ``qos.bdtrc`` to ``_binom``'s if their sums cost less.
 
-    Each command that evaluates binomials calls this once it knows the
-    largest n it solves, before its first kernel call.
+    Each command that evaluates binomials calls this once, before its
+    first kernel call, with the largest n it evaluates and the number of
+    reserve stretches its design scans walk, as ``_choose_for_designs``
+    estimates it; ``_binom`` gives the limits on both and how they were
+    measured.
     """
-    if n <= _summed_upto:
+    if _summing:
         from . import _binom
-        qos_mod.bdtr, qos_mod.bdtrc = _binom.bdtr, _binom.bdtrc
+        if n <= _binom.N_MAX and stretches <= _binom.STRETCHES_MAX:
+            qos_mod.bdtr, qos_mod.bdtrc = _binom.bdtr, _binom.bdtrc
+
+
+def _choose_for_designs(points: Sequence[ScenarioParams]) -> None:
+    """``_choose_kernels`` for a command that solves the design of each point.
+
+    A design's reserve scan walks at most about N p_bad stretches, at
+    about two kernel calls each, and points that share p_bad and the
+    bad-behaviour target share the command's reserve table, so each such
+    pair is walked once, to its largest N.
+    """
+    largest = {}
+    for p in points:
+        key = p.p_bad, p.qos_target_b
+        largest[key] = max(largest.get(key, 0), p.n_consumers)
+    _choose_kernels(max(largest.values()), sum(n * p_b for (p_b, _), n in largest.items()))
 
 
 def _output_paths(args, *names: str) -> List[str]:
@@ -132,7 +151,7 @@ def _cmd_qos(args) -> int:
 def _cmd_design(args) -> int:
     params, model, _ = _scenario_params(args)
     paths = _output_paths(args, args.output) if args.output else []
-    _choose_kernels(params.n_consumers)
+    _choose_for_designs([params])
     rep = solver_mod.solve_min_cost(params, model)
     d = rep.design
     print(f"M = {d.m}  T = {d.t}  Q = {d.q}")
@@ -183,7 +202,7 @@ def _cmd_sweep(args) -> int:
     names = _PARAM_FLAGS["target" if args.axis == "qos" else "n"]
     points = [dataclasses.replace(params, **dict.fromkeys(names, x)) for x in grid]
     (path,) = _output_paths(args, args.output or f"sweep_{args.axis}.csv")
-    _choose_kernels(max(p.n_consumers for p in points))
+    _choose_for_designs(points)
     solver_mod.write_design_csv(path, [solver_mod.solve_min_cost(p, model) for p in points])
     print(f"wrote {path}")
     return 0
@@ -191,7 +210,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_compare(args) -> int:
     params, model, _ = _scenario_params(args)
-    _choose_kernels(params.n_consumers)
+    _choose_for_designs([params])
     table = solver_mod.compare_approaches(params, model)
     for label in ("hybrid", "b2c", "ownership"):
         rep = table[label]
@@ -227,7 +246,7 @@ def _cmd_reproduce(args) -> int:
     uses = ("car", "charger")
     paths = _output_paths(args, *(f"{use}_min_cost.csv" for use in uses))
     tables = [_golden_table(use) for use in uses]
-    _choose_kernels(max(sc.params.n_consumers for table in tables for sc, _ in table))
+    _choose_for_designs([sc.params for table in tables for sc, _ in table])
     ok = True
     for use, path, table in zip(uses, paths, tables):
         reports = []
@@ -330,26 +349,34 @@ def main() -> None:
     it too.  ``cli_dispatch`` leaves the collector as its caller set it.
 
     A ``qos``, ``design``, ``compare``, ``sweep`` or ``reproduce``
-    command whose largest n is at most ``_binom.N_MAX`` makes too few
-    kernel calls to pay for importing scipy, so ``main`` has it compute
-    its binomials with ``_binom``'s summing kernels, chosen once, before
-    the first call.  The command runs on a reserve table of its own, as
-    the stretch ends it finds come from those kernels, and ``qos.bdtr``,
-    ``qos.bdtrc`` and ``solver._reserve_ends`` are put back as they were
-    before the exit: a caller that runs ``main`` in its own process and
-    catches the exit goes on with its own kernels and table.
-    ``cli_dispatch`` always keeps scipy's.
-    """
-    global _summed_upto
-    from . import _binom
+    command whose largest n is at most ``_binom.N_MAX`` and whose design
+    scans walk at most ``_binom.STRETCHES_MAX`` reserve stretches makes
+    too few kernel calls to pay for importing scipy, so ``main`` has it
+    compute its binomials with ``_binom``'s summing kernels, chosen once,
+    before the first call (``_choose_kernels``).  The command runs on a
+    reserve table of its own, as the stretch ends it finds come from
+    those kernels, and ``qos.bdtr``, ``qos.bdtrc`` and
+    ``solver._reserve_ends`` are put back as they were before the exit:
+    a caller that runs ``main`` in its own process and catches the exit
+    goes on with its own kernels and table.  ``cli_dispatch`` always
+    keeps scipy's.
 
+    The two kernels differ by up to ``_binom.SCIPY_REL_DIFF`` relative,
+    so where a QoS target lies that close to a tail, the console script
+    and ``cli_dispatch`` or the library can meet it on one and miss it on
+    the other and return different designs for the same input: with
+    ``--target 0.9827427694733775`` on ``car-n1000-98``, ``design``
+    gives M = 120 here, which exact arithmetic confirms, and M = 121
+    through scipy 1.17.  Away from such ties they agree bit for bit.
+    """
+    global _summing
     saved = qos_mod.bdtr, qos_mod.bdtrc, solver_mod._reserve_ends
-    solver_mod._reserve_ends, _summed_upto = {}, _binom.N_MAX
+    solver_mod._reserve_ends, _summing = {}, True
     gc.disable()
     try:
         code = cli_dispatch()
     finally:
-        _summed_upto = 0
+        _summing = False
         qos_mod.bdtr, qos_mod.bdtrc, solver_mod._reserve_ends = saved
     gc.freeze()
     sys.exit(code)

@@ -28,16 +28,19 @@ use, is imported by the first AIMD run, trace write or oracle design.
 
 The console script (``cli.main``) runs a ``qos``, ``design``,
 ``compare``, ``sweep`` or ``reproduce`` command whose largest n is at
-most ``_binom.N_MAX`` (5e4) with ``bdtr`` and ``bdtrc`` bound to
-``_binom``'s instead: pure-Python sums with a relative error below
-2e-12 on the smaller tail.  Such a command makes a few hundred to a few
-thousand kernel calls at microseconds each, which cost it less than
-scipy's import; a library process that makes many keeps scipy's 0.4 us
-calls.  The two differ by scipy's own error, within 1e-9 relative at
-n <= 5e4, and give the same designs on the golden rows, the benchmark's
-random scenarios and seeded ones; at a = 0 they equal scipy 1.17's
-bit for bit, so the float ties of ``_meets_target`` there fall the same
-way.
+most ``_binom.N_MAX`` (5e4), and whose design scans walk at most
+``_binom.STRETCHES_MAX`` (1,500) reserve stretches, with ``bdtr`` and
+``bdtrc`` bound to ``_binom``'s instead: pure-Python sums with a
+relative error below 2e-12 on the smaller tail.  Such a command makes
+a few hundred to a few thousand kernel calls at 10-40 us each, which
+cost it less than scipy's import; a library process that makes many
+keeps scipy's 0.4 us calls.  The two differ by scipy's own error,
+within 1e-9 relative at n <= 5e4, and give the same designs on the
+golden rows, the benchmark's random scenarios and seeded ones; at
+a = 0 they equal scipy 1.17's bit for bit, so the float ties of
+``_meets_target`` there fall the same way.  A target within that
+difference of a tail can still fall one way on each, so the console
+script and the library can then return different designs.
 """
 
 from __future__ import annotations

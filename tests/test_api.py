@@ -259,10 +259,13 @@ def test_import_and_cli_module_do_not_load_the_summing_kernels(fresh_python):
     (["qos", "--m", "120", "--t", "216", "--q", "6"], []),
     (["design", "--scenario", "charger-n1000-98", "--output", "d.csv"], ["d.csv"]),
     (["design", "--scenario", "car-n50000-99"], []),
+    (["design", "--n", "3000", "--p-ns", "0.01", "--p-s", "0.99", "--p-b", "0.5",
+      "--target", "0.9"], []),
     (["compare", "--scenario", "charger-n1000-98"], []),
     (["sweep", "--axis", "qos", "--grid", "0.9,0.95,0.99"], ["sweep_qos.csv"]),
     (["reproduce"], ["car_min_cost.csv", "charger_min_cost.csv"]),
-], ids=["qos", "design", "design-n-max", "compare", "sweep", "reproduce"])
+], ids=["qos", "design", "design-n-max", "design-stretches-max", "compare", "sweep",
+        "reproduce"])
 def test_small_commands_run_without_numpy_and_scipy(fresh_python, tmp_path, capsys,
                                                     argv, files):
     # python -m surgeshare.cli with numpy and scipy blocked exits 0 and
@@ -284,11 +287,15 @@ def test_small_commands_run_without_numpy_and_scipy(fresh_python, tmp_path, caps
 @pytest.mark.parametrize("argv", [
     ["partition", "--scenario", "car-n1000", "--m", "120", "--t", "215"],
     ["design", "--n", "50001"],
-], ids=["partition", "design-above-n-max"])
+    ["design", "--n", "50000", "--p-ns", "0.01", "--p-s", "0.99", "--p-b", "0.0301",
+     "--target", "0.5"],
+    ["design", "--n", "50000", "--p-ns", "0.1", "--p-s", "0.95", "--p-b", "0.5",
+     "--target", "0.999"],
+], ids=["partition", "design-above-n-max", "design-above-stretches-max", "design-long-scan"])
 def test_partition_and_large_commands_keep_scipys_kernels(fresh_python, argv):
     code = _HEAVY + (
         "from surgeshare import _binom, cli\n"
-        "assert _binom.N_MAX == 50000\n"
+        "assert (_binom.N_MAX, _binom.STRETCHES_MAX) == (50000, 1500)\n"
         "try:\n"
         "    cli.main()\n"
         "except SystemExit as exc:\n"

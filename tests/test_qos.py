@@ -1,7 +1,9 @@
 """Unit tests for the binomial QoS core."""
 
+import gc
 import math
 import random
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -20,8 +22,9 @@ from surgeshare import (
     normal_approx_reserve,
     qos_all,
 )
-from surgeshare import _binom
+from surgeshare import _binom, cli
 from surgeshare import qos as qos_module
+from surgeshare.cli import cli_dispatch
 from surgeshare.qos import _meets_target
 
 CAR = ScenarioParams(1000, 0.1, 0.3, 0.01)
@@ -543,6 +546,24 @@ def test_summed_kernels_against_a_60_digit_sum(k, n, p):
     assert abs(Decimal(big) - (1 - small)) <= Decimal(_binom.REL_ERR) * small + Decimal(2**-53)
 
 
+@pytest.mark.parametrize("k, n, p", [
+    (25_001, 50_000, 0.5),
+    (15_001, 50_000, 0.3),
+])
+def test_summed_kernels_stop_with_under_2_to_the_45_left(k, n, p):
+    # Just past the mean at N_MAX the start term's exponent is near 0, so
+    # its error is a few ulps, and the walk runs about 8 sd out: there
+    # the ratio at the stop is nearest 1, and the geometric bound on the
+    # rest is loosest.  The sum, about 1/2, is then within 2**-45 plus
+    # the walk's roundings (2e-14 measured) of a 60-digit one; a stop
+    # test with 1 + r in place of 1 - r leaves 7e-13 behind.
+    with localcontext() as ctx:
+        ctx.prec = 60
+        want = _decimal_tail(k, n, p, upper=True)
+        assert Decimal("0.4") < want < Decimal("0.5")
+        assert abs(Decimal(_binom.bdtrc(k, n, p)) - want) <= Decimal("1e-13") * want
+
+
 def test_summed_kernels_give_the_rules_verdicts(monkeypatch):
     # With qos's kernels bound to the sums, the rule gives the same
     # verdict as with scipy's at every item count, at targets near 1 and
@@ -559,3 +580,32 @@ def test_summed_kernels_give_the_rules_verdicts(monkeypatch):
     monkeypatch.setattr(qos_module, "bdtrc", _binom.bdtrc)
     for (n, p, t), want in zip(cases, scipy_verdicts):
         assert [_meets_target(a, n, p, t) for a in range(n + 1)] == want, (n, p, t)
+
+
+def test_console_and_library_can_differ_at_a_rule_tie(monkeypatch, capsys):
+    # The two kernels differ by up to SCIPY_REL_DIFF, so a target that
+    # lands within that of a tail can be met on one and missed on the
+    # other.  This one is 1 minus scipy 1.17's P[X > 120] for
+    # X ~ Binomial(1000, 0.1), the car scenario's non-surge pool: exactly,
+    # 120 items meet it, as the sums find, so the console script prints
+    # M = 120; scipy 1.17's tail is 2.8e-17 above 1 - target, so the
+    # library prints M = 121.  Other scipy builds may fall either way.
+    target = 0.9827427694733775
+    exact = _decimal_tail(120, 1000, 0.1, upper=True)
+    assert exact <= 1 - Decimal(target) and 1 - exact >= Decimal(target)
+    argv = ["design", "--scenario", "car-n1000-98", "--target", repr(target)]
+    monkeypatch.setattr(sys, "argv", ["surgeshare", *argv])
+    was = gc.isenabled()
+    try:
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        assert exc.value.code == 0
+    finally:
+        gc.unfreeze()
+        (gc.enable if was else gc.disable)()
+    console = capsys.readouterr().out.splitlines()[0]
+    assert console == "M = 120  T = 217  Q = 6"
+    assert cli_dispatch(argv) == 0
+    library = capsys.readouterr().out.splitlines()[0]
+    scipy_meets = _meets_target(120, 1000, 0.1, target)
+    assert library == ("M = 120  T = 217  Q = 6" if scipy_meets else "M = 121  T = 216  Q = 6")

@@ -545,8 +545,29 @@ def test_main_leaves_the_callers_kernels_and_reserve_table(monkeypatch, capsys, 
     assert qos.bdtr is kernels[0] and qos.bdtrc is kernels[1]
     assert solver._reserve_ends is table
     assert {key: list(value) for key, value in table.items()} == ends
-    assert cli._summed_upto == 0
+    assert cli._summing is False
     assert (_binom._tails.cache_info().misses > misses) is (code == 0)
+
+
+@pytest.mark.parametrize("points, summed", [
+    (((50_000, 0.03),), True),                      # 1,500 stretches
+    (((50_000, 0.0301),), False),                   # 1,505
+    (((50_000, 0.01), (50_000, 0.02)), True),       # two tables: 500 + 1,000
+    (((50_000, 0.01), (50_000, 0.0201)), False),    # 500 + 1,005
+    (((1000, 0.03), (25_000, 0.03), (50_000, 0.03)), True),  # one table, to N = 5e4
+    (((1000, 0.01), (50_001, 0.01)), False),        # past N_MAX
+], ids=["at-limit", "above-limit", "two-at-limit", "two-above-limit", "shared-table",
+        "above-n-max"])
+def test_kernel_choice_counts_the_stretches_of_each_reserve_table(monkeypatch, points, summed):
+    # Points that share p_bad and the target share the command's reserve
+    # table, which is walked once, to the largest N; distinct tables add.
+    monkeypatch.setattr(cli, "_summing", True)
+    monkeypatch.setattr(qos, "bdtr", qos.bdtr)
+    monkeypatch.setattr(qos, "bdtrc", qos.bdtrc)
+    base = load_scenario("car-n1000-98").params
+    cli._choose_for_designs([dataclasses.replace(base, n_consumers=n, p_bad=p_b)
+                             for n, p_b in points])
+    assert (qos.bdtr is _binom.bdtr and qos.bdtrc is _binom.bdtrc) is summed
 
 
 def test_cli_dispatch_keeps_scipys_kernels(capsys):
