@@ -18,12 +18,10 @@ from .qos import (
 from .cost import (
     CostModel,
     DiscountSchedule,
-    SmoothDiscount,
     car_cost_model,
     charger_cost_model,
     cost_eval,
     discount_real,
-    fit_smooth_discount,
     get_cost_model,
 )
 from .solver import (

@@ -5,10 +5,6 @@ The scheme operator pays a per-item cost for the shared pool of M items
 prosumer items.  ``cost_eval`` prices a design with the piecewise
 discount schedule applied to the pool term.  The two use-case models
 ship as the built-ins ``car-mg4-2025`` and ``charger-dc60-2025``.
-``fit_smooth_discount`` stands apart: it approximates a schedule by the
-exponential decay A*(1 - exp(-B*M)), and no design is priced with it.
-It searches a log grid of rates, then refines the best by golden-section
-search, on the standard library alone: this module never imports numpy.
 """
 
 from __future__ import annotations
@@ -22,10 +18,8 @@ from .qos import _COUNT_MAX, _check_field, _integer, _real
 
 __all__ = [
     "DiscountSchedule",
-    "SmoothDiscount",
     "CostModel",
     "discount_real",
-    "fit_smooth_discount",
     "cost_eval",
     "car_cost_model",
     "charger_cost_model",
@@ -58,27 +52,6 @@ class DiscountSchedule:
             if d1 < d0:
                 raise ValueError("discount fractions must be non-decreasing")
 
-    @property
-    def max_discount(self) -> float:
-        return self.breakpoints[-1][1]
-
-
-@dataclass(frozen=True)
-class SmoothDiscount:
-    """Exponential-decay discount approximation D(m) = A*(1 - exp(-B*m))."""
-
-    amplitude: float
-    rate: float
-
-    def __post_init__(self):
-        _check_field(self, "amplitude", _real, 0.0, 1.0, "[)")
-        _check_field(self, "rate", _real, 0.0, math.inf, "()")
-
-    def value(self, m: float) -> float:
-        """D(m) for one quantity m >= 0."""
-        m = _real("m", m, 0.0, math.inf, "[)")
-        return self.amplitude * (1.0 - math.exp(-self.rate * m))
-
 
 @dataclass(frozen=True)
 class CostModel:
@@ -92,14 +65,15 @@ class CostModel:
     annualizing per-consumer figures.
 
     ``smooth`` is accepted and dropped, as ``solve_min_cost`` ignores
-    ``opts``: only the benchmark set-up still passes one, and the
-    benchmark change that stops passing it removes it.
+    ``opts``: only the benchmark set-up still passes one, the ``None``
+    of ``fit_smooth_discount``, and the benchmark change that stops
+    passing it removes it.
     """
 
     per_item_main: float
     per_item_prosumer: float
     discount: DiscountSchedule
-    smooth: InitVar[Optional[SmoothDiscount]] = None
+    smooth: InitVar[object] = None
     horizon_years: int = 1
     name: str = ""
 
@@ -134,96 +108,14 @@ def _discount(m: int, schedule: DiscountSchedule) -> float:
     return schedule.breakpoints[idx][1]
 
 
-# 1/phi: each golden-section step keeps this share of the bracket.
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+def fit_smooth_discount(schedule: DiscountSchedule, m_max: Optional[int] = None) -> None:
+    """Return None, which ``CostModel(smooth=)`` drops.
 
-
-def _fit_grid(m_max: int) -> list:
-    """The fit's quantities: 400 log-spaced points on [1, m_max], rounded
-    to integers, without repeats.
-
-    This is numpy's ``unique(round(geomspace(1, m_max, 400)))``: both
-    round half to even, and geomspace takes 10 ** (i * step) between its
-    exact end points.
+    Kept only because ``perfbench/workloads.py`` passes its result to
+    ``CostModel(smooth=)``; the benchmark change that stops calling it
+    deletes it.
     """
-    step = math.log10(m_max) / 399
-    return sorted({1, m_max, *(round(10.0 ** (i * step)) for i in range(1, 399))})
-
-
-def fit_smooth_discount(
-    schedule: DiscountSchedule,
-    m_max: Optional[int] = None,
-) -> SmoothDiscount:
-    """Least-squares fit of A*(1 - exp(-B*m)) to the step schedule.
-
-    The residuals are taken on a log-spaced integer grid covering
-    [1, m_max] (default: 1.5x the last breakpoint quantity, rounded
-    down and at least 10; a default or given m_max is at most
-    ``qos._COUNT_MAX``, the largest population the package takes), so
-    every decade of the quantity axis gets comparable weight.  The
-    problem is linear in A, so for each rate B the best amplitude in
-    [0, 0.999] is the clipped closed-form least-squares value (variable
-    projection, Golub & Pereyra 1973).  B is the best of 257 log-spaced
-    rates over [1e-3/m_max, 10], refined by golden-section search
-    (Kiefer 1953) between that rate's two neighbours.  It runs on the
-    standard library alone.
-    """
-    if not isinstance(schedule, DiscountSchedule):
-        raise TypeError(f"schedule must be a DiscountSchedule; got {schedule!r}")
-    if m_max is None:
-        # In integers, equal to int(1.5 * last) for every last quantity up
-        # to the cap and free of float overflow above it.
-        m_max = min(max(3 * schedule.breakpoints[-1][0] // 2, 10), _COUNT_MAX)
-    else:
-        m_max = _integer("m_max", m_max, 1, _COUNT_MAX)
-    if schedule.max_discount == 0.0:
-        return SmoothDiscount(amplitude=0.0, rate=1.0)
-    grid = _fit_grid(m_max)
-    neg_grid = [-float(m) for m in grid]
-    # The target is a step function: runs of (fraction, start, stop) on the grid.
-    bounds = [bisect.bisect_left(grid, m) for m, _ in schedule.breakpoints] + [len(grid)]
-    runs = [(frac, lo, hi)
-            for (_, frac), lo, hi in zip(schedule.breakpoints, bounds, bounds[1:]) if lo < hi]
-    target_sq = sum(frac * frac * (hi - lo) for frac, lo, hi in runs)
-
-    def sse(rate):
-        """(squared error, rate, amplitude) at the best amplitude for rate."""
-        # h = -g, where g = 1 - exp(-rate*m) is the model's shape.
-        h = [math.expm1(rate * m) for m in neg_grid]
-        gt = -sum([frac * sum(h[lo:hi]) for frac, lo, hi in runs])
-        amplitude = min(gt / math.hypot(*h) ** 2, 0.999)
-        if amplitude <= 0.0:
-            return target_sq, rate, 0.0
-        # |t - A*g|^2 = A^2 * |h - u|^2 with u = -t/A, summed by math.dist
-        # without the cancellation of expanding the square.
-        u = []
-        for frac, lo, hi in runs:
-            u += [-frac / amplitude] * (hi - lo)
-        return (amplitude * math.dist(h, u)) ** 2, rate, amplitude
-
-    low = math.log10(1e-3 / m_max)
-    step = (1.0 - low) / 256
-    rates = [1e-3 / m_max, *(10.0 ** (low + k * step) for k in range(1, 256)), 10.0]
-    coarse = [sse(rate) for rate in rates]
-    best = min(coarse)  # ties go to the lower rate, as numpy's argmin
-    i = coarse.index(best)
-    # Golden section on [a, b], with interior points x1 < x2.
-    a, b = rates[max(i - 1, 0)], rates[min(i + 1, 256)]
-    x1, x2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
-    f1, f2 = sse(x1), sse(x2)
-    best = min(best, f1, f2)
-    while b - a > 1e-8 * b:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = sse(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = sse(x2)
-        best = min(best, f1, f2)
-    _, rate, amplitude = best
-    return SmoothDiscount(amplitude=amplitude, rate=rate)
+    return None
 
 
 def cost_eval(m: int, t: int, model: CostModel) -> float:

@@ -17,7 +17,6 @@ from surgeshare import (
     Design,
     DiscountSchedule,
     ScenarioParams,
-    SmoothDiscount,
     auto_config,
     binom_cdf,
     binom_cdf_cont,
@@ -28,7 +27,6 @@ from surgeshare import (
     cost_eval,
     discount_real,
     feasible,
-    fit_smooth_discount,
     min_items_for_qos,
     normal_approx_reserve,
     qos_all,
@@ -151,10 +149,6 @@ def test_numpy_reals_on_every_public_path(real):
     same(model, plain_model)
     same(discount_real(np.int64(120), schedule), discount_real(120, plain_schedule))
     same(cost_eval(np.int64(120), np.int64(216), model), cost_eval(120, 216, plain_model))
-    smooth = SmoothDiscount(real(0.2), real(0.01))
-    same(smooth, SmoothDiscount(py(0.2), py(0.01)))
-    same(smooth.value(real(120.5)), smooth.value(py(120.5)))
-    same(fit_smooth_discount(schedule, np.int64(1500)), fit_smooth_discount(plain_schedule, 1500))
 
     for solve in (solve_min_cost, brute_force_design):
         same(solve(numpy, model), solve(plain, plain_model))

@@ -16,7 +16,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import surgeshare
 from surgeshare import (
     AimdConfig,
     CostModel,
@@ -24,7 +23,6 @@ from surgeshare import (
     ScenarioError,
     ScenarioFile,
     ScenarioParams,
-    SmoothDiscount,
     auto_config,
     builtin_scenario_names,
     car_cost_model,
@@ -33,7 +31,7 @@ from surgeshare import (
     load_scenario,
     save_scenario,
 )
-from surgeshare import _binom, aimd, cli, cost, qos, scenarios, solver
+from surgeshare import _binom, aimd, cli, qos, solver
 from surgeshare.cost import CAR_DISCOUNTS
 from surgeshare.cli import cli_dispatch
 
@@ -162,8 +160,7 @@ def test_round_trip_edited_builtin_model(tmp_path):
 def test_builtin_prices_with_a_smooth_argument_save_by_name(tmp_path):
     # The smooth argument is dropped, so it cannot make a model with the
     # built-in's prices, schedule, horizon and name differ from it.
-    model = CostModel(6500.0, 2400.0, CAR_DISCOUNTS, SmoothDiscount(0.0, 1.0), 1,
-                      "car-mg4-2025")
+    model = CostModel(6500.0, 2400.0, CAR_DISCOUNTS, object(), 1, "car-mg4-2025")
     assert model == car_cost_model()
     path = tmp_path / "car.ini"
     save_scenario(ScenarioFile("x", ScenarioParams(250, 0.1, 0.3, 0.01), model), str(path))
@@ -189,26 +186,6 @@ def test_round_trip_inline_model(tmp_path):
     out = tmp_path / "bikes_rt.ini"
     save_scenario(sc, str(out))
     assert load_scenario(str(out)) == sc
-
-
-def test_inline_load_fits_no_smooth_discount(tmp_path, monkeypatch):
-    calls = []
-
-    def counting_fit(*args, fit=cost.fit_smooth_discount, **kwargs):
-        calls.append(args)
-        return fit(*args, **kwargs)
-
-    # Every package module holding the name, so an import by name counts too.
-    for module in (surgeshare, cost, scenarios):
-        if hasattr(module, "fit_smooth_discount"):
-            monkeypatch.setattr(module, "fit_smooth_discount", counting_fit)
-    path = tmp_path / "inline.ini"
-    path.write_text("[params]\nn_consumers = 100\np_nonsurge = 0.1\n"
-                    "p_surge = 0.3\np_bad = 0.01\n"
-                    "[cost_model]\nper_item_main = 800\nper_item_prosumer = 120\n"
-                    "discount = 1:0.0, 20:0.05\n")
-    assert load_scenario(str(path)).cost_model.discount.max_discount == 0.05
-    assert calls == []
 
 
 def test_round_trip_with_custom_options(tmp_path):

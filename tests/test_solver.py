@@ -548,6 +548,21 @@ def test_table_keeps_at_most_its_key_limit(empty_table):
     assert rep == cold
 
 
+def test_scan_stops_once_reach_is_at_cap(empty_table):
+    # At reach >= cap no later stretch gives a design, so the scan stops
+    # there and its key holds only the ends it walked.  The exit changes
+    # no design, so the count of stored ends is what pins it: the bound
+    # on the prosumer cost alone would walk on to 39 ends.
+    params = ScenarioParams(100, 0.01561416831846734, 0.42368930942349375,
+                            0.2941829547605621, 0.5, 0.9, 0.98)
+    model = CostModel(10.0, 3.0, DiscountSchedule(((1, 0.0),)))
+    rep = solve_min_cost(params, model)
+    assert rep.design == Design(21, 49, 21) and rep.cost_real == 357.0
+    assert rep == brute_force_design(params, model)
+    assert {key: len(ends) for key, ends in solver_module._reserve_ends.items()} == \
+        {(params.p_bad, params.qos_target_b): 22}
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(1, 400),
