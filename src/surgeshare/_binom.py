@@ -7,9 +7,9 @@ X ~ Binomial(n, p), with integers 0 <= k < n and 0 < p < 1: the calls
 A fresh process spends 0.2-0.45 s importing ``scipy.special``.  Each
 call here takes 10-40 us at n <= ``N_MAX`` against scipy's 0.4 us, so a
 command that makes a few thousand calls spends less in these sums, and
-``cli.main`` binds them in place of scipy's for such a command, as its
-``_choose_kernels`` estimates from the limits below.  Every other caller
-keeps scipy's.
+``cli.cli_dispatch`` binds them in place of scipy's for such a command,
+from either entry point, as ``cli._choose_kernels`` estimates from the
+limits below.  Every other caller keeps scipy's.
 
 Of the two tails, the one that does not hold the median is summed: the
 side below k when k < np, else the side above, and the other side if

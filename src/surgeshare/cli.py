@@ -42,12 +42,6 @@ _PARAM_FLAGS = {
 }
 
 
-# Whether the running command may compute its binomials with the summing
-# kernels of ``_binom``: true only while ``main`` runs it, so that every
-# other caller keeps scipy's.
-_summing = False
-
-
 def _choose_kernels(n: int, stretches: float = 0.0) -> None:
     """Bind ``qos.bdtr`` and ``qos.bdtrc`` to ``_binom``'s if their sums cost less.
 
@@ -57,10 +51,9 @@ def _choose_kernels(n: int, stretches: float = 0.0) -> None:
     estimates it; ``_binom`` gives the limits on both and how they were
     measured.
     """
-    if _summing:
-        from . import _binom
-        if n <= _binom.N_MAX and stretches <= _binom.STRETCHES_MAX:
-            qos_mod.bdtr, qos_mod.bdtrc = _binom.bdtr, _binom.bdtrc
+    from . import _binom
+    if n <= _binom.N_MAX and stretches <= _binom.STRETCHES_MAX:
+        qos_mod.bdtr, qos_mod.bdtrc = _binom.bdtr, _binom.bdtrc
 
 
 def _choose_for_designs(points: Sequence[ScenarioParams]) -> None:
@@ -321,11 +314,34 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cli_dispatch(argv: Optional[List[str]] = None) -> int:
+    """Run one command from ``argv`` (default ``sys.argv[1:]``); return its exit code.
+
+    A ``qos``, ``design``, ``compare``, ``sweep`` or ``reproduce``
+    command whose largest n is at most ``_binom.N_MAX`` and whose design
+    scans walk at most ``_binom.STRETCHES_MAX`` reserve stretches
+    computes its binomials with ``_binom``'s summing kernels, which cost
+    it less than importing scipy (``_choose_kernels``); ``partition``,
+    larger commands and every library call use scipy's.  The command runs
+    on a reserve table of its own, as its stretch ends come from the
+    kernels it chose.  ``qos.bdtr``, ``qos.bdtrc`` and
+    ``solver._reserve_ends`` are put back as the caller had them when the
+    command returns or raises, and the garbage collector is left as it
+    was.  While the command runs the kernels are rebound for the whole
+    process, so it must not run beside library calls in other threads.
+
+    The two kernels differ by up to ``_binom.SCIPY_REL_DIFF`` relative,
+    so a target that close to a tail can give the command and the library
+    different designs: ``design --scenario car-n1000-98 --target
+    0.9827427694733775`` gives M = 120, which exact arithmetic confirms,
+    and ``solve_min_cost`` M = 121 through scipy 1.17.
+    """
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    saved = qos_mod.bdtr, qos_mod.bdtrc, solver_mod._reserve_ends
+    solver_mod._reserve_ends = {}
     try:
         return args.func(args)
     except ScenarioError as exc:
@@ -334,50 +350,24 @@ def cli_dispatch(argv: Optional[List[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        qos_mod.bdtr, qos_mod.bdtrc, solver_mod._reserve_ends = saved
 
 
 def main() -> None:
     """Run one command from ``sys.argv`` and end the process with its exit code.
 
     This is the ``surgeshare`` console script and ``python -m
-    surgeshare.cli``; it never returns.  A command is short-lived, and
-    nearly every object it makes lives until the process exits, the tens
-    of thousands that numpy and scipy make as they import included.  The
-    cyclic garbage collector would walk them all and free next to
-    nothing, so it is off while the command runs, and the heap is frozen
-    before the exit so that the collections at interpreter shutdown skip
-    it too.  ``cli_dispatch`` leaves the collector as its caller set it.
-
-    A ``qos``, ``design``, ``compare``, ``sweep`` or ``reproduce``
-    command whose largest n is at most ``_binom.N_MAX`` and whose design
-    scans walk at most ``_binom.STRETCHES_MAX`` reserve stretches makes
-    too few kernel calls to pay for importing scipy, so ``main`` has it
-    compute its binomials with ``_binom``'s summing kernels, chosen once,
-    before the first call (``_choose_kernels``).  The command runs on a
-    reserve table of its own, as the stretch ends it finds come from
-    those kernels, and ``qos.bdtr``, ``qos.bdtrc`` and
-    ``solver._reserve_ends`` are put back as they were before the exit:
-    a caller that runs ``main`` in its own process and catches the exit
-    goes on with its own kernels and table.  ``cli_dispatch`` always
-    keeps scipy's.
-
-    The two kernels differ by up to ``_binom.SCIPY_REL_DIFF`` relative,
-    so where a QoS target lies that close to a tail, the console script
-    and ``cli_dispatch`` or the library can meet it on one and miss it on
-    the other and return different designs for the same input: with
-    ``--target 0.9827427694733775`` on ``car-n1000-98``, ``design``
-    gives M = 120 here, which exact arithmetic confirms, and M = 121
-    through scipy 1.17.  Away from such ties they agree bit for bit.
+    surgeshare.cli``; it never returns, and prints and writes what
+    ``cli_dispatch`` does.  A command is short-lived, and nearly every
+    object it makes lives until the process exits, the tens of thousands
+    that numpy and scipy make as they import included.  The cyclic
+    garbage collector would walk them all and free next to nothing, so it
+    is off while the command runs, and the heap is frozen before the exit
+    so that the collections at interpreter shutdown skip it too.
     """
-    global _summing
-    saved = qos_mod.bdtr, qos_mod.bdtrc, solver_mod._reserve_ends
-    solver_mod._reserve_ends, _summing = {}, True
     gc.disable()
-    try:
-        code = cli_dispatch()
-    finally:
-        _summing = False
-        qos_mod.bdtr, qos_mod.bdtrc, solver_mod._reserve_ends = saved
+    code = cli_dispatch()
     gc.freeze()
     sys.exit(code)
 

@@ -26,10 +26,11 @@ scipy's own functions, which every later call reaches through the same
 global lookup, with no extra frame.  numpy, which this module does not
 use, is imported by the first AIMD run, trace write or oracle design.
 
-The console script (``cli.main``) runs a ``qos``, ``design``,
-``compare``, ``sweep`` or ``reproduce`` command whose largest n is at
-most ``_binom.N_MAX`` (5e4), and whose design scans walk at most
-``_binom.STRETCHES_MAX`` (1,500) reserve stretches, with ``bdtr`` and
+The command line (``cli.cli_dispatch``, which the console script
+runs) runs a ``qos``, ``design``, ``compare``, ``sweep`` or
+``reproduce`` command whose largest n is at most ``_binom.N_MAX``
+(5e4), and whose design scans walk at most ``_binom.STRETCHES_MAX``
+(1,500) reserve stretches, with ``bdtr`` and
 ``bdtrc`` bound to ``_binom``'s instead: pure-Python sums with a
 relative error below 2e-12 on the smaller tail.  Such a command makes
 a few hundred to a few thousand kernel calls at 10-40 us each, which
@@ -39,8 +40,8 @@ within 1e-9 relative at n <= 5e4, and give the same designs on the
 golden rows, the benchmark's random scenarios and seeded ones; at
 a = 0 they equal scipy 1.17's bit for bit, so the float ties of
 ``_meets_target`` there fall the same way.  A target within that
-difference of a tail can still fall one way on each, so the console
-script and the library can then return different designs.
+difference of a tail can still fall one way on each, so the command
+line and the library can then return different designs.
 """
 
 from __future__ import annotations

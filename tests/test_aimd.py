@@ -82,6 +82,22 @@ def test_gain_calibrated_to_inf_falls_back_to_target():
     assert (q_star, rep) == (q_ref, rep_ref)
 
 
+def test_gain_calibrated_to_a_zero_rate_falls_back_to_target():
+    # Every surge and bad-behaviour request arrives at p = 0.999, so at
+    # the first event both agents' cdfs, and so both rates, are 0: a gain
+    # scaled to the worst rate would divide by zero.  The run must use
+    # gamma = gamma_target, as for an infinite worst rate.
+    params = ScenarioParams(1000, 0.1, 0.999, 0.999)
+    config = dataclasses.replace(auto_config("equalize", 110, 200, params),
+                                 max_iterations=5000)
+    rate_c, _, _ = aimd._agent("equalize", 1000, 0.999, 200)
+    rate_p, _, _ = aimd._agent("equalize", 200, 0.999, 0)
+    assert rate_c(config.z_init + config.alpha) == rate_p(config.q_init + config.alpha) == 0.0
+    fixed = dataclasses.replace(config, gamma=config.gamma_target)
+    assert run_partition("equalize", params, 110, 200, config) == \
+        run_partition("equalize", params, 110, 200, fixed)
+
+
 def test_vanishing_gain_rarely_backs_off():
     # With gamma ~ 0 the backoff probability sits at its floor, so the
     # claims oscillate right at the capacity boundary.
@@ -250,6 +266,15 @@ def test_run_partition_validates_inputs():
                     entry("maximize", CAR_1000, m, t)
 
 
+def test_initial_states_that_fill_the_pool_are_rejected():
+    # z_init + q_init must lie below M: a pool already full at the start
+    # has no additive phase.
+    with pytest.raises(ValueError, match=r"z_init \+ q_init < M"):
+        run_partition("maximize", CAR_1000, 120, 215, make_config(z_init=115.0, q_init=5.0))
+    run_partition("maximize", CAR_1000, 120, 215,
+                  make_config(z_init=115.0, q_init=4.5, max_iterations=1))
+
+
 # The three entry points share one check of the pool against N.
 @pytest.mark.parametrize("entry", [run_partition, scan_oracle,
                                    lambda problem, params, m, t: auto_config(problem, m, t, params)],
@@ -265,6 +290,16 @@ def test_entry_points_validate_the_pool(entry, m, t, message):
         entry("maximize", CAR_1000, m, t)
     with pytest.raises(ValueError, match="problem must be one of"):
         entry("optimize", CAR_1000, 120, 215)
+
+
+def test_aimd_config_defaults():
+    # What a run gets when neither the caller nor a scenario's [aimd]
+    # section sets a field; auto_config's seed defaults to the same 0.
+    config = AimdConfig(alpha=1.0, beta=0.85, z_init=50.0, q_init=5.0)
+    assert (config.gamma, config.gamma_target, config.lam_min, config.max_iterations,
+            config.seed, config.convergence_window, config.convergence_tol) == \
+        (None, 0.15, 1e-4, 2_000_000, 0, 2000, 5e-4)
+    assert auto_config("maximize", 120, 215, CAR_1000).seed == 0
 
 
 def test_aimd_config_accepts_range_edges():
@@ -290,6 +325,17 @@ def test_scan_oracle_equalize_car_5000():
 def test_scan_oracle_zero_reserve_endpoint():
     qos_b_at_zero = binom_cdf(0, 215, 0.01)
     assert qos_b_at_zero == pytest.approx(0.99 ** 215, rel=1e-9)
+
+
+@pytest.mark.parametrize("problem", PROBLEMS)
+@pytest.mark.parametrize("params, m, t, q_opt", [
+    (ScenarioParams(1000, 0.1, 0.3, 1e-6), 120, 215, 0),   # a reserve buys nothing
+    (ScenarioParams(1000, 0.1, 0.001, 0.5), 40, 100, 40),  # every item to it, Q = M
+    (ScenarioParams(1000, 0.1, 0.001, 0.5), 100, 40, 40),  # every prosumer, Q = T
+], ids=["zero", "all-of-m", "all-of-t"])
+def test_scan_oracle_takes_either_end_of_the_range(problem, params, m, t, q_opt):
+    # The scan covers 0 <= Q <= min(M, T), both ends included.
+    assert scan_oracle(problem, params, m, t)[0] == q_opt
 
 
 def test_run_partition_matches_oracle_car_1000():
@@ -601,6 +647,17 @@ def test_bracket_decides_as_the_full_rate(case, u, edge, step):
     assert cut <= lam <= top
 
 
+@pytest.mark.parametrize("lo", [300.0, math.nextafter(300.0, 0.0)], ids=["onto-lo", "onto-hi"])
+def test_maximize_bounds_when_the_centre_rounds_onto_an_end(lo):
+    # Between two adjacent floats the centre rounds onto one of them, so
+    # no secant can be drawn; the lower bound is then 0.
+    rate, bounds, _ = aimd._agent("maximize", 1000, 0.3, 0)
+    hi = math.nextafter(lo, math.inf)
+    assert 0.5 * (lo + hi) in (lo, hi)
+    least, most = bounds(lo, hi)
+    assert least == 0.0 and rate(lo) <= most and rate(hi) <= most
+
+
 def _counting_kernels(monkeypatch):
     # Wraps aimd's kernel factories: calls[name][n] counts the calls of
     # the kernel built for population n.
@@ -709,6 +766,9 @@ _values = st.one_of(st.floats(), st.floats(-1e3, 1e3), _near_half)
 # the wrong millionth, to the slow path.
 @example([(math.nan, 1.0, 0, 2.0, 3.0), (1.0, math.inf, 1, 2.0, 3.0),
           (2.0**53 / 1e6, math.nextafter(2.0**53 / 1e6, math.inf), 2, 1.0, 0.5)], 1)
+# Integer parts at a power of ten and just above one: every digit of
+# them prints, and only the padding of the shorter ones is blanked.
+@example([(10.0, 12.5, 1, 100.0, 150.25), (1.0, 9.75, 0, 1000.0, 17.0)], 2)
 def test_write_trace_csv_matches_reference_writer(reference_trace_csv, rows, block):
     # Blocks of 1 to 8 rows put block edges everywhere, with a slow-path
     # block next to a fast one.

@@ -260,10 +260,11 @@ def test_import_and_cli_module_do_not_load_the_summing_kernels(fresh_python):
     (["reproduce"], ["car_min_cost.csv", "charger_min_cost.csv"]),
 ], ids=["qos", "design", "design-n-max", "design-stretches-max", "compare", "sweep",
         "reproduce"])
-def test_small_commands_run_without_numpy_and_scipy(fresh_python, tmp_path, capsys,
-                                                    argv, files):
+def test_small_commands_run_without_numpy_and_scipy(fresh_python, tmp_path, monkeypatch,
+                                                    capsys, argv, files):
     # python -m surgeshare.cli with numpy and scipy blocked exits 0 and
-    # prints and writes what cli_dispatch does here with scipy's kernels.
+    # prints and writes what cli_dispatch does here with scipy's kernels,
+    # which it keeps once N_MAX is 0.
     assert load_scenario("car-n50000-99").params.n_consumers == _binom.N_MAX
     fresh, here = tmp_path / "fresh", tmp_path / "here"
     if files:
@@ -272,6 +273,7 @@ def test_small_commands_run_without_numpy_and_scipy(fresh_python, tmp_path, caps
                      "runpy.run_module('surgeshare.cli', run_name='__main__', alter_sys=True)\n")
     proc = fresh_python("-c", code, *argv, *([str(fresh)] if files else []))
     assert (proc.returncode, proc.stderr) == (0, "")
+    monkeypatch.setattr(_binom, "N_MAX", 0)
     assert cli_dispatch([*argv, *([str(here)] if files else [])]) == 0
     assert proc.stdout.replace(str(fresh), str(here)) == capsys.readouterr().out
     for name in files:

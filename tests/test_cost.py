@@ -39,6 +39,8 @@ def test_discount_for_empty_purchase():
 
 
 def test_schedule_validation():
+    with pytest.raises(ValueError, match="at least one breakpoint"):
+        DiscountSchedule(breakpoints=())
     with pytest.raises(ValueError):
         DiscountSchedule(breakpoints=((5, 0.0),))  # must start at 1
     with pytest.raises(ValueError):

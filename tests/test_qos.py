@@ -1,5 +1,6 @@
 """Unit tests for the binomial QoS core."""
 
+import dataclasses
 import gc
 import math
 import random
@@ -18,9 +19,11 @@ from surgeshare import (
     binom_cdf,
     binom_cdf_cont,
     binom_pmf_cont,
+    load_scenario,
     min_items_for_qos,
     normal_approx_reserve,
     qos_all,
+    solve_min_cost,
 )
 from surgeshare import _binom, cli
 from surgeshare import qos as qos_module
@@ -587,9 +590,10 @@ def test_console_and_library_can_differ_at_a_rule_tie(monkeypatch, capsys):
     # lands within that of a tail can be met on one and missed on the
     # other.  This one is 1 minus scipy 1.17's P[X > 120] for
     # X ~ Binomial(1000, 0.1), the car scenario's non-surge pool: exactly,
-    # 120 items meet it, as the sums find, so the console script prints
-    # M = 120; scipy 1.17's tail is 2.8e-17 above 1 - target, so the
-    # library prints M = 121.  Other scipy builds may fall either way.
+    # 120 items meet it, as the sums find, so the command line prints
+    # M = 120 from either entry point; scipy 1.17's tail is 2.8e-17 above
+    # 1 - target, so the library gives M = 121.  Other scipy builds may
+    # fall either way.
     target = 0.9827427694733775
     exact = _decimal_tail(120, 1000, 0.1, upper=True)
     assert exact <= 1 - Decimal(target) and 1 - exact >= Decimal(target)
@@ -603,9 +607,12 @@ def test_console_and_library_can_differ_at_a_rule_tie(monkeypatch, capsys):
     finally:
         gc.unfreeze()
         (gc.enable if was else gc.disable)()
-    console = capsys.readouterr().out.splitlines()[0]
-    assert console == "M = 120  T = 217  Q = 6"
+    assert capsys.readouterr().out.splitlines()[0] == "M = 120  T = 217  Q = 6"
     assert cli_dispatch(argv) == 0
-    library = capsys.readouterr().out.splitlines()[0]
+    assert capsys.readouterr().out.splitlines()[0] == "M = 120  T = 217  Q = 6"
+    sc = load_scenario("car-n1000-98")
+    params = dataclasses.replace(sc.params, qos_target_ns=target, qos_target_s=target,
+                                 qos_target_b=target)
+    d = solve_min_cost(params, sc.cost_model).design
     scipy_meets = _meets_target(120, 1000, 0.1, target)
-    assert library == ("M = 120  T = 217  Q = 6" if scipy_meets else "M = 121  T = 216  Q = 6")
+    assert (d.m, d.t, d.q) == ((120, 217, 6) if scipy_meets else (121, 216, 6))

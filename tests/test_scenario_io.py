@@ -188,6 +188,19 @@ def test_round_trip_inline_model(tmp_path):
     assert load_scenario(str(out)) == sc
 
 
+def test_inline_discount_takes_a_trailing_comma(tmp_path):
+    path = tmp_path / "s.ini"
+    path.write_text(_PARAMS + "[cost_model]\nper_item_main = 800\nper_item_prosumer = 120\n"
+                    "discount = 1:0.0, 20:0.05,\n")
+    assert load_scenario(str(path)).cost_model.discount.breakpoints == ((1, 0.0), (20, 0.05))
+
+
+def test_file_without_cost_model_prices_with_the_car_model(tmp_path):
+    path = tmp_path / "s.ini"
+    path.write_text(_PARAMS)
+    assert load_scenario(str(path)).cost_model == get_cost_model("car-mg4-2025")
+
+
 def test_round_trip_with_custom_options(tmp_path):
     sc = ScenarioFile(
         name="custom",
@@ -496,34 +509,57 @@ def test_main_exits_with_the_collector_off_and_the_heap_frozen(monkeypatch, caps
     assert capsys.readouterr().out.startswith("qos_ns = ")
 
 
+def _main(argv):
+    """``cli.main``'s exit code for argv, with the collector put back after."""
+    saved, sys.argv = sys.argv, ["surgeshare", *argv]
+    was = gc.isenabled()
+    try:
+        cli.main()
+    except SystemExit as exc:
+        return exc.code
+    finally:
+        sys.argv = saved
+        gc.unfreeze()
+        (gc.enable if was else gc.disable)()
+
+
+class _Unexpected(Exception):
+    pass
+
+
+def _raise(*args):
+    raise _Unexpected
+
+
 @pytest.mark.parametrize("argv, code", [
     (["design", "--scenario", "charger-n1000-98"], 0),
     (["qos", "--m", "-3", "--t", "1", "--q", "0"], 2),
-], ids=["design", "input-error"])
-def test_main_leaves_the_callers_kernels_and_reserve_table(monkeypatch, capsys, argv, code):
-    # main computes a small command's binomials with the summing kernels
-    # on a reserve table of its own; a caller that catches its exit goes
-    # on with scipy's kernels and its own table, unchanged.
-    assert cli_dispatch(argv) == code
-    want = capsys.readouterr()
+    (["design", "--scenario", "charger-n1000-98", "--output", "d.csv"], _Unexpected),
+], ids=["design", "input-error", "unexpected-error"])
+def test_main_leaves_the_callers_kernels_and_reserve_table(monkeypatch, capsys, tmp_path,
+                                                           argv, code):
+    # Either entry point computes a small command's binomials with the
+    # summing kernels on a reserve table of its own; its caller goes on
+    # with its own kernels and table, unchanged, whether the command
+    # succeeds, rejects its input or raises.
+    monkeypatch.setattr(solver, "write_design_csv", _raise)
+    monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path))
     kernels, table = (qos.bdtr, qos.bdtrc), solver._reserve_ends
     ends = {key: list(value) for key, value in table.items()}
-    misses = _binom._tails.cache_info().misses
-    monkeypatch.setattr(sys, "argv", ["surgeshare", *argv])
-    was = gc.isenabled()
-    try:
-        with pytest.raises(SystemExit) as exc:
-            cli.main()
-        assert exc.value.code == code
-    finally:
-        gc.unfreeze()
-        (gc.enable if was else gc.disable)()
-    assert capsys.readouterr() == want
-    assert qos.bdtr is kernels[0] and qos.bdtrc is kernels[1]
-    assert solver._reserve_ends is table
-    assert {key: list(value) for key, value in table.items()} == ends
-    assert cli._summing is False
-    assert (_binom._tails.cache_info().misses > misses) is (code == 0)
+    outputs = []
+    for run in (_main, cli_dispatch):
+        _binom._tails.cache_clear()
+        if code is _Unexpected:
+            with pytest.raises(_Unexpected):
+                run(argv)
+        else:
+            assert run(argv) == code
+        outputs.append(capsys.readouterr())
+        assert qos.bdtr is kernels[0] and qos.bdtrc is kernels[1]
+        assert solver._reserve_ends is table
+        assert {key: list(value) for key, value in table.items()} == ends
+        assert (_binom._tails.cache_info().misses > 0) is (code != 2)
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("points, summed", [
@@ -538,21 +574,12 @@ def test_main_leaves_the_callers_kernels_and_reserve_table(monkeypatch, capsys, 
 def test_kernel_choice_counts_the_stretches_of_each_reserve_table(monkeypatch, points, summed):
     # Points that share p_bad and the target share the command's reserve
     # table, which is walked once, to the largest N; distinct tables add.
-    monkeypatch.setattr(cli, "_summing", True)
     monkeypatch.setattr(qos, "bdtr", qos.bdtr)
     monkeypatch.setattr(qos, "bdtrc", qos.bdtrc)
     base = load_scenario("car-n1000-98").params
     cli._choose_for_designs([dataclasses.replace(base, n_consumers=n, p_bad=p_b)
                              for n, p_b in points])
     assert (qos.bdtr is _binom.bdtr and qos.bdtrc is _binom.bdtrc) is summed
-
-
-def test_cli_dispatch_keeps_scipys_kernels(capsys):
-    # Only main binds the summing kernels: a command run through
-    # cli_dispatch keeps the caller's, even at N = 1.
-    assert cli_dispatch(["qos", "--n", "1", "--m", "1", "--t", "1", "--q", "0"]) == 0
-    assert qos.bdtr is not _binom.bdtr and qos.bdtrc is not _binom.bdtrc
-    capsys.readouterr()
 
 
 def test_module_reproduce_equals_in_process_reproduce(fresh_python, tmp_path, capsys):
