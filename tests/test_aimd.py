@@ -712,10 +712,13 @@ def test_maximize_kernels_run_at_few_events(monkeypatch, params, m, t, most):
     (ScenarioParams(5000, 0.1, 0.3, 0.01), 545, 1040),
 ], ids=["car-n1000", "car-n5000"])
 @pytest.mark.parametrize("seed", [0, 7, 12345])
-def test_recorded_series_match_per_iteration_reference(problem, params, m, t, seed):
+def test_recorded_series_match_per_iteration_reference(problem, params, m, t, seed, tmp_path,
+                                                       reference_trace_csv):
     # The auto_config regimes the CLI records, cut to 30k iterations: a
     # recorded run spreads its event flags and averages out after the
     # loop, and every series must equal the one appended per iteration.
+    # The car-n5000 runs end inside an additive phase and the maximize
+    # runs have long ones: the CSV of each prints as the reference does.
     config = dataclasses.replace(auto_config(problem, m, t, params, seed=seed),
                                  max_iterations=30_000)
     trace, _, _ = run_partition(problem, params, m, t, config)
@@ -725,6 +728,8 @@ def test_recorded_series_match_per_iteration_reference(problem, params, m, t, se
     assert trace.capacity_count > 0
     hist = _reference_run(problem, params, m, t, config, True)[0]
     assert [list(s) for s in series] == hist
+    aimd.write_trace_csv(tmp_path / "trace.csv", trace)
+    assert (tmp_path / "trace.csv").read_bytes() == reference_trace_csv(trace)
 
 
 def _trace_of(rows):
