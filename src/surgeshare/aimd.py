@@ -33,7 +33,8 @@ relative error, and a cdf by 1e-200 more, far above the values where
 monotone, so every decision equals the one of the full rate: the result
 is bit-identical to a per-iteration loop that adds alpha one step at a
 time, draws one uniform at a time and calls both kernels every event,
-for every seed; the optional trace still has one row per iteration.
+for every seed.  The optional trace keeps the claims of every iteration
+and, per event, its iteration and the running averages it set.
 On car-n1000 seed 0 the kernels run 0.011 times per equalize event and
 0.13 times per maximize event (0.40 at car-n50000), where evaluating
 both rates would take 2.  The first event still evaluates both rates,
@@ -138,14 +139,17 @@ class AimdConfig:
 
 @dataclass
 class AimdTrace:
-    """Recorded run history; per-iteration arrays are empty when the run
-    was executed without recording."""
+    """Recorded run history: ``z`` and ``q`` hold the claims of every
+    iteration; ``events`` the iteration of each capacity event, rising,
+    and ``z_avg_events`` and ``q_avg_events`` the running averages it
+    set, which move only at an event.  All five arrays are empty when
+    the run was executed without recording."""
 
     z: array
     q: array
-    capacity_event: array
-    z_avg_series: array
-    q_avg_series: array
+    events: array
+    z_avg_events: array
+    q_avg_events: array
     capacity_count: int
     z_avg: float
     q_avg: float
@@ -331,30 +335,6 @@ def _best_reserve(problem: str, params: ScenarioParams, m: int, t: int,
     return max(reserves, key=lambda q: _objective(problem, params, m, t, q))
 
 
-def _event_series(rows: int, ev_at: array, za_ev: array,
-                  qa_ev: array) -> Tuple[array, array, array]:
-    """The per-iteration event flags and averages of a recorded run,
-    spread from the iteration and the averages of each event: row i
-    holds the averages of the last event at or before it, 0.0 before
-    the first.  Each value is a copy, so the series are bit-identical
-    to ones appended iteration by iteration."""
-    import numpy as np
-
-    ev_hist = array("b", [0]) * rows
-    flags = np.frombuffer(ev_hist, np.int8)
-    flags[np.frombuffer(ev_at, np.int64)] = 1
-    events_so_far = np.cumsum(flags, dtype=np.int64)
-    series = []
-    for avgs in (za_ev, qa_ev):
-        hist = array("d", [0.0]) * rows
-        # The indices lie in [0, events], so "clip" changes none of them;
-        # it lets take() write into the array without a temporary copy.
-        np.take(np.concatenate(([0.0], np.frombuffer(avgs, np.float64))), events_so_far,
-                out=np.frombuffer(hist, np.float64), mode="clip")
-        series.append(hist)
-    return ev_hist, series[0], series[1]
-
-
 def run_partition(problem: str, params: ScenarioParams, m: int, t: int,
                   config: Optional[AimdConfig] = None,
                   record: bool = True) -> Tuple[AimdTrace, int, QosReport]:
@@ -394,8 +374,7 @@ def run_partition(problem: str, params: ScenarioParams, m: int, t: int,
     # Every run logs the averages of each event: the windowed convergence
     # test compares them with their values ``window`` events back.  A
     # recorded run also keeps the claims of every iteration and the
-    # iteration of every event; the per-iteration event flags and
-    # averages are spread out from these after the loop.
+    # iteration of every event, and hands all five logs to its trace.
     za_ev = array("d")
     qa_ev = array("d")
     z_hist = array("d")
@@ -477,13 +456,10 @@ def run_partition(problem: str, params: ScenarioParams, m: int, t: int,
         l += 1
 
     total = limit if converged_at is None else converged_at + 1
-    if record:
-        ev_hist, za_hist, qa_hist = _event_series(len(z_hist), ev_at, za_ev, qa_ev)
-    else:
-        ev_hist, za_hist, qa_hist = array("b"), array("d"), array("d")
     trace = AimdTrace(
-        z=z_hist, q=q_hist, capacity_event=ev_hist,
-        z_avg_series=za_hist, q_avg_series=qa_hist,
+        z=z_hist, q=q_hist, events=ev_at,
+        z_avg_events=za_ev if record else array("d"),
+        q_avg_events=qa_ev if record else array("d"),
         capacity_count=len(za_ev), z_avg=z_avg, q_avg=q_avg,
         converged_at=converged_at, total_iterations=total,
     )
@@ -553,7 +529,10 @@ def write_trace_csv(path, trace: AimdTrace) -> None:
 
     One row per iteration: ``TRACE_CSV_COLUMNS``, the iteration number
     and the event flag as integers, the four claims and averages with
-    six decimals, exactly as ``f"{v:.6f}"`` prints them.
+    six decimals, exactly as ``f"{v:.6f}"`` prints them.  The flags and
+    averages come from the trace's event arrays: a row's flag is 1 at an
+    iteration in ``trace.events`` and 0 elsewhere, and its averages are
+    those of the last event at or before it, 0.0 before the first.
 
     The rows are built in blocks of ``_BLOCK_ROWS`` with numpy.  For
     v >= 0, ``f"{v:.6f}"`` prints the exact product P = v * 10**6
@@ -562,39 +541,50 @@ def write_trace_csv(path, trace: AimdTrace) -> None:
     half-integer is a double, so none lies strictly between P and s,
     and were P one, s would equal it.  So unless s is itself a
     half-integer, ``np.rint(s)`` is the rounding of P, and its int64
-    digits are exact.  A block is printed from those digits when all
-    its flags are non-negative and every value has a clear sign bit and
-    an s below 2**50, which also rules out NaN and the infinities; only
-    its rows with an exact tie, a value whose s - floor(s) == 0.5 such
-    as 1/128 = 0.0078125, are printed by ``_slow_rows`` with the
-    f-string itself.  The claims and averages that ``run_partition``
-    records are non-negative, so their blocks take this path.  Any other
-    block, one with a negative flag or value, -0.0, NaN, an infinity or
-    an s of 2**50 or more, is printed row by row by ``_slow_rows``.
+    digits are exact.  A block is printed from those digits when every
+    value has a clear sign bit and an s below 2**50, which also rules
+    out NaN and the infinities; only its rows with an exact tie, a
+    value whose s - floor(s) == 0.5 such as 1/128 = 0.0078125, are
+    printed by ``_slow_rows`` with the f-string itself.  The claims and
+    averages that ``run_partition`` records are non-negative, so their
+    blocks take this path.  Any other block, one with a negative value,
+    -0.0, NaN, an infinity or an s of 2**50 or more, is printed row by
+    row by ``_slow_rows``.
 
-    The five per-iteration arrays must have one length, else
-    ``ValueError``, raised before the file is opened.
+    ``ValueError``, raised before the file is opened, unless ``z`` and
+    ``q`` have one length, the event iterations rise strictly and lie
+    in [0, rows), and there is one z and one q average per event.
     """
     import numpy as np
 
     # Views of the trace's arrays, not copies.
-    cols = [np.asarray(a) for a in (trace.z, trace.q, trace.capacity_event,
-                                    trace.z_avg_series, trace.q_avg_series)]
-    lengths = [len(c) for c in cols]
-    if len(set(lengths)) > 1:
-        raise ValueError("trace arrays z, q, capacity_event, z_avg_series and "
-                         f"q_avg_series differ in length: {lengths}")
-    rows = lengths[0]
+    z_all, q_all, ev_at, za_ev, qa_ev = (
+        np.asarray(a) for a in (trace.z, trace.q, trace.events, trace.z_avg_events,
+                                trace.q_avg_events))
+    rows = len(z_all)
+    if len(q_all) != rows:
+        raise ValueError(f"trace arrays z and q differ in length: {[rows, len(q_all)]}")
+    if len(ev_at) and not (ev_at[0] >= 0 and ev_at[-1] < rows and (np.diff(ev_at) > 0).all()):
+        raise ValueError(f"trace events must rise strictly within [0, {rows})")
+    if not len(za_ev) == len(qa_ev) == len(ev_at):
+        raise ValueError("trace needs one z and one q average per event: "
+                         f"{len(ev_at)} events, {len(za_ev)} and {len(qa_ev)} averages")
+    # Indexed by the count of events at or before a row.
+    za_at, qa_at = (np.concatenate(([0.0], a)) for a in (za_ev, qa_ev))
+    last = 0  # events before the block
     with open(path, "wb") as fh:
         fh.write((",".join(TRACE_CSV_COLUMNS) + "\n").encode())
         for start in range(0, rows, _BLOCK_ROWS):
             stop = min(start + _BLOCK_ROWS, rows)
-            z, q, ev, za, qa = (c[start:stop] for c in cols)
-            ev = ev.astype(np.int64)
+            first, last = last, int(np.searchsorted(ev_at, stop))
+            ev = np.zeros(stop - start, np.int64)
+            ev[ev_at[first:last] - start] = 1
+            seen = np.cumsum(ev) + first
+            z, q, za, qa = z_all[start:stop], q_all[start:stop], za_at[seen], qa_at[seen]
             values = [x.astype(np.float64, copy=False) for x in (z, q, za, qa)]
             with np.errstate(over="ignore", invalid="ignore"):
                 scaled = [x * 1e6 for x in values]
-                fast = (ev.min() >= 0 and not any(np.signbit(x).any() for x in values)
+                fast = (not any(np.signbit(x).any() for x in values)
                         and all((s < 2.0**50).all() for s in scaled))
             if not fast:
                 fh.write(_slow_rows(start, z, q, ev, za, qa))

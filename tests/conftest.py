@@ -24,12 +24,19 @@ def fresh_python():
 
 def _reference_trace_csv(trace) -> bytes:
     """The trace CSV as a per-row f-string writer prints it: the
-    byte-for-byte reference for ``write_trace_csv``."""
-    rows = zip(trace.z, trace.q, trace.capacity_event,
-               trace.z_avg_series, trace.q_avg_series)
+    byte-for-byte reference for ``write_trace_csv``.  A pointer walks
+    the events row by row: a row at the next event's iteration is
+    flagged, and every row prints the averages of the last event passed,
+    0.0 before the first."""
     lines = [",".join(TRACE_CSV_COLUMNS) + "\n"]
-    lines.extend(f"{l},{z:.6f},{q:.6f},{ev},{za:.6f},{qa:.6f}\n"
-                 for l, (z, q, ev, za, qa) in enumerate(rows))
+    k = 0  # events at or before the row
+    za = qa = 0.0
+    for l, (z, q) in enumerate(zip(trace.z, trace.q)):
+        ev = int(k < len(trace.events) and trace.events[k] == l)
+        if ev:
+            za, qa = trace.z_avg_events[k], trace.q_avg_events[k]
+            k += 1
+        lines.append(f"{l},{z:.6f},{q:.6f},{ev},{za:.6f},{qa:.6f}\n")
     return "".join(lines).encode()
 
 

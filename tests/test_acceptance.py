@@ -190,20 +190,19 @@ def test_criterion_6_property_suites():
     for problem in ("maximize", "equalize"):
         config = auto_config(problem, 120, 215, params, seed=3)
         trace, _, _ = run_partition(problem, params, 120, 215, config)
-        first = next((l for l in range(len(trace.z)) if trace.capacity_event[l]), None)
-        if first is None:
+        events = trace.events
+        if not events:
             failures.append(f"{problem}: no capacity event recorded")
             continue
         bound = 120 + 2 * config.alpha
-        if any(trace.z[l] + trace.q[l] >= bound for l in range(first, len(trace.z))):
+        if any(trace.z[l] + trace.q[l] >= bound for l in range(events[0], len(trace.z))):
             failures.append(f"{problem}: capacity bound violated")
-        events = [l for l in range(len(trace.z)) if trace.capacity_event[l]]
         z_bar = q_bar = 0.0
         for k, l in enumerate(events, start=1):
             z_bar += (trace.z[l] - z_bar) / k
             q_bar += (trace.q[l] - q_bar) / k
-            if (abs(trace.z_avg_series[l] - z_bar) > 1e-9
-                    or abs(trace.q_avg_series[l] - q_bar) > 1e-9):
+            if (abs(trace.z_avg_events[k - 1] - z_bar) > 1e-9
+                    or abs(trace.q_avg_events[k - 1] - q_bar) > 1e-9):
                 failures.append(f"{problem}: average recursion broken at event {k}")
                 break
         repeat, _, _ = run_partition(problem, params, 120, 215, config)

@@ -44,7 +44,8 @@ def test_additive_phase_grows_both_agents():
     config = make_config(max_iterations=1)
     trace, _, _ = run_partition("maximize", CAR_1000, 120, 215, config)
     assert list(trace.z) == [51.0] and list(trace.q) == [6.0]
-    assert list(trace.capacity_event) == [0]
+    assert [list(trace.events), list(trace.z_avg_events), list(trace.q_avg_events)] == \
+        [[], [], []]
     assert trace.capacity_count == 0 and trace.total_iterations == 1
 
 
@@ -57,8 +58,9 @@ def test_forced_backoff_scales_both_agents():
     config = make_config(alpha=5.0, z_init=100.0, q_init=10.0, gamma=1e12,
                          max_iterations=3)
     trace, _, _ = run_partition("maximize", CAR_1000, 120, 215, config)
-    assert list(trace.capacity_event) == [0, 1, 0]
+    assert list(trace.events) == [1]
     assert trace.z[1] == 105.0 and trace.q[1] == 15.0
+    assert list(trace.z_avg_events) == [105.0] and list(trace.q_avg_events) == [15.0]
     assert trace.z[2] == pytest.approx(0.85 * 105.0 + 5.0)
     assert trace.q[2] == pytest.approx(0.85 * 15.0 + 5.0)
     assert trace.capacity_count == 1
@@ -119,14 +121,13 @@ def test_symmetric_agents_stay_equal():
     trace, _, _ = run_partition("equalize", CAR_1000, 120, 215, config)
     assert trace.capacity_count > 0
     assert trace.z == trace.q
-    assert trace.z_avg_series == trace.q_avg_series
+    assert trace.z_avg_events == trace.q_avg_events
 
 
 def test_trace_capacity_bound_and_positivity():
     config = auto_config("maximize", 120, 215, CAR_1000, seed=5)
     trace, _, _ = run_partition("maximize", CAR_1000, 120, 215, config)
-    first_event = next(l for l in range(len(trace.z)) if trace.capacity_event[l])
-    for l in range(first_event, len(trace.z)):
+    for l in range(trace.events[0], len(trace.z)):
         assert trace.z[l] + trace.q[l] < 120 + 2 * config.alpha
     assert all(z > 0 for z in trace.z)
     assert all(q > 0 for q in trace.q)
@@ -135,14 +136,15 @@ def test_trace_capacity_bound_and_positivity():
 def test_trace_average_recursions():
     config = auto_config("maximize", 120, 215, CAR_1000, seed=2)
     trace, _, _ = run_partition("maximize", CAR_1000, 120, 215, config)
-    events = [l for l in range(len(trace.z)) if trace.capacity_event[l]]
-    assert len(events) == trace.capacity_count
+    events = trace.events
+    assert len(events) == len(trace.z_avg_events) == len(trace.q_avg_events) == \
+        trace.capacity_count
     z_bar = q_bar = 0.0
     for k, l in enumerate(events, start=1):
         z_bar += (trace.z[l] - z_bar) / k
         q_bar += (trace.q[l] - q_bar) / k
-        assert trace.z_avg_series[l] == pytest.approx(z_bar, abs=1e-9)
-        assert trace.q_avg_series[l] == pytest.approx(q_bar, abs=1e-9)
+        assert trace.z_avg_events[k - 1] == pytest.approx(z_bar, abs=1e-9)
+        assert trace.q_avg_events[k - 1] == pytest.approx(q_bar, abs=1e-9)
     # The recursion equals the arithmetic mean of the event states.
     assert trace.z_avg == pytest.approx(
         math.fsum(trace.z[l] for l in events) / len(events), abs=1e-9)
@@ -181,8 +183,8 @@ def test_numpy_real_config_fields_run_as_their_floats(problem, gamma):
     assert type(got.z_avg) is float and type(got.q_avg) is float
     assert (got.z_avg.hex(), got.q_avg.hex(), got.converged_at, q_got) == \
         (want.z_avg.hex(), want.q_avg.hex(), want.converged_at, q_want)
-    assert [got.z, got.q, got.capacity_event, got.z_avg_series, got.q_avg_series] == \
-        [want.z, want.q, want.capacity_event, want.z_avg_series, want.q_avg_series]
+    assert [got.z, got.q, got.events, got.z_avg_events, got.q_avg_events] == \
+        [want.z, want.q, want.events, want.z_avg_events, want.q_avg_events]
 
 
 def test_unconverged_run_is_flagged_not_raised():
@@ -399,27 +401,28 @@ def test_trace_counts_are_python_ints(problem, record):
 
 def test_unconverged_record_run_has_one_row_per_iteration():
     # 1234 iterations stop inside an additive phase; the trace still
-    # holds exactly one row per iteration.
+    # holds exactly one claim per iteration and one average per event.
     config = make_config(alpha=0.5, gamma=None, max_iterations=1234)
     trace, _, _ = run_partition("equalize", CAR_1000, 120, 215, config)
     assert trace.converged_at is None and trace.total_iterations == 1234
-    for series in (trace.z, trace.q, trace.capacity_event,
-                   trace.z_avg_series, trace.q_avg_series):
-        assert len(series) == 1234
-    assert 0 < trace.capacity_count == sum(trace.capacity_event) < 1234
+    assert len(trace.z) == len(trace.q) == 1234
+    for series in (trace.events, trace.z_avg_events, trace.q_avg_events):
+        assert len(series) == trace.capacity_count
+    assert 0 < trace.capacity_count and trace.events[-1] < 1233
 
 
 def _reference_run(problem, params, m, t, config, record):
     """Independent reference: a per-iteration AIMD loop written straight
     through, one scalar draw and one public rate kernel call at a time.
-    Returns what ``run_partition`` returns as comparable plain values."""
+    Returns what ``run_partition`` returns as comparable plain values:
+    the trace's five arrays, empty unless recorded, first."""
     n = params.n_consumers
     rng = np.random.Generator(np.random.Philox(config.seed))
     gamma = config.gamma
     z, q = config.z_init, config.q_init
     z_avg = q_avg = 0.0
     k = 0
-    hist = ([], [], [], [], [])
+    z_hist, q_hist, events = [], [], []
     za_events, qa_events = [], []
     window = config.convergence_window
     converged_at = None
@@ -433,10 +436,11 @@ def _reference_run(problem, params, m, t, config, record):
             z += config.alpha
             q += config.alpha
         if record:
-            for series, value in zip(hist, (z, q, int(event), z_avg, q_avg)):
-                series.append(value)
+            z_hist.append(z)
+            q_hist.append(q)
         if not event:
             continue
+        events.append(l)
         if problem == "maximize":
             dc = z_avg * binom_pmf_cont(z_avg + t, n, params.p_surge)
             dp = q_avg * binom_pmf_cont(q_avg, t, params.p_bad)
@@ -476,8 +480,8 @@ def _reference_run(problem, params, m, t, config, record):
     lo = min(max(math.floor(q_avg), 0), q_limit)
     hi = min(max(math.ceil(q_avg), 0), q_limit)
     q_star = max(range(lo, hi + 1), key=objective)
-    return ([list(series) for series in hist], k, z_avg.hex(), q_avg.hex(),
-            converged_at, total, q_star)
+    hist = [z_hist, q_hist, events, za_events, qa_events] if record else [[]] * 5
+    return hist, k, z_avg.hex(), q_avg.hex(), converged_at, total, q_star
 
 
 @st.composite
@@ -531,8 +535,8 @@ def partition_cases(draw):
 def test_run_partition_equals_per_iteration_reference(case):
     problem, params, m, t, config, record = case
     trace, q_star, _ = run_partition(problem, params, m, t, config, record=record)
-    got = ([list(series) for series in (trace.z, trace.q, trace.capacity_event,
-                                        trace.z_avg_series, trace.q_avg_series)],
+    got = ([list(series) for series in (trace.z, trace.q, trace.events,
+                                        trace.z_avg_events, trace.q_avg_events)],
            trace.capacity_count, trace.z_avg.hex(), trace.q_avg.hex(),
            trace.converged_at, trace.total_iterations, q_star)
     assert got == _reference_run(problem, params, m, t, config, record)
@@ -714,17 +718,17 @@ def test_maximize_kernels_run_at_few_events(monkeypatch, params, m, t, most):
 @pytest.mark.parametrize("seed", [0, 7, 12345])
 def test_recorded_series_match_per_iteration_reference(problem, params, m, t, seed, tmp_path,
                                                        reference_trace_csv):
-    # The auto_config regimes the CLI records, cut to 30k iterations: a
-    # recorded run spreads its event flags and averages out after the
-    # loop, and every series must equal the one appended per iteration.
-    # The car-n5000 runs end inside an additive phase and the maximize
-    # runs have long ones: the CSV of each prints as the reference does.
+    # The auto_config regimes the CLI records, cut to 30k iterations:
+    # every array of the trace must equal the one the per-iteration loop
+    # appends.  The car-n5000 runs end inside an additive phase and the
+    # maximize runs have long ones: the CSV of each prints as the
+    # reference writer, which spreads the events row by row, prints it.
     config = dataclasses.replace(auto_config(problem, m, t, params, seed=seed),
                                  max_iterations=30_000)
     trace, _, _ = run_partition(problem, params, m, t, config)
-    series = (trace.z, trace.q, trace.capacity_event, trace.z_avg_series, trace.q_avg_series)
+    series = (trace.z, trace.q, trace.events, trace.z_avg_events, trace.q_avg_events)
     assert [type(s) for s in series] == [array] * 5
-    assert [s.typecode for s in series] == list("ddbdd")
+    assert [s.typecode for s in series] == list("ddqdd")
     assert trace.capacity_count > 0
     hist = _reference_run(problem, params, m, t, config, True)[0]
     assert [list(s) for s in series] == hist
@@ -733,9 +737,14 @@ def test_recorded_series_match_per_iteration_reference(problem, params, m, t, se
 
 
 def _trace_of(rows):
-    z, q, ev, za, qa = zip(*rows) if rows else ((),) * 5
-    return AimdTrace(array("d", z), array("d", q), array("b", ev), array("d", za),
-                     array("d", qa), capacity_count=0, z_avg=0.0, q_avg=0.0,
+    # Rows of (z, q, flag, z_avg, q_avg): a row with a true flag is a
+    # capacity event and sets the averages; the averages of any other row
+    # are ignored, as the CSV prints the last event's there.
+    z, q = ([row[i] for row in rows] for i in (0, 1))
+    events = [(l, za, qa) for l, (_, _, flag, za, qa) in enumerate(rows) if flag]
+    ev, za, qa = zip(*events) if events else ((),) * 3
+    return AimdTrace(array("d", z), array("d", q), array("q", ev), array("d", za),
+                     array("d", qa), capacity_count=len(ev), z_avg=0.0, q_avg=0.0,
                      converged_at=None, total_iterations=len(rows))
 
 
@@ -755,28 +764,31 @@ _values = st.one_of(st.floats(), st.floats(-1e3, 1e3), _near_half)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(_values, _values, st.integers(-128, 127), _values, _values),
-                max_size=40),
+@given(st.lists(st.tuples(_values, _values, st.booleans(), _values, _values), max_size=40),
        st.integers(1, 8))
 @example([], 4)  # the header alone
 @example([(_TIE, -_TIE, 1, 3 * _TIE, 0.5)], 1)  # exact ties round to even
 @example([(math.nextafter(_TIE, 0.0), math.nextafter(_TIE, 1.0),
-           0, math.nextafter(_HALF, 0.0), math.nextafter(_HALF, 1.0))], 1)
-@example([(-0.0, -1e-9, 0, -123.4567895, 2.0**53 / 1e6),
-          (1e20, -1.7e308, 5, 5e-324, 9.1e9)], 1)
-@example([(math.nan, math.inf, -128, -math.inf, -math.nan),
-          (1.0, 2.0, 127, 3.0, 4.0)], 1)
-# Clear sign bits and non-negative flags: only the test s = v * 1e6 < 2**50
-# sends NaN, +inf, 2**53 / 1e6 and the double above it, whose s rounds to
-# the wrong millionth, to the slow path.
+           1, math.nextafter(_HALF, 0.0), math.nextafter(_HALF, 1.0))], 1)
+@example([(-0.0, -1e-9, 1, -123.4567895, 2.0**53 / 1e6),
+          (1e20, -1.7e308, 1, 5e-324, 9.1e9)], 1)
+# A non-event row prints the last event's averages, here -inf and NaN.
+@example([(math.nan, math.inf, 1, -math.inf, -math.nan),
+          (1.0, 2.0, 0, 3.0, 4.0)], 1)
+# Clear sign bits: only the test s = v * 1e6 < 2**50 sends NaN, +inf,
+# 2**53 / 1e6 and the double above it, whose s rounds to the wrong
+# millionth, to the slow path.
 @example([(math.nan, 1.0, 0, 2.0, 3.0), (1.0, math.inf, 1, 2.0, 3.0),
-          (2.0**53 / 1e6, math.nextafter(2.0**53 / 1e6, math.inf), 2, 1.0, 0.5)], 1)
+          (2.0**53 / 1e6, math.nextafter(2.0**53 / 1e6, math.inf), 1, 1.0, 0.5)], 1)
 # Integer parts at a power of ten and just above one: every digit of
 # them prints, and only the padding of the shorter ones is blanked.
-@example([(10.0, 12.5, 1, 100.0, 150.25), (1.0, 9.75, 0, 1000.0, 17.0)], 2)
+@example([(10.0, 12.5, 1, 100.0, 150.25), (1.0, 9.75, 1, 1000.0, 17.0)], 2)
+# Events on the first and last rows of blocks, and rows before the first
+# event, which print averages of 0.0.
+@example([(1.0, 1.0, l in (2, 3, 5, 6), l + 0.5, l + 0.25) for l in range(7)], 3)
 def test_write_trace_csv_matches_reference_writer(reference_trace_csv, rows, block):
     # Blocks of 1 to 8 rows put block edges everywhere, with a slow-path
-    # block next to a fast one.
+    # block next to a fast one, and events anywhere in a block.
     trace = _trace_of(rows)
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setattr(aimd, "_BLOCK_ROWS", block)
@@ -784,14 +796,6 @@ def test_write_trace_csv_matches_reference_writer(reference_trace_csv, rows, blo
         aimd.write_trace_csv(path, trace)
         with open(path, "rb") as fh:
             assert fh.read() == reference_trace_csv(trace)
-
-
-def test_write_trace_csv_prints_a_negative_flag(tmp_path, reference_trace_csv):
-    # Every value of the row passes the numpy path's tests; the flag alone
-    # must send the block to the slow path.
-    trace = _trace_of([(1.0, 2.0, -1, 3.0, 4.0)])
-    aimd.write_trace_csv(tmp_path / "trace.csv", trace)
-    assert (tmp_path / "trace.csv").read_bytes() == reference_trace_csv(trace)
 
 
 def test_write_trace_csv_prints_only_a_tied_row_by_f_string(tmp_path, monkeypatch,
@@ -813,12 +817,41 @@ def test_write_trace_csv_prints_only_a_tied_row_by_f_string(tmp_path, monkeypatc
     assert (tmp_path / "trace.csv").read_bytes() == reference_trace_csv(trace)
 
 
-def test_write_trace_csv_rejects_ragged_traces(tmp_path):
-    # One array a row short would otherwise drop a row of every other
-    # array; the writer refuses before it creates the file.
-    trace = _trace_of([(1.0, 2.0, 0, 1.0, 2.0), (1.5, 2.5, 1, 1.25, 2.25)])
-    trace.capacity_event.pop()
+def _malformed(change):
+    # Three rows, events at iterations 0 and 2, then one change.
+    trace = _trace_of([(1.0, 2.0, 1, 1.0, 2.0), (1.5, 2.5, 0, 0.0, 0.0),
+                       (2.0, 3.0, 1, 1.5, 2.5)])
+    change(trace)
+    return trace
+
+
+def _set_events(*events):
+    return lambda trace: setattr(trace, "events", array("q", events))
+
+
+def test_write_trace_csv_rejects_ragged_traces(tmp_path, reference_trace_csv):
+    # Each malformed trace would otherwise drop or shift rows, misplace a
+    # flag or an average, or fail half-written; the writer refuses before
+    # it creates the file.
+    events = "trace events must rise strictly within [0, 3)"
+    cases = [
+        (lambda trace: trace.q.pop(), "z and q differ in length: [3, 2]"),
+        (lambda trace: trace.z.pop(), "z and q differ in length: [2, 3]"),
+        (_set_events(-1, 2), events),
+        (_set_events(0, 3), events),
+        (_set_events(2, 2), events),
+        (_set_events(2, 0), events),
+        (lambda trace: trace.z_avg_events.pop(), "2 events, 1 and 2 averages"),
+        (lambda trace: trace.q_avg_events.append(3.0), "2 events, 2 and 3 averages"),
+    ]
     path = tmp_path / "trace.csv"
-    with pytest.raises(ValueError, match=re.escape("[2, 2, 1, 2, 2]")):
+    for change, message in cases:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            aimd.write_trace_csv(path, _malformed(change))
+        assert not path.exists()
+    # The changes keep a trace the writer accepts: events at either end.
+    for events in [(0, 2), (0,), (2,), ()]:
+        trace = _malformed(_set_events(*events))
+        trace.z_avg_events, trace.q_avg_events = (array("d", [0.5] * len(events)),) * 2
         aimd.write_trace_csv(path, trace)
-    assert not path.exists()
+        assert path.read_bytes() == reference_trace_csv(trace)

@@ -855,6 +855,10 @@ def test_cli_partition_input_error_leaves_no_trace_file(tmp_path, capsys):
                  id="reproduce-outdir-is-a-file"),
     pytest.param(["reproduce", "--m", "3"], None, 2, "unrecognized arguments",
                  id="reproduce-unknown-flag"),
+    pytest.param(["--help"], None, 0, "", id="help"),
+    pytest.param(["design", "--help"], None, 0, "", id="design-help"),
+    pytest.param([], None, 2, "the following arguments are required: command",
+                 id="no-command"),
 ])
 def test_cli_exit_code_contract(argv, setup, code, err, tmp_path, monkeypatch, capsys):
     if setup is not None:

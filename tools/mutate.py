@@ -20,10 +20,14 @@ at the first failure, in a fresh copy of ``src/``, ``tests/`` and
 past the time limit counts as killed.  Every survivor is printed with its
 line and operator, then the count.  The default tests are
 ``tests/test_solver.py``, the acceptance criteria other than the AIMD
-table (criterion 4) and ``tests/test_<module>.py`` if it exists; each
-mutant takes a few seconds, so a module takes minutes.  Hypothesis runs
-with a fixed seed, so two runs over the same tree draw the same examples.
-The run is not part of the test suite or of CI.
+table (criterion 4) and the module's own tests: ``tests/test_qos.py``
+and ``tests/test_api.py`` for ``_binom.py``,
+``tests/test_scenario_io.py`` and ``tests/test_api.py`` for ``cli.py``,
+``tests/test_scenario_io.py`` for ``scenarios.py``, and
+``tests/test_<module>.py``, if it exists, for any other; each mutant
+takes a few seconds, so a module takes minutes.  Hypothesis runs with a
+fixed seed, so two runs over the same tree draw the same examples.  The
+run is not part of the test suite or of CI.
 """
 
 import argparse
@@ -36,6 +40,12 @@ import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# The tests of modules that have no tests/test_<module>.py of their own.
+OWN_TESTS = {
+    "_binom.py": ["tests/test_qos.py", "tests/test_api.py"],
+    "cli.py": ["tests/test_scenario_io.py", "tests/test_api.py"],
+    "scenarios.py": ["tests/test_scenario_io.py"],
+}
 
 SWAPS = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
@@ -129,9 +139,10 @@ def main(argv=None) -> int:
     tests = args.pytest_args
     if not tests:
         tests = ["tests/test_solver.py", "tests/test_acceptance.py"]
-        own = os.path.join("tests", "test_" + os.path.basename(module))
-        if os.path.exists(os.path.join(ROOT, own)) and own not in tests:
-            tests.append(own)
+        name = os.path.basename(module)
+        for own in OWN_TESTS.get(name, [os.path.join("tests", "test_" + name)]):
+            if os.path.exists(os.path.join(ROOT, own)) and own not in tests:
+                tests.append(own)
         tests += ["-k", "not criterion_4"]
     with open(os.path.join(ROOT, module), encoding="utf-8") as fh:
         source = fh.read()
