@@ -3,6 +3,11 @@
 Binomial QoS metrics, minimum-cost (M, T, Q) dimensioning with
 volume-discount cost models, and distributed AIMD partitioning of a
 fixed shared pool.
+
+The AIMD names (``_AIMD_EXPORTS``) are exported lazily (PEP 562): the
+first access to one imports ``surgeshare.aimd``, so that
+``import surgeshare`` and the commands that run no AIMD do not compile
+and run it.
 """
 
 from .qos import (
@@ -34,13 +39,6 @@ from .solver import (
     feasible,
     solve_min_cost,
 )
-from .aimd import (
-    AimdConfig,
-    AimdTrace,
-    auto_config,
-    run_partition,
-    scan_oracle,
-)
 from .scenarios import (
     ScenarioError,
     ScenarioFile,
@@ -50,3 +48,17 @@ from .scenarios import (
 )
 
 __version__ = "0.1.0"
+
+_AIMD_EXPORTS = ("AimdConfig", "AimdTrace", "auto_config", "run_partition", "scan_oracle")
+
+
+def __getattr__(name):
+    if name in _AIMD_EXPORTS:
+        from . import aimd
+        value = globals()[name] = getattr(aimd, name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_AIMD_EXPORTS})

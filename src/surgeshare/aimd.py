@@ -61,8 +61,8 @@ from array import array
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .qos import (QosReport, ScenarioParams, _cdf_cont, _check_field, _integer,
-                  _normal_reserve, _pmf_cont, _real, qos_all)
+from .qos import (PROBLEMS, QosReport, ScenarioParams, _cdf_cont, _check_field,
+                  _integer, _normal_reserve, _pmf_cont, _real, qos_all)
 
 __all__ = [
     "AimdConfig",
@@ -75,7 +75,6 @@ __all__ = [
     "PROBLEMS",
 ]
 
-PROBLEMS = ("maximize", "equalize")
 TRACE_CSV_COLUMNS = ("iter", "z", "q", "capacity_event", "z_avg", "q_avg")
 _DRAW_BLOCK = 4096  # uniform draws per Generator call; even, two per event
 # A bracket's half-width in standard deviations of the agent's population,
@@ -88,12 +87,15 @@ _DRAW_BLOCK = 4096  # uniform draws per Generator call; even, two per event
 # sigma/64.
 _BRACKET = {"maximize": 1.0 / 16, "equalize": 1.0 / 64}
 # The relative slack on a kernel value at a bracket end: about three
-# digits, where the cdf kernel is good to 3e-16 and the pmf to 1e-11
-# (n <= 10,200, against mpmath).
+# digits, where scipy's cdf kernel is good to 3e-16, ``_binom.betainc``
+# (the command line's, n <= 5e4) to ``_binom.BETA_REL_ERR`` (1e-11) and
+# the pmf to 1e-11 (n <= 10,200, against mpmath).
 _SLACK = 2.0**-10
-# The absolute slack on a cdf value.  Below about 1e-258 ``betainc`` can
-# return 0 or values off by a factor of 2, not monotone in x: the largest
-# such value in a scan of 15,000 random n <= 2**31 - 1 and p was 1.9e-259.
+# The absolute slack on a cdf value.  Below about 1e-258 scipy's
+# ``betainc`` can return 0 or values off by a factor of 2, not monotone
+# in x: the largest such value in a scan of 15,000 random n <= 2**31 - 1
+# and p was 1.9e-259.  ``_binom.betainc`` keeps its relative bound down
+# to 1e-290 only.
 _CDF_FLOOR = 1e-200
 _BLOCK_ROWS = 1 << 15  # trace CSV rows built per numpy pass
 

@@ -21,11 +21,10 @@ import os
 import sys
 from typing import List, Optional, Sequence, Tuple
 
-from . import aimd as aimd_mod
 from . import qos as qos_mod
 from . import solver as solver_mod
 from .cost import get_cost_model
-from .qos import ScenarioParams, qos_all
+from .qos import PROBLEMS, ScenarioParams, qos_all
 from .scenarios import ScenarioError, ScenarioFile, load_scenario
 
 __all__ = ["main", "cli_dispatch"]
@@ -43,17 +42,18 @@ _PARAM_FLAGS = {
 
 
 def _choose_kernels(n: int, stretches: float = 0.0) -> None:
-    """Bind ``qos.bdtr`` and ``qos.bdtrc`` to ``_binom``'s if their sums cost less.
+    """Bind ``qos.bdtr``, ``qos.bdtrc`` and ``qos.betainc`` to ``_binom``'s
+    if they cost less than importing scipy.
 
     Each command that evaluates binomials calls this once, before its
     first kernel call, with the largest n it evaluates and the number of
     reserve stretches its design scans walk, as ``_choose_for_designs``
-    estimates it; ``_binom`` gives the limits on both and how they were
-    measured.
+    estimates it (0 for ``partition``, which scans none); ``_binom``
+    gives the limits on both and how they were measured.
     """
     from . import _binom
     if n <= _binom.N_MAX and stretches <= _binom.STRETCHES_MAX:
-        qos_mod.bdtr, qos_mod.bdtrc = _binom.bdtr, _binom.bdtrc
+        qos_mod.bdtr, qos_mod.bdtrc, qos_mod.betainc = _binom.bdtr, _binom.bdtrc, _binom.betainc
 
 
 def _choose_for_designs(points: Sequence[ScenarioParams]) -> None:
@@ -158,6 +158,7 @@ def _cmd_design(args) -> int:
 
 
 def _cmd_partition(args) -> int:
+    from . import aimd as aimd_mod
     params, _, overrides = _scenario_params(args)
     if args.seed is not None:
         overrides["seed"] = args.seed
@@ -165,6 +166,7 @@ def _cmd_partition(args) -> int:
         aimd_mod.auto_config(args.problem, args.m, args.t, params), **overrides)
     aimd_mod._check_pool(args.problem, params, args.m, args.t, config)
     paths = _output_paths(args, args.output) if args.output else []
+    _choose_kernels(params.n_consumers)
     trace, q_star, rep = aimd_mod.run_partition(
         args.problem, params, args.m, args.t, config=config, record=bool(paths))
     print(f"q_star = {q_star}")
@@ -286,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_args(p_part, need_cost=False)
     p_part.add_argument("--m", type=int, required=True, help="shared pool size M")
     p_part.add_argument("--t", type=int, required=True, help="prosumer pool size T")
-    p_part.add_argument("--problem", choices=aimd_mod.PROBLEMS, default="maximize")
+    p_part.add_argument("--problem", choices=PROBLEMS, default="maximize")
     p_part.add_argument("--seed", type=int, default=None)
     p_part.add_argument("--output", help="trace CSV file name")
     p_part.add_argument("--outdir", help="output directory")
@@ -318,29 +320,34 @@ def cli_dispatch(argv: Optional[List[str]] = None) -> int:
 
     A ``qos``, ``design``, ``compare``, ``sweep`` or ``reproduce``
     command whose largest n is at most ``_binom.N_MAX`` and whose design
-    scans walk at most ``_binom.STRETCHES_MAX`` reserve stretches
-    computes its binomials with ``_binom``'s summing kernels, which cost
-    it less than importing scipy (``_choose_kernels``); ``partition``,
-    larger commands and every library call use scipy's.  The command runs
-    on a reserve table of its own, as its stretch ends come from the
-    kernels it chose.  ``qos.bdtr``, ``qos.bdtrc`` and
+    scans walk at most ``_binom.STRETCHES_MAX`` reserve stretches, and a
+    ``partition`` whose N is at most ``N_MAX``, compute with ``_binom``'s
+    kernels, which cost them less than importing scipy
+    (``_choose_kernels``): summed binomial tails, and for ``partition``'s
+    AIMD rates a continued-fraction ``betainc`` with a relative error
+    below ``_binom.BETA_REL_ERR`` (1e-11).  Larger commands and every
+    library call use scipy's.  The command runs on a reserve table of its
+    own, as its stretch ends come from the kernels it chose.
+    ``qos.bdtr``, ``qos.bdtrc``, ``qos.betainc`` and
     ``solver._reserve_ends`` are put back as the caller had them when the
     command returns or raises, and the garbage collector is left as it
     was.  While the command runs the kernels are rebound for the whole
     process, so it must not run beside library calls in other threads.
 
-    The two kernels differ by up to ``_binom.SCIPY_REL_DIFF`` relative,
-    so a target that close to a tail can give the command and the library
-    different designs: ``design --scenario car-n1000-98 --target
-    0.9827427694733775`` gives M = 120, which exact arithmetic confirms,
-    and ``solve_min_cost`` M = 121 through scipy 1.17.
+    The two binomial kernels differ by up to ``_binom.SCIPY_REL_DIFF``
+    relative, so a target that close to a tail can give the command and
+    the library different designs: ``design --scenario car-n1000-98
+    --target 0.9827427694733775`` gives M = 120, which exact arithmetic
+    confirms, and ``solve_min_cost`` M = 121 through scipy 1.17.  The two
+    ``betainc`` gave the same AIMD runs, bit for bit, on the four
+    best-effort rows over seeds 0-19 for both problems.
     """
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    saved = qos_mod.bdtr, qos_mod.bdtrc, solver_mod._reserve_ends
+    saved = qos_mod.bdtr, qos_mod.bdtrc, qos_mod.betainc, solver_mod._reserve_ends
     solver_mod._reserve_ends = {}
     try:
         return args.func(args)
@@ -351,7 +358,7 @@ def cli_dispatch(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
-        qos_mod.bdtr, qos_mod.bdtrc, solver_mod._reserve_ends = saved
+        qos_mod.bdtr, qos_mod.bdtrc, qos_mod.betainc, solver_mod._reserve_ends = saved
 
 
 def main() -> None:

@@ -30,18 +30,22 @@ The command line (``cli.cli_dispatch``, which the console script
 runs) runs a ``qos``, ``design``, ``compare``, ``sweep`` or
 ``reproduce`` command whose largest n is at most ``_binom.N_MAX``
 (5e4), and whose design scans walk at most ``_binom.STRETCHES_MAX``
-(1,500) reserve stretches, with ``bdtr`` and
-``bdtrc`` bound to ``_binom``'s instead: pure-Python sums with a
-relative error below 2e-12 on the smaller tail.  Such a command makes
-a few hundred to a few thousand kernel calls at 10-40 us each, which
+(1,500) reserve stretches, with ``bdtr``, ``bdtrc`` and ``betainc``
+bound to ``_binom``'s instead, and a ``partition`` command whose N is
+at most ``N_MAX`` too: pure-Python sums with a relative error below
+2e-12 on the smaller tail, and a continued fraction for ``betainc``
+with one below 1e-11 (``_binom.BETA_REL_ERR``).  Such a command makes
+a few hundred to a few thousand kernel calls at 5-60 us each, which
 cost it less than scipy's import; a library process that makes many
-keeps scipy's 0.4 us calls.  The two differ by scipy's own error,
+keeps scipy's 0.4 us calls.  The two sums differ by scipy's own error,
 within 1e-9 relative at n <= 5e4, and give the same designs on the
 golden rows, the benchmark's random scenarios and seeded ones; at
 a = 0 they equal scipy 1.17's bit for bit, so the float ties of
 ``_meets_target`` there fall the same way.  A target within that
 difference of a tail can still fall one way on each, so the command
-line and the library can then return different designs.
+line and the library can then return different designs.  The two
+``betainc`` gave the same AIMD runs, bit for bit, on the four
+best-effort rows over seeds 0-19 for both problems.
 """
 
 from __future__ import annotations
@@ -63,6 +67,10 @@ __all__ = [
 ]
 
 _COUNT_MAX = 2**31 - 1  # the largest n scipy's binomial kernels accept
+# The two AIMD problems: maximize QoS_s + QoS_b, or equalize the two
+# (``aimd._objective``).  They are named here, with the QoS they are
+# stated in, so that the command line offers them without importing aimd.
+PROBLEMS = ("maximize", "equalize")
 
 
 def _load_kernels() -> None:
@@ -204,11 +212,13 @@ def binom_cdf_cont(x: float, n: int, p: float) -> float:
     return 0 or values that are not monotone in x (the largest such
     value in a scan of 15,000 random n and p was 1.9e-259).  At n = 900,
     p = 0.5784157333434456 it returns 0.0 for x in about [35.05, 35.34]
-    and about 1e-269 on either side.  A caller that compares values or
-    relies on monotonicity must treat every value below a floor such
-    as ``aimd._CDF_FLOOR`` (1e-200) as equal, as the AIMD brackets do
-    with that absolute slack.  Clamps to 0 below x = -1 and to 1 at
-    x >= n.
+    and about 1e-269 on either side.  ``_binom.betainc``, which the
+    command line's ``partition`` computes with at n <= ``_binom.N_MAX``,
+    keeps its relative bound only down to 1e-290, where its front factor
+    starts to underflow.  A caller that compares values or relies on
+    monotonicity must treat every value below a floor such as
+    ``aimd._CDF_FLOOR`` (1e-200) as equal, as the AIMD brackets do with
+    that absolute slack.  Clamps to 0 below x = -1 and to 1 at x >= n.
     """
     x = _real("x", x, -math.inf, math.inf, "[]")
     n = _integer("n", n, 1, _COUNT_MAX)

@@ -11,14 +11,12 @@ suffix default to 98%).
 
 from __future__ import annotations
 
-import configparser
 import functools
 import operator
 import typing
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
-from .aimd import AimdConfig
 from .cost import CostModel, DiscountSchedule, get_cost_model
 from .qos import ScenarioParams
 from .solver import SolverOpts
@@ -42,21 +40,27 @@ def _number_kinds(cls) -> Dict[str, type]:
             for k, hint in typing.get_type_hints(cls).items()}
 
 
-# Value kind of every number key, per section.  The sections that fill a
-# dataclass take their keys from it; [cost_model] has no dataclass of its
-# shape, so its numbers are listed here.
-_KINDS = {
-    "params": _number_kinds(ScenarioParams),
-    "cost_model": {"per_item_main": float, "per_item_prosumer": float,
-                   "horizon_years": int},
-    "aimd": _number_kinds(AimdConfig),
-}
-_SECTIONS = {
-    "scenario": {"name"},
-    "params": set(_KINDS["params"]),
-    "cost_model": {"builtin", "discount", *_KINDS["cost_model"]},
-    "aimd": set(_KINDS["aimd"]),
-}
+@functools.cache
+def _schema() -> Tuple[Dict[str, Dict[str, type]], Dict[str, set]]:
+    """The value kind of every number key, per section, and the keys each
+    section may hold.  The sections that fill a dataclass take their keys
+    from it; [cost_model] has no dataclass of its shape, so its numbers
+    are listed here.  Built at the first file parsed or saved, so that a
+    process that only resolves built-in names never imports aimd."""
+    from .aimd import AimdConfig
+    kinds = {
+        "params": _number_kinds(ScenarioParams),
+        "cost_model": {"per_item_main": float, "per_item_prosumer": float,
+                       "horizon_years": int},
+        "aimd": _number_kinds(AimdConfig),
+    }
+    sections = {
+        "scenario": {"name"},
+        "params": set(kinds["params"]),
+        "cost_model": {"builtin", "discount", *kinds["cost_model"]},
+        "aimd": set(kinds["aimd"]),
+    }
+    return kinds, sections
 
 
 @dataclass(frozen=True)
@@ -139,7 +143,7 @@ def _format_discount(schedule: DiscountSchedule) -> str:
 
 
 def _coerce(section: str, key: str, raw: str):
-    if _KINDS[section][key] is int:
+    if _schema()[0][section][key] is int:
         try:
             return int(raw)
         except ValueError:
@@ -156,6 +160,8 @@ def load_scenario(path_or_name: str) -> ScenarioFile:
     if builtin is not None:
         return ScenarioFile(*builtin)
 
+    import configparser
+    known = _schema()[1]
     parser = configparser.ConfigParser(interpolation=None)
     try:
         read = parser.read(path_or_name)
@@ -168,10 +174,10 @@ def load_scenario(path_or_name: str) -> ScenarioFile:
         )
 
     for section in parser.sections():
-        if section not in _SECTIONS:
+        if section not in known:
             raise ScenarioError(f"unknown section [{section}] in {path_or_name}")
         for key in parser[section]:
-            if key not in _SECTIONS[section]:
+            if key not in known[section]:
                 raise ScenarioError(
                     f"unknown key {key!r} in section [{section}] of {path_or_name}"
                 )
@@ -225,7 +231,7 @@ def _format_numbers(section: str, values: Dict[str, object]) -> Dict[str, str]:
     # is converted: an int key by operator.index, so that a fractional
     # value fails here instead of being truncated.  An unknown key fails
     # here, before any file is opened, as it would fail to load.
-    kinds = _KINDS[section]
+    kinds = _schema()[0][section]
     for k in values:
         if k not in kinds:
             raise ScenarioError(f"unknown key {k!r} in section [{section}]")
@@ -239,6 +245,7 @@ def save_scenario(scenario: ScenarioFile, path: str) -> None:
     A cost model is written by name only when it equals that built-in;
     any other is written inline and reloads unnamed.
     """
+    import configparser
     parser = configparser.ConfigParser(interpolation=None)
     parser["scenario"] = {"name": scenario.name}
     parser["params"] = _format_numbers("params", vars(scenario.params))
@@ -250,7 +257,7 @@ def save_scenario(scenario: ScenarioFile, path: str) -> None:
     if builtin:
         parser["cost_model"] = {"builtin": m.name}
     else:
-        units = {k: getattr(m, k) for k in _KINDS["cost_model"]}
+        units = {k: getattr(m, k) for k in _schema()[0]["cost_model"]}
         parser["cost_model"] = {**_format_numbers("cost_model", units),
                                 "discount": _format_discount(m.discount)}
     if scenario.aimd:

@@ -26,7 +26,8 @@ from surgeshare import (
     run_partition,
     scan_oracle,
 )
-from surgeshare import aimd
+from surgeshare import _binom, aimd
+from surgeshare import qos as qos_module
 from surgeshare.aimd import PROBLEMS
 from surgeshare.qos import _COUNT_MAX
 
@@ -708,6 +709,28 @@ def test_maximize_kernels_run_at_few_events(monkeypatch, params, m, t, most):
     trace, _, _ = run_partition("maximize", params, m, t, config, record=False)
     assert calls["cdf"] == {}
     assert 1 <= sum(calls["pmf"].values()) <= most * trace.capacity_count
+
+
+@pytest.mark.parametrize("n, m, t", [(1000, 120, 215), (5000, 545, 1040),
+                                     (10000, 1060, 2065), (50000, 5150, 10200)],
+                         ids=["car-n1000", "car-n5000", "car-n10000", "car-n50000"])
+def test_summed_kernels_run_the_same_aimd(monkeypatch, n, m, t):
+    # The command line's partition computes with _binom's kernels at
+    # N <= N_MAX: the runs of criterion 4's rows are the same bit for bit
+    # as on scipy's, and the QoS of q_star prints the same.
+    params = ScenarioParams(n, 0.1, 0.3, 0.01)
+    runs = []
+    assert qos_module.betainc is not _binom.betainc
+    for summed in (False, True):
+        if summed:
+            for name in ("bdtr", "bdtrc", "betainc"):
+                monkeypatch.setattr(qos_module, name, getattr(_binom, name))
+        for problem, seed in (("maximize", 0), ("equalize", 0), ("equalize", 1)):
+            config = auto_config(problem, m, t, params, seed=seed)
+            trace, q_star, rep = run_partition(problem, params, m, t, config, record=False)
+            runs.append((q_star, trace.z_avg.hex(), trace.q_avg.hex(), trace.capacity_count,
+                         trace.total_iterations, f"{rep.qos_s:.4f} {rep.qos_b:.4f}"))
+    assert runs[:3] == runs[3:]
 
 
 @pytest.mark.parametrize("problem", PROBLEMS)

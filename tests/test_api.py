@@ -4,6 +4,7 @@ point takes numpy integers and reals as it takes Python numbers."""
 import ast
 import dataclasses
 import importlib
+import inspect
 import numbers
 from pathlib import Path
 
@@ -60,10 +61,19 @@ def _package_reexports():
 def test_package_reexports_resolve_to_public_names():
     reexports = list(_package_reexports())
     assert reexports
-    for module_name, attr in reexports:
+    # The aimd names are exported lazily, by the package's __getattr__,
+    # so no import statement names them; dir() lists them with the rest.
+    imported = {attr for _, attr in reexports}
+    lazy = sorted(attr for attr in dir(surgeshare)
+                  if not attr.startswith("_") and attr not in imported
+                  and not inspect.ismodule(getattr(surgeshare, attr)))
+    assert lazy == sorted(surgeshare._AIMD_EXPORTS)
+    for module_name, attr in [*reexports, *(("aimd", attr) for attr in lazy)]:
         module = importlib.import_module(f"surgeshare.{module_name}")
         assert attr in module.__all__, f"{attr} is not public in surgeshare.{module_name}"
         assert getattr(surgeshare, attr) is getattr(module, attr)
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        surgeshare.no_such_name
 
 
 def test_numpy_integers_on_every_public_path():
@@ -280,8 +290,60 @@ def test_small_commands_run_without_numpy_and_scipy(fresh_python, tmp_path, monk
         assert (fresh / name).read_bytes() == (here / name).read_bytes()
 
 
+@pytest.mark.parametrize("problem", ["equalize", "maximize"])
+def test_partition_runs_without_scipy(fresh_python, tmp_path, monkeypatch, capsys, problem):
+    # python -m surgeshare.cli partition at N <= N_MAX with scipy blocked
+    # exits 0 and prints and writes what cli_dispatch does here with
+    # scipy's kernels, which it keeps once N_MAX is 0.
+    argv = ["partition", "--scenario", "car-n1000", "--m", "120", "--t", "215",
+            "--problem", problem, "--seed", "7", "--output", "t.csv", "--outdir"]
+    fresh, here = tmp_path / "fresh", tmp_path / "here"
+    code = _BLOCK.replace("('numpy', 'scipy')", "('scipy',)") + (
+        "import runpy\n"
+        "runpy.run_module('surgeshare.cli', run_name='__main__', alter_sys=True)\n")
+    proc = fresh_python("-c", code, *argv, str(fresh))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    monkeypatch.setattr(_binom, "N_MAX", 0)
+    assert cli_dispatch([*argv, str(here)]) == 0
+    assert proc.stdout.replace(str(fresh), str(here)) == capsys.readouterr().out
+    assert (fresh / "t.csv").read_bytes() == (here / "t.csv").read_bytes()
+
+
+def test_commands_without_aimd_do_not_load_it(fresh_python, tmp_path):
+    # Neither the package, its command line nor a command that runs no
+    # AIMD compiles aimd; partition does, as does the first access to an
+    # AIMD name of the package.  No built-in scenario needs configparser.
+    code = (
+        "import contextlib, io, sys\n"
+        "import surgeshare\n"
+        "from surgeshare import cli\n"
+        "def loaded():\n"
+        "    print('surgeshare.aimd' in sys.modules, 'configparser' in sys.modules)\n"
+        "loaded()\n"
+        "outdir = sys.argv[1]\n"
+        "for argv in (['qos', '--m', '120', '--t', '216', '--q', '6'],\n"
+        "             ['design', '--scenario', 'charger-n1000-98'],\n"
+        "             ['compare', '--scenario', 'charger-n1000-98'],\n"
+        "             ['sweep', '--axis', 'qos', '--grid', '0.9,0.95', '--outdir', outdir],\n"
+        "             ['reproduce', '--outdir', outdir],\n"
+        "             ['partition', '--m', '120', '--t', '215']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = cli.cli_dispatch(argv)\n"
+        "    print(code, file=sys.stderr)\n"
+        "    loaded()\n"
+        "del sys.modules['surgeshare.aimd'], surgeshare.aimd\n"
+        "surgeshare.AimdConfig\n"
+        "loaded()\n"
+    )
+    proc = fresh_python("-c", code, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.split() == ["0"] * 6
+    assert proc.stdout.splitlines() == ["False False"] * 6 + ["True False"] * 2
+
+
 @pytest.mark.parametrize("argv", [
-    ["partition", "--scenario", "car-n1000", "--m", "120", "--t", "215"],
+    # A partition keeps them only above N_MAX; it walks no reserve scan.
+    ["partition", "--scenario", "car-n50000", "--n", "50001", "--m", "5150", "--t", "10200"],
     ["design", "--n", "50001"],
     ["design", "--n", "50000", "--p-ns", "0.01", "--p-s", "0.99", "--p-b", "0.0301",
      "--target", "0.5"],

@@ -567,6 +567,132 @@ def test_summed_kernels_stop_with_under_2_to_the_45_left(k, n, p):
         assert abs(Decimal(_binom.bdtrc(k, n, p)) - want) <= Decimal("1e-13") * want
 
 
+def _beta_grid(seed: int, count: int, p_least: float = 1e-4):
+    # Half the points are binomial cdfs at a real threshold x, as qos
+    # asks for them: n log-uniform up to N_MAX, p log-uniform in
+    # [p_least, 0.95] and x from eight sd below the mean to eight above,
+    # in (-1, n).  The other half are any a and b with a + b up to
+    # N_MAX + 1, log-uniform, and x uniform.
+    rng = random.Random(seed)
+    for i in range(count):
+        if i % 2:
+            n = max(1, round(10 ** rng.uniform(0.0, math.log10(_binom.N_MAX))))
+            p = 10 ** rng.uniform(math.log10(p_least), math.log10(0.95))
+            mean, sd = n * p, math.sqrt(n * p * (1.0 - p))
+            x = min(max(mean + rng.uniform(-8.0, 8.0) * max(sd, 0.3), -0.99), n - 0.01)
+            yield n - x, x + 1.0, 1.0 - p
+        else:
+            s = 10 ** rng.uniform(-1.0, math.log10(_binom.N_MAX + 1))
+            a = s * rng.uniform(0.001, 0.999)
+            yield a, s - a, rng.uniform(0.01, 0.99)
+
+
+def _beta_slack(a: float, b: float, x: float, value) -> float:
+    # The module docstring's bound: BETA_REL_ERR relative below the
+    # switch, and beyond it that times 1 - value plus 2**-53 absolute,
+    # which for b >= 1 is at most 8 BETA_REL_ERR relative.
+    if x * (a + b + 2.0) < a + 1.0:
+        return _binom.BETA_REL_ERR * value
+    return _binom.BETA_REL_ERR * (1 - value) + 2**-53
+
+
+def test_betainc_agrees_with_scipy():
+    worst = 0.0
+    for a, b, x in _beta_grid(20261020, 2000):
+        got, want = _binom.betainc(a, b, x), float(special.betainc(a, b, x))
+        if want < 1e-290:
+            assert got < 1e-280, (a, b, x)
+            continue
+        # scipy's own error on this grid is below 1e-13.
+        assert abs(got - want) <= _beta_slack(a, b, x, want) + 1e-13 * want, (a, b, x)
+        if x * (a + b + 2.0) >= a + 1.0 and b >= 1.0:
+            # The complement is below 0.87 beyond the switch for b >= 1.
+            assert 1.0 - want < 0.87, (a, b, x)
+            assert abs(got - want) <= 8 * _binom.BETA_REL_ERR * want, (a, b, x)
+        worst = max(worst, abs(got - want) / want)
+    # The grid reaches where the first denominator cancels.
+    assert worst > 1e-14
+
+
+def _mp_series(mpmath, a, b, x):
+    # x**a y**b Gamma(a + b) / (Gamma(a + 1) Gamma(b)) times the
+    # hypergeometric series 2F1(a + b, 1; a + 1; x), whose terms are all
+    # positive: I_x(a, b) at the context's precision.
+    term = total = mpmath.mpf(1)
+    k = 0
+    while term > total * mpmath.mpf(10) ** -(mpmath.mp.dps - 5) or (a + b + k) * x >= a + 1 + k:
+        term *= (a + b + k) * x / (a + 1 + k)
+        total += term
+        k += 1
+    return mpmath.exp(mpmath.loggamma(a + b) - mpmath.loggamma(a + 1) - mpmath.loggamma(b)
+                      + a * mpmath.log(x) + b * mpmath.log(1 - x)) * total
+
+
+def _mp_betainc(mpmath, a: float, b: float, x: float):
+    # I_x(a, b) to 45 digits, by the series in x or, as 1 - I_y(b, a), in
+    # y = 1 - x: whichever has fewer terms, at enough digits more to
+    # cover the cancellation of 1 minus the series.
+    a, b, x = (mpmath.mpf(v) for v in (a, b, x))
+    y = 1 - x
+    cost_x = max(0, (a + b) * x - a) / y + 1 / y
+    cost_y = max(0, (a + b) * y - b) / x + 1 / x
+    if cost_x <= cost_y:
+        with mpmath.workdps(50):
+            return _mp_series(mpmath, a, b, x)
+    dps = 50
+    while True:
+        with mpmath.workdps(dps):
+            value = 1 - _mp_series(mpmath, b, a, y)
+        if value > mpmath.mpf(10) ** (45 - dps):
+            return value
+        dps = 50 + int(-mpmath.log10(value)) if value > 0 else 2 * dps
+
+
+def test_betainc_against_50_digits():
+    mpmath = pytest.importorskip("mpmath")
+    for a, b, x in _beta_grid(46, 200, p_least=1e-3):
+        want = _mp_betainc(mpmath, a, b, x)
+        if want < mpmath.mpf(10) ** -290:
+            continue
+        got = _binom.betainc(a, b, x)
+        assert abs(got - want) <= _beta_slack(a, b, x, want), (a, b, x)
+
+
+@pytest.mark.parametrize("a, b, x", [
+    (14_134.999, 0.0010000000000000009, 0.999882237448113),  # the first denominator cancels
+    (50_000.001, 0.999, 0.9999),      # 1 - s x/(a + 1) is 1e-4
+    (25_000.5, 25_000.5, 0.5),        # the median at N_MAX: the most steps
+    (880.0, 336.0, 0.7),              # a car-n1000 consumer rate
+    (3.5, 0.25, 0.9),                 # b < 1 beyond the switch
+    (0.25, 3.5, 0.1),                 # a < 1 below it
+    (7.5, 4.25, 0.5),                 # a fraction below 15 on both sides
+])
+def test_betainc_at_its_hardest_points(a, b, x):
+    mpmath = pytest.importorskip("mpmath")
+    want = _mp_betainc(mpmath, a, b, x)
+    assert abs(_binom.betainc(a, b, x) - want) <= _beta_slack(a, b, x, want), (a, b, x)
+
+
+def test_betainc_is_the_summed_cdf_at_whole_thresholds():
+    # P[X <= k] = I_{1-p}(n - k, k + 1), with no scipy in either.
+    for k, n, p in _summed_grid(7, 300):
+        cdf, tail = _binom.bdtr(k, n, p), _binom.bdtrc(k, n, p)
+        if min(cdf, tail) < 1e-290:
+            continue
+        got = _binom.betainc(float(n - k), k + 1.0, 1.0 - p)
+        # x = 1 - p rounds, which moves the value by an ulp of p times
+        # the distance from the mean in items; the two differ by 2.2e-12
+        # at most here.
+        err = 1e-11 + _binom.BETA_REL_ERR + _binom.REL_ERR
+        assert abs(got - cdf) <= err * min(cdf, tail), (k, n, p)
+
+
+def test_betainc_ends():
+    # x = 1 - p is 1 for any p below 2**-54.
+    assert _binom.betainc(3.0, 4.0, 0.0) == 0.0
+    assert _binom.betainc(500.5, 500.5, 1.0 - 1e-20) == 1.0
+
+
 def test_summed_kernels_give_the_rules_verdicts(monkeypatch):
     # With qos's kernels bound to the sums, the rule gives the same
     # verdict as with scipy's at every item count, at targets near 1 and

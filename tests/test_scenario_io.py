@@ -533,9 +533,10 @@ def _raise(*args):
 
 @pytest.mark.parametrize("argv, code", [
     (["design", "--scenario", "charger-n1000-98"], 0),
+    (["partition", "--m", "120", "--t", "215"], 0),
     (["qos", "--m", "-3", "--t", "1", "--q", "0"], 2),
     (["design", "--scenario", "charger-n1000-98", "--output", "d.csv"], _Unexpected),
-], ids=["design", "input-error", "unexpected-error"])
+], ids=["design", "partition", "input-error", "unexpected-error"])
 def test_main_leaves_the_callers_kernels_and_reserve_table(monkeypatch, capsys, tmp_path,
                                                            argv, code):
     # Either entry point computes a small command's binomials with the
@@ -544,7 +545,8 @@ def test_main_leaves_the_callers_kernels_and_reserve_table(monkeypatch, capsys, 
     # succeeds, rejects its input or raises.
     monkeypatch.setattr(solver, "write_design_csv", _raise)
     monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path))
-    kernels, table = (qos.bdtr, qos.bdtrc), solver._reserve_ends
+    kernels, table = (qos.bdtr, qos.bdtrc, qos.betainc), solver._reserve_ends
+    assert not {_binom.bdtr, _binom.bdtrc, _binom.betainc} & set(kernels)
     ends = {key: list(value) for key, value in table.items()}
     outputs = []
     for run in (_main, cli_dispatch):
@@ -555,7 +557,7 @@ def test_main_leaves_the_callers_kernels_and_reserve_table(monkeypatch, capsys, 
         else:
             assert run(argv) == code
         outputs.append(capsys.readouterr())
-        assert qos.bdtr is kernels[0] and qos.bdtrc is kernels[1]
+        assert (qos.bdtr, qos.bdtrc, qos.betainc) == kernels
         assert solver._reserve_ends is table
         assert {key: list(value) for key, value in table.items()} == ends
         assert (_binom._tails.cache_info().misses > 0) is (code != 2)

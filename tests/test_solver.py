@@ -71,6 +71,30 @@ def test_feasible_rejects_reserve_above_prosumers():
     assert not feasible(CAR_1000, Design(120, 5, 6))
 
 
+def test_feasible_rejects_a_surge_supply_one_item_short():
+    # Design(120, 215, 6) serves the surge with M - Q + T = 329 items, one
+    # below the 330 that car-n1000-98's target needs (the golden row has
+    # T = 216); it meets the other two targets, so only the surge check
+    # rejects it, and one that added the reserve would count 341.
+    params = load_scenario("car-n1000-98").params
+    assert min_items_for_qos(1000, 0.3, 0.98) == 330
+    assert not feasible(params, Design(120, 215, 6))
+    assert feasible(params, Design(120, 216, 6))
+
+
+def test_feasible_rejects_more_surge_supply_than_consumers():
+    # M - Q + T > N breaks the structural bound N >= M - Q + T, although
+    # a surge supply above N meets the surge target.  Design(1000, 1000,
+    # 0) fails the bad-behaviour target as well; with a reserve of 20,
+    # which meets it, only the structural bound rejects the design (2,000
+    # and 1,980 items of surge supply for 1,000 consumers).
+    params = load_scenario("car-n1000-98").params
+    assert min_items_for_qos(1000, 0.01, 0.98) <= 20
+    for q in (0, 20):
+        assert not feasible(params, Design(1000, 1000, q))
+    assert feasible(params, Design(1000, 20, 20))
+
+
 def test_feasible_rejects_non_integer_design():
     # A fractional design is an error, not a design to judge.
     for d in (Design(120.5, 216, 6), Design(120, 216.0, 6), Design(120, 216, True)):

@@ -20,11 +20,14 @@ at the first failure, in a fresh copy of ``src/``, ``tests/`` and
 past the time limit counts as killed.  Every survivor is printed with its
 line and operator, then the count.  The default tests are
 ``tests/test_solver.py``, the acceptance criteria other than the AIMD
-table (criterion 4) and the module's own tests: ``tests/test_qos.py``
-and ``tests/test_api.py`` for ``_binom.py``,
-``tests/test_scenario_io.py`` and ``tests/test_api.py`` for ``cli.py``,
-``tests/test_scenario_io.py`` for ``scenarios.py``, and
-``tests/test_<module>.py``, if it exists, for any other; each mutant
+table (criterion 4) and the module's own tests: ``tests/test_qos.py``,
+``tests/test_api.py``, ``tests/test_aimd.py`` and
+``tests/test_scenario_io.py`` for ``_binom.py``, whose ``betainc`` the
+seed-7 partition pins run; ``tests/test_scenario_io.py`` and
+``tests/test_api.py`` for ``cli.py``; ``tests/test_qos.py`` and
+``tests/test_aimd.py`` for ``qos.py``, whose continuous kernels the AIMD
+tests check; ``tests/test_scenario_io.py`` for ``scenarios.py``; and
+``tests/test_<module>.py``, if it exists, for any other.  Each mutant
 takes a few seconds, so a module takes minutes.  Hypothesis runs with a
 fixed seed, so two runs over the same tree draw the same examples.  The
 run is not part of the test suite or of CI.
@@ -42,8 +45,10 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # The tests of modules that have no tests/test_<module>.py of their own.
 OWN_TESTS = {
-    "_binom.py": ["tests/test_qos.py", "tests/test_api.py"],
+    "_binom.py": ["tests/test_qos.py", "tests/test_api.py", "tests/test_aimd.py",
+                  "tests/test_scenario_io.py"],
     "cli.py": ["tests/test_scenario_io.py", "tests/test_api.py"],
+    "qos.py": ["tests/test_qos.py", "tests/test_aimd.py"],
     "scenarios.py": ["tests/test_scenario_io.py"],
 }
 
