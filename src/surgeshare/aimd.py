@@ -33,8 +33,10 @@ relative error, and a cdf by 1e-200 more, far above the values where
 monotone, so every decision equals the one of the full rate: the result
 is bit-identical to a per-iteration loop that adds alpha one step at a
 time, draws one uniform at a time and calls both kernels every event,
-for every seed.  The optional trace keeps the claims of every iteration
-and, per event, its iteration and the running averages it set.
+for every seed.  The optional trace is the run's event log: per event,
+its iteration, the running averages it set and the claims it left after
+its backoff, from which ``AimdTrace.claims`` and ``write_trace_csv``
+rebuild the claims of every iteration.
 On car-n1000 seed 0 the kernels run 0.011 times per equalize event and
 0.13 times per maximize event (0.40 at car-n50000), where evaluating
 both rates would take 2.  The first event still evaluates both rates,
@@ -141,22 +143,39 @@ class AimdConfig:
 
 @dataclass
 class AimdTrace:
-    """Recorded run history: ``z`` and ``q`` hold the claims of every
-    iteration; ``events`` the iteration of each capacity event, rising,
-    and ``z_avg_events`` and ``q_avg_events`` the running averages it
-    set, which move only at an event.  All five arrays are empty when
-    the run was executed without recording."""
+    """Recorded run history, one entry per capacity event: ``events``
+    holds the iteration of each event, rising; ``z_avg_events`` and
+    ``q_avg_events`` the running averages it set, which move only at an
+    event; and ``z_starts`` and ``q_starts`` the claims each additive
+    phase starts from, the initial claims and then those each event left
+    after its backoff, one more than there are events.  Those and
+    ``alpha`` give the claims of every iteration (``claims``).  All five
+    arrays are empty when the run was executed without recording."""
 
-    z: array
-    q: array
     events: array
+    z_starts: array
+    q_starts: array
     z_avg_events: array
     q_avg_events: array
+    alpha: float
     capacity_count: int
     z_avg: float
     q_avg: float
     converged_at: Optional[int]
     total_iterations: int
+
+    def claims(self):
+        """The claims (z, q) of each of the ``total_iterations``
+        iterations, as two float64 arrays, bit for bit those of the run.
+
+        ``ValueError`` as ``write_trace_csv`` raises it: also for a run
+        executed without recording, whose trace has no starts."""
+        import numpy as np
+
+        claims = np.empty((2, self.total_iterations))
+        for start, z, q in _claim_blocks(self, _BLOCK_ROWS):
+            claims[:, start:start + len(z)] = z, q
+        return claims[0], claims[1]
 
 
 def _check_pool(problem: str, params: ScenarioParams, m: int, t: int,
@@ -346,7 +365,9 @@ def run_partition(problem: str, params: ScenarioParams, m: int, t: int,
     floor/ceil of the converged average under the problem objective,
     evaluated with the exact cdf), and the resulting QoS report.
     Non-convergence is reported through ``trace.converged_at is None``,
-    not as an exception.
+    not as an exception.  With ``record`` the trace keeps the event log
+    (``AimdTrace``); recording costs work at each event only, none in
+    the additive phases.
     """
     if config is None:
         config = auto_config(problem, m, t, params)
@@ -375,13 +396,14 @@ def run_partition(problem: str, params: ScenarioParams, m: int, t: int,
 
     # Every run logs the averages of each event: the windowed convergence
     # test compares them with their values ``window`` events back.  A
-    # recorded run also keeps the claims of every iteration and the
-    # iteration of every event, and hands all five logs to its trace.
+    # recorded run also keeps the iteration of every event and the claims
+    # each additive phase starts from, and hands all five logs to its
+    # trace.
     za_ev = array("d")
     qa_ev = array("d")
-    z_hist = array("d")
-    q_hist = array("d")
     ev_at = array("q")
+    z_starts = array("d", [z] if record else [])
+    q_starts = array("d", [q] if record else [])
     window = config.convergence_window
     back = -1 - window  # the averages ``window`` events back, from the end
     min_events = float(5 * window)  # a float, as k is
@@ -403,23 +425,16 @@ def run_partition(problem: str, params: ScenarioParams, m: int, t: int,
             z += alpha
             q += alpha
             l += 1
-            if record:
-                z_hist.append(z)
-                q_hist.append(q)
         if l == limit:
             break
         # Capacity event: fold the saturated claims into the running
-        # averages.  The trace records these claims; the backoff outcome
-        # shows from the next iteration on.
+        # averages.  The trace's row of this iteration shows these claims;
+        # the backoff outcome shows from the next iteration on.
         k += 1.0
         z_avg += (z - z_avg) / k
         q_avg += (q - q_avg) / k
         za_ev.append(z_avg)
         qa_ev.append(q_avg)
-        if record:
-            z_hist.append(z)
-            q_hist.append(q)
-            ev_at.append(l)
         # Probabilistic multiplicative backoff, two draws per event,
         # consumers first; a block gives the same stream as scalar draws.
         # The agent that does not back off holds its claim, which keeps
@@ -448,6 +463,10 @@ def run_partition(problem: str, params: ScenarioParams, m: int, t: int,
         if u < lam_lo_p or u < lam_hi_p and u < _clamp(gamma * rate_p(q_avg), lam_min):
             q *= beta
         d += 2
+        if record:
+            ev_at.append(l)
+            z_starts.append(z)
+            q_starts.append(q)
         if k >= min_events:
             dz = abs(z_avg - za_ev[back])
             dq = abs(q_avg - qa_ev[back])
@@ -459,10 +478,10 @@ def run_partition(problem: str, params: ScenarioParams, m: int, t: int,
 
     total = limit if converged_at is None else converged_at + 1
     trace = AimdTrace(
-        z=z_hist, q=q_hist, events=ev_at,
+        events=ev_at, z_starts=z_starts, q_starts=q_starts,
         z_avg_events=za_ev if record else array("d"),
         q_avg_events=qa_ev if record else array("d"),
-        capacity_count=len(za_ev), z_avg=z_avg, q_avg=q_avg,
+        alpha=alpha, capacity_count=len(za_ev), z_avg=z_avg, q_avg=q_avg,
         converged_at=converged_at, total_iterations=total,
     )
     q_limit = min(m, t)
@@ -526,15 +545,89 @@ def _slow_rows(start: int, z, q, ev, za, qa) -> bytes:
                    for l, z, q, ev, za, qa in rows).encode()
 
 
+def _event_log(trace: AimdTrace):
+    """Views of the trace's event iterations, starts and averages as
+    numpy arrays, in that order.  ``ValueError`` unless the iterations
+    rise strictly within [0, total_iterations), and there is one z and
+    one q average per event and one z and one q start more than events."""
+    import numpy as np
+
+    ev, zs, qs, za, qa = (np.asarray(a) for a in (trace.events, trace.z_starts, trace.q_starts,
+                                                  trace.z_avg_events, trace.q_avg_events))
+    rows = trace.total_iterations
+    if len(ev) and not (ev[0] >= 0 and ev[-1] < rows and (np.diff(ev) > 0).all()):
+        raise ValueError(f"trace events must rise strictly within [0, {rows})")
+    if not len(za) == len(qa) == len(ev):
+        raise ValueError("trace needs one z and one q average per event: "
+                         f"{len(ev)} events, {len(za)} and {len(qa)} averages")
+    if not len(zs) == len(qs) == len(ev) + 1:
+        raise ValueError("trace needs one z and one q start more than events: "
+                         f"{len(ev)} events, {len(zs)} and {len(qs)} starts")
+    return ev, zs, qs, za, qa
+
+
+def _claim_blocks(trace: AimdTrace, size: int):
+    """Yield (start, z, q): the claims of the iterations from ``start``
+    on, ``size`` at a time, rebuilt from the trace's ``_event_log``.
+
+    Additive phase j starts from the j-th starts at iteration f, one
+    past event j - 1, and adds alpha at each iteration up to event j,
+    whose row keeps the claims reached, or up to the end of the run.  So
+    iteration r holds the starts plus min(r + 1 - f, a) additions, a the
+    phase's iterations before its event.  A block sums them in a table,
+    a row per phase: the starts, then alpha repeated, summed
+    cumulatively, which makes the loop's ``z += alpha`` adds in its
+    order.  Phases whose most additions in the block lie below the same
+    power of two share a slab of rows that long, so the table is at most
+    twice as long as the block and no array grows with the run.
+    """
+    import numpy as np
+
+    ev, zs, qs = _event_log(trace)[:3]
+    rows = trace.total_iterations
+    # Phase j runs from iteration bounds[j] + 1 to bounds[j + 1], its
+    # event; the last phase runs to the end, bounds[-1] - 1.
+    bounds = np.concatenate(([-1], ev, [rows]))
+    for start in range(0, rows, size):
+        stop = min(start + size, rows)
+        lo, hi = np.searchsorted(ev, [start, stop - 1]).tolist()  # the phases in the block
+        f, end = bounds[lo:hi + 1] + 1, bounds[lo + 1:hi + 2]
+        a = end - f
+        base = np.stack((zs[lo:hi + 1], qs[lo:hi + 1]))
+        if f[0] < start:
+            a[0] -= start - f[0]
+            f[0] = start
+            base[:, 0] = claims[:, -1]  # the last of the block before
+        count = np.minimum(end, stop - 1) - f + 1  # each phase's rows here
+        power = np.frexp(np.minimum(count, a))[1]  # its most additions lie below 2**power
+        order = np.argsort(power, kind="stable")
+        width = np.left_shift(1, power[order])
+        offset = np.empty_like(width)
+        offset[order] = np.cumsum(width) - width
+        slabs, done = [], 0
+        for e, members in zip(*np.unique(power[order], return_counts=True)):
+            slab = np.full((2, members, 1 << int(e)), trace.alpha)
+            slab[:, :, 0] = base[:, order[done:done + members]]
+            # Silent, as a float add overflows to inf or makes NaN.
+            with np.errstate(over="ignore", invalid="ignore"):
+                slabs.append(np.cumsum(slab, axis=2).reshape(2, -1))
+            done += members
+        at = np.minimum(np.arange(start, stop) + np.repeat(offset + 1 - f, count),
+                        np.repeat(offset + a, count))
+        claims = np.concatenate(slabs, axis=1).take(at, axis=1)
+        yield start, claims[0], claims[1]
+
+
 def write_trace_csv(path, trace: AimdTrace) -> None:
     """Export the per-iteration history for downstream plotting.
 
     One row per iteration: ``TRACE_CSV_COLUMNS``, the iteration number
     and the event flag as integers, the four claims and averages with
-    six decimals, exactly as ``f"{v:.6f}"`` prints them.  The flags and
-    averages come from the trace's event arrays: a row's flag is 1 at an
-    iteration in ``trace.events`` and 0 elsewhere, and its averages are
-    those of the last event at or before it, 0.0 before the first.
+    six decimals, exactly as ``f"{v:.6f}"`` prints them.  Everything
+    comes from the trace's event log: the claims are rebuilt a block at
+    a time (``_claim_blocks``), a row's flag is 1 at an iteration in
+    ``trace.events`` and 0 elsewhere, and its averages are those of the
+    last event at or before it, 0.0 before the first.
 
     The rows are built in blocks of ``_BLOCK_ROWS`` with numpy.  For
     v >= 0, ``f"{v:.6f}"`` prints the exact product P = v * 10**6
@@ -553,36 +646,26 @@ def write_trace_csv(path, trace: AimdTrace) -> None:
     -0.0, NaN, an infinity or an s of 2**50 or more, is printed row by
     row by ``_slow_rows``.
 
-    ``ValueError``, raised before the file is opened, unless ``z`` and
-    ``q`` have one length, the event iterations rise strictly and lie
-    in [0, rows), and there is one z and one q average per event.
+    ``ValueError``, raised before the file is opened, unless the event
+    iterations rise strictly and lie in [0, total_iterations), and there
+    is one z and one q average per event and one z and one q start more
+    than events: a trace of a run executed without recording has none.
     """
     import numpy as np
 
-    # Views of the trace's arrays, not copies.
-    z_all, q_all, ev_at, za_ev, qa_ev = (
-        np.asarray(a) for a in (trace.z, trace.q, trace.events, trace.z_avg_events,
-                                trace.q_avg_events))
-    rows = len(z_all)
-    if len(q_all) != rows:
-        raise ValueError(f"trace arrays z and q differ in length: {[rows, len(q_all)]}")
-    if len(ev_at) and not (ev_at[0] >= 0 and ev_at[-1] < rows and (np.diff(ev_at) > 0).all()):
-        raise ValueError(f"trace events must rise strictly within [0, {rows})")
-    if not len(za_ev) == len(qa_ev) == len(ev_at):
-        raise ValueError("trace needs one z and one q average per event: "
-                         f"{len(ev_at)} events, {len(za_ev)} and {len(qa_ev)} averages")
+    ev_at, _, _, za_ev, qa_ev = _event_log(trace)
     # Indexed by the count of events at or before a row.
     za_at, qa_at = (np.concatenate(([0.0], a)) for a in (za_ev, qa_ev))
     last = 0  # events before the block
     with open(path, "wb") as fh:
         fh.write((",".join(TRACE_CSV_COLUMNS) + "\n").encode())
-        for start in range(0, rows, _BLOCK_ROWS):
-            stop = min(start + _BLOCK_ROWS, rows)
+        for start, z, q in _claim_blocks(trace, _BLOCK_ROWS):
+            stop = start + len(z)
             first, last = last, int(np.searchsorted(ev_at, stop))
             ev = np.zeros(stop - start, np.int64)
             ev[ev_at[first:last] - start] = 1
             seen = np.cumsum(ev) + first
-            z, q, za, qa = z_all[start:stop], q_all[start:stop], za_at[seen], qa_at[seen]
+            za, qa = za_at[seen], qa_at[seen]
             values = [x.astype(np.float64, copy=False) for x in (z, q, za, qa)]
             with np.errstate(over="ignore", invalid="ignore"):
                 scaled = [x * 1e6 for x in values]

@@ -25,18 +25,26 @@ def fresh_python():
 def _reference_trace_csv(trace) -> bytes:
     """The trace CSV as a per-row f-string writer prints it: the
     byte-for-byte reference for ``write_trace_csv``.  A pointer walks
-    the events row by row: a row at the next event's iteration is
-    flagged, and every row prints the averages of the last event passed,
-    0.0 before the first."""
+    the events row by row.  A row at the next event's iteration is
+    flagged, sets the averages and prints the claims as they stand; the
+    claims then restart from the event's starts.  Any other row first
+    adds alpha to both claims.  Every row prints the averages of the
+    last event passed, 0.0 before the first."""
     lines = [",".join(TRACE_CSV_COLUMNS) + "\n"]
     k = 0  # events at or before the row
     za = qa = 0.0
-    for l, (z, q) in enumerate(zip(trace.z, trace.q)):
+    z, q = trace.z_starts[0], trace.q_starts[0]
+    for l in range(trace.total_iterations):
         ev = int(k < len(trace.events) and trace.events[k] == l)
         if ev:
             za, qa = trace.z_avg_events[k], trace.q_avg_events[k]
-            k += 1
+        else:
+            z += trace.alpha
+            q += trace.alpha
         lines.append(f"{l},{z:.6f},{q:.6f},{ev},{za:.6f},{qa:.6f}\n")
+        if ev:
+            k += 1
+            z, q = trace.z_starts[k], trace.q_starts[k]
     return "".join(lines).encode()
 
 

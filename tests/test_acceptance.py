@@ -194,19 +194,20 @@ def test_criterion_6_property_suites():
         if not events:
             failures.append(f"{problem}: no capacity event recorded")
             continue
+        z, q = (c.tolist() for c in trace.claims())
         bound = 120 + 2 * config.alpha
-        if any(trace.z[l] + trace.q[l] >= bound for l in range(events[0], len(trace.z))):
+        if any(z[l] + q[l] >= bound for l in range(events[0], len(z))):
             failures.append(f"{problem}: capacity bound violated")
         z_bar = q_bar = 0.0
         for k, l in enumerate(events, start=1):
-            z_bar += (trace.z[l] - z_bar) / k
-            q_bar += (trace.q[l] - q_bar) / k
+            z_bar += (z[l] - z_bar) / k
+            q_bar += (q[l] - q_bar) / k
             if (abs(trace.z_avg_events[k - 1] - z_bar) > 1e-9
                     or abs(trace.q_avg_events[k - 1] - q_bar) > 1e-9):
                 failures.append(f"{problem}: average recursion broken at event {k}")
                 break
         repeat, _, _ = run_partition(problem, params, 120, 215, config)
-        if repeat.z != trace.z or repeat.q != trace.q:
+        if [c.tolist() for c in repeat.claims()] != [z, q]:
             failures.append(f"{problem}: seeded trace not bit-identical")
 
     _finish(6, failures)

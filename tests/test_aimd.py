@@ -44,9 +44,10 @@ def make_config(**overrides):
 def test_additive_phase_grows_both_agents():
     config = make_config(max_iterations=1)
     trace, _, _ = run_partition("maximize", CAR_1000, 120, 215, config)
-    assert list(trace.z) == [51.0] and list(trace.q) == [6.0]
+    assert [list(c) for c in trace.claims()] == [[51.0], [6.0]]
     assert [list(trace.events), list(trace.z_avg_events), list(trace.q_avg_events)] == \
         [[], [], []]
+    assert [list(trace.z_starts), list(trace.q_starts), trace.alpha] == [[50.0], [5.0], 1.0]
     assert trace.capacity_count == 0 and trace.total_iterations == 1
 
 
@@ -59,11 +60,14 @@ def test_forced_backoff_scales_both_agents():
     config = make_config(alpha=5.0, z_init=100.0, q_init=10.0, gamma=1e12,
                          max_iterations=3)
     trace, _, _ = run_partition("maximize", CAR_1000, 120, 215, config)
+    z, q = trace.claims()
     assert list(trace.events) == [1]
-    assert trace.z[1] == 105.0 and trace.q[1] == 15.0
+    assert z[1] == 105.0 and q[1] == 15.0
     assert list(trace.z_avg_events) == [105.0] and list(trace.q_avg_events) == [15.0]
-    assert trace.z[2] == pytest.approx(0.85 * 105.0 + 5.0)
-    assert trace.q[2] == pytest.approx(0.85 * 15.0 + 5.0)
+    assert list(trace.z_starts) == [100.0, 0.85 * 105.0]
+    assert list(trace.q_starts) == [10.0, 0.85 * 15.0]
+    assert z[2] == pytest.approx(0.85 * 105.0 + 5.0)
+    assert q[2] == pytest.approx(0.85 * 15.0 + 5.0)
     assert trace.capacity_count == 1
 
 
@@ -110,7 +114,7 @@ def test_vanishing_gain_rarely_backs_off():
     # Backoffs happen with probability lam_min = 1e-4 per event, so the
     # claims shrink by at most a couple of beta factors in 500 events.
     assert trace.capacity_count >= 450
-    assert min(trace.z) >= 110.0 * config.beta ** 3
+    assert min(trace.claims()[0]) >= 110.0 * config.beta ** 3
 
 
 def test_symmetric_agents_stay_equal():
@@ -121,17 +125,18 @@ def test_symmetric_agents_stay_equal():
                          max_iterations=2000)
     trace, _, _ = run_partition("equalize", CAR_1000, 120, 215, config)
     assert trace.capacity_count > 0
-    assert trace.z == trace.q
+    z, q = trace.claims()
+    assert z.tolist() == q.tolist()
     assert trace.z_avg_events == trace.q_avg_events
 
 
 def test_trace_capacity_bound_and_positivity():
     config = auto_config("maximize", 120, 215, CAR_1000, seed=5)
     trace, _, _ = run_partition("maximize", CAR_1000, 120, 215, config)
-    for l in range(trace.events[0], len(trace.z)):
-        assert trace.z[l] + trace.q[l] < 120 + 2 * config.alpha
-    assert all(z > 0 for z in trace.z)
-    assert all(q > 0 for q in trace.q)
+    z, q = trace.claims()
+    for l in range(trace.events[0], len(z)):
+        assert z[l] + q[l] < 120 + 2 * config.alpha
+    assert all(z > 0) and all(q > 0)
 
 
 def test_trace_average_recursions():
@@ -140,17 +145,16 @@ def test_trace_average_recursions():
     events = trace.events
     assert len(events) == len(trace.z_avg_events) == len(trace.q_avg_events) == \
         trace.capacity_count
+    z, q = (c.tolist() for c in trace.claims())
     z_bar = q_bar = 0.0
     for k, l in enumerate(events, start=1):
-        z_bar += (trace.z[l] - z_bar) / k
-        q_bar += (trace.q[l] - q_bar) / k
+        z_bar += (z[l] - z_bar) / k
+        q_bar += (q[l] - q_bar) / k
         assert trace.z_avg_events[k - 1] == pytest.approx(z_bar, abs=1e-9)
         assert trace.q_avg_events[k - 1] == pytest.approx(q_bar, abs=1e-9)
     # The recursion equals the arithmetic mean of the event states.
-    assert trace.z_avg == pytest.approx(
-        math.fsum(trace.z[l] for l in events) / len(events), abs=1e-9)
-    assert trace.q_avg == pytest.approx(
-        math.fsum(trace.q[l] for l in events) / len(events), abs=1e-9)
+    assert trace.z_avg == pytest.approx(math.fsum(z[l] for l in events) / len(events), abs=1e-9)
+    assert trace.q_avg == pytest.approx(math.fsum(q[l] for l in events) / len(events), abs=1e-9)
 
 
 def test_seeded_runs_are_bit_identical():
@@ -158,11 +162,11 @@ def test_seeded_runs_are_bit_identical():
     t1, q1, _ = run_partition("maximize", CAR_1000, 120, 215, config)
     t2, q2, _ = run_partition("maximize", CAR_1000, 120, 215, config)
     assert q1 == q2
-    assert t1.z == t2.z and t1.q == t2.q
+    assert [c.tolist() for c in t1.claims()] == [c.tolist() for c in t2.claims()]
     assert t1.converged_at == t2.converged_at
     other = auto_config("maximize", 120, 215, CAR_1000, seed=12)
     t3, _, _ = run_partition("maximize", CAR_1000, 120, 215, other)
-    assert t3.z != t1.z
+    assert t3.claims()[0].tolist() != t1.claims()[0].tolist()
 
 
 @pytest.mark.parametrize("problem", PROBLEMS)
@@ -181,11 +185,12 @@ def test_numpy_real_config_fields_run_as_their_floats(problem, gamma):
     plain = {k: float(v) if isinstance(v, np.floating) else v for k, v in fields.items()}
     runs = [run_partition(problem, CAR_1000, 120, 215, AimdConfig(**kw)) for kw in (fields, plain)]
     (got, q_got, _), (want, q_want, _) = runs
-    assert type(got.z_avg) is float and type(got.q_avg) is float
+    assert type(got.z_avg) is float and type(got.q_avg) is float and type(got.alpha) is float
     assert (got.z_avg.hex(), got.q_avg.hex(), got.converged_at, q_got) == \
         (want.z_avg.hex(), want.q_avg.hex(), want.converged_at, q_want)
-    assert [got.z, got.q, got.events, got.z_avg_events, got.q_avg_events] == \
-        [want.z, want.q, want.events, want.z_avg_events, want.q_avg_events]
+    assert [c.tolist() for c in got.claims()] == [c.tolist() for c in want.claims()]
+    assert [got.events, got.z_starts, got.q_starts, got.z_avg_events, got.q_avg_events] == \
+        [want.events, want.z_starts, want.q_starts, want.z_avg_events, want.q_avg_events]
 
 
 def test_unconverged_run_is_flagged_not_raised():
@@ -402,13 +407,15 @@ def test_trace_counts_are_python_ints(problem, record):
 
 def test_unconverged_record_run_has_one_row_per_iteration():
     # 1234 iterations stop inside an additive phase; the trace still
-    # holds exactly one claim per iteration and one average per event.
+    # gives exactly one claim per iteration, and holds one average per
+    # event and one start per additive phase.
     config = make_config(alpha=0.5, gamma=None, max_iterations=1234)
     trace, _, _ = run_partition("equalize", CAR_1000, 120, 215, config)
     assert trace.converged_at is None and trace.total_iterations == 1234
-    assert len(trace.z) == len(trace.q) == 1234
+    assert [len(c) for c in trace.claims()] == [1234, 1234]
     for series in (trace.events, trace.z_avg_events, trace.q_avg_events):
         assert len(series) == trace.capacity_count
+    assert len(trace.z_starts) == len(trace.q_starts) == trace.capacity_count + 1
     assert 0 < trace.capacity_count and trace.events[-1] < 1233
 
 
@@ -416,7 +423,8 @@ def _reference_run(problem, params, m, t, config, record):
     """Independent reference: a per-iteration AIMD loop written straight
     through, one scalar draw and one public rate kernel call at a time.
     Returns what ``run_partition`` returns as comparable plain values:
-    the trace's five arrays, empty unless recorded, first."""
+    first the claims of every iteration and the trace's five arrays,
+    all empty unless recorded."""
     n = params.n_consumers
     rng = np.random.Generator(np.random.Philox(config.seed))
     gamma = config.gamma
@@ -424,6 +432,7 @@ def _reference_run(problem, params, m, t, config, record):
     z_avg = q_avg = 0.0
     k = 0
     z_hist, q_hist, events = [], [], []
+    z_starts, q_starts = [z], [q]
     za_events, qa_events = [], []
     window = config.convergence_window
     converged_at = None
@@ -460,6 +469,8 @@ def _reference_run(problem, params, m, t, config, record):
             z *= config.beta
         if rng.random() < lam_p:
             q *= config.beta
+        z_starts.append(z)
+        q_starts.append(q)
         za_events.append(z_avg)
         qa_events.append(q_avg)
         if k >= 5 * window:
@@ -481,7 +492,8 @@ def _reference_run(problem, params, m, t, config, record):
     lo = min(max(math.floor(q_avg), 0), q_limit)
     hi = min(max(math.ceil(q_avg), 0), q_limit)
     q_star = max(range(lo, hi + 1), key=objective)
-    hist = [z_hist, q_hist, events, za_events, qa_events] if record else [[]] * 5
+    hist = ([z_hist, q_hist, events, z_starts, q_starts, za_events, qa_events] if record
+            else [[]] * 7)
     return hist, k, z_avg.hex(), q_avg.hex(), converged_at, total, q_star
 
 
@@ -514,6 +526,9 @@ def partition_cases(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(partition_cases())
+# Stops before the first capacity event: no event, one start, a claim per
+# iteration.
+@example(("maximize", CAR_1000, 120, 215, make_config(alpha=0.1, max_iterations=200), True))
 # Stops on an event: iteration 1 is the first capacity event.
 @example(("maximize", CAR_1000, 120, 215,
           make_config(alpha=5.0, z_init=100.0, q_init=10.0, gamma=1e12,
@@ -533,11 +548,23 @@ def partition_cases(draw):
 @example(("maximize", ScenarioParams(3, 0.1, 0.3, 0.3), 3, 1,
           make_config(alpha=0.25, z_init=1.0, q_init=0.5, gamma=None, lam_min=1e-4,
                       max_iterations=3000), False))
-def test_run_partition_equals_per_iteration_reference(case):
+def test_run_partition_equals_per_iteration_reference(reference_trace_csv, case):
     problem, params, m, t, config, record = case
     trace, q_star, _ = run_partition(problem, params, m, t, config, record=record)
-    got = ([list(series) for series in (trace.z, trace.q, trace.events,
-                                        trace.z_avg_events, trace.q_avg_events)],
+    if record:
+        claims = [c.tolist() for c in trace.claims()]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "trace.csv")
+            aimd.write_trace_csv(path, trace)
+            with open(path, "rb") as fh:
+                assert fh.read() == reference_trace_csv(trace)
+    else:
+        # A run executed without recording has no starts to rebuild from.
+        with pytest.raises(ValueError, match="0 events, 0 and 0 starts"):
+            trace.claims()
+        claims = [[], []]
+    got = (claims + [list(series) for series in (trace.events, trace.z_starts, trace.q_starts,
+                                                 trace.z_avg_events, trace.q_avg_events)],
            trace.capacity_count, trace.z_avg.hex(), trace.q_avg.hex(),
            trace.converged_at, trace.total_iterations, q_star)
     assert got == _reference_run(problem, params, m, t, config, record)
@@ -733,6 +760,29 @@ def test_summed_kernels_run_the_same_aimd(monkeypatch, n, m, t):
     assert runs[:3] == runs[3:]
 
 
+def test_summed_betainc_keeps_its_relative_bound_in_aimd(monkeypatch):
+    # _binom.betainc beyond its switch, x >= (a + 1) / (a + b + 2), returns
+    # 1 minus a complement; only for b >= 1 is that complement small enough
+    # for the relative bound to hold.  The command line's AIMD brackets on
+    # criterion 4's rows never ask for b < 1 there.
+    beyond = []
+
+    def recorded(a, b, x):
+        if x * (a + b + 2.0) >= a + 1.0:
+            beyond.append(b)
+        return _binom.betainc(a, b, x)
+    for name in ("bdtr", "bdtrc"):
+        monkeypatch.setattr(qos_module, name, getattr(_binom, name))
+    monkeypatch.setattr(qos_module, "betainc", recorded)
+    for n, m, t in ((1000, 120, 215), (5000, 545, 1040), (10000, 1060, 2065),
+                    (50000, 5150, 10200)):
+        params = ScenarioParams(n, 0.1, 0.3, 0.01)
+        for problem in PROBLEMS:
+            config = auto_config(problem, m, t, params, seed=0)
+            run_partition(problem, params, m, t, config, record=False)
+    assert beyond and min(beyond) >= 1.0
+
+
 @pytest.mark.parametrize("problem", PROBLEMS)
 @pytest.mark.parametrize("params, m, t", [
     (CAR_1000, 120, 215),
@@ -740,35 +790,45 @@ def test_summed_kernels_run_the_same_aimd(monkeypatch, n, m, t):
 ], ids=["car-n1000", "car-n5000"])
 @pytest.mark.parametrize("seed", [0, 7, 12345])
 def test_recorded_series_match_per_iteration_reference(problem, params, m, t, seed, tmp_path,
-                                                       reference_trace_csv):
+                                                       monkeypatch, reference_trace_csv):
     # The auto_config regimes the CLI records, cut to 30k iterations:
-    # every array of the trace must equal the one the per-iteration loop
-    # appends.  The car-n5000 runs end inside an additive phase and the
-    # maximize runs have long ones: the CSV of each prints as the
-    # reference writer, which spreads the events row by row, prints it.
+    # every array of the trace, and the claims of every iteration rebuilt
+    # from them, must equal what the per-iteration loop appends.  The
+    # car-n5000 runs end inside an additive phase and the maximize runs
+    # have long ones: the CSV of each prints as the reference writer,
+    # which spreads the events row by row, prints it.  Blocks of 4096
+    # rows put phases across block edges.
+    monkeypatch.setattr(aimd, "_BLOCK_ROWS", 4096)
     config = dataclasses.replace(auto_config(problem, m, t, params, seed=seed),
                                  max_iterations=30_000)
     trace, _, _ = run_partition(problem, params, m, t, config)
-    series = (trace.z, trace.q, trace.events, trace.z_avg_events, trace.q_avg_events)
+    series = (trace.events, trace.z_starts, trace.q_starts, trace.z_avg_events,
+              trace.q_avg_events)
     assert [type(s) for s in series] == [array] * 5
-    assert [s.typecode for s in series] == list("ddqdd")
+    assert [s.typecode for s in series] == list("qdddd")
     assert trace.capacity_count > 0
     hist = _reference_run(problem, params, m, t, config, True)[0]
-    assert [list(s) for s in series] == hist
+    assert [c.tolist() for c in trace.claims()] + [list(s) for s in series] == hist
     aimd.write_trace_csv(tmp_path / "trace.csv", trace)
     assert (tmp_path / "trace.csv").read_bytes() == reference_trace_csv(trace)
 
 
-def _trace_of(rows):
-    # Rows of (z, q, flag, z_avg, q_avg): a row with a true flag is a
-    # capacity event and sets the averages; the averages of any other row
-    # are ignored, as the CSV prints the last event's there.
-    z, q = ([row[i] for row in rows] for i in (0, 1))
+def _trace_of(rows, alpha=0.0):
+    # Rows of (z, q, flag, z_avg, q_avg).  A row that opens an additive
+    # phase, the first or one after an event, gives the claims the phase
+    # starts from, and alpha is added from there: so with alpha = 0 every
+    # row of a phase prints those claims, or 0.0 for a start of -0.0,
+    # unless it is the phase's first row and an event, which prints them
+    # as they are.  A row with a true flag is a capacity event and sets
+    # the averages; the averages of any other row are ignored, as the CSV
+    # prints the last event's there.
     events = [(l, za, qa) for l, (_, _, flag, za, qa) in enumerate(rows) if flag]
     ev, za, qa = zip(*events) if events else ((),) * 3
-    return AimdTrace(array("d", z), array("d", q), array("q", ev), array("d", za),
-                     array("d", qa), capacity_count=len(ev), z_avg=0.0, q_avg=0.0,
-                     converged_at=None, total_iterations=len(rows))
+    opens = [rows[l + 1] if l + 1 < len(rows) else rows[l] for l in ev]
+    zs, qs = zip(*((row[0], row[1]) for row in (rows[:1] or [(0.0, 0.0)]) + opens))
+    return AimdTrace(array("q", ev), array("d", zs), array("d", qs), array("d", za),
+                     array("d", qa), alpha=alpha, capacity_count=len(ev), z_avg=0.0,
+                     q_avg=0.0, converged_at=None, total_iterations=len(rows))
 
 
 def _ulps_from(x, steps):
@@ -788,31 +848,34 @@ _values = st.one_of(st.floats(), st.floats(-1e3, 1e3), _near_half)
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.tuples(_values, _values, st.booleans(), _values, _values), max_size=40),
-       st.integers(1, 8))
-@example([], 4)  # the header alone
-@example([(_TIE, -_TIE, 1, 3 * _TIE, 0.5)], 1)  # exact ties round to even
+       st.integers(1, 8), st.one_of(st.just(0.0), _values))
+@example([], 4, 0.0)  # the header alone
+@example([(_TIE, -_TIE, 1, 3 * _TIE, 0.5)], 1, 0.0)  # exact ties round to even
 @example([(math.nextafter(_TIE, 0.0), math.nextafter(_TIE, 1.0),
-           1, math.nextafter(_HALF, 0.0), math.nextafter(_HALF, 1.0))], 1)
+           1, math.nextafter(_HALF, 0.0), math.nextafter(_HALF, 1.0))], 1, 0.0)
 @example([(-0.0, -1e-9, 1, -123.4567895, 2.0**53 / 1e6),
-          (1e20, -1.7e308, 1, 5e-324, 9.1e9)], 1)
+          (1e20, -1.7e308, 1, 5e-324, 9.1e9)], 1, 0.0)
 # A non-event row prints the last event's averages, here -inf and NaN.
 @example([(math.nan, math.inf, 1, -math.inf, -math.nan),
-          (1.0, 2.0, 0, 3.0, 4.0)], 1)
+          (1.0, 2.0, 0, 3.0, 4.0)], 1, 0.0)
 # Clear sign bits: only the test s = v * 1e6 < 2**50 sends NaN, +inf,
 # 2**53 / 1e6 and the double above it, whose s rounds to the wrong
 # millionth, to the slow path.
-@example([(math.nan, 1.0, 0, 2.0, 3.0), (1.0, math.inf, 1, 2.0, 3.0),
-          (2.0**53 / 1e6, math.nextafter(2.0**53 / 1e6, math.inf), 1, 1.0, 0.5)], 1)
+@example([(math.nan, 1.0, 1, 2.0, 3.0), (1.0, math.inf, 1, 2.0, 3.0),
+          (2.0**53 / 1e6, math.nextafter(2.0**53 / 1e6, math.inf), 1, 1.0, 0.5)], 1, 0.0)
 # Integer parts at a power of ten and just above one: every digit of
 # them prints, and only the padding of the shorter ones is blanked.
-@example([(10.0, 12.5, 1, 100.0, 150.25), (1.0, 9.75, 1, 1000.0, 17.0)], 2)
+@example([(10.0, 12.5, 1, 100.0, 150.25), (1.0, 9.75, 1, 1000.0, 17.0)], 2, 0.0)
 # Events on the first and last rows of blocks, and rows before the first
 # event, which print averages of 0.0.
-@example([(1.0, 1.0, l in (2, 3, 5, 6), l + 0.5, l + 0.25) for l in range(7)], 3)
-def test_write_trace_csv_matches_reference_writer(reference_trace_csv, rows, block):
+@example([(1.0, 1.0, l in (2, 3, 5, 6), l + 0.5, l + 0.25) for l in range(7)], 3, 0.0)
+# Additive phases across block edges: each block goes on from the claims
+# the block before left.
+@example([(0.5, 0.25, l in (5, 6), 1.0, 2.0) for l in range(11)], 2, 0.1)
+def test_write_trace_csv_matches_reference_writer(reference_trace_csv, rows, block, alpha):
     # Blocks of 1 to 8 rows put block edges everywhere, with a slow-path
     # block next to a fast one, and events anywhere in a block.
-    trace = _trace_of(rows)
+    trace = _trace_of(rows, alpha)
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setattr(aimd, "_BLOCK_ROWS", block)
         path = os.path.join(tmp, "trace.csv")
@@ -858,8 +921,8 @@ def test_write_trace_csv_rejects_ragged_traces(tmp_path, reference_trace_csv):
     # it creates the file.
     events = "trace events must rise strictly within [0, 3)"
     cases = [
-        (lambda trace: trace.q.pop(), "z and q differ in length: [3, 2]"),
-        (lambda trace: trace.z.pop(), "z and q differ in length: [2, 3]"),
+        (lambda trace: trace.q_starts.pop(), "2 events, 3 and 2 starts"),
+        (lambda trace: trace.z_starts.append(3.0), "2 events, 4 and 3 starts"),
         (_set_events(-1, 2), events),
         (_set_events(0, 3), events),
         (_set_events(2, 2), events),
@@ -872,9 +935,10 @@ def test_write_trace_csv_rejects_ragged_traces(tmp_path, reference_trace_csv):
         with pytest.raises(ValueError, match=re.escape(message)):
             aimd.write_trace_csv(path, _malformed(change))
         assert not path.exists()
-    # The changes keep a trace the writer accepts: events at either end.
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _malformed(change).claims()
+    # Traces the writer accepts: events at either end, or none.
     for events in [(0, 2), (0,), (2,), ()]:
-        trace = _malformed(_set_events(*events))
-        trace.z_avg_events, trace.q_avg_events = (array("d", [0.5] * len(events)),) * 2
+        trace = _trace_of([(1.0 + l, 2.0 + l, l in events, 0.5, 0.5) for l in range(3)], 0.25)
         aimd.write_trace_csv(path, trace)
         assert path.read_bytes() == reference_trace_csv(trace)

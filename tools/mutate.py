@@ -16,9 +16,13 @@ Each mutant changes one operator or constant of the module:
 Only the mutated expression's source is rewritten, so every other line
 keeps its text and number.  Each mutant runs the tests with pytest, stop
 at the first failure, in a fresh copy of ``src/``, ``tests/`` and
-``pyproject.toml``.  A mutant survives when they pass; one that runs
-past the time limit counts as killed.  Every survivor is printed with its
-line and operator, then the count.  The default tests are
+``pyproject.toml``.  A mutant survives when they pass.  One that runs
+past the time limit, three times the unmutated run and at least 60 s,
+is stopped: a mutant that never terminates (a loop whose step is turned
+around) would otherwise hold the run.  Every survivor and every mutant
+that timed out is printed with its line and operator as it is found,
+then both counts.  Stopped by SIGTERM, the tool removes its copy of the
+tree before it exits.  The default tests are
 ``tests/test_solver.py``, the acceptance criteria other than the AIMD
 table (criterion 4) and the module's own tests: ``tests/test_qos.py``,
 ``tests/test_api.py``, ``tests/test_aimd.py`` and
@@ -37,6 +41,7 @@ import argparse
 import ast
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -118,19 +123,20 @@ def _rewrite(source: str, node, slots, key, new, what: str):
     return f"{node.lineno}:{node.col_offset + 1}", f"{what}  in  {original}", mutated
 
 
-def _run_tests(tree: str, tests, timeout: float) -> bool:
-    # No example a failing mutant saved may decide a later one.
+def _run_tests(tree: str, tests, timeout: float) -> str:
+    # "passed", "failed" or "timed out".  No example a failing mutant
+    # saved may decide a later one.
     shutil.rmtree(os.path.join(tree, ".hypothesis"), ignore_errors=True)
     env = {**os.environ, "PYTHONPATH": os.path.join(tree, "src"),
            "PYTHONDONTWRITEBYTECODE": "1"}
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
            "--hypothesis-seed=0", *tests]
     try:
-        return subprocess.run(cmd, cwd=tree, env=env, timeout=timeout,
-                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
-                              ).returncode == 0
+        code = subprocess.run(cmd, cwd=tree, env=env, timeout=timeout,
+                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
     except subprocess.TimeoutExpired:
-        return False
+        return "timed out"
+    return "passed" if code == 0 else "failed"
 
 
 def main(argv=None) -> int:
@@ -152,28 +158,31 @@ def main(argv=None) -> int:
     with open(os.path.join(ROOT, module), encoding="utf-8") as fh:
         source = fh.read()
 
+    # SystemExit unwinds through subprocess.run, which kills the running
+    # tests, and through the with block, which removes the tree.
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     with tempfile.TemporaryDirectory(prefix="mutate-") as tree:
         for name in ("src", "tests"):
             shutil.copytree(os.path.join(ROOT, name), os.path.join(tree, name),
                             ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(os.path.join(ROOT, "pyproject.toml"), tree)
         started = time.perf_counter()
-        if not _run_tests(tree, tests, timeout=None):
+        if _run_tests(tree, tests, timeout=None) != "passed":
             print("the tests fail on the unmutated tree", file=sys.stderr)
             return 2
-        timeout = max(60.0, 10 * (time.perf_counter() - started))
+        timeout = max(60.0, 3 * (time.perf_counter() - started))
         target = os.path.join(tree, module)
-        total = survived = 0
+        counts = {"passed": 0, "failed": 0, "timed out": 0}
         for where, what, mutated in mutants(source):
             with open(target, "w", encoding="utf-8") as fh:
                 fh.write(mutated)
-            total += 1
-            if _run_tests(tree, tests, timeout):
-                survived += 1
-                print(f"{module}:{where}: survived: {what}", flush=True)
-        with open(target, "w", encoding="utf-8") as fh:
-            fh.write(source)
-    print(f"{survived} of {total} mutants survived")
+            outcome = _run_tests(tree, tests, timeout)
+            counts[outcome] += 1
+            if outcome != "failed":
+                label = "survived" if outcome == "passed" else f"timed out after {timeout:.0f} s"
+                print(f"{module}:{where}: {label}: {what}", flush=True)
+    print(f"{counts['passed']} of {sum(counts.values())} mutants survived, "
+          f"{counts['timed out']} timed out")
     return 0
 
 
