@@ -8,44 +8,15 @@ I_x(a, b) for a, b > 0 and 0 <= x <= 1: the calls ``qos`` makes of
 scipy's ``cython_special`` kernels of the same names.
 
 A fresh process spends 0.2-0.45 s importing ``scipy.special``.  Each
-call here takes 10-40 us at n <= ``N_MAX`` (``betainc`` 5-60 us)
-against scipy's 0.4 us, so a command that makes a few thousand calls
-spends less in these functions, and ``cli.cli_dispatch`` binds them in
-place of scipy's for such a command, from either entry point, as
-``cli._choose_kernels`` estimates from the limits below.  Every other
-caller keeps scipy's.
+call here takes 5-65 us at n <= ``N_MAX`` against scipy's 0.4 us, so a
+command that makes a few thousand calls spends less in these
+functions, and ``cli.cli_dispatch`` binds them in place of scipy's for
+such a command, from either entry point, as ``cli._choose_kernels``
+estimates from the limits below.  Every other caller keeps scipy's.
 
-Of the two tails, the one that does not hold the median is summed: the
-side below k when k < np, else the side above, and the other side if
-that sum exceeds one half.  Its first term is the pmf in Loader's
-saddle-point form (Loader 2000, "Fast and accurate computation of
-binomial probabilities", as in R's ``dbinom``), where ``_stirlerr`` and
-``_bd0`` avoid the cancellation of log-gamma differences.  Each further
-term comes from the one before by the ratio of successive
-probabilities, walking away from the mean, so the terms and the ratio
-fall, and the sum stops once the rest is below 2**-45 of it.  The
-larger tail is 1 minus the smaller.  At k = 0 both are cephes' closed
-forms, (1 - p)**n and its complement, with cephes' expm1 below
-p = 0.01: scipy 1.17's values bit for bit (a scipy whose bdtrc calls
-the C library's expm1 instead may differ there by an ulp).
-
-Bound, for n <= ``N_MAX`` and 0 < k < n: the smaller tail has a relative
-error below ``REL_ERR`` (2e-12) wherever it is at least 1e-290, and an
-absolute one below 1e-300 where it is smaller; the larger tail carries
-that absolute error plus one rounding.  The start term's exponent errs
-by a few ulps times its size (below 750 before the term underflows) and
-by an ulp of n p times the distance from the mean in items (below 4,200
-down to 1e-300 at n = 5e4), about 1.2e-12 in all at worst; the walk adds
-about an ulp per term, weighted by the term, and its stop 2**-45.
-Against 40-digit sums the worst measured was 3.3e-13 for tails above
-1e-50 and 8e-13 down to 1e-300, over 177,000 random tails with n up to
-5e4.  At k = 0, (1 - p)**n carries n times the rounding of 1 - p, as
-scipy's does.  scipy's own kernels err more as n grows: their smaller
-tail differs from these by less than ``SCIPY_REL_DIFF`` (1e-9)
-relative, and by 1.6e-10 at most on ``tests/test_qos.py``'s grid.
-
-``betainc`` is the continued fraction of Press et al., *Numerical
-Recipes* (3rd ed., section 6.4): below the switch x < (a + 1)/(a + b + 2),
+All three are one algorithm, the continued fraction of Press et al.,
+*Numerical Recipes* (3rd ed., section 6.4): below the switch
+x < (a + 1)/(a + b + 2),
 
     I_x(a, b) = x**a y**b / (a B(a, b)) * 1/(1 + d1/(1 + d2/(1 + ...))),
 
@@ -53,30 +24,59 @@ with y = 1 - x, and beyond it 1 - I_y(b, a), as the fraction converges
 fast only below the switch.  The fraction is evaluated forward by the
 modified Lentz method and stops once a step moves it by less than
 2**-50.  The front factor is b/s times the pmf of a successes in
-s = a + b trials at rate x, in the saddle-point form of the sums above;
-in that form the rounding of s cancels to first order.
+s = a + b trials at rate x, in Loader's saddle-point form (Loader 2000,
+"Fast and accurate computation of binomial probabilities", as in R's
+``dbinom``), where ``_stirlerr`` and ``_bd0`` avoid the cancellation of
+log-gamma differences; in that form the rounding of s cancels to first
+order.
 
-Bound, for a + b <= ``N_MAX`` + 1: below the switch the value has a
-relative error below ``BETA_REL_ERR`` (1e-11) wherever it is at least
-1e-290.  The front factor's exponent errs as the start term's above,
-and by 3e-14 more where a or b is a fraction below 15, whose Stirling
-error comes from ``math.lgamma``.  The fraction's first denominator,
-1 - s x/(a + 1), cancels down to 2x/(a + 1) at the switch, which
-multiplies its rounding by at most s/2, 2.8e-12 at s = 5e4; each later
-step adds a few roundings, and the stop about 2**-50.  Beyond the switch
-that bound holds for the complement I_y(b, a), so the value carries it
-times 1 - I_x(a, b), plus 2**-53, as an absolute error; for b >= 1 the
-complement there is below 0.87 (it nears 1 - e**-2 at b = 1 as a
-grows), so the relative error stays below 8 ``BETA_REL_ERR``.  A b < 1
-beyond the switch leaves only the absolute bound; ``qos``'s binomial cdf
-reaches that only at a threshold in (-1, 0), and the AIMD brackets only
-with b above 0.97.  Against 50-digit
-series the worst measured was 3.3e-12 below the switch (at a + b = 4.5e4
-and x = 0.99988, where the first denominator cancels) and 3.8e-14 beyond
-it for b >= 1, over 38,000 random values above 1e-290 with a + b up to
-5e4 + 1, and 4.4e-16 over the 9,427 distinct calls of eight equalize
-runs on the four best-effort rows, where scipy's differ from these by
-1.6e-15 at most.
+The tails are P[X <= k] = I_q(n - k, k + 1) and P[X > k] =
+I_p(k + 1, n - k) with q = 1 - p.  For 0 < k < n the one below its
+switch, the lower where q (n + 3) < n - k + 1, is computed from p and q
+as given and the whole a and b, whose Stirling errors come from a
+table; the other tail is 1 minus it.  At k = 0 both are cephes' closed
+forms, (1 - p)**n and its complement, with cephes' expm1 below
+p = 0.01: scipy 1.17's values bit for bit (a scipy whose bdtrc calls
+the C library's expm1 instead may differ there by an ulp).
+
+Bound, for a + b <= ``N_MAX`` + 1, so n <= ``N_MAX`` for the tails:
+below the switch the value has a relative error below ``BETA_REL_ERR``
+(1e-11) wherever it is at least 1e-290.  The front factor's exponent
+errs by a few ulps times its size (below 750 before the factor
+underflows), by 3e-14 more where a or b is a fraction below 15, whose
+Stirling error comes from ``math.lgamma``, and for a tail by an ulp of q
+times the distance from the mean in items (below 4,200 down to 1e-300 at
+n = 5e4), as q carries the rounding of 1 - p.  The fraction's first
+denominator, 1 - s x/(a + 1), cancels down to 2x/(a + 1) at the switch,
+which multiplies its rounding by at most s/2, 2.8e-12 at s = 5e4; each
+later step adds a few roundings, and the stop about 2**-50.  For the
+lower tail, x = q, that denominator is ((n + 1) p - k)/(n - k + 1): it
+cancels most at large n and small p, just below the switch.  Beyond the
+switch that bound holds for the complement I_y(b, a), so the value
+carries it times 1 - I_x(a, b), plus 2**-53, as an absolute error;
+for b >= 1 the complement there is below 0.87 (it nears 1 - e**-2 at
+b = 1 as a grows), so the relative error stays below
+8 ``BETA_REL_ERR``.  The larger tail is such a value: it carries the
+smaller tail's error, plus one rounding.  A b < 1 beyond the switch
+leaves only the absolute bound;
+``qos``'s binomial cdf reaches that only at a threshold in (-1, 0), and
+the AIMD brackets only with b above 0.97.  scipy's own tails err more as
+n grows: their smaller tail differs from these by less than
+``SCIPY_REL_DIFF`` (1e-9) relative, and by 1.6e-10 at most on
+``tests/test_qos.py``'s grid.  At k = 0, (1 - p)**n carries n times the
+rounding of 1 - p, as scipy's does.
+
+Measured against 60-digit sums, the smaller tail erred by 1.9e-12 at
+most over 20,000 random tails with n up to 5e4 and k within 6 sd of the
+mean; by 5.8e-12 over 200,000 with n from 2e4 to 5e4, p from 1e-4 to
+1e-3 and k within 1.5 sd, where the first denominator cancels; and by
+5.1e-12 over 50,000 just below the switch, n up to 5e4.  Against
+50-digit series ``betainc`` erred by 3.3e-12 below the switch (at
+a + b = 4.5e4 and x = 0.99988, where the first denominator cancels)
+and 3.8e-14 beyond it for b >= 1, over 38,000 random values above
+1e-290 with a + b up to 5e4 + 1, and by 4.4e-16 over the 9,427 distinct
+calls of eight equalize runs on the four best-effort rows, where
+scipy's differ from these by 1.6e-15 at most.
 """
 
 from __future__ import annotations
@@ -87,18 +87,17 @@ from functools import lru_cache
 # The command line computes with these kernels only where n <= N_MAX,
 # the range over which the bound above was checked, and where its design
 # scans walk at most STRETCHES_MAX reserve stretches, about two calls
-# each.  The scans are what costs: at n = 5e4 with p_surge 0.99 and
-# p_nonsurge 0.01, which make a scan walk to T = N, a fresh
-# ``surgeshare design`` with N p_bad stretches took as long on these
-# sums as with scipy's import at about 3,500 (p_bad 0.07, targets 0.5,
-# the dearest per stretch measured), 4,600 (p_bad 0.2, targets 0.999)
-# and 6,000 (p_bad 0.5); at 1,500 the worst measured took 0.54x the
-# time (medians of 5 on 2 CPUs).  Every built-in scenario and the
-# golden rows (1,000 in all) stay well inside.
+# each.  The scans are what costs: with p_surge 0.99 and p_nonsurge
+# 0.01, which make a scan walk to T = N, a fresh ``surgeshare design``
+# with N p_bad stretches took as long on these kernels as with scipy's
+# import at about 2,300 (p_bad 0.07, targets 0.5, the dearest per stretch
+# measured), 4,500 (p_bad 0.2, targets 0.999) and 4,000 (p_bad 0.5,
+# targets 0.98); at 1,500 the worst measured took 0.69x the time (medians
+# of 9 on 2 CPUs, N up to 5e4).  Every built-in scenario and the golden
+# rows (1,000 in all) stay well inside.
 N_MAX = 50_000
 STRETCHES_MAX = 1_500
 
-REL_ERR = 2e-12
 SCIPY_REL_DIFF = 1e-9
 BETA_REL_ERR = 1e-11
 
@@ -117,8 +116,6 @@ _STIRLERR = (
     0.006408994188004207068439631, 0.005951370112758847735624416,
     0.00555473355196280137103869,
 )
-# The sum stops once the rest is below this fraction of it.
-_REST = 2.0 ** -45
 # The continued fraction stops once a step moves it by less than this;
 # a later denominator nearer 0 than _TINY is moved to it (Lentz).
 _STEP = 2.0 ** -50
@@ -165,55 +162,6 @@ def _bd0(x: float, m: float) -> float:
     return x * math.log(x / m) + m - x
 
 
-def _pmf(x: int, n: int, p: float, q: float) -> float:
-    """P[X = x] for 0 < x <= n by Loader's saddle-point form."""
-    if x == n:
-        return p ** n
-    lc = (_stirlerr(n) - _stirlerr(x) - _stirlerr(n - x)
-          - _bd0(x, n * p) - _bd0(n - x, n * q))
-    return math.exp(lc - 0.5 * (_LN_2PI + math.log(x) + math.log1p(-x / n)))
-
-
-def _walk(t: float, a: float, b: float, ratio: float) -> float:
-    """t (1 + r0 + r0 r1 + ...) with r_i = (a - i) ratio / (b + i).
-
-    The sum of a tail from its first term t outward: each ratio is that
-    of the next probability to the last, and falls with i.  It stops
-    once r0 < 1 and the rest, at most t r0 / (1 - r0), is below
-    ``_REST`` of the sum, testing that once per four terms; a term past
-    the end of the support (a - i <= 0) is zero.
-    """
-    s = t
-    rest = _REST
-    while a > 0.0:
-        r = a * ratio / b
-        if r < 1.0 and t * r <= (1.0 - r) * s * rest:
-            break
-        t *= r
-        s += t
-        t *= (a - 1.0) * ratio / (b + 1.0)
-        s += t
-        t *= (a - 2.0) * ratio / (b + 2.0)
-        s += t
-        t *= (a - 3.0) * ratio / (b + 3.0)
-        s += t
-        a -= 4.0
-        b += 4.0
-    return s
-
-
-def _below(k: int, n: int, p: float, q: float) -> float:
-    """P[X <= k] for 0 < k < n, summed down from k."""
-    # P[X = j - 1] / P[X = j] = j q / ((n - j + 1) p)
-    return _walk(_pmf(k, n, p, q), float(k), float(n - k + 1), q / p)
-
-
-def _above(k: int, n: int, p: float, q: float) -> float:
-    """P[X > k] for 0 <= k < n, summed up from k + 1."""
-    # P[X = j + 1] / P[X = j] = (n - j) p / ((j + 1) q)
-    return _walk(_pmf(k + 1, n, p, q), float(n - k - 1), float(k + 2), p / q)
-
-
 # cephes' expm1, which scipy's bdtrc uses at k = 0 and which differs from
 # the C library's in the last bit (Moshier 1989).
 _EP = (1.2617719307481059087798e-4, 3.0299440770744196129956e-2, 9.9999999999999999991025e-1)
@@ -238,11 +186,14 @@ def _tails(k: int, n: int, p: float):
     if k == 0:  # cephes' bdtr and bdtrc at k = 0
         low = q ** n
         return low, (-_expm1(n * math.log1p(-p)) if p < 0.01 else 1.0 - low)
-    first, other = (_below, _above) if k < n * p else (_above, _below)
-    s = first(k, n, p, q)
-    if s > 0.5:
-        first, s = other, other(k, n, p, q)
-    return (s, 1.0 - s) if first is _below else (1.0 - s, s)
+    # P[X <= k] = I_q(n - k, k + 1) and P[X > k] = I_p(k + 1, n - k):
+    # the one below the fraction's switch, the other 1 minus it.
+    a, b = n - k, k + 1
+    if q * (n + 3) < a + 1:
+        low = _beta_front(a, b, q, p) * _beta_fraction(a, b, q)
+        return low, 1.0 - low
+    high = _beta_front(b, a, p, q) * _beta_fraction(b, a, p)
+    return 1.0 - high, high
 
 
 def bdtr(k: int, n: int, p: float) -> float:

@@ -99,7 +99,7 @@ _SLACK = 2.0**-10
 # and p was 1.9e-259.  ``_binom.betainc`` keeps its relative bound down
 # to 1e-290 only.
 _CDF_FLOOR = 1e-200
-_BLOCK_ROWS = 1 << 15  # trace CSV rows built per numpy pass
+_BLOCK_ROWS = 1 << 14  # trace CSV rows built per numpy pass
 
 
 @dataclass(frozen=True)
@@ -547,13 +547,18 @@ def _slow_rows(start: int, z, q, ev, za, qa) -> bytes:
 
 def _event_log(trace: AimdTrace):
     """Views of the trace's event iterations, starts and averages as
-    numpy arrays, in that order.  ``ValueError`` unless the iterations
-    rise strictly within [0, total_iterations), and there is one z and
-    one q average per event and one z and one q start more than events."""
+    numpy arrays, in that order; empty events of any type are no events.
+    ``ValueError`` unless the iterations are integers that rise strictly
+    within [0, total_iterations), and there is one z and one q average
+    per event and one z and one q start more than events."""
     import numpy as np
 
     ev, zs, qs, za, qa = (np.asarray(a) for a in (trace.events, trace.z_starts, trace.q_starts,
                                                   trace.z_avg_events, trace.q_avg_events))
+    if not len(ev):
+        ev = ev.astype(np.int64)
+    elif ev.dtype.kind not in "iu":
+        raise ValueError(f"trace events must be integers, not {ev.dtype}")
     rows = trace.total_iterations
     if len(ev) and not (ev[0] >= 0 and ev[-1] < rows and (np.diff(ev) > 0).all()):
         raise ValueError(f"trace events must rise strictly within [0, {rows})")
@@ -647,9 +652,10 @@ def write_trace_csv(path, trace: AimdTrace) -> None:
     row by ``_slow_rows``.
 
     ``ValueError``, raised before the file is opened, unless the event
-    iterations rise strictly and lie in [0, total_iterations), and there
-    is one z and one q average per event and one z and one q start more
-    than events: a trace of a run executed without recording has none.
+    iterations are integers that rise strictly and lie in
+    [0, total_iterations), and there is one z and one q average per
+    event and one z and one q start more than events: a trace of a run
+    executed without recording has none.
     """
     import numpy as np
 

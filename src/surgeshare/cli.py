@@ -323,9 +323,9 @@ def cli_dispatch(argv: Optional[List[str]] = None) -> int:
     scans walk at most ``_binom.STRETCHES_MAX`` reserve stretches, and a
     ``partition`` whose N is at most ``N_MAX``, compute with ``_binom``'s
     kernels, which cost them less than importing scipy
-    (``_choose_kernels``): summed binomial tails, and for ``partition``'s
-    AIMD rates a continued-fraction ``betainc`` with a relative error
-    below ``_binom.BETA_REL_ERR`` (1e-11).  Larger commands and every
+    (``_choose_kernels``): one continued fraction for the binomial tails
+    and for ``partition``'s AIMD rates (``betainc``), with a relative
+    error below ``_binom.BETA_REL_ERR`` (1e-11).  Larger commands and every
     library call use scipy's.  The command runs on a reserve table of its
     own, as its stretch ends come from the kernels it chose.
     ``qos.bdtr``, ``qos.bdtrc``, ``qos.betainc`` and

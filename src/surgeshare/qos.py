@@ -32,12 +32,12 @@ runs) runs a ``qos``, ``design``, ``compare``, ``sweep`` or
 (5e4), and whose design scans walk at most ``_binom.STRETCHES_MAX``
 (1,500) reserve stretches, with ``bdtr``, ``bdtrc`` and ``betainc``
 bound to ``_binom``'s instead, and a ``partition`` command whose N is
-at most ``N_MAX`` too: pure-Python sums with a relative error below
-2e-12 on the smaller tail, and a continued fraction for ``betainc``
-with one below 1e-11 (``_binom.BETA_REL_ERR``).  Such a command makes
-a few hundred to a few thousand kernel calls at 5-60 us each, which
-cost it less than scipy's import; a library process that makes many
-keeps scipy's 0.4 us calls.  The two sums differ by scipy's own error,
+at most ``N_MAX`` too: one pure-Python continued fraction for all
+three, with a relative error below 1e-11 (``_binom.BETA_REL_ERR``) on
+``betainc`` and on the smaller tail.  Such a command makes a few
+hundred to a few thousand kernel calls at 5-65 us each, which cost it
+less than scipy's import; a library process that makes many keeps
+scipy's 0.4 us calls.  The two tails differ by scipy's own error,
 within 1e-9 relative at n <= 5e4, and give the same designs on the
 golden rows, the benchmark's random scenarios and seeded ones; at
 a = 0 they equal scipy 1.17's bit for bit, so the float ties of
@@ -213,7 +213,8 @@ def binom_cdf_cont(x: float, n: int, p: float) -> float:
     value in a scan of 15,000 random n and p was 1.9e-259).  At n = 900,
     p = 0.5784157333434456 it returns 0.0 for x in about [35.05, 35.34]
     and about 1e-269 on either side.  ``_binom.betainc``, which the
-    command line's ``partition`` computes with at n <= ``_binom.N_MAX``,
+    command line's ``partition`` computes with at n <= ``_binom.N_MAX``
+    and which is the same continued fraction as its binomial tails,
     keeps its relative bound only down to 1e-290, where its front factor
     starts to underflow.  A caller that compares values or relies on
     monotonicity must treat every value below a floor such as

@@ -929,6 +929,8 @@ def test_write_trace_csv_rejects_ragged_traces(tmp_path, reference_trace_csv):
         (_set_events(2, 0), events),
         (lambda trace: trace.z_avg_events.pop(), "2 events, 1 and 2 averages"),
         (lambda trace: trace.q_avg_events.append(3.0), "2 events, 2 and 3 averages"),
+        (lambda trace: setattr(trace, "events", [0.0, 2.0]), "events must be integers"),
+        (lambda trace: setattr(trace, "events", [False, True]), "events must be integers"),
     ]
     path = tmp_path / "trace.csv"
     for change, message in cases:
@@ -942,3 +944,9 @@ def test_write_trace_csv_rejects_ragged_traces(tmp_path, reference_trace_csv):
         trace = _trace_of([(1.0 + l, 2.0 + l, l in events, 0.5, 0.5) for l in range(3)], 0.25)
         aimd.write_trace_csv(path, trace)
         assert path.read_bytes() == reference_trace_csv(trace)
+    # No events given as an empty list of any type: as its array("q") twin.
+    want = path.read_bytes(), [a.tolist() for a in trace.claims()]
+    for empty in ([], array("d"), np.array([])):
+        trace.events = empty
+        aimd.write_trace_csv(path, trace)
+        assert (path.read_bytes(), [a.tolist() for a in trace.claims()]) == want

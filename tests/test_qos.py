@@ -433,7 +433,7 @@ def test_params_accept_numpy_integer_population():
 
 
 # ---------------------------------------------------------------------------
-# The summing kernels that one-shot commands use (surgeshare._binom)
+# The pure-Python kernels that one-shot commands use (surgeshare._binom)
 # ---------------------------------------------------------------------------
 
 def _decimal_tail(k: int, n: int, p: float, upper: bool) -> Decimal:
@@ -527,9 +527,9 @@ def test_stirling_error_against_60_digits(n):
 
 @pytest.mark.parametrize("k, n, p", [
     (5, 12, 0.3),                     # the Stirling-error table
-    (3, 10, 0.35),                    # P[X <= 3] > 1/2 although 3 < np: both sums
+    (3, 10, 0.35),                    # 3 < np, yet the upper tail is below the switch
     (1, 2206, 0.25),                  # far below the mean, near 1e-273
-    (11, 12, 0.95),                   # the last term alone, p**n
+    (11, 12, 0.95),                   # a = 1: P[X <= n - 1] = 1 - p**n
     (120, 1000, 0.1),                 # a golden pool at its target
     (16, 47, 0.01),                   # far above the mean
     (14_968, 49_999, 0.3),            # near the median at N_MAX
@@ -543,10 +543,11 @@ def test_summed_kernels_against_a_60_digit_sum(k, n, p):
     assert abs(low + high - 1) < Decimal("1e-50")
     small, got = (low, _binom.bdtr(k, n, p)) if low <= high else (high, _binom.bdtrc(k, n, p))
     assert small > Decimal("1e-290")
-    assert abs(Decimal(got) - small) <= Decimal(_binom.REL_ERR) * small, (k, n, p)
+    # 2e-12, a fifth of BETA_REL_ERR, holds at these points.
+    assert abs(Decimal(got) - small) <= Decimal("2e-12") * small, (k, n, p)
     # The larger tail carries that error and one rounding of 1 minus it.
     big = _binom.bdtrc(k, n, p) if low <= high else _binom.bdtr(k, n, p)
-    assert abs(Decimal(big) - (1 - small)) <= Decimal(_binom.REL_ERR) * small + Decimal(2**-53)
+    assert abs(Decimal(big) - (1 - small)) <= Decimal("2e-12") * small + Decimal(2**-53)
 
 
 @pytest.mark.parametrize("k, n, p", [
@@ -554,17 +555,36 @@ def test_summed_kernels_against_a_60_digit_sum(k, n, p):
     (15_001, 50_000, 0.3),
 ])
 def test_summed_kernels_stop_with_under_2_to_the_45_left(k, n, p):
-    # Just past the mean at N_MAX the start term's exponent is near 0, so
-    # its error is a few ulps, and the walk runs about 8 sd out: there
-    # the ratio at the stop is nearest 1, and the geometric bound on the
-    # rest is loosest.  The sum, about 1/2, is then within 2**-45 plus
-    # the walk's roundings (2e-14 measured) of a 60-digit one; a stop
-    # test with 1 + r in place of 1 - r leaves 7e-13 behind.
+    # Just past the median at N_MAX the continued fraction takes the most
+    # steps, so the most roundings add up and its stop test, each step
+    # nearest 1, matters most.  The tail, about 1/2, is then within 1e-13
+    # of a 60-digit sum (2.9e-14 measured).
     with localcontext() as ctx:
         ctx.prec = 60
         want = _decimal_tail(k, n, p, upper=True)
         assert Decimal("0.4") < want < Decimal("0.5")
         assert abs(Decimal(_binom.bdtrc(k, n, p)) - want) <= Decimal("1e-13") * want
+
+
+def test_tails_where_the_fraction_cancels_most():
+    # Below the switch, x = 1 - p near 1, the fraction's first
+    # denominator is ((n + 1) p - k)/(n - k + 1), near 2/(n - k + 1) at
+    # the switch, so it multiplies the roundings of 1 - s x/(a + 1) by up
+    # to n/2: the tails at large n and small p near the mean err the most.
+    rng = random.Random(48)
+    worst = Decimal(0)
+    for _ in range(2000):
+        n = rng.randint(20_000, 50_000)
+        p = 10 ** rng.uniform(-4.0, -3.0)
+        mean, sd = n * p, math.sqrt(n * p * (1.0 - p))
+        k = min(max(round(mean + rng.uniform(-1.5, 1.5) * sd), 1), n - 1)
+        low, high = _decimal_tail(k, n, p, upper=False), _decimal_tail(k, n, p, upper=True)
+        small, got = (low, _binom.bdtr(k, n, p)) if low <= high else (high, _binom.bdtrc(k, n, p))
+        err = abs(Decimal(got) - small) / small
+        assert err <= Decimal(_binom.BETA_REL_ERR), (k, n, p)
+        worst = max(worst, err)
+    # The grid reaches where the first denominator cancels.
+    assert worst > Decimal("1e-12")
 
 
 def _beta_grid(seed: int, count: int, p_least: float = 1e-4):
@@ -674,17 +694,20 @@ def test_betainc_at_its_hardest_points(a, b, x):
 
 
 def test_betainc_is_the_summed_cdf_at_whole_thresholds():
-    # P[X <= k] = I_{1-p}(n - k, k + 1), with no scipy in either.
+    # P[X <= k] = I_{1-p}(n - k, k + 1), against the cdf summed to 60
+    # digits, with no scipy in either.
     for k, n, p in _summed_grid(7, 300):
-        cdf, tail = _binom.bdtr(k, n, p), _binom.bdtrc(k, n, p)
-        if min(cdf, tail) < 1e-290:
+        low, high = _decimal_tail(k, n, p, upper=False), _decimal_tail(k, n, p, upper=True)
+        small = min(low, high)
+        if small < Decimal("1e-290"):
             continue
         got = _binom.betainc(float(n - k), k + 1.0, 1.0 - p)
         # x = 1 - p rounds, which moves the value by an ulp of p times
-        # the distance from the mean in items; the two differ by 2.2e-12
-        # at most here.
-        err = 1e-11 + _binom.BETA_REL_ERR + _binom.REL_ERR
-        assert abs(got - cdf) <= err * min(cdf, tail), (k, n, p)
+        # the distance from the mean in items (1.7e-12 relative at most
+        # here); a cdf above 1/2 is also one rounding of 1 minus the
+        # smaller tail.
+        err = abs(Decimal(got) - low) - (Decimal(2**-53) if low > high else 0)
+        assert err <= Decimal(1e-11 + _binom.BETA_REL_ERR) * small, (k, n, p)
 
 
 def test_betainc_ends():
@@ -694,7 +717,7 @@ def test_betainc_ends():
 
 
 def test_summed_kernels_give_the_rules_verdicts(monkeypatch):
-    # With qos's kernels bound to the sums, the rule gives the same
+    # With qos's kernels bound to _binom's, the rule gives the same
     # verdict as with scipy's at every item count, at targets near 1 and
     # at the float ties of 1 - p too.
     rng = random.Random(42)
@@ -716,7 +739,7 @@ def test_console_and_library_can_differ_at_a_rule_tie(monkeypatch, capsys):
     # lands within that of a tail can be met on one and missed on the
     # other.  This one is 1 minus scipy 1.17's P[X > 120] for
     # X ~ Binomial(1000, 0.1), the car scenario's non-surge pool: exactly,
-    # 120 items meet it, as the sums find, so the command line prints
+    # 120 items meet it, as _binom's kernels find, so the command line prints
     # M = 120 from either entry point; scipy 1.17's tail is 2.8e-17 above
     # 1 - target, so the library gives M = 121.  Other scipy builds may
     # fall either way.

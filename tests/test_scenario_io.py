@@ -540,7 +540,7 @@ def _raise(*args):
 def test_main_leaves_the_callers_kernels_and_reserve_table(monkeypatch, capsys, tmp_path,
                                                            argv, code):
     # Either entry point computes a small command's binomials with the
-    # summing kernels on a reserve table of its own; its caller goes on
+    # pure-Python kernels on a reserve table of its own; its caller goes on
     # with its own kernels and table, unchanged, whether the command
     # succeeds, rejects its input or raises.
     monkeypatch.setattr(solver, "write_design_csv", _raise)
