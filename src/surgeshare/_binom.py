@@ -11,8 +11,9 @@ A fresh process spends 0.2-0.45 s importing ``scipy.special``.  Each
 call here takes 5-65 us at n <= ``N_MAX`` against scipy's 0.4 us, so a
 command that makes a few thousand calls spends less in these
 functions, and ``cli.cli_dispatch`` binds them in place of scipy's for
-such a command, from either entry point, as ``cli._choose_kernels``
-estimates from the limits below.  Every other caller keeps scipy's.
+every command whose largest n is at most ``N_MAX``, the range over
+which the bound below was checked (``cli._choose_kernels``).  Every
+other caller keeps scipy's.
 
 All three are one algorithm, the continued fraction of Press et al.,
 *Numerical Recipes* (3rd ed., section 6.4): below the switch
@@ -84,19 +85,8 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-# The command line computes with these kernels only where n <= N_MAX,
-# the range over which the bound above was checked, and where its design
-# scans walk at most STRETCHES_MAX reserve stretches, about two calls
-# each.  The scans are what costs: with p_surge 0.99 and p_nonsurge
-# 0.01, which make a scan walk to T = N, a fresh ``surgeshare design``
-# with N p_bad stretches took as long on these kernels as with scipy's
-# import at about 2,300 (p_bad 0.07, targets 0.5, the dearest per stretch
-# measured), 4,500 (p_bad 0.2, targets 0.999) and 4,000 (p_bad 0.5,
-# targets 0.98); at 1,500 the worst measured took 0.69x the time (medians
-# of 9 on 2 CPUs, N up to 5e4).  Every built-in scenario and the golden
-# rows (1,000 in all) stay well inside.
+# The bound above was checked for n <= N_MAX.
 N_MAX = 50_000
-STRETCHES_MAX = 1_500
 
 SCIPY_REL_DIFF = 1e-9
 BETA_REL_ERR = 1e-11

@@ -238,26 +238,19 @@ def auto_config(problem: str, m: int, t: int, params: ScenarioParams,
     )
 
 
-def _rate_function(problem: str, params: ScenarioParams, t: int):
-    """The two agents of one run, consumers then prosumers, each as
+def _agent(problem: str, n: int, p: float, off: int):
+    """One agent of a run, a population of n requesting with probability
+    p, its kernels taken at the average claim plus off, as
     ``(rate, bounds, h)``: the raw backoff rate at an average claim, with
     every constant of the rate law computed once; ``bounds(lo, hi)``,
     a pair that holds the computed rate at every float in [lo, hi]; and
     the half-width of the agent's brackets.
 
-    Maximization uses the gradient of the QoS sum: the pmf of each
-    agent's population at its average claim (the surge argument shifted
-    by T, as in QoS_s), inverted.  Equalization uses the QoS level over
-    the average claim, so the better-served agent backs off more often
-    and the two QoS values are pushed together.
-    """
-    return (_agent(problem, params.n_consumers, params.p_surge, t),
-            _agent(problem, t, params.p_bad, 0))
-
-
-def _agent(problem: str, n: int, p: float, off: int):
-    """One agent of ``_rate_function``: a population of n requesting
-    with probability p, its kernels taken at the average claim plus off.
+    Maximization uses the gradient of the QoS sum: the pmf of the
+    population at its average claim (the consumers' surge argument
+    shifted by T, as in QoS_s), inverted.  Equalization uses the QoS
+    level over the average claim, so the better-served agent backs off
+    more often and the two QoS values are pushed together.
 
     The bounds are ``_SLACK`` wider than the kernel values they come
     from, and a cdf's ``_CDF_FLOOR`` wider again.  Equalize: the cdf
@@ -375,7 +368,8 @@ def run_partition(problem: str, params: ScenarioParams, m: int, t: int,
 
     import numpy as np
 
-    (rate_c, bounds_c, h_c), (rate_p, bounds_p, h_p) = _rate_function(problem, params, t)
+    rate_c, bounds_c, h_c = _agent(problem, params.n_consumers, params.p_surge, t)
+    rate_p, bounds_p, h_p = _agent(problem, t, params.p_bad, 0)
     rng = np.random.Generator(np.random.Philox(config.seed))
     alpha, beta = config.alpha, config.beta
     lam_min, target, gamma = config.lam_min, config.gamma_target, config.gamma

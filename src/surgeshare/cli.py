@@ -19,7 +19,7 @@ import gc
 import importlib.resources
 import os
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from . import qos as qos_mod
 from . import solver as solver_mod
@@ -41,34 +41,16 @@ _PARAM_FLAGS = {
 }
 
 
-def _choose_kernels(n: int, stretches: float = 0.0) -> None:
+def _choose_kernels(n: int) -> None:
     """Bind ``qos.bdtr``, ``qos.bdtrc`` and ``qos.betainc`` to ``_binom``'s
-    if they cost less than importing scipy.
+    if n is at most ``_binom.N_MAX``, the range of their checked bound.
 
     Each command that evaluates binomials calls this once, before its
-    first kernel call, with the largest n it evaluates and the number of
-    reserve stretches its design scans walk, as ``_choose_for_designs``
-    estimates it (0 for ``partition``, which scans none); ``_binom``
-    gives the limits on both and how they were measured.
+    first kernel call, with the largest n it evaluates.
     """
     from . import _binom
-    if n <= _binom.N_MAX and stretches <= _binom.STRETCHES_MAX:
+    if n <= _binom.N_MAX:
         qos_mod.bdtr, qos_mod.bdtrc, qos_mod.betainc = _binom.bdtr, _binom.bdtrc, _binom.betainc
-
-
-def _choose_for_designs(points: Sequence[ScenarioParams]) -> None:
-    """``_choose_kernels`` for a command that solves the design of each point.
-
-    A design's reserve scan walks at most about N p_bad stretches, at
-    about two kernel calls each, and points that share p_bad and the
-    bad-behaviour target share the command's reserve table, so each such
-    pair is walked once, to its largest N.
-    """
-    largest = {}
-    for p in points:
-        key = p.p_bad, p.qos_target_b
-        largest[key] = max(largest.get(key, 0), p.n_consumers)
-    _choose_kernels(max(largest.values()), sum(n * p_b for (p_b, _), n in largest.items()))
 
 
 def _output_paths(args, *names: str) -> List[str]:
@@ -144,7 +126,7 @@ def _cmd_qos(args) -> int:
 def _cmd_design(args) -> int:
     params, model, _ = _scenario_params(args)
     paths = _output_paths(args, args.output) if args.output else []
-    _choose_for_designs([params])
+    _choose_kernels(params.n_consumers)
     rep = solver_mod.solve_min_cost(params, model)
     d = rep.design
     print(f"M = {d.m}  T = {d.t}  Q = {d.q}")
@@ -197,7 +179,7 @@ def _cmd_sweep(args) -> int:
     names = _PARAM_FLAGS["target" if args.axis == "qos" else "n"]
     points = [dataclasses.replace(params, **dict.fromkeys(names, x)) for x in grid]
     (path,) = _output_paths(args, args.output or f"sweep_{args.axis}.csv")
-    _choose_for_designs(points)
+    _choose_kernels(max(p.n_consumers for p in points))
     solver_mod.write_design_csv(path, [solver_mod.solve_min_cost(p, model) for p in points])
     print(f"wrote {path}")
     return 0
@@ -205,7 +187,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_compare(args) -> int:
     params, model, _ = _scenario_params(args)
-    _choose_for_designs([params])
+    _choose_kernels(params.n_consumers)
     table = solver_mod.compare_approaches(params, model)
     for label in ("hybrid", "b2c", "ownership"):
         rep = table[label]
@@ -241,7 +223,7 @@ def _cmd_reproduce(args) -> int:
     uses = ("car", "charger")
     paths = _output_paths(args, *(f"{use}_min_cost.csv" for use in uses))
     tables = [_golden_table(use) for use in uses]
-    _choose_for_designs([sc.params for table in tables for sc, _ in table])
+    _choose_kernels(max(sc.params.n_consumers for table in tables for sc, _ in table))
     ok = True
     for use, path, table in zip(uses, paths, tables):
         reports = []
@@ -318,11 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
 def cli_dispatch(argv: Optional[List[str]] = None) -> int:
     """Run one command from ``argv`` (default ``sys.argv[1:]``); return its exit code.
 
-    A ``qos``, ``design``, ``compare``, ``sweep`` or ``reproduce``
-    command whose largest n is at most ``_binom.N_MAX`` and whose design
-    scans walk at most ``_binom.STRETCHES_MAX`` reserve stretches, and a
-    ``partition`` whose N is at most ``N_MAX``, compute with ``_binom``'s
-    kernels, which cost them less than importing scipy
+    A command whose largest n is at most ``_binom.N_MAX`` (5e4) computes
+    with ``_binom``'s kernels instead of importing scipy
     (``_choose_kernels``): one continued fraction for the binomial tails
     and for ``partition``'s AIMD rates (``betainc``), with a relative
     error below ``_binom.BETA_REL_ERR`` (1e-11).  Larger commands and every

@@ -27,17 +27,15 @@ global lookup, with no extra frame.  numpy, which this module does not
 use, is imported by the first AIMD run, trace write or oracle design.
 
 The command line (``cli.cli_dispatch``, which the console script
-runs) runs a ``qos``, ``design``, ``compare``, ``sweep`` or
-``reproduce`` command whose largest n is at most ``_binom.N_MAX``
-(5e4), and whose design scans walk at most ``_binom.STRETCHES_MAX``
-(1,500) reserve stretches, with ``bdtr``, ``bdtrc`` and ``betainc``
-bound to ``_binom``'s instead, and a ``partition`` command whose N is
-at most ``N_MAX`` too: one pure-Python continued fraction for all
-three, with a relative error below 1e-11 (``_binom.BETA_REL_ERR``) on
-``betainc`` and on the smaller tail.  Such a command makes a few
-hundred to a few thousand kernel calls at 5-65 us each, which cost it
-less than scipy's import; a library process that makes many keeps
-scipy's 0.4 us calls.  The two tails differ by scipy's own error,
+runs) runs a command whose largest n is at most ``_binom.N_MAX`` (5e4)
+with ``bdtr``, ``bdtrc`` and ``betainc`` bound to ``_binom``'s
+instead: one pure-Python continued fraction for all three, with a
+relative error below 1e-11 (``_binom.BETA_REL_ERR``) on ``betainc``
+and on the smaller tail.  A command on the built-in scenarios makes a
+few hundred to a few thousand kernel calls at 5-65 us each, which cost
+it less than scipy's import; a design scan that walks thousands of
+reserve stretches makes more, and a library process that makes many
+keeps scipy's 0.4 us calls.  The two tails differ by scipy's own error,
 within 1e-9 relative at n <= 5e4, and give the same designs on the
 golden rows, the benchmark's random scenarios and seeded ones; at
 a = 0 they equal scipy 1.17's bit for bit, so the float ties of

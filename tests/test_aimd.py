@@ -266,7 +266,7 @@ def test_run_partition_validates_inputs():
     def no_run(*args):
         raise AssertionError("the run started")
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(aimd, "_rate_function", no_run)
+        mp.setattr(aimd, "_agent", no_run)
         for m, t, name in ((120.5, 215, "m"), (120, 215.0, "t")):
             for entry in (run_partition, scan_oracle,
                           lambda problem, params, m, t: auto_config(problem, m, t, params)):
@@ -612,7 +612,7 @@ def bracket_cases(draw):
     agent = draw(st.sampled_from([0, 1]))
     size, p, off = (n, params.p_surge, t) if agent == 0 else (t, params.p_bad, 0)
     sigma = math.sqrt(size * p * (1.0 - p))
-    h = aimd._rate_function(problem, params, t)[agent][2]
+    h = aimd._agent(problem, size, p, off)[2]
     centres = [st.one_of(st.floats(-8.0, 8.0), st.floats(-40.0, 40.0)).map(
                    lambda k: size * p - off + k * sigma),
                st.floats(-3.0, 3.0).map(lambda j: j * h),
@@ -663,7 +663,8 @@ def test_bracket_decides_as_the_full_rate(case, u, edge, step):
     # point of it decide the same: a draw below lam_lo backs off and one
     # at or above lam_hi holds.
     problem, params, t, agent, a, gamma, lam_min, spot = case
-    rate, bounds, h = aimd._rate_function(problem, params, t)[agent]
+    size, p, off = (params.n_consumers, params.p_surge, t) if agent == 0 else (t, params.p_bad, 0)
+    rate, bounds, h = aimd._agent(problem, size, p, off)
     lo, hi, cut, top = aimd._bracket(bounds, a, h, gamma, lam_min)
     x = a if spot is None else min(max(_ulps_from(lo + spot[0] * (hi - lo), spot[1]), lo), hi)
     assert lo <= x <= hi

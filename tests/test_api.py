@@ -265,11 +265,14 @@ def test_import_and_cli_module_do_not_load_the_summing_kernels(fresh_python):
     (["design", "--scenario", "car-n50000-99"], []),
     (["design", "--n", "3000", "--p-ns", "0.01", "--p-s", "0.99", "--p-b", "0.5",
       "--target", "0.9"], []),
+    # A scan that walks to T = N through 2,970 reserve stretches.
+    (["design", "--n", "3000", "--p-ns", "0.01", "--p-s", "0.99", "--p-b", "0.99",
+      "--target", "0.98"], []),
     (["compare", "--scenario", "charger-n1000-98"], []),
     (["sweep", "--axis", "qos", "--grid", "0.9,0.95,0.99"], ["sweep_qos.csv"]),
     (["reproduce"], ["car_min_cost.csv", "charger_min_cost.csv"]),
-], ids=["qos", "design", "design-n-max", "design-stretches-max", "compare", "sweep",
-        "reproduce"])
+], ids=["qos", "design", "design-n-max", "design-stretches-max", "design-scan-to-n",
+        "compare", "sweep", "reproduce"])
 def test_small_commands_run_without_numpy_and_scipy(fresh_python, tmp_path, monkeypatch,
                                                     capsys, argv, files):
     # python -m surgeshare.cli with numpy and scipy blocked exits 0 and
@@ -342,18 +345,13 @@ def test_commands_without_aimd_do_not_load_it(fresh_python, tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    # A partition keeps them only above N_MAX; it walks no reserve scan.
     ["partition", "--scenario", "car-n50000", "--n", "50001", "--m", "5150", "--t", "10200"],
     ["design", "--n", "50001"],
-    ["design", "--n", "50000", "--p-ns", "0.01", "--p-s", "0.99", "--p-b", "0.0301",
-     "--target", "0.5"],
-    ["design", "--n", "50000", "--p-ns", "0.1", "--p-s", "0.95", "--p-b", "0.5",
-     "--target", "0.999"],
-], ids=["partition", "design-above-n-max", "design-above-stretches-max", "design-long-scan"])
+], ids=["partition", "design-above-n-max"])
 def test_partition_and_large_commands_keep_scipys_kernels(fresh_python, argv):
     code = _HEAVY + (
         "from surgeshare import _binom, cli\n"
-        "assert (_binom.N_MAX, _binom.STRETCHES_MAX) == (50000, 1500)\n"
+        "assert _binom.N_MAX == 50000\n"
         "try:\n"
         "    cli.main()\n"
         "except SystemExit as exc:\n"

@@ -460,7 +460,7 @@ def _decimal_tail(k: int, n: int, p: float, upper: bool) -> Decimal:
         return s
 
 
-def _summed_grid(seed: int, count: int):
+def _tail_grid(seed: int, count: int):
     # n log-uniform up to N_MAX, p log-uniform in [1e-4, 0.95], k from one
     # sigma below the mean to six above it, and k = 0 and k = n - 1.
     rng = random.Random(seed)
@@ -478,7 +478,7 @@ def test_summed_kernels_agree_with_scipy():
     # on the smaller tail; the larger is 1 minus it.  At k = 0 both use
     # cephes' closed forms (the test below).
     worst = 0.0
-    for k, n, p in _summed_grid(20261020, 700):
+    for k, n, p in _tail_grid(20261020, 700):
         ours = _binom.bdtr(k, n, p), _binom.bdtrc(k, n, p)
         want = float(special.bdtr(k, n, p)), float(special.bdtrc(k, n, p))
         if k == 0:
@@ -696,7 +696,7 @@ def test_betainc_at_its_hardest_points(a, b, x):
 def test_betainc_is_the_summed_cdf_at_whole_thresholds():
     # P[X <= k] = I_{1-p}(n - k, k + 1), against the cdf summed to 60
     # digits, with no scipy in either.
-    for k, n, p in _summed_grid(7, 300):
+    for k, n, p in _tail_grid(7, 300):
         low, high = _decimal_tail(k, n, p, upper=False), _decimal_tail(k, n, p, upper=True)
         small = min(low, high)
         if small < Decimal("1e-290"):
